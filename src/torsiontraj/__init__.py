@@ -23,6 +23,7 @@ from .bockstein import ShadowPackage, bo_direction_span, bockstein_image, shadow
 from .errors import (
     CapabilityError,
     DimensionError,
+    InvariantError,
     ParameterError,
     SingularMatrixError,
     TorsionTrajError,

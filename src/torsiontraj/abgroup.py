@@ -13,7 +13,7 @@ presentations with the Smith normal form.
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 
-from .errors import DimensionError, ValidationError
+from .errors import DimensionError, InvariantError, ValidationError
 from .intmat import IntMatrix, kernel_basis, rat_inverse, snf
 
 
@@ -360,7 +360,10 @@ def hom_analyze(f):
         tuple(basis_decomp.u.entry(i, j) * basis_decomp.d.entry(j, j) for i in range(n))
         for j in range(basis_decomp.rank())
     ]
-    assert len(basis_cols) == n, "preimage lattice must have full rank"
+    if len(basis_cols) != n:
+        raise InvariantError(
+            f"preimage lattice has rank {len(basis_cols)}, expected full rank {n}"
+        )
     basis = IntMatrix.from_columns(basis_cols)
     in_basis = (rat_inverse(basis) @ d_mat).to_int_matrix()
     kernel, _ = group_from_cokernel(in_basis)

@@ -23,7 +23,6 @@ from .errors import (
     TorsionTrajError,
     ValidationError,
 )
-from .intmat import IntMatrix
 from .lattice import discriminant_package
 from .links import LensSpace, PlumbingBoundary, Seifert, link_profile
 from .products import GateRefusal, brauer_comparison, builtin_profile, product_cohomology, product_profile
@@ -170,10 +169,8 @@ def cmd_product(args):
 
 def cmd_transport(args):
     packages = [serialize.group_from_json(g) for g in _load_json(args.packages)]
-    relation_data = _load_json(args.relations)
+    target, matrix = serialize.relation_from_json(_load_json(args.relations))
     source = FGAbGroup.trivial().direct_sum(*packages)
-    target = serialize.group_from_json(relation_data["target"])
-    matrix = IntMatrix(relation_data["matrix"])
     relation = FinAbHom(source, target, matrix)
     kernel = transport_kernel(TransportProblem(tuple(packages), relation))
     if args.format == "json":

@@ -30,5 +30,14 @@ class ValidationError(TorsionTrajError):
     """Structured data (a homomorphism, a package) violates its invariants."""
 
 
+class InvariantError(TorsionTrajError):
+    """A computed result fails an identity that the mathematics guarantees.
+
+    Raised instead of an ``assert`` so that the check also runs under
+    ``python -O``.  It signals a defect in the library, or an input that
+    bypassed the usual validation.
+    """
+
+
 class CapabilityError(TorsionTrajError):
     """The input is valid but beyond what this implementation supports."""

@@ -1,9 +1,17 @@
 """Exact integer and rational matrix algebra.
 
 Everything here runs on Python's arbitrary-precision integers and
-``fractions.Fraction``; no floating point is used anywhere.  The sizes in
-play are small (intersection matrices up to 8x8, monodromy matrices up to
-about 20x20), so clarity wins over asymptotics throughout.
+``fractions.Fraction``; no floating point is used anywhere.  Sizes range
+from 8x8 intersection matrices to Coxeter elements of A_60 and beyond, so
+the kernels follow two rules:
+
+* Zeros cost nothing in products.  ``IntMatrix.__matmul__`` sums only
+  over the nonzero entries of both factors, so multiplying by a
+  reflection (the identity but for one row) costs O(n^2).
+* Elimination stays fraction-free.  ``det`` and ``rat_inverse`` keep
+  integer numerators over one common denominator (Bareiss), with exact
+  divisions instead of a gcd per ``Fraction`` operation; a rational
+  result is formed only once, at the end.
 
 The centrepiece is ``snf``, a Smith normal form returning the full
 decomposition M = U * D * V with unimodular U, V.  Downstream code relies
@@ -13,7 +21,7 @@ computed, never just the diagonal.
 
 from fractions import Fraction
 
-from .errors import DimensionError, SingularMatrixError
+from .errors import DimensionError, InvariantError, SingularMatrixError
 
 
 class IntMatrix:
@@ -108,10 +116,20 @@ class IntMatrix:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        cols = other.columns()
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self._rows]
-        )
+        # Row i of the product is the sum of a * (row k of other) over the
+        # nonzero a = self[i][k]; rows of other keep only their nonzero
+        # (j, b) pairs, so a reflection factor costs O(n^2), not O(n^3).
+        width = other.cols
+        sparse_rows = [[(j, b) for j, b in enumerate(row) if b] for row in other._rows]
+        product = []
+        for row in self._rows:
+            acc = [0] * width
+            for a, terms in zip(row, sparse_rows):
+                if a:
+                    for j, b in terms:
+                        acc[j] += a * b
+            product.append(acc)
+        return IntMatrix(product)
 
     def __mul__(self, scalar):
         if not isinstance(scalar, int):
@@ -421,26 +439,40 @@ def det(matrix):
 def rat_inverse(matrix):
     """Exact inverse of a nonsingular integer matrix, as a RatMatrix.
 
+    Fraction-free Gauss-Jordan (Bareiss) on [M | I]: each step replaces
+    every other row by (row * p - f * pivot_row) // prev, where p is the
+    new pivot, f the row's entry in the pivot column and prev the previous
+    pivot.  Every such division is exact, because each entry stays a minor
+    of [M | I].  The last pivot is +-det(M), and the right half ends as
+    that pivot times M^-1, so each entry is built as Fraction(x, pivot).
+
+    >>> print(rat_inverse(IntMatrix([[2, 1], [1, 1]])))
+    [[1, -1], [-1, 2]]
+    >>> print(rat_inverse(IntMatrix([[-2, 1], [1, -2]])))
+    [[-2/3, -1/3], [-1/3, -2/3]]
+
     Raises SingularMatrixError (carrying determinant 0) when singular.
     """
     if not matrix.is_square():
         raise DimensionError("inverse requires a square matrix")
     n = matrix.rows
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(matrix.to_lists())]
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(matrix.to_lists())]
+    prev = 1
     for c in range(n):
         pivot_row = next((r for r in range(c, n) if a[r][c] != 0), None)
         if pivot_row is None:
             raise SingularMatrixError(determinant=0)
         if pivot_row != c:
             a[c], a[pivot_row] = a[pivot_row], a[c]
-        inv = 1 / a[c][c]
-        a[c] = [x * inv for x in a[c]]
+        top = a[c]
+        p = top[c]
         for r in range(n):
-            if r != c and a[r][c]:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return RatMatrix([row[n:] for row in a])
+            if r != c:
+                row = a[r]
+                f = row[c]
+                a[r] = [(x * p - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+    return RatMatrix([[Fraction(x, prev) for x in row[n:]] for row in a])
 
 
 def char_poly(matrix):
@@ -469,7 +501,9 @@ def char_poly(matrix):
         m = mul(a, m)
         c = -sum(m[i][i] for i in range(n)) / k
         coeffs.append(c)
-    assert all(c.denominator == 1 for c in coeffs)
+    if any(c.denominator != 1 for c in coeffs):
+        shown = ", ".join(str(c) for c in coeffs)
+        raise InvariantError(f"characteristic polynomial has non-integer coefficients {shown}")
     return tuple(int(c) for c in coeffs)
 
 

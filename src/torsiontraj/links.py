@@ -21,7 +21,7 @@ from .abgroup import (
     hom_into_cyclic,
     hom_to_Z,
 )
-from .errors import CapabilityError, ParameterError
+from .errors import CapabilityError, InvariantError, ParameterError
 from .intmat import IntMatrix
 from .lattice import IntersectionLattice
 
@@ -176,7 +176,8 @@ def seifert_h1_order(b, arms):
         total += Fraction(beta, alpha)
         product *= alpha
     value = product * total
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise InvariantError(f"Seifert order a_1 ... a_n * e = {value} is not an integer")
     return abs(int(value)) if value != 0 else None
 
 
@@ -219,7 +220,11 @@ def link_profile(model):
         if order is None:
             raise CapabilityError("Seifert space has infinite H_1; profile not constructed")
         h1 = seifert_homology(model.b, model.arms)
-        assert h1.torsion_order() == order and h1.is_finite()
+        if not h1.is_finite() or h1.torsion_order() != order:
+            raise InvariantError(
+                f"Seifert H_1 from its presentation is {h1}, but the closed "
+                f"formula gives order {order}"
+            )
         arms = ",".join(f"({a},{b})" for a, b in model.arms)
         return SpaceProfile(
             f"Seifert({model.b};{arms})",

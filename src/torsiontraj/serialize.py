@@ -41,11 +41,18 @@ def fraction_display(value):
     return canonical
 
 
+def _json_object(data, what):
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} must be a JSON object, not {type(data).__name__}")
+    return data
+
+
 def group_to_json(group):
     return {"free_rank": group.free_rank, "invariant_factors": list(group.invariant_factors)}
 
 
 def group_from_json(data):
+    data = _json_object(data, "group literal")
     return FGAbGroup(int(data["free_rank"]), tuple(data["invariant_factors"]))
 
 
@@ -53,10 +60,24 @@ def matrix_to_json(matrix):
     return {"matrix": matrix.to_lists()}
 
 
-def int_matrix_from_json(data):
-    if "matrix" not in data:
-        raise ValidationError('matrix literal must have a "matrix" key')
-    return IntMatrix(data["matrix"])
+def int_matrix_from_json(rows, what="matrix"):
+    """IntMatrix from parsed JSON rows, checked before any conversion.
+
+    Rows must form a non-empty rectangular list of lists of JSON integers;
+    floats, strings and booleans are rejected rather than truncated or
+    coerced by ``int``.
+    """
+    if not isinstance(rows, list) or not rows or not all(
+        isinstance(row, list) and row for row in rows
+    ):
+        raise ValidationError(f"{what} must be a non-empty list of non-empty rows")
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValidationError(f"{what} has ragged rows")
+    for row in rows:
+        for x in row:
+            if type(x) is not int:  # bool is an int subclass; reject it too
+                raise ValidationError(f"{what} entry {x!r} is not an integer")
+    return IntMatrix(rows)
 
 
 def rat_matrix_to_json(matrix):
@@ -71,11 +92,21 @@ def lattice_to_json(lat):
 
 
 def lattice_from_json(data):
+    data = _json_object(data, "lattice literal")
     # a bare matrix literal is accepted wherever a lattice is expected
     gram = data.get("gram", data.get("matrix"))
     if gram is None:
         raise ValidationError('lattice literal must have a "gram" (or "matrix") key')
-    return IntersectionLattice(IntMatrix(gram), data.get("labels"))
+    return IntersectionLattice(int_matrix_from_json(gram, "gram"), data.get("labels"))
+
+
+def relation_from_json(data):
+    """(target group, matrix) of a transport relation literal
+    {"target": group, "matrix": [[...]]}."""
+    data = _json_object(data, "relation literal")
+    if "target" not in data or "matrix" not in data:
+        raise ValidationError('relation literal must have "target" and "matrix" keys')
+    return group_from_json(data["target"]), int_matrix_from_json(data["matrix"])
 
 
 def package_to_json(pkg):

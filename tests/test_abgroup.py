@@ -19,8 +19,9 @@ from torsiontraj.abgroup import (
     tensor,
     tor,
 )
-from torsiontraj.errors import DimensionError, ValidationError
-from torsiontraj.intmat import IntMatrix
+from torsiontraj import abgroup
+from torsiontraj.errors import DimensionError, InvariantError, ValidationError
+from torsiontraj.intmat import IntMatrix, SnfDecomposition
 
 Z2 = FGAbGroup.cyclic(2)
 Z4 = FGAbGroup.cyclic(4)
@@ -299,3 +300,18 @@ def test_element_order():
     assert element_order((0, 2), (2, 4)) == 2
     assert element_order((1, 1), (2, 4)) == lcm(2, 4)
     assert element_order((0, 0), (2, 4)) == 1
+
+
+def test_hom_preimage_rank_check(monkeypatch):
+    # A Smith form that loses rank makes the preimage lattice deficient;
+    # the check is an explicit error, so it also fires under python -O.
+    def rank_zero_snf(matrix):
+        return SnfDecomposition(
+            IntMatrix.identity(matrix.rows),
+            IntMatrix.zero(matrix.rows, matrix.cols),
+            IntMatrix.identity(matrix.cols),
+        )
+
+    monkeypatch.setattr(abgroup, "snf", rank_zero_snf)
+    with pytest.raises(InvariantError, match="preimage lattice"):
+        hom_analyze(FinAbHom.identity(Z2))

@@ -149,3 +149,54 @@ def test_out_flag(tmp_path, capsys):
     assert out == ""
     data = json.loads(path.read_text())
     assert data["package"]["group"] == {"free_rank": 0, "invariant_factors": [2, 2]}
+
+
+BAD_MATRICES = {
+    "float": [[-2.5]],
+    "string": [["-4"]],
+    "boolean": [[True]],
+    "ragged": [[-2, 1], [1]],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_MATRICES))
+def test_lattice_rejects_bad_gram(tmp_path, capsys, name):
+    gram = tmp_path / "gram.json"
+    gram.write_text(json.dumps({"gram": BAD_MATRICES[name]}))
+    code, out, err = invoke(capsys, "lattice", "--gram", str(gram))
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err
+
+
+def test_lattice_rejects_top_level_list(tmp_path, capsys):
+    gram = tmp_path / "gram.json"
+    gram.write_text(json.dumps([[-4]]))
+    code, _, err = invoke(capsys, "lattice", "--gram", str(gram))
+    assert code == 2
+    assert "must be a JSON object" in err
+
+
+def write_transport_inputs(tmp_path, relations):
+    packages = tmp_path / "packages.json"
+    packages.write_text(json.dumps([{"free_rank": 0, "invariant_factors": [2]}]))
+    path = tmp_path / "relations.json"
+    path.write_text(json.dumps(relations))
+    return "--packages", str(packages), "--relations", str(path)
+
+
+@pytest.mark.parametrize("name", sorted(BAD_MATRICES))
+def test_transport_rejects_bad_matrix(tmp_path, capsys, name):
+    relations = {"target": {"free_rank": 0, "invariant_factors": [2]},
+                 "matrix": BAD_MATRICES[name]}
+    code, out, err = invoke(capsys, "transport", *write_transport_inputs(tmp_path, relations))
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err
+
+
+def test_transport_rejects_top_level_list(tmp_path, capsys):
+    code, _, err = invoke(capsys, "transport", *write_transport_inputs(tmp_path, [[1]]))
+    assert code == 2
+    assert "must be a JSON object" in err

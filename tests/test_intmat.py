@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from torsiontraj.errors import DimensionError, SingularMatrixError
+from torsiontraj.errors import DimensionError, InvariantError, SingularMatrixError
 from torsiontraj.intmat import (
     IntMatrix,
     RatMatrix,
@@ -95,7 +97,7 @@ def test_rat_inverse_brieskorn_fourth_column():
 
 
 def test_rat_inverse_ak_corner():
-    for k in range(1, 8):
+    for k in (*range(1, 8), 20, 32, 60):
         inv = rat_inverse(neg_ak(k))
         assert inv.entry(0, 0) == Fraction(-k, k + 1)
 
@@ -210,3 +212,122 @@ def test_matrix_validation():
         IntMatrix([[1, 2], [3]])
     with pytest.raises(DimensionError):
         IntMatrix([])
+
+
+def test_char_poly_integrality_check():
+    # A matrix that bypassed the IntMatrix constructor can carry a
+    # non-integer entry; the check is an explicit error, so it also fires
+    # under python -O.
+    m = object.__new__(IntMatrix)
+    m._rows = ((Fraction(1, 2),),)
+    with pytest.raises(InvariantError, match="non-integer coefficients 1, -1/2"):
+        char_poly(m)
+
+
+# -- reference kernels --------------------------------------------------------
+#
+# The straightforward versions the library used before its kernels were
+# made sparse and fraction-free.  The properties below compare the two.
+
+def dense_product(x, y):
+    """Every entry as the full dot product of a row and a column."""
+    cols = y.columns()
+    return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in cols]
+                      for row in x.to_lists()])
+
+
+def fraction_inverse(matrix):
+    """Gauss-Jordan on [M | I] in Fraction arithmetic, same pivot search."""
+    n = matrix.rows
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(matrix.to_lists())]
+    for c in range(n):
+        pivot_row = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if pivot_row is None:
+            raise SingularMatrixError(determinant=0)
+        if pivot_row != c:
+            a[c], a[pivot_row] = a[pivot_row], a[c]
+        inv = 1 / a[c][c]
+        a[c] = [x * inv for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return RatMatrix([row[n:] for row in a])
+
+
+SMALL = st.integers(-9, 9)
+# Entries beyond 2^64, so no fixed-width shortcut can pass.
+HUGE = st.integers(2**64, 2**80) | st.integers(-(2**80), -(2**64))
+SIZES = st.integers(1, 6)
+
+
+@st.composite
+def int_matrices(draw, rows, cols):
+    """Dense, sparse (mostly zero) or reflection-shaped (the identity but
+    for one row) matrices, with small or huge entries."""
+    entries = draw(st.sampled_from([SMALL, SMALL | HUGE]))
+    kind = draw(st.sampled_from(["dense", "sparse", "reflection"]))
+    if kind == "sparse":
+        entries = st.just(0) | st.just(0) | st.just(0) | entries
+    if kind == "reflection" and rows == cols:
+        k = draw(st.integers(0, rows - 1))
+        data = IntMatrix.identity(rows).to_lists()
+        data[k] = draw(st.lists(entries, min_size=cols, max_size=cols))
+        return IntMatrix(data)
+    return IntMatrix(draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                                   min_size=rows, max_size=rows)))
+
+
+@st.composite
+def product_pairs(draw):
+    r, k, c = draw(SIZES), draw(SIZES), draw(SIZES)
+    return draw(int_matrices(r, k)), draw(int_matrices(k, c))
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(SIZES)
+    return draw(int_matrices(n, n))
+
+
+@st.composite
+def singular_matrices(draw):
+    """Square matrices whose last row is an integer combination of the
+    others (the zero row when n = 1)."""
+    data = draw(square_matrices()).to_lists()
+    coeffs = draw(st.lists(SMALL | HUGE, min_size=len(data) - 1, max_size=len(data) - 1))
+    data[-1] = [sum(c * row[j] for c, row in zip(coeffs, data)) for j in range(len(data))]
+    return IntMatrix(data)
+
+
+@settings(deadline=None)
+@given(product_pairs())
+def test_matmul_matches_dense_reference(pair):
+    x, y = pair
+    assert x @ y == dense_product(x, y)
+
+
+@settings(deadline=None)
+@given(square_matrices())
+def test_rat_inverse_matches_fraction_reference(m):
+    try:
+        expected = fraction_inverse(m)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError) as info:
+            rat_inverse(m)
+        assert info.value.determinant == 0
+        return
+    inverse = rat_inverse(m)
+    assert repr(inverse) == repr(expected)
+    assert inverse @ m == RatMatrix.identity(m.rows)
+
+
+@settings(deadline=None)
+@given(singular_matrices())
+def test_rat_inverse_singular_property(m):
+    with pytest.raises(SingularMatrixError) as info:
+        rat_inverse(m)
+    assert info.value.determinant == 0
+    with pytest.raises(SingularMatrixError):
+        fraction_inverse(m)

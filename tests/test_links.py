@@ -1,11 +1,13 @@
 """Link profiles, universal-coefficient conversions, stalk tables."""
 
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from torsiontraj.abgroup import FGAbGroup
-from torsiontraj.errors import CapabilityError, ParameterError
+from torsiontraj import links
+from torsiontraj.errors import CapabilityError, InvariantError, ParameterError
 from torsiontraj.lattice import cartan_matrix, chain_matrix, discriminant_package, hj_expansion, star_matrix
 from torsiontraj.links import (
     LensSpace,
@@ -188,3 +190,15 @@ def test_profile_helpers():
     assert profile.max_degree() == 0
     with pytest.raises(CapabilityError):
         profile.h0q(0)
+
+
+def test_seifert_order_integrality_check():
+    # A non-integral base term makes a_1 ... a_n * e a proper fraction.
+    with pytest.raises(InvariantError, match="not an integer"):
+        seifert_h1_order(Fraction(1, 7), [(2, 1), (3, 1)])
+
+
+def test_seifert_presentation_must_match_closed_formula(monkeypatch):
+    monkeypatch.setattr(links, "seifert_homology", lambda b, arms: FGAbGroup.cyclic(7))
+    with pytest.raises(InvariantError, match="closed formula gives order 5"):
+        link_profile(Seifert(-1, ((2, 1), (3, 1), (11, 1))))

@@ -6,7 +6,7 @@ import pytest
 
 from torsiontraj.abgroup import FGAbGroup
 from torsiontraj.errors import ParameterError
-from torsiontraj.intmat import IntMatrix, char_poly, snf
+from torsiontraj.intmat import IntMatrix, char_poly, det, snf
 from torsiontraj.monodromy import (
     coxeter_element,
     milnor_number,
@@ -40,6 +40,20 @@ def test_coxeter_ak_char_poly():
     for k in range(1, 13):
         # t^k + t^{k-1} + ... + 1
         assert char_poly(coxeter_element("A", k)) == (1,) * (k + 1)
+
+
+@pytest.mark.parametrize("k", [20, 32, 60])
+def test_coxeter_ak_scaling(k):
+    # The Coxeter element of A_k has order exactly k + 1, and its
+    # variation T - id has determinant of absolute value k + 1.
+    t = coxeter_element("A", k)
+    identity = IntMatrix.identity(k)
+    power = t
+    for _ in range(k):
+        assert power != identity
+        power = power @ t
+    assert power == identity
+    assert abs(det(t - identity)) == k + 1
 
 
 def test_variation_a1():
