@@ -18,7 +18,11 @@ from .intmat import IntMatrix, kernel_basis, rat_inverse, snf
 
 
 def _factorize(n):
-    """Prime factorization {p: e} by trial division; fine at our sizes."""
+    """Prime factorization {p: e} by trial division.
+
+    Used only by the derived views ``prime_support`` and
+    ``primary_decomposition``; normalization never factors.
+    """
     result = {}
     p = 2
     while p * p <= n:
@@ -34,28 +38,24 @@ def _factorize(n):
 def _invariant_factors(orders):
     """Canonical invariant-factor chain of a direct sum of cyclic groups.
 
+    One pairwise pass replaces (a_i, a_j), i < j, by (gcd, lcm).  That
+    keeps the product and, prime by prime, sorts the exponents upwards,
+    so the result is a divisibility chain; the 1s are then dropped.
+
     >>> _invariant_factors([2, 3])
     (6,)
     >>> _invariant_factors([4, 6, 2])
     (2, 2, 12)
     """
-    exponents = {}
-    for d in orders:
+    factors = list(orders)
+    for d in factors:
         if d < 1:
             raise ValidationError(f"cyclic order must be positive, got {d}")
-        for p, e in _factorize(d).items():
-            exponents.setdefault(p, []).append(e)
-    width = max((len(v) for v in exponents.values()), default=0)
-    factors = []
-    for i in range(width):
-        f = 1
-        for p, exps in exponents.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if i < len(exps_sorted):
-                f *= p ** exps_sorted[i]
-        factors.append(f)
-    # Largest factor first so far; the stored convention is ascending.
-    return tuple(sorted(factors))
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            a, b = factors[i], factors[j]
+            factors[i], factors[j] = gcd(a, b), lcm(a, b)
+    return tuple(d for d in factors if d != 1)
 
 
 @dataclass(frozen=True)
@@ -115,13 +115,6 @@ class FGAbGroup:
 
     def torsion(self):
         return FGAbGroup(0, self.invariant_factors)
-
-    def free_part(self):
-        return FGAbGroup(self.free_rank, ())
-
-    def exponent(self):
-        """Smallest n >= 1 with nG torsion-free on the torsion part."""
-        return self.invariant_factors[-1] if self.invariant_factors else 1
 
     def prime_support(self):
         """Primes dividing the torsion order."""
@@ -353,18 +346,17 @@ def hom_analyze(f):
     x_parts = [vec[:n] for vec in solution_kernel]
     span = IntMatrix.from_columns(x_parts + d_mat.columns())
 
-    image, _ = group_from_cokernel(span)
-
-    basis_decomp = snf(span)
-    basis_cols = [
-        tuple(basis_decomp.u.entry(i, j) * basis_decomp.d.entry(j, j) for i in range(n))
-        for j in range(basis_decomp.rank())
-    ]
-    if len(basis_cols) != n:
-        raise InvariantError(
-            f"preimage lattice has rank {len(basis_cols)}, expected full rank {n}"
-        )
-    basis = IntMatrix.from_columns(basis_cols)
+    # One Smith form span = U D V gives both the image Z^n / P (the
+    # diagonal of D) and a basis of P (the columns of U D).
+    span_decomp = snf(span)
+    rank = span_decomp.rank()
+    if rank != n:
+        raise InvariantError(f"preimage lattice has rank {rank}, expected full rank {n}")
+    image = FGAbGroup.from_orders(span_decomp.invariant_factors())
+    basis = IntMatrix.from_columns(
+        tuple(span_decomp.u.entry(i, j) * span_decomp.d.entry(j, j) for i in range(n))
+        for j in range(n)
+    )
     in_basis = (rat_inverse(basis) @ d_mat).to_int_matrix()
     kernel, _ = group_from_cokernel(in_basis)
 

@@ -168,7 +168,10 @@ def cmd_product(args):
 
 
 def cmd_transport(args):
-    packages = [serialize.group_from_json(g) for g in _load_json(args.packages)]
+    literals = _load_json(args.packages)
+    if not isinstance(literals, list):
+        raise ValidationError("packages must be a JSON list of group literals")
+    packages = [serialize.group_from_json(g) for g in literals]
     target, matrix = serialize.relation_from_json(_load_json(args.relations))
     source = FGAbGroup.trivial().direct_sum(*packages)
     relation = FinAbHom(source, target, matrix)
@@ -182,8 +185,6 @@ def cmd_transport(args):
 
 
 def cmd_table(args):
-    if args.what != "trajectory":
-        raise ParameterError("only 'table trajectory' is available")
     rows = trajectory_table()
     if args.format == "json":
         return serialize.to_json_text([serialize.row_to_json(r) for r in rows])

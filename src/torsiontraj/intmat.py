@@ -1,13 +1,19 @@
 """Exact integer and rational matrix algebra.
 
 Everything here runs on Python's arbitrary-precision integers and
-``fractions.Fraction``; no floating point is used anywhere.  Sizes range
-from 8x8 intersection matrices to Coxeter elements of A_60 and beyond, so
-the kernels follow two rules:
+``fractions.Fraction``; no floating point is used anywhere.  One base
+class holds shape, access, equality and the product; ``IntMatrix`` and
+``RatMatrix`` differ only in their entry type (``int`` or ``Fraction``)
+and in a few type-specific operations.  Equality compares entries, so an
+integral RatMatrix equals the IntMatrix with the same entries, and a
+product with a RatMatrix on either side is a RatMatrix.
 
-* Zeros cost nothing in products.  ``IntMatrix.__matmul__`` sums only
-  over the nonzero entries of both factors, so multiplying by a
-  reflection (the identity but for one row) costs O(n^2).
+Sizes range from 8x8 intersection matrices to Coxeter elements of A_60
+and beyond, so the kernels follow two rules:
+
+* Zeros cost nothing in products.  The product sums only over the
+  nonzero entries of both factors, so multiplying by a reflection (the
+  identity but for one row) costs O(n^2).
 * Elimination stays fraction-free.  ``det`` and ``rat_inverse`` keep
   integer numerators over one common denominator (Bareiss), with exact
   divisions instead of a gcd per ``Fraction`` operation; a rational
@@ -24,20 +30,19 @@ from fractions import Fraction
 from .errors import DimensionError, InvariantError, SingularMatrixError
 
 
-class IntMatrix:
-    """An immutable matrix with integer entries.
+class _Matrix:
+    """Shape, access and products shared by IntMatrix and RatMatrix.
 
-    >>> m = IntMatrix([[-2]])
-    >>> m.rows, m.cols
-    (1, 1)
-    >>> print(IntMatrix.identity(2))
-    [[1, 0], [0, 1]]
+    A subclass names its entry type in ``_entry``; the constructor applies
+    it once to every entry.  Results keep the caller's entry type, and a
+    product with a RatMatrix on either side is a RatMatrix.
     """
 
     __slots__ = ("_rows",)
 
     def __init__(self, rows):
-        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        entry = self._entry
+        rows = tuple(tuple(map(entry, row)) for row in rows)
         if not rows or not rows[0]:
             raise DimensionError("matrix must have at least one row and column")
         width = len(rows[0])
@@ -48,10 +53,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n):
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)])
 
     @classmethod
     def from_columns(cls, columns):
@@ -68,9 +69,6 @@ class IntMatrix:
     def entry(self, i, j):
         return self._rows[i][j]
 
-    def row(self, i):
-        return self._rows[i]
-
     def column(self, j):
         return tuple(r[j] for r in self._rows)
 
@@ -81,7 +79,7 @@ class IntMatrix:
         return [list(r) for r in self._rows]
 
     def transpose(self):
-        return IntMatrix(list(zip(*self._rows)))
+        return type(self)(list(zip(*self._rows)))
 
     def is_square(self):
         return self.rows == self.cols
@@ -93,25 +91,13 @@ class IntMatrix:
             for j in range(i)
         )
 
-    def is_diagonal(self):
-        return all(
-            self._rows[i][j] == 0
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if i != j
-        )
-
-    def diagonal(self):
-        return tuple(self._rows[i][i] for i in range(min(self.rows, self.cols)))
-
-    def hstack(self, other):
-        if self.rows != other.rows:
-            raise DimensionError("row counts differ in hstack")
-        return IntMatrix([a + b for a, b in zip(self._rows, other._rows)])
+    def apply(self, vector):
+        """Matrix times column vector, returned as a tuple of entries."""
+        if len(vector) != self.cols:
+            raise DimensionError("vector length does not match column count")
+        return tuple(sum(a * b for a, b in zip(row, vector)) for row in self._rows)
 
     def __matmul__(self, other):
-        if isinstance(other, RatMatrix):
-            return self.to_rational() @ other
         if self.cols != other.rows:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
@@ -129,7 +115,57 @@ class IntMatrix:
                     for j, b in terms:
                         acc[j] += a * b
             product.append(acc)
-        return IntMatrix(product)
+        rational = isinstance(self, RatMatrix) or isinstance(other, RatMatrix)
+        return (RatMatrix if rational else IntMatrix)(product)
+
+    def __eq__(self, other):
+        return isinstance(other, _Matrix) and self._rows == other._rows
+
+    def __hash__(self):
+        return hash(self._rows)
+
+    def __str__(self):
+        return "[" + ", ".join(
+            "[" + ", ".join(str(x) for x in row) + "]" for row in self._rows
+        ) + "]"
+
+
+class IntMatrix(_Matrix):
+    """An immutable matrix with integer entries.
+
+    >>> m = IntMatrix([[-2]])
+    >>> m.rows, m.cols
+    (1, 1)
+    >>> print(IntMatrix.identity(2))
+    [[1, 0], [0, 1]]
+    """
+
+    __slots__ = ()
+    _entry = int
+
+    # Bound here as well, so the integer product is an attribute of
+    # IntMatrix itself and can be wrapped without touching RatMatrix.
+    __matmul__ = _Matrix.__matmul__
+
+    @classmethod
+    def zero(cls, rows, cols):
+        return cls([[0] * cols for _ in range(rows)])
+
+    def is_diagonal(self):
+        return all(
+            self._rows[i][j] == 0
+            for i in range(self.rows)
+            for j in range(self.cols)
+            if i != j
+        )
+
+    def diagonal(self):
+        return tuple(self._rows[i][i] for i in range(min(self.rows, self.cols)))
+
+    def hstack(self, other):
+        if self.rows != other.rows:
+            raise DimensionError("row counts differ in hstack")
+        return IntMatrix([a + b for a, b in zip(self._rows, other._rows)])
 
     def __mul__(self, scalar):
         if not isinstance(scalar, int):
@@ -155,129 +191,27 @@ class IntMatrix:
             [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)]
         )
 
-    def apply(self, vector):
-        """Matrix times column vector, returned as a tuple of ints."""
-        if len(vector) != self.cols:
-            raise DimensionError("vector length does not match column count")
-        return tuple(sum(a * b for a, b in zip(row, vector)) for row in self._rows)
-
-    def to_rational(self):
-        return RatMatrix(self._rows)
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self._rows == other._rows
-
-    def __hash__(self):
-        return hash(self._rows)
-
     def __repr__(self):
         return f"IntMatrix({self.to_lists()!r})"
 
-    def __str__(self):
-        return str(self.to_lists())
 
-
-class RatMatrix:
+class RatMatrix(_Matrix):
     """An immutable matrix with exact rational entries.
 
     Entries are ``fractions.Fraction`` values, hence always in lowest
     terms with positive denominator.
     """
 
-    __slots__ = ("_rows",)
-
-    def __init__(self, rows):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
-        if not rows or not rows[0]:
-            raise DimensionError("matrix must have at least one row and column")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise DimensionError("ragged rows in matrix literal")
-        self._rows = rows
-
-    @classmethod
-    def identity(cls, n):
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_columns(cls, columns):
-        return cls(list(zip(*columns)))
-
-    @property
-    def rows(self):
-        return len(self._rows)
-
-    @property
-    def cols(self):
-        return len(self._rows[0])
-
-    def entry(self, i, j):
-        return self._rows[i][j]
-
-    def column(self, j):
-        return tuple(r[j] for r in self._rows)
-
-    def columns(self):
-        return [self.column(j) for j in range(self.cols)]
-
-    def to_lists(self):
-        return [list(r) for r in self._rows]
-
-    def transpose(self):
-        return RatMatrix(list(zip(*self._rows)))
-
-    def is_symmetric(self):
-        return self.rows == self.cols and all(
-            self._rows[i][j] == self._rows[j][i]
-            for i in range(self.rows)
-            for j in range(i)
-        )
-
-    def is_integral(self):
-        return all(x.denominator == 1 for row in self._rows for x in row)
+    __slots__ = ()
+    _entry = Fraction
 
     def to_int_matrix(self):
-        if not self.is_integral():
+        if any(x.denominator != 1 for row in self._rows for x in row):
             raise DimensionError("matrix has non-integer entries")
-        return IntMatrix([[int(x) for x in row] for row in self._rows])
-
-    def apply(self, vector):
-        if len(vector) != self.cols:
-            raise DimensionError("vector length does not match column count")
-        return tuple(sum(a * Fraction(b) for a, b in zip(row, vector)) for row in self._rows)
-
-    def __matmul__(self, other):
-        if isinstance(other, IntMatrix):
-            other = other.to_rational()
-        if self.cols != other.rows:
-            raise DimensionError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        cols = other.columns()
-        return RatMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self._rows]
-        )
-
-    def __rmatmul__(self, other):
-        if isinstance(other, IntMatrix):
-            return other.to_rational() @ self
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, IntMatrix):
-            other = other.to_rational()
-        return isinstance(other, RatMatrix) and self._rows == other._rows
-
-    def __hash__(self):
-        return hash(self._rows)
+        return IntMatrix(self._rows)
 
     def __repr__(self):
         return f"RatMatrix({[[str(x) for x in row] for row in self._rows]!r})"
-
-    def __str__(self):
-        return "[" + ", ".join(
-            "[" + ", ".join(str(x) for x in row) + "]" for row in self._rows
-        ) + "]"
 
 
 class SnfDecomposition:

@@ -15,7 +15,13 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .abgroup import FGAbGroup, element_order, group_from_cokernel
-from .errors import CapabilityError, ParameterError, SingularMatrixError, ValidationError
+from .errors import (
+    CapabilityError,
+    InvariantError,
+    ParameterError,
+    SingularMatrixError,
+    ValidationError,
+)
 from .intmat import IntMatrix, RatMatrix, det, rat_inverse
 
 FORMS_ISOMORPHIC_BOUND = 64
@@ -116,7 +122,8 @@ def hj_expansion(n, q):
         b = -(-n // q)  # ceil(n / q)
         weights.append(b)
         n, q = q, b * q - n
-    assert all(b >= 2 for b in weights)
+    if any(b < 2 for b in weights):
+        raise InvariantError(f"Hirzebruch-Jung weights {weights} are not all >= 2")
     return weights
 
 

@@ -11,7 +11,7 @@ three instead has T = id with free cokernel.
 from dataclasses import dataclass
 
 from .abgroup import FGAbGroup, group_from_cokernel
-from .errors import ParameterError
+from .errors import InvariantError, ParameterError
 from .intmat import IntMatrix, det
 from .lattice import cartan_matrix
 from .links import SphereProduct
@@ -129,5 +129,9 @@ def odp_package():
     link is S^2 x S^3."""
     t = IntMatrix.identity(1)
     result = variation_cokernel(t)
-    assert result.det_abs is None and result.cokernel == FGAbGroup.free(1)
+    if result.det_abs is not None or result.cokernel != FGAbGroup.free(1):
+        raise InvariantError(
+            f"ODP variation cokernel is {result.cokernel} (|det| {result.det_abs}), "
+            "expected Z from a singular variation"
+        )
     return result, SphereProduct()

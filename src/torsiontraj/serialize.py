@@ -51,13 +51,26 @@ def group_to_json(group):
     return {"free_rank": group.free_rank, "invariant_factors": list(group.invariant_factors)}
 
 
+def _json_int(x, what):
+    if type(x) is not int:  # bool is an int subclass; reject it too
+        raise ValidationError(f"{what} {x!r} is not an integer")
+    return x
+
+
 def group_from_json(data):
+    """FGAbGroup from a parsed group literal, checked before any conversion.
+
+    ``free_rank`` must be a JSON integer and ``invariant_factors`` a list
+    of JSON integers; nothing is truncated or coerced by ``int``.
+    """
     data = _json_object(data, "group literal")
-    return FGAbGroup(int(data["free_rank"]), tuple(data["invariant_factors"]))
-
-
-def matrix_to_json(matrix):
-    return {"matrix": matrix.to_lists()}
+    factors = data["invariant_factors"]
+    if not isinstance(factors, list):
+        raise ValidationError("invariant_factors must be a list")
+    return FGAbGroup(
+        _json_int(data["free_rank"], "free_rank"),
+        tuple(_json_int(d, "invariant factor") for d in factors),
+    )
 
 
 def int_matrix_from_json(rows, what="matrix"):
@@ -75,8 +88,7 @@ def int_matrix_from_json(rows, what="matrix"):
         raise ValidationError(f"{what} has ragged rows")
     for row in rows:
         for x in row:
-            if type(x) is not int:  # bool is an int subclass; reject it too
-                raise ValidationError(f"{what} entry {x!r} is not an integer")
+            _json_int(x, f"{what} entry")
     return IntMatrix(rows)
 
 
@@ -146,10 +158,6 @@ def profile_from_json(data):
         {int(k): group_from_json(g) for k, g in data["cohomology"].items()},
         {int(k): int(v) for k, v in hodge.items()} if hodge is not None else None,
     )
-
-
-def degree_table_to_json(table):
-    return {str(k): group_to_json(g) for k, g in sorted(table.items())}
 
 
 def report_to_json(report):

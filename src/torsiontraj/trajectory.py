@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .abgroup import FGAbGroup, FinAbHom, group_from_cokernel, hom_analyze, rationalize
 from .bockstein import shadow
-from .errors import ParameterError, ValidationError
+from .errors import InvariantError, ParameterError, ValidationError
 from .intmat import IntMatrix
 from .lattice import (
     DiscriminantPackage,
@@ -292,7 +292,8 @@ def trajectory_row(model):
             shadow_note = None
 
     death = rationalize(package.group if package else FGAbGroup.trivial())
-    assert death == 0
+    if death != 0:
+        raise InvariantError(f"rational death of a torsion package is {death}, expected 0")
     return TrajectoryRow(
         example=model.display_name(),
         package=package,

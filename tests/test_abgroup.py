@@ -2,9 +2,11 @@
 
 import itertools
 import random
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from torsiontraj.abgroup import (
     FGAbGroup,
@@ -19,9 +21,10 @@ from torsiontraj.abgroup import (
     tensor,
     tor,
 )
-from torsiontraj import abgroup
+from torsiontraj import abgroup, intmat
 from torsiontraj.errors import DimensionError, InvariantError, ValidationError
 from torsiontraj.intmat import IntMatrix, SnfDecomposition
+from torsiontraj.links import lens_profile
 
 Z2 = FGAbGroup.cyclic(2)
 Z4 = FGAbGroup.cyclic(4)
@@ -46,6 +49,60 @@ def test_invalid_chain_rejected():
 def test_primary_decomposition_view():
     assert FGAbGroup.from_orders([12, 60]).primary_decomposition() == (3, 3, 4, 4, 5)
     assert FGAbGroup.cyclic(6).prime_support() == {2, 3}
+
+
+# -- normalization against a factoring reference ------------------------------
+
+def factoring_invariant_factors(orders):
+    """The chain by prime factorization, as the library once computed it:
+    the i-th largest factor is the product over p of p^(i-th largest
+    exponent of p)."""
+    exponents = {}
+    for d in orders:
+        for p, e in abgroup._factorize(d).items():
+            exponents.setdefault(p, []).append(e)
+    width = max((len(v) for v in exponents.values()), default=0)
+    factors = []
+    for i in range(width):
+        f = 1
+        for p, exps in exponents.items():
+            exps_sorted = sorted(exps, reverse=True)
+            if i < len(exps_sorted):
+                f *= p ** exps_sorted[i]
+        factors.append(f)
+    return tuple(sorted(factors))
+
+
+PRIME_POWERS = st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49])
+# Products of small prime powers (1 included); every other order repeated.
+ORDERS = st.lists(st.lists(PRIME_POWERS, max_size=3).map(prod), max_size=8).map(
+    lambda xs: xs + xs[::2]
+)
+
+
+@given(ORDERS)
+def test_from_orders_matches_factoring_reference(orders):
+    expected = factoring_invariant_factors(orders)
+    assert abgroup._invariant_factors(orders) == expected
+    assert FGAbGroup.from_orders(orders, 2) == FGAbGroup(2, expected)
+
+
+def test_nonpositive_order_rejected():
+    for bad in ([0], [2, -3]):
+        with pytest.raises(ValidationError, match="must be positive"):
+            FGAbGroup.from_orders(bad)
+
+
+M61, M31 = 2**61 - 1, 2**31 - 1  # Mersenne primes
+
+
+def test_big_prime_orders():
+    # Normalization never factors, so primes far beyond trial division
+    # cost no more than small ones.
+    assert FGAbGroup.cyclic(M61).invariant_factors == (M61,)
+    assert FGAbGroup.from_orders([M61, M31]) == FGAbGroup.cyclic(M61 * M31)
+    assert FGAbGroup.from_orders([M61 * M31, M31]).invariant_factors == (M31, M61 * M31)
+    assert lens_profile(M61, 1).group(2) == FGAbGroup.cyclic(M61)
 
 
 def test_cokernel_minus_two():
@@ -315,3 +372,21 @@ def test_hom_preimage_rank_check(monkeypatch):
     monkeypatch.setattr(abgroup, "snf", rank_zero_snf)
     with pytest.raises(InvariantError, match="preimage lattice"):
         hom_analyze(FinAbHom.identity(Z2))
+
+
+def test_hom_analyze_one_snf_per_matrix(monkeypatch):
+    # Four presentations (cokernel, solution kernel, preimage span,
+    # kernel in the preimage basis), each put in Smith form exactly once.
+    real_snf = intmat.snf
+    seen = []
+
+    def counting_snf(matrix):
+        seen.append(matrix)
+        return real_snf(matrix)
+
+    monkeypatch.setattr(abgroup, "snf", counting_snf)
+    monkeypatch.setattr(intmat, "snf", counting_snf)
+    g = FGAbGroup.from_orders([2, 4])
+    result = hom_analyze(FinAbHom(g, Z4, IntMatrix([[2, 1]])))
+    assert len(seen) == 4 and len(set(seen)) == 4
+    assert result.kernel.torsion_order() * result.image.torsion_order() == 8

@@ -178,12 +178,14 @@ def test_lattice_rejects_top_level_list(tmp_path, capsys):
     assert "must be a JSON object" in err
 
 
-def write_transport_inputs(tmp_path, relations):
-    packages = tmp_path / "packages.json"
-    packages.write_text(json.dumps([{"free_rank": 0, "invariant_factors": [2]}]))
-    path = tmp_path / "relations.json"
-    path.write_text(json.dumps(relations))
-    return "--packages", str(packages), "--relations", str(path)
+def write_transport_inputs(tmp_path, relations, packages=None):
+    if packages is None:
+        packages = [{"free_rank": 0, "invariant_factors": [2]}]
+    packages_path = tmp_path / "packages.json"
+    packages_path.write_text(json.dumps(packages))
+    relations_path = tmp_path / "relations.json"
+    relations_path.write_text(json.dumps(relations))
+    return "--packages", str(packages_path), "--relations", str(relations_path)
 
 
 @pytest.mark.parametrize("name", sorted(BAD_MATRICES))
@@ -200,3 +202,24 @@ def test_transport_rejects_top_level_list(tmp_path, capsys):
     code, _, err = invoke(capsys, "transport", *write_transport_inputs(tmp_path, [[1]]))
     assert code == 2
     assert "must be a JSON object" in err
+
+
+BAD_PACKAGES = {
+    "float": [{"free_rank": 0.9, "invariant_factors": [2.7]}],
+    "string-rank": [{"free_rank": "x", "invariant_factors": [2]}],
+    "scalar-factors": [{"free_rank": 0, "invariant_factors": 2}],
+    "boolean-factor": [{"free_rank": 0, "invariant_factors": [True]}],
+    "not-a-list": 5,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_PACKAGES))
+def test_transport_rejects_bad_packages(tmp_path, capsys, name):
+    # Floats were truncated by int() (0.9 -> 0, 2.7 -> 2: a wrong Z/2 and
+    # exit 0); a string, a scalar or a non-list crashed with a traceback.
+    relations = {"target": {"free_rank": 0, "invariant_factors": [2]}, "matrix": [[1]]}
+    argv = write_transport_inputs(tmp_path, relations, BAD_PACKAGES[name])
+    code, out, err = invoke(capsys, "transport", *argv)
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err

@@ -308,6 +308,28 @@ def test_matmul_matches_dense_reference(pair):
     assert x @ y == dense_product(x, y)
 
 
+def test_int_rat_equality_is_symmetric():
+    ints, rats = IntMatrix.identity(2), RatMatrix.identity(2)
+    assert ints == rats and rats == ints
+    assert hash(ints) == hash(rats)
+    half, zero = RatMatrix([[Fraction(1, 2)]]), IntMatrix([[0]])
+    assert half != zero and zero != half
+
+
+@settings(deadline=None)
+@given(product_pairs(), st.integers(1, 6))
+def test_mixed_products_are_rational(pair, den):
+    x, y = pair
+    reference = dense_product(x, y)
+    scaled = RatMatrix([[Fraction(v, den) for v in row] for row in reference.to_lists()])
+    rx = RatMatrix([[Fraction(a, den) for a in row] for row in x.to_lists()])
+    ry = RatMatrix(y.to_lists())
+    products = {"int@rat": x @ ry, "rat@int": rx @ y, "rat@rat": rx @ ry}
+    assert all(type(p) is RatMatrix for p in products.values())
+    assert products["int@rat"] == reference
+    assert products["rat@int"] == scaled and products["rat@rat"] == scaled
+
+
 @settings(deadline=None)
 @given(square_matrices())
 def test_rat_inverse_matches_fraction_reference(m):

@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 
 from torsiontraj.abgroup import FGAbGroup
-from torsiontraj.errors import CapabilityError, ParameterError, SingularMatrixError, ValidationError
+from torsiontraj.errors import (
+    CapabilityError,
+    InvariantError,
+    ParameterError,
+    SingularMatrixError,
+    ValidationError,
+)
 from torsiontraj.intmat import IntMatrix, RatMatrix, det
 from torsiontraj.lattice import (
     DiscriminantPackage,
@@ -80,6 +86,18 @@ def test_hj_validation():
         hj_expansion(4, 2)
     with pytest.raises(ParameterError):
         hj_expansion(3, 3)
+
+
+def test_hj_expansion_weight_check():
+    # An n whose ">" lies slips past the parameter check (really n < q)
+    # and yields a weight of 1; the check is an explicit error, so it
+    # also fires under python -O.
+    class LyingInt(int):
+        def __gt__(self, other):
+            return True
+
+    with pytest.raises(InvariantError, match=r"weights \[1, 2\] are not all >= 2"):
+        hj_expansion(LyingInt(1), 2)
 
 
 def test_chain_matrix():

@@ -5,7 +5,8 @@ import itertools
 import pytest
 
 from torsiontraj.abgroup import FGAbGroup
-from torsiontraj.errors import ParameterError
+from torsiontraj import monodromy
+from torsiontraj.errors import InvariantError, ParameterError
 from torsiontraj.intmat import IntMatrix, char_poly, det, snf
 from torsiontraj.monodromy import (
     coxeter_element,
@@ -145,3 +146,12 @@ def test_odp_package():
     from torsiontraj.links import link_profile
 
     assert link_profile(link).is_torsion_free()
+
+
+def test_odp_package_check(monkeypatch):
+    # A variation with nonzero determinant contradicts T = id; the check
+    # is an explicit error, so it also fires under python -O.
+    real = monodromy.variation_cokernel
+    monkeypatch.setattr(monodromy, "variation_cokernel", lambda t: real(2 * t))
+    with pytest.raises(InvariantError, match="expected Z from a singular variation"):
+        odp_package()

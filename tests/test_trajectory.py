@@ -6,7 +6,8 @@ import pytest
 
 from torsiontraj.abgroup import FGAbGroup, FinAbHom
 from torsiontraj.bockstein import bo_direction_span, bockstein_image, shadow
-from torsiontraj.errors import ParameterError, ValidationError
+from torsiontraj import trajectory
+from torsiontraj.errors import InvariantError, ParameterError, ValidationError
 from torsiontraj.intmat import IntMatrix
 from torsiontraj.links import lens_profile
 from torsiontraj.products import builtin_profile, product_cohomology
@@ -194,3 +195,11 @@ def test_table_layout():
     assert names[0] == "A_1 surface"
     assert names[-1] == "Coble boundary 1/4(1,1)"
     assert rows[7].brauer_residue_status == "global-benchmark"
+
+
+def test_rational_death_check(monkeypatch):
+    # A torsion package has no rational part; the check is an explicit
+    # error, so it also fires under python -O.
+    monkeypatch.setattr(trajectory, "rationalize", lambda group: 1)
+    with pytest.raises(InvariantError, match="rational death"):
+        trajectory_row(SingularityModel.ak(1))
