@@ -100,8 +100,13 @@ def _link_model_from_args(args):
             raise ParameterError("seifert requires --b and --arms \"a1,b1;a2,b2;...\"")
         arms = []
         for chunk in args.arms.split(";"):
-            alpha, beta = chunk.split(",")
-            arms.append((int(alpha), int(beta)))
+            try:
+                alpha, beta = map(int, chunk.split(","))
+            except ValueError:
+                raise ParameterError(
+                    f"--arms entry {chunk!r} is not a pair of integers \"a,b\""
+                ) from None
+            arms.append((alpha, beta))
         return Seifert(args.b, tuple(arms))
     if args.link_kind == "plumbing":
         if not args.gram:

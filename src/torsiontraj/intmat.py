@@ -4,9 +4,11 @@ Everything here runs on Python's arbitrary-precision integers and
 ``fractions.Fraction``; no floating point is used anywhere.  One base
 class holds shape, access, equality and the product; ``IntMatrix`` and
 ``RatMatrix`` differ only in their entry type (``int`` or ``Fraction``)
-and in a few type-specific operations.  Equality compares entries, so an
-integral RatMatrix equals the IntMatrix with the same entries, and a
-product with a RatMatrix on either side is a RatMatrix.
+and in a few type-specific operations; an IntMatrix refuses a float or
+``Fraction`` entry instead of truncating it.  Equality compares entries,
+so an integral RatMatrix equals the IntMatrix with the same entries, and
+a product with a RatMatrix on either side is a RatMatrix.  There is one
+product, over row lists, shared by ``@`` and the integer ``char_poly``.
 
 Sizes range from 8x8 intersection matrices to Coxeter elements of A_60
 and beyond, so the kernels follow two rules:
@@ -26,8 +28,26 @@ computed, never just the diagonal.
 """
 
 from fractions import Fraction
+from operator import index
 
-from .errors import DimensionError, InvariantError, SingularMatrixError
+from .errors import DimensionError, InvariantError, SingularMatrixError, ValidationError
+
+
+def _row_product(left, right):
+    """Rows of left @ right.  Row i sums a * (row k of right) over the
+    nonzero a = left[i][k], and rows of right keep only their nonzero
+    (j, b) pairs, so a reflection factor costs O(n^2), not O(n^3)."""
+    width = len(right[0])
+    sparse_rows = [[(j, b) for j, b in enumerate(row) if b] for row in right]
+    product = []
+    for row in left:
+        acc = [0] * width
+        for a, terms in zip(row, sparse_rows):
+            if a:
+                for j, b in terms:
+                    acc[j] += a * b
+        product.append(acc)
+    return product
 
 
 class _Matrix:
@@ -42,7 +62,20 @@ class _Matrix:
 
     def __init__(self, rows):
         entry = self._entry
-        rows = tuple(tuple(map(entry, row)) for row in rows)
+        converted = []
+        for row in rows:
+            try:
+                converted.append(tuple(map(entry, row)))
+            except TypeError:
+                for x in row:
+                    try:
+                        entry(x)
+                    except TypeError:
+                        raise ValidationError(
+                            f"{x!r} is not a valid {type(self).__name__} entry"
+                        ) from None
+                raise
+        rows = tuple(converted)
         if not rows or not rows[0]:
             raise DimensionError("matrix must have at least one row and column")
         width = len(rows[0])
@@ -102,19 +135,7 @@ class _Matrix:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        # Row i of the product is the sum of a * (row k of other) over the
-        # nonzero a = self[i][k]; rows of other keep only their nonzero
-        # (j, b) pairs, so a reflection factor costs O(n^2), not O(n^3).
-        width = other.cols
-        sparse_rows = [[(j, b) for j, b in enumerate(row) if b] for row in other._rows]
-        product = []
-        for row in self._rows:
-            acc = [0] * width
-            for a, terms in zip(row, sparse_rows):
-                if a:
-                    for j, b in terms:
-                        acc[j] += a * b
-            product.append(acc)
+        product = _row_product(self._rows, other._rows)
         rational = isinstance(self, RatMatrix) or isinstance(other, RatMatrix)
         return (RatMatrix if rational else IntMatrix)(product)
 
@@ -141,7 +162,7 @@ class IntMatrix(_Matrix):
     """
 
     __slots__ = ()
-    _entry = int
+    _entry = index
 
     # Bound here as well, so the integer product is an attribute of
     # IntMatrix itself and can be wrapped without touching RatMatrix.
@@ -208,7 +229,7 @@ class RatMatrix(_Matrix):
     def to_int_matrix(self):
         if any(x.denominator != 1 for row in self._rows for x in row):
             raise DimensionError("matrix has non-integer entries")
-        return IntMatrix(self._rows)
+        return IntMatrix([[x.numerator for x in row] for row in self._rows])
 
     def __repr__(self):
         return f"RatMatrix({[[str(x) for x in row] for row in self._rows]!r})"
@@ -412,8 +433,9 @@ def rat_inverse(matrix):
 def char_poly(matrix):
     """Characteristic polynomial det(tI - M), leading coefficient first.
 
-    Faddeev-LeVerrier over exact rationals; the result of an integer
-    matrix always has integer coefficients.
+    Faddeev-LeVerrier in integers: M_k = M (M_{k-1} + c_{k-1} I) and
+    c_k = -tr(M_k) / k, each division exact for an integer matrix.  The
+    products share the sparse row product of ``@``.
 
     >>> char_poly(IntMatrix([[-1]]))
     (1, 1)
@@ -421,24 +443,20 @@ def char_poly(matrix):
     if not matrix.is_square():
         raise DimensionError("characteristic polynomial requires a square matrix")
     n = matrix.rows
-    a = [[Fraction(x) for x in row] for row in matrix.to_lists()]
-
-    def mul(x, y):
-        return [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)]
-
-    coeffs = [Fraction(1)]
-    m = [[Fraction(0)] * n for _ in range(n)]
+    coeffs = [1]
+    m = [[0] * n for _ in range(n)]
     for k in range(1, n + 1):
         for i in range(n):
             m[i][i] += coeffs[-1]
-        m = mul(a, m)
-        c = -sum(m[i][i] for i in range(n)) / k
-        coeffs.append(c)
-    if any(c.denominator != 1 for c in coeffs):
-        shown = ", ".join(str(c) for c in coeffs)
-        raise InvariantError(f"characteristic polynomial has non-integer coefficients {shown}")
-    return tuple(int(c) for c in coeffs)
+        m = _row_product(matrix._rows, m)
+        trace = sum(m[i][i] for i in range(n))
+        if trace % k:
+            shown = ", ".join(str(c) for c in coeffs + [-trace / k])
+            raise InvariantError(
+                f"characteristic polynomial has non-integer coefficients {shown}"
+            )
+        coeffs.append(-trace // k)
+    return tuple(coeffs)
 
 
 def kernel_basis(matrix):

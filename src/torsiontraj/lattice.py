@@ -19,7 +19,6 @@ from .errors import (
     CapabilityError,
     InvariantError,
     ParameterError,
-    SingularMatrixError,
     ValidationError,
 )
 from .intmat import IntMatrix, RatMatrix, det, rat_inverse
@@ -172,7 +171,7 @@ def star_matrix(central_weight, arm_weights):
 
 
 def _mod1(x):
-    return Fraction(x) - (Fraction(x).numerator // Fraction(x).denominator)
+    return Fraction(x) % 1
 
 
 def geometric_rep(value):
@@ -235,18 +234,22 @@ class DiscriminantPackage:
         return itertools.product(*(range(d) for d in self.orders()))
 
     def is_nondegenerate(self):
-        """Whether x -> q(x, -) is injective (brute force, |E| <= 10^4)."""
-        if self.group.torsion_order() > 10_000:
-            raise CapabilityError("nondegeneracy check is brute force, order must be <= 10^4")
-        k = len(self.orders())
-        for coords in self.elements():
-            if all(c == 0 for c in coords):
-                continue
-            unit_rows = [self.form_value(coords, tuple(int(t == j) for t in range(k)))
-                         for j in range(k)]
-            if all(v == 0 for v in unit_rows):
-                return False
-        return True
+        """Whether x -> q(x, -) is injective from E to E^ = Hom(E, Q/Z).
+
+        This adjoint sends s_i to the sum of (d_j q_ij) chi_j, where chi_j is
+        the character dual to s_j.  E and E^ have the same order, so it is
+        injective iff coker([adjoint | diag(d)]) is trivial: one Smith form.
+        """
+        orders = self.orders()
+        if not orders:
+            return True
+        k = len(orders)
+        span = IntMatrix(
+            [[(d * self.form.entry(i, j)).numerator for i in range(k)]
+             + [d * (i == j) for i in range(k)]
+             for j, d in enumerate(orders)]
+        )
+        return group_from_cokernel(span)[0].is_trivial()
 
 
 def trivial_package():
@@ -259,15 +262,6 @@ def abstract_package(group, form_entries):
     return DiscriminantPackage(group, RatMatrix(entries), None)
 
 
-def coset_order(inverse, column):
-    """Order of an integer coset representative in coker(gram).
-
-    The class of x has order lcm of the denominators of gram^-1 x.
-    """
-    image = inverse.apply(column)
-    return lcm(*(f.denominator for f in image)) if image else 1
-
-
 def discriminant_package(lat, generators=None):
     """Discriminant package (group, pairing) of a nonsingular lattice.
 
@@ -278,7 +272,10 @@ def discriminant_package(lat, generators=None):
     nontrivial invariant factors in order); the induced form does not
     depend on the choice of representative within a coset.
 
-    Form entries are g_i^T gram^-1 g_j reduced into [0, 1).
+    Form entries are g_i^T gram^-1 g_j reduced into [0, 1).  The duals
+    gram^-1 g_i also give each supplied class its order (the lcm of their
+    denominators), and supplied columns generate iff coker([columns | gram])
+    is trivial.  A singular gram raises SingularMatrixError in rat_inverse.
 
     >>> pkg = discriminant_package(chain_matrix([4]))
     >>> print(pkg.group)
@@ -287,9 +284,6 @@ def discriminant_package(lat, generators=None):
     [[3/4]]
     """
     gram = lat.gram
-    d = det(gram)
-    if d == 0:
-        raise SingularMatrixError("lattice gram matrix is singular", determinant=0)
     inverse = rat_inverse(gram)
     group, snf_generators = group_from_cokernel(gram)
     if group.is_trivial():
@@ -297,38 +291,32 @@ def discriminant_package(lat, generators=None):
 
     if generators is None:
         columns = [col for order, col in snf_generators]
-        expected = [order for order, col in snf_generators]
     else:
         columns = generators.columns()
-        expected = list(group.invariant_factors)
+
+    # q(g_i, g_j) = g_i^T gram^-1 g_j, evaluated as (gram^-1 g_i) . g_j.
+    duals = [inverse.apply(col) for col in columns]
+    if generators is not None:
+        expected = group.invariant_factors
         if len(columns) != len(expected):
             raise ValidationError(
                 f"need {len(expected)} generator columns, got {len(columns)}"
             )
-        for col, d_i in zip(columns, expected):
-            actual = coset_order(inverse, col)
+        for dual, d_i in zip(duals, expected):
+            actual = lcm(*(f.denominator for f in dual))
             if actual != d_i:
                 raise ValidationError(
                     f"generator has order {actual}, expected invariant factor {d_i}"
                 )
-        if _subgroup_order(gram, columns) != group.torsion_order():
+        span = IntMatrix.from_columns(columns).hstack(gram)
+        if not group_from_cokernel(span)[0].is_trivial():
             raise ValidationError("supplied columns do not generate the cokernel")
-
-    # q(g_i, g_j) = g_i^T gram^-1 g_j, evaluated as (gram^-1 g_i) . g_j.
-    duals = [inverse.apply(col) for col in columns]
     form = RatMatrix(
         [[_mod1(sum(a * b for a, b in zip(duals[i], columns[j])))
           for j in range(len(columns))]
          for i in range(len(columns))]
     )
     return DiscriminantPackage(group, form, RatMatrix.from_columns(duals))
-
-
-def _subgroup_order(gram, columns):
-    """Order of the subgroup of coker(gram) generated by the given classes."""
-    span = IntMatrix.from_columns(list(columns)).hstack(gram)
-    quotient, _ = group_from_cokernel(span)
-    return abs(det(gram)) // quotient.torsion_order()
 
 
 def _pairing_table(pkg):

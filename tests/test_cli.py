@@ -56,6 +56,15 @@ def test_link_seifert_infinite_homology_refused(capsys):
     assert "refused" in err
 
 
+@pytest.mark.parametrize("arms", ["2", "2,1,3", "x,1", "2,1;"])
+def test_link_seifert_rejects_malformed_arms(capsys, arms):
+    # each of these ended in a ValueError traceback with exit 1
+    code, out, err = invoke(capsys, "link", "seifert", "--b", "-1", "--arms", arms)
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and "--arms" in err
+
+
 def test_link_plumbing(tmp_path, capsys):
     gram = tmp_path / "gram.json"
     gram.write_text(json.dumps({"gram": [[-1, 1, 1, 1], [1, -2, 0, 0], [1, 0, -3, 0], [1, 0, 0, -11]]}))

@@ -1,13 +1,19 @@
 """Exact linear algebra: Smith normal form, determinants, inverses."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torsiontraj.errors import DimensionError, InvariantError, SingularMatrixError
+from torsiontraj.errors import (
+    DimensionError,
+    InvariantError,
+    SingularMatrixError,
+    ValidationError,
+)
 from torsiontraj.intmat import (
     IntMatrix,
     RatMatrix,
@@ -214,6 +220,24 @@ def test_matrix_validation():
         IntMatrix([])
 
 
+def test_int_matrix_refuses_inexact_entries():
+    # int() truncated these: [[2.7, 1/2]] became [[2, 0]].
+    for bad in (2.7, Fraction(1, 2), Fraction(4, 2), "3"):
+        with pytest.raises(ValidationError, match=re.escape(repr(bad))):
+            IntMatrix([[1, bad]])
+    assert IntMatrix([[True, 2**80]]).to_lists() == [[1, 2**80]]
+
+
+def test_to_int_matrix_round_trips():
+    ints = IntMatrix([[-3, 0], [2**70, 1]])
+    back = RatMatrix(ints.to_lists()).to_int_matrix()
+    assert type(back) is IntMatrix and back == ints
+    assert all(type(x) is int for row in back.to_lists() for x in row)
+    assert RatMatrix([[Fraction(4, 2)]]).to_int_matrix().to_lists() == [[2]]
+    with pytest.raises(DimensionError):
+        RatMatrix([[Fraction(1, 2)]]).to_int_matrix()
+
+
 def test_char_poly_integrality_check():
     # A matrix that bypassed the IntMatrix constructor can carry a
     # non-integer entry; the check is an explicit error, so it also fires
@@ -228,6 +252,26 @@ def test_char_poly_integrality_check():
 #
 # The straightforward versions the library used before its kernels were
 # made sparse and fraction-free.  The properties below compare the two.
+
+def fraction_char_poly(matrix):
+    """Faddeev-LeVerrier in Fraction arithmetic with dense products."""
+    n = matrix.rows
+    a = [[Fraction(x) for x in row] for row in matrix.to_lists()]
+
+    def mul(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)]
+
+    coeffs = [Fraction(1)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        for i in range(n):
+            m[i][i] += coeffs[-1]
+        m = mul(a, m)
+        coeffs.append(-sum(m[i][i] for i in range(n)) / k)
+    assert all(c.denominator == 1 for c in coeffs)
+    return tuple(int(c) for c in coeffs)
+
 
 def dense_product(x, y):
     """Every entry as the full dot product of a row and a column."""
@@ -353,3 +397,20 @@ def test_rat_inverse_singular_property(m):
     assert info.value.determinant == 0
     with pytest.raises(SingularMatrixError):
         fraction_inverse(m)
+
+
+@settings(deadline=None)
+@given(square_matrices())
+def test_char_poly_matches_fraction_reference(m):
+    poly = char_poly(m)
+    assert poly == fraction_char_poly(m)
+    assert all(type(c) is int for c in poly)
+
+
+def test_char_poly_32x32_constant_term():
+    rng = random.Random(32)
+    m = IntMatrix([[rng.randint(-9, 9) for _ in range(32)] for _ in range(32)])
+    poly = char_poly(m)
+    assert len(poly) == 33 and poly[0] == 1
+    assert poly[-1] == det(-1 * m)
+    assert poly[1] == -sum(m.diagonal())

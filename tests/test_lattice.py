@@ -1,9 +1,13 @@
 """Lattice families, discriminant packages, form isomorphism testing."""
 
 import random
+import sys
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from torsiontraj.abgroup import FGAbGroup
 from torsiontraj.errors import (
@@ -176,6 +180,28 @@ def test_package_generator_validation():
         discriminant_package(lat, IntMatrix.from_columns([(2, 0, 0)]))
     with pytest.raises(ValidationError):
         discriminant_package(lat, IntMatrix.from_columns([(1, 0, 0), (0, 1, 0)]))
+    with pytest.raises(ValidationError, match="do not generate"):
+        # both columns are (C1 - C2)/2: each has order 2, but they span Z/2
+        discriminant_package(
+            cartan_matrix("D", 4), IntMatrix.from_columns([(0, -1, 1, 0)] * 2)
+        )
+
+
+def test_package_takes_no_determinant(monkeypatch):
+    import torsiontraj.intmat
+
+    def no_det(matrix):
+        raise AssertionError("discriminant_package called det")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "det", None) is torsiontraj.intmat.det:
+            monkeypatch.setattr(module, "det", no_det)
+    d4 = cartan_matrix("D", 4)
+    gens = IntMatrix.from_columns([(0, -1, 1, 0), (0, -1, 0, 1)])
+    assert discriminant_package(d4, gens).form == RatMatrix([[0, HALF], [HALF, 0]])
+    assert discriminant_package(cartan_matrix("A", 12)).group == FGAbGroup.cyclic(13)
+    with pytest.raises(SingularMatrixError):
+        discriminant_package(IntersectionLattice(IntMatrix([[0]])))
 
 
 def test_form_well_defined_under_representative_perturbation():
@@ -228,6 +254,49 @@ def test_builtin_family_forms_symmetric_nondegenerate():
     for pkg in families:
         assert pkg.form.is_symmetric()
         assert pkg.is_nondegenerate()
+
+
+def brute_force_nondegenerate(pkg):
+    """Whether some nonzero element pairs to zero with every generator,
+    by enumerating every element."""
+    k = len(pkg.orders())
+    units = [tuple(int(t == j) for t in range(k)) for j in range(k)]
+    for coords in pkg.elements():
+        if any(coords) and all(pkg.form_value(coords, u) == 0 for u in units):
+            return False
+    return True
+
+
+@st.composite
+def small_packages(draw):
+    """Abstract packages on Z/d_1 + ... + Z/d_k with d_1 | ... | d_k and
+    a random symmetric form; many of them are degenerate."""
+    orders = [draw(st.integers(2, 6))]
+    for _ in range(draw(st.integers(0, 2))):
+        orders.append(orders[-1] * draw(st.integers(1, 3)))
+    assume(prod(orders) <= 400)
+    k = len(orders)
+    form = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            g = gcd(orders[i], orders[j])
+            form[i][j] = form[j][i] = Fraction(draw(st.integers(0, g - 1)), g)
+    return abstract_package(FGAbGroup.from_orders(orders), form)
+
+
+@settings(deadline=None, max_examples=300)
+@given(small_packages())
+def test_is_nondegenerate_matches_brute_force(pkg):
+    assert pkg.is_nondegenerate() == brute_force_nondegenerate(pkg)
+
+
+def test_is_nondegenerate_beyond_enumeration():
+    # order 101^2 > 10^4, past what enumeration covered
+    square = FGAbGroup.from_orders([101, 101])
+    unit = Fraction(1, 101)
+    assert abstract_package(square, [[unit, 0], [0, unit]]).is_nondegenerate()
+    assert not abstract_package(square, [[unit, 0], [0, 0]]).is_nondegenerate()
+    assert trivial_package().is_nondegenerate()
 
 
 def test_dn_parity_law():
