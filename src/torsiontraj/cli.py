@@ -244,7 +244,8 @@ def build_parser():
 
     table = add_parser("table", help="the full trajectory table")
     table.add_argument("what", choices=("trajectory",))
-    table.add_argument("--all", action="store_true", help="include every built-in row")
+    table.add_argument("--all", action="store_true",
+                       help="accepted for compatibility; every built-in row is always included")
     table.set_defaults(func=cmd_table)
 
     return parser

@@ -5,7 +5,8 @@ Everything here runs on Python's arbitrary-precision integers and
 class holds shape, access, equality and the product; ``IntMatrix`` and
 ``RatMatrix`` differ only in their entry type (``int`` or ``Fraction``)
 and in a few type-specific operations; an IntMatrix refuses a float or
-``Fraction`` entry instead of truncating it.  Equality compares entries,
+``Fraction`` entry instead of truncating it, and a RatMatrix refuses a
+float or a string instead of converting it.  Equality compares entries,
 so an integral RatMatrix equals the IntMatrix with the same entries, and
 a product with a RatMatrix on either side is a RatMatrix.  There is one
 product, over row lists, shared by ``@`` and the integer ``char_poly``.
@@ -216,15 +217,26 @@ class IntMatrix(_Matrix):
         return f"IntMatrix({self.to_lists()!r})"
 
 
+def _fraction(x):
+    """A RatMatrix entry: a Fraction as it is, an integer as a Fraction.
+    A float or a string raises TypeError instead of being converted."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, Fraction):
+        return Fraction(x.numerator, x.denominator)
+    return Fraction(index(x))
+
+
 class RatMatrix(_Matrix):
     """An immutable matrix with exact rational entries.
 
     Entries are ``fractions.Fraction`` values, hence always in lowest
-    terms with positive denominator.
+    terms with positive denominator.  Fractions and integers are accepted;
+    a float or a string is refused rather than converted.
     """
 
     __slots__ = ()
-    _entry = Fraction
+    _entry = staticmethod(_fraction)
 
     def to_int_matrix(self):
         if any(x.denominator != 1 for row in self._rows for x in row):
@@ -310,7 +322,8 @@ def snf(matrix):
     t = 0
     bound = min(nr, nc)
     while t < bound:
-        # Smallest nonzero entry of the trailing block becomes the pivot.
+        # The first smallest nonzero entry of the trailing block, in
+        # row-major order, becomes the pivot; nothing can replace a unit.
         pivot = None
         best = None
         for i in range(t, nr):
@@ -319,6 +332,10 @@ def snf(matrix):
                 if x != 0 and (best is None or abs(x) < best):
                     best = abs(x)
                     pivot = (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
         pi, pj = pivot
@@ -349,10 +366,11 @@ def snf(matrix):
             continue
 
         offender = None
-        for i in range(t + 1, nr):
-            if any(a[i][j] % p for j in range(t + 1, nc)):
-                offender = i
-                break
+        if p > 1:  # a unit pivot divides every entry
+            for i in range(t + 1, nr):
+                if any(a[i][j] % p for j in range(t + 1, nc)):
+                    offender = i
+                    break
         if offender is not None:
             # Pull the non-divisible row up so the next pass shrinks the pivot.
             row_add(t, offender, 1)

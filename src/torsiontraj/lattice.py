@@ -319,36 +319,52 @@ def discriminant_package(lat, generators=None):
     return DiscriminantPackage(group, form, RatMatrix.from_columns(duals))
 
 
-def _pairing_table(pkg):
-    """All pairing values of a package, as {(x, y): value} over elements."""
-    elements = list(pkg.elements())
-    k = len(pkg.orders())
-    unit_values = {}
-    for x in elements:
-        unit_values[x] = [
-            pkg.form_value(x, tuple(int(t == j) for t in range(k))) for j in range(k)
-        ]
-    table = {}
-    for x in elements:
-        row = unit_values[x]
-        for y in elements:
-            table[x, y] = _mod1(sum(c * v for c, v in zip(y, row)))
-    return elements, table
+def _linear_values(coefficients, orders, n):
+    """sum_j x_j c_j mod n for every element x, in ``elements()`` order.
+
+    ``itertools.product`` varies the last coordinate fastest, so the
+    values are built one coordinate at a time, earliest outermost.
+    """
+    values = [0]
+    for c, d in zip(coefficients, orders):
+        values = [v + t * c for v in values for t in range(d)]
+    return [v % n for v in values]
+
+
+def _pairing_table(pkg, n):
+    """All pairing values n q(x, y) mod n as integers table[x][y], over
+    the elements indexed 0..|E|-1 in ``elements()`` order; n is the
+    exponent of E.
+
+    Each d_i q_ij is an integer and d_i divides n, so the form is held as
+    the integer numerators n q_ij.  Row x of the table is linear in y with
+    coefficients (n q(x, s_j))_j, and each of those is linear in x with
+    coefficients from row j of the (symmetric) form.
+    """
+    orders = pkg.orders()
+    k = len(orders)
+    form = [[(n * pkg.form.entry(i, j)).numerator for j in range(k)] for i in range(k)]
+    rows = zip(*(_linear_values(column, orders, n) for column in form))
+    return [_linear_values(row, orders, n) for row in rows]
 
 
 def forms_isomorphic(p1, p2):
     """Whether two packages are isomorphic as groups with Q/Z pairings.
 
-    Brute force: after isomorphism-invariant screens (group type, the
-    multiset of (order, self-pairing) data, the multiset of all pairing
-    values), enumerate generator-image assignments consistent with
-    element orders and pairing values, pruning on the order of the span
-    of each partial assignment.  Only supported up to group order 64.
+    Brute force over integers: with n the exponent of the common group,
+    every pairing value is held as its numerator n q(x, y) mod n.  After
+    isomorphism-invariant screens (group type, the multiset of (order,
+    self-pairing) data, the multiset of all pairing values), enumerate
+    generator-image assignments consistent with element orders and
+    pairing values, pruning on the order of the span of each partial
+    assignment.  Only supported up to group order 64.
     """
     for p in (p1, p2):
-        if p.group.torsion_order() > FORMS_ISOMORPHIC_BOUND:
+        order = p.group.torsion_order()
+        if order > FORMS_ISOMORPHIC_BOUND:
             raise CapabilityError(
-                f"forms_isomorphic is brute force; group order must be <= {FORMS_ISOMORPHIC_BOUND}"
+                "forms_isomorphic is brute force; group order must be "
+                f"<= {FORMS_ISOMORPHIC_BOUND}, got {order}"
             )
     if p1.group != p2.group:
         return False
@@ -357,40 +373,40 @@ def forms_isomorphic(p1, p2):
 
     factors = p1.group.invariant_factors
     k = len(factors)
+    n = factors[-1]
+    elements = list(p1.elements())
+    orders = [element_order(x, factors) for x in elements]
+    table1 = _pairing_table(p1, n)
+    table2 = _pairing_table(p2, n)
 
-    elements1, table1 = _pairing_table(p1)
-    elements2, table2 = _pairing_table(p2)
-
-    profile1 = sorted(
-        (element_order(x, factors), table1[x, x]) for x in elements1
-    )
-    profile2 = sorted(
-        (element_order(x, factors), table2[x, x]) for x in elements2
-    )
+    profile1 = sorted(zip(orders, (row[x] for x, row in enumerate(table1))))
+    profile2 = sorted(zip(orders, (row[x] for x, row in enumerate(table2))))
     if profile1 != profile2:
         return False
-    if sorted(table1.values()) != sorted(table2.values()):
+    if sorted(itertools.chain(*table1)) != sorted(itertools.chain(*table2)):
         return False
 
     by_order = {}
-    for coords in elements2:
-        by_order.setdefault(element_order(coords, factors), []).append(coords)
+    for x, order in enumerate(orders):
+        by_order.setdefault(order, []).append(x)
 
-    unit = [tuple(int(t == j) for t in range(k)) for j in range(k)]
-    wanted = [[table1[unit[i], unit[j]] for j in range(k)] for i in range(k)]
+    # generator s_j is the element at index d_{j+1} * ... * d_k
+    unit = [prod(factors[j + 1:]) for j in range(k)]
+    wanted = [[table1[unit[i]][unit[j]] for j in range(k)] for i in range(k)]
 
     def extend(i, chosen, span):
         if i == k:
             return True
         span_target = prod(factors[: i + 1])
         for cand in by_order.get(factors[i], ()):
-            if table2[cand, cand] != wanted[i][i]:
+            row = table2[cand]
+            if row[cand] != wanted[i][i]:
                 continue
-            if any(table2[chosen[j], cand] != wanted[j][i] for j in range(i)):
+            if any(row[chosen[j]] != wanted[j][i] for j in range(i)):
                 continue
             # an injective map sends the first i+1 generators onto a
             # subgroup of order d_1 * ... * d_{i+1}; prune otherwise
-            new_span = _extend_span(span, cand, factors)
+            new_span = _extend_span(span, elements[cand], factors)
             if len(new_span) != span_target:
                 continue
             if extend(i + 1, chosen + [cand], new_span):

@@ -12,6 +12,7 @@ homology, so torsion lands one degree up from where it is born.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import index
 
 from .abgroup import (
     FGAbGroup,
@@ -82,9 +83,20 @@ class Seifert:
     arms: tuple
 
     def __post_init__(self):
-        arms = tuple((int(a), int(b)) for a, b in self.arms)
+        try:
+            b = index(self.b)
+            arms = tuple((index(a), index(c)) for a, c in self.arms)
+        except (TypeError, ValueError):
+            raise ParameterError(
+                "Seifert data must be an integer b and integer pairs (alpha, beta), "
+                f"got b={self.b!r}, arms={self.arms!r}"
+            ) from None
         if any(a < 2 for a, _ in arms):
             raise ParameterError("Seifert multiplicities must be >= 2")
+        for a, c in arms:
+            if gcd(a, c) != 1:
+                raise ParameterError(f"Seifert arm ({a}, {c}) needs gcd(alpha, beta) = 1")
+        object.__setattr__(self, "b", b)
         object.__setattr__(self, "arms", arms)
 
 

@@ -65,6 +65,14 @@ def test_link_seifert_rejects_malformed_arms(capsys, arms):
     assert "usage error" in err and "--arms" in err
 
 
+def test_link_seifert_rejects_non_coprime_arm(capsys):
+    # printed H^2 = Z/38 with exit 0
+    code, out, err = invoke(capsys, "link", "seifert", "--b", "-1", "--arms", "2,0;3,1;11,1")
+    assert code == 2
+    assert out == ""
+    assert "usage error" in err and "gcd" in err
+
+
 def test_link_plumbing(tmp_path, capsys):
     gram = tmp_path / "gram.json"
     gram.write_text(json.dumps({"gram": [[-1, 1, 1, 1], [1, -2, 0, 0], [1, 0, -3, 0], [1, 0, 0, -11]]}))

@@ -23,6 +23,7 @@ from torsiontraj.intmat import (
     rat_inverse,
     snf,
 )
+from torsiontraj.lattice import cartan_matrix
 
 BRIESKORN_STAR = IntMatrix([[-1, 1, 1, 1], [1, -2, 0, 0], [1, 0, -3, 0], [1, 0, 0, -11]])
 NEG_D4 = IntMatrix([[-2, 1, 1, 1], [1, -2, 0, 0], [1, 0, -2, 0], [1, 0, 0, -2]])
@@ -238,6 +239,26 @@ def test_to_int_matrix_round_trips():
         RatMatrix([[Fraction(1, 2)]]).to_int_matrix()
 
 
+def test_rat_matrix_refuses_inexact_entries():
+    # Fraction() took these: 2.7 became 3039929748475085/1125899906842624
+    # (the binary value of the float) and "1/2" became 1/2.
+    for bad in (2.7, "1/2", "3", None):
+        with pytest.raises(ValidationError, match=re.escape(repr(bad))):
+            RatMatrix([[1, bad]])
+
+
+def test_rat_matrix_entries_are_plain_fractions():
+    class Half(Fraction):
+        def __str__(self):
+            return "one half"
+
+    m = RatMatrix([[Half(1, 2), 3, True, Fraction(4, 6)]])
+    assert all(type(x) is Fraction for row in m.to_lists() for x in row)
+    assert str(m) == "[[1/2, 3, 1, 2/3]]"
+    third = Fraction(1, 3)
+    assert RatMatrix([[third]]).entry(0, 0) is third
+
+
 def test_char_poly_integrality_check():
     # A matrix that bypassed the IntMatrix constructor can carry a
     # non-integer entry; the check is an explicit error, so it also fires
@@ -298,6 +319,79 @@ def fraction_inverse(matrix):
                 f = a[r][c]
                 a[r] = [x - f * y for x, y in zip(a[r], a[c])]
     return RatMatrix([row[n:] for row in a])
+
+
+def reference_snf(matrix):
+    """Smith normal form with a full pivot search and divisibility scan at
+    every step, even when the pivot is a unit."""
+    a = matrix.to_lists()
+    nr, nc = matrix.rows, matrix.cols
+    u = IntMatrix.identity(nr).to_lists()
+    v = IntMatrix.identity(nc).to_lists()
+
+    def row_add(i, j, c):
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        for r in u:
+            r[j] -= c * r[i]
+
+    def col_add(i, j, c):
+        for r in a:
+            r[i] += c * r[j]
+        v[j] = [x - c * y for x, y in zip(v[j], v[i])]
+
+    t = 0
+    while t < min(nr, nc):
+        pivot = None
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                x = a[i][j]
+                if x != 0 and (best is None or abs(x) < best):
+                    best = abs(x)
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != t:
+            a[t], a[pi] = a[pi], a[t]
+            for r in u:
+                r[t], r[pi] = r[pi], r[t]
+        if pj != t:
+            for r in a:
+                r[t], r[pj] = r[pj], r[t]
+            v[t], v[pj] = v[pj], v[t]
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            for r in u:
+                r[t] = -r[t]
+        p = a[t][t]
+        dirty = False
+        for i in range(t + 1, nr):
+            if a[i][t] != 0:
+                q = a[i][t] // p
+                if q:
+                    row_add(i, t, -q)
+                if a[i][t] != 0:
+                    dirty = True
+        for j in range(t + 1, nc):
+            if a[t][j] != 0:
+                q = a[t][j] // p
+                if q:
+                    col_add(j, t, -q)
+                if a[t][j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+        offender = None
+        for i in range(t + 1, nr):
+            if any(a[i][j] % p for j in range(t + 1, nc)):
+                offender = i
+                break
+        if offender is not None:
+            row_add(t, offender, 1)
+            continue
+        t += 1
+    return IntMatrix(u), IntMatrix(a), IntMatrix(v)
 
 
 SMALL = st.integers(-9, 9)
@@ -414,3 +508,43 @@ def test_char_poly_32x32_constant_term():
     assert len(poly) == 33 and poly[0] == 1
     assert poly[-1] == det(-1 * m)
     assert poly[1] == -sum(m.diagonal())
+
+
+def assert_snf_matches_reference(m):
+    decomp = check_snf(m)
+    assert (decomp.u, decomp.d, decomp.v) == reference_snf(m)
+
+
+def test_snf_matches_reference_on_lattices_and_random_matrices():
+    grams = [cartan_matrix("A", k).gram for k in (1, 2, 7, 20, 32)]
+    grams += [cartan_matrix("D", n).gram for n in (4, 5, 8, 13)]
+    for gram in grams + [cartan_matrix("E8").gram, BRIESKORN_STAR]:
+        assert_snf_matches_reference(gram)
+    rng = random.Random(5)
+    for _ in range(40):
+        r, c = rng.randint(1, 8), rng.randint(1, 8)
+        dense = [[rng.randint(-60, 60) for _ in range(c)] for _ in range(r)]
+        sparse = [[rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(c)]
+                  for _ in range(r)]
+        units = [[rng.choice((-1, 0, 1, 1, 2)) for _ in range(c)] for _ in range(r)]
+        for data in (dense, sparse, units):
+            assert_snf_matches_reference(IntMatrix(data))
+
+
+@st.composite
+def snf_inputs(draw):
+    """Rectangular matrices of every kind above, plus ones rich in +-1,
+    where the unit-pivot exit is taken most."""
+    r, c = draw(SIZES), draw(SIZES)
+    if draw(st.booleans()):
+        return draw(int_matrices(r, c))
+    units = st.sampled_from([-1, 0, 1, 1, 2, 3])
+    return IntMatrix(draw(st.lists(st.lists(units, min_size=c, max_size=c),
+                                   min_size=r, max_size=r)))
+
+
+@settings(deadline=None)
+@given(snf_inputs())
+def test_snf_properties_and_reference(m):
+    # U D V = M, |det U| = |det V| = 1, D a nonnegative divisibility chain
+    assert_snf_matches_reference(m)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from torsiontraj.abgroup import FGAbGroup
+from torsiontraj.abgroup import FGAbGroup, element_order
 from torsiontraj.errors import (
     CapabilityError,
     InvariantError,
@@ -21,6 +21,7 @@ from torsiontraj.intmat import IntMatrix, RatMatrix, det
 from torsiontraj.lattice import (
     DiscriminantPackage,
     IntersectionLattice,
+    _extend_span,
     abstract_package,
     cartan_matrix,
     chain_matrix,
@@ -344,7 +345,7 @@ def test_forms_isomorphic_detects_scaled_generator():
 
 def test_forms_isomorphic_bound():
     big = abstract_package(FGAbGroup.cyclic(128), [[Fraction(1, 128)]])
-    with pytest.raises(CapabilityError):
+    with pytest.raises(CapabilityError, match=r"must be <= 64, got 128$"):
         forms_isomorphic(big, big)
 
 
@@ -364,6 +365,122 @@ def test_forms_isomorphic_at_the_bound():
     assert forms_isomorphic(zero, zero)
     assert forms_isomorphic(hyp, perm)
     assert not forms_isomorphic(zero, hyp)
+
+
+def fraction_pairing_table(pkg):
+    """All pairing values of a package, as {(x, y): Fraction} over elements."""
+    elements = list(pkg.elements())
+    k = len(pkg.orders())
+    unit_values = {}
+    for x in elements:
+        unit_values[x] = [
+            pkg.form_value(x, tuple(int(t == j) for t in range(k))) for j in range(k)
+        ]
+    table = {}
+    for x in elements:
+        row = unit_values[x]
+        for y in elements:
+            table[x, y] = sum(c * v for c, v in zip(y, row)) % 1
+    return elements, table
+
+
+def fraction_forms_isomorphic(p1, p2):
+    """The brute-force search over Fraction pairing values, with the same
+    screens, search order and span pruning as forms_isomorphic."""
+    if p1.group != p2.group:
+        return False
+    if p1.group.is_trivial():
+        return True
+    factors = p1.group.invariant_factors
+    k = len(factors)
+    elements1, table1 = fraction_pairing_table(p1)
+    elements2, table2 = fraction_pairing_table(p2)
+    profile1 = sorted((element_order(x, factors), table1[x, x]) for x in elements1)
+    profile2 = sorted((element_order(x, factors), table2[x, x]) for x in elements2)
+    if profile1 != profile2:
+        return False
+    if sorted(table1.values()) != sorted(table2.values()):
+        return False
+    by_order = {}
+    for coords in elements2:
+        by_order.setdefault(element_order(coords, factors), []).append(coords)
+    unit = [tuple(int(t == j) for t in range(k)) for j in range(k)]
+    wanted = [[table1[unit[i], unit[j]] for j in range(k)] for i in range(k)]
+
+    def extend(i, chosen, span):
+        if i == k:
+            return True
+        for cand in by_order.get(factors[i], ()):
+            if table2[cand, cand] != wanted[i][i]:
+                continue
+            if any(table2[chosen[j], cand] != wanted[j][i] for j in range(i)):
+                continue
+            new_span = _extend_span(span, cand, factors)
+            if len(new_span) != prod(factors[: i + 1]):
+                continue
+            if extend(i + 1, chosen + [cand], new_span):
+                return True
+        return False
+
+    return extend(0, [], {tuple([0] * k)})
+
+
+def random_form(rng, orders):
+    """A symmetric form compatible with the orders: d_i q_ij is an integer."""
+    k = len(orders)
+    form = [[Fraction(0)] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            g = gcd(orders[i], orders[j])
+            form[i][j] = form[j][i] = Fraction(rng.randrange(g), g)
+    return form
+
+
+def automorphism_image(rng, orders, form):
+    """The form pulled back along a random automorphism of the group: each
+    generator s_i goes to an element g_i whose order divides d_i, redrawn
+    until the g_i generate, and q'(s_i, s_j) = q(g_i, g_j)."""
+    k = len(orders)
+    while True:
+        images = [tuple(rng.randrange(0, d_j, d_j // gcd(d_i, d_j)) for d_j in orders)
+                  for d_i in orders]
+        span = {tuple([0] * k)}
+        for g in images:
+            span = _extend_span(span, g, orders)
+        if len(span) == prod(orders):
+            break
+    return [[sum(a * b * form[s][t]
+                 for s, a in enumerate(images[i]) for t, b in enumerate(images[j])) % 1
+             for j in range(k)] for i in range(k)]
+
+
+SMALL_GROUP_TYPES = [[2], [2, 2], [2, 2, 2], [2, 2, 2, 2], [2, 2, 2, 2, 2],
+                     [2, 4], [3, 9], [4, 8], [2, 2, 4]]
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.sampled_from(SMALL_GROUP_TYPES), st.booleans(), st.randoms(use_true_random=False))
+def test_forms_isomorphic_matches_fraction_reference(orders, as_image, rng):
+    group = FGAbGroup.from_orders(orders)
+    form = random_form(rng, orders)
+    other = automorphism_image(rng, orders, form) if as_image else random_form(rng, orders)
+    p1, p2 = abstract_package(group, form), abstract_package(group, other)
+    answer = forms_isomorphic(p1, p2)
+    assert answer == fraction_forms_isomorphic(p1, p2)
+    if as_image:
+        assert answer
+
+
+@pytest.mark.parametrize("orders", [[4, 4, 4], [2] * 6])
+def test_forms_isomorphic_matches_fraction_reference_at_the_bound(orders):
+    rng = random.Random(64)
+    group = FGAbGroup.from_orders(orders)
+    form = random_form(rng, orders)
+    p1 = abstract_package(group, form)
+    image = abstract_package(group, automorphism_image(rng, orders, form))
+    other = abstract_package(group, random_form(rng, orders))
+    assert forms_isomorphic(p1, image) and fraction_forms_isomorphic(p1, image)
+    assert forms_isomorphic(p1, other) == fraction_forms_isomorphic(p1, other)
 
 
 def test_package_validation():

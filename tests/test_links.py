@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -192,10 +193,37 @@ def test_profile_helpers():
         profile.h0q(0)
 
 
-def test_seifert_order_integrality_check():
+def test_seifert_order_integrality_check(monkeypatch):
     # A non-integral base term makes a_1 ... a_n * e a proper fraction.
+    # Seifert refuses such a term, so a stand-in that skips the validation
+    # lets it reach the check.
+    monkeypatch.setattr(links, "Seifert", lambda b, arms: SimpleNamespace(b=b, arms=arms))
     with pytest.raises(InvariantError, match="not an integer"):
         seifert_h1_order(Fraction(1, 7), [(2, 1), (3, 1)])
+
+
+@pytest.mark.parametrize(
+    "b, arms",
+    [
+        (-1, ((2.7, 1), (3, 1))),
+        (-1, ((2, 1), (3, 1.9))),
+        (Fraction(1, 7), ((2, 1), (3, 1))),
+        (-1.0, ((2, 1), (3, 1))),
+        (-1, (("2", 1), (3, 1))),
+        (-1, ((2, 1, 3), (3, 1))),
+    ],
+)
+def test_seifert_refuses_non_integer_data(b, arms):
+    # int() truncated these: (2.7, 1) became (2, 1)
+    with pytest.raises(ParameterError, match="integer"):
+        Seifert(b, arms)
+
+
+@pytest.mark.parametrize("arms", [((2, 0), (3, 1), (11, 1)), ((4, 2), (3, 1), (11, 1))])
+def test_seifert_refuses_non_coprime_arm(arms):
+    # not Seifert invariants; they printed H^2 = Z/38 and Z/10
+    with pytest.raises(ParameterError, match="gcd"):
+        link_profile(Seifert(-1, arms))
 
 
 def test_seifert_presentation_must_match_closed_formula(monkeypatch):
