@@ -5,6 +5,10 @@ chain d_1 | d_2 | ... (each >= 2).  Equality is equality of that data,
 i.e. groups are compared up to isomorphism.  A primary (prime-power)
 decomposition is available as a derived view.
 
+Both fields and every cyclic order must be integers (``operator.index``);
+floats and strings are refused, not truncated.  Hom and Ext into Z/n are
+G (x) Z/n and Tor(G, Z/n), so they need no functions of their own.
+
 Homomorphisms between finite groups are integer matrices of generator
 images; kernels, images and cokernels are computed by reducing combined
 presentations with the Smith normal form.
@@ -12,6 +16,7 @@ presentations with the Smith normal form.
 
 from dataclasses import dataclass
 from math import gcd, lcm, prod
+from operator import index
 
 from .errors import DimensionError, InvariantError, ValidationError
 from .intmat import IntMatrix, kernel_basis, rat_inverse, snf
@@ -33,6 +38,14 @@ def _factorize(n):
     if n > 1:
         result[n] = result.get(n, 0) + 1
     return result
+
+
+def _integer(value, what):
+    """``value`` as an int, or a ValidationError naming it."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _invariant_factors(orders):
@@ -72,9 +85,11 @@ class FGAbGroup:
     invariant_factors: tuple = ()
 
     def __post_init__(self):
-        if self.free_rank < 0:
+        rank = _integer(self.free_rank, "free rank")
+        if rank < 0:
             raise ValidationError("free rank must be nonnegative")
-        factors = tuple(int(d) for d in self.invariant_factors)
+        factors = tuple(_integer(d, "invariant factor") for d in self.invariant_factors)
+        object.__setattr__(self, "free_rank", rank)
         object.__setattr__(self, "invariant_factors", factors)
         for d in factors:
             if d < 2:
@@ -86,6 +101,7 @@ class FGAbGroup:
     @classmethod
     def from_orders(cls, orders, free_rank=0):
         """Normalize an arbitrary list of cyclic orders (1s are dropped)."""
+        orders = [_integer(d, "cyclic order") for d in orders]
         return cls(free_rank, _invariant_factors([d for d in orders if d != 1]))
 
     @classmethod
@@ -189,11 +205,6 @@ def ext1_to_Z(group):
     return group.torsion()
 
 
-def hom_to_Z(group):
-    """Hom(G, Z) = Z^rank; torsion dies."""
-    return FGAbGroup.free(group.free_rank)
-
-
 def tensor(g, h):
     """G (x) H with Z/m (x) Z/n = Z/gcd(m, n) and Z (x) H = H.
 
@@ -213,18 +224,6 @@ def tor(g, h):
     """Tor_1(G, H): torsion-to-torsion pairing Z/gcd; free parts vanish."""
     orders = [gcd(m, n) for m in g.invariant_factors for n in h.invariant_factors]
     return FGAbGroup.from_orders(orders)
-
-
-def hom_into_cyclic(group, n):
-    """Hom(G, Z/n) = (Z/n)^rank + sum Z/gcd(d_i, n)."""
-    orders = [gcd(d, n) for d in group.invariant_factors]
-    orders.extend([n] * group.free_rank)
-    return FGAbGroup.from_orders(orders)
-
-
-def ext_into_cyclic(group, n):
-    """Ext^1(G, Z/n) = sum Z/gcd(d_i, n); Ext(Z, -) = 0."""
-    return FGAbGroup.from_orders([gcd(d, n) for d in group.invariant_factors])
 
 
 def n_torsion(group, n):
@@ -341,22 +340,16 @@ def hom_analyze(f):
 
     cokernel, _ = group_from_cokernel(f.matrix.hstack(r_mat))
 
-    # Solutions of Mx = Ry, projected to x, span the preimage lattice P.
+    # Solutions of Mx = Ry, projected to x, form a basis of the preimage
+    # lattice P = {x : Mx in R Z^m}.  R is nonsingular, so the projection
+    # is injective, and P contains D Z^n because f respects the orders.
     solution_kernel = kernel_basis(f.matrix.hstack(-1 * r_mat))
-    x_parts = [vec[:n] for vec in solution_kernel]
-    span = IntMatrix.from_columns(x_parts + d_mat.columns())
-
-    # One Smith form span = U D V gives both the image Z^n / P (the
-    # diagonal of D) and a basis of P (the columns of U D).
-    span_decomp = snf(span)
-    rank = span_decomp.rank()
-    if rank != n:
-        raise InvariantError(f"preimage lattice has rank {rank}, expected full rank {n}")
-    image = FGAbGroup.from_orders(span_decomp.invariant_factors())
-    basis = IntMatrix.from_columns(
-        tuple(span_decomp.u.entry(i, j) * span_decomp.d.entry(j, j) for i in range(n))
-        for j in range(n)
-    )
+    basis = IntMatrix.from_columns([vec[:n] for vec in solution_kernel])
+    image, _ = group_from_cokernel(basis)
+    if not image.is_finite():
+        raise InvariantError(
+            f"preimage lattice has rank {n - image.free_rank}, expected full rank {n}"
+        )
     in_basis = (rat_inverse(basis) @ d_mat).to_int_matrix()
     kernel, _ = group_from_cokernel(in_basis)
 

@@ -1,18 +1,19 @@
 """Intersection lattices of resolutions and their discriminant packages.
 
-Lattices come from three generator families: the negative definite ADE
-Cartan matrices, Hirzebruch-Jung chains of a cyclic quotient, and
-star-shaped plumbings.  The discriminant package of a nonsingular lattice
-is the finite group coker(gram) together with the Q/Z-valued pairing
-induced by the inverse gram matrix; the canonical representative of a
-pairing value lives in [0, 1), with the geometric-sign representative in
-(-1, 0] available for display.
+Every built-in lattice (ADE Cartan matrix, Hirzebruch-Jung chain, star)
+is the plumbing lattice of a weighted tree, built by one private builder
+from its weights and edge list; A_k is the chain of k (-2)-curves.  The
+discriminant package of a nonsingular lattice is the finite group
+coker(gram) together with the Q/Z-valued pairing induced by the inverse
+gram matrix; the canonical representative of a pairing value lives in
+[0, 1), with the geometric-sign representative in (-1, 0] available for
+display.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 from .abgroup import FGAbGroup, element_order, group_from_cokernel
 from .errors import (
@@ -59,6 +60,19 @@ class IntersectionLattice:
         return True
 
 
+def _plumbing(weights, edges, first_label):
+    """Plumbing lattice of a weighted tree: -b_i on the diagonal, 1 on
+    each edge (i, j), vertices labelled C<first_label>, C<first_label+1>, ..."""
+    n = len(weights)
+    gram = [[0] * n for _ in range(n)]
+    for i, b in enumerate(weights):
+        gram[i][i] = -b
+    for i, j in edges:
+        gram[i][j] = gram[j][i] = 1
+    labels = tuple(f"C{i}" for i in range(first_label, first_label + n))
+    return IntersectionLattice(IntMatrix(gram), labels)
+
+
 def cartan_matrix(family, parameter=None):
     """Negative definite geometric intersection matrix of an ADE family.
 
@@ -71,33 +85,21 @@ def cartan_matrix(family, parameter=None):
     [[-2]]
     """
     if family == "A":
-        k = parameter
-        if k is None or k < 1:
+        if parameter is None or parameter < 1:
             raise ParameterError("A_k requires k >= 1")
-        gram = [[-2 if i == j else (1 if abs(i - j) == 1 else 0) for j in range(k)]
-                for i in range(k)]
-        labels = tuple(f"C{i}" for i in range(1, k + 1))
-    elif family == "D":
-        n = parameter
-        if n is None or n < 4:
+        return chain_matrix([2] * parameter)
+    if family == "D":
+        if parameter is None or parameter < 4:
             raise ParameterError("D_n requires n >= 4")
-        edges = [(0, 1), (0, 2), (0, 3)] + [(i, i + 1) for i in range(3, n - 1)]
-        gram = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
-        for a, b in edges:
-            gram[a][b] = gram[b][a] = 1
-        labels = tuple(f"C{i}" for i in range(n))
-    elif family == "E8":
+        edges = [(0, 1), (0, 2), (0, 3)] + [(i, i + 1) for i in range(3, parameter - 1)]
+        return _plumbing([2] * parameter, edges, 0)
+    if family == "E8":
         if parameter not in (None, 8):
             raise ParameterError("E8 takes no parameter")
-        # Bourbaki numbering: chain 1-3-4-5-6-7-8 with node 2 attached to 4.
-        edges = [(1, 3), (3, 4), (2, 4), (4, 5), (5, 6), (6, 7), (7, 8)]
-        gram = [[-2 if i == j else 0 for j in range(8)] for i in range(8)]
-        for a, b in edges:
-            gram[a - 1][b - 1] = gram[b - 1][a - 1] = 1
-        labels = tuple(f"C{i}" for i in range(1, 9))
-    else:
-        raise ParameterError(f"unknown Cartan family {family!r}")
-    return IntersectionLattice(IntMatrix(gram), labels)
+        # Bourbaki numbering C1..C8: chain 1-3-4-5-6-7-8 with node 2 attached to 4.
+        edges = [(0, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (6, 7)]
+        return _plumbing([2] * 8, edges, 1)
+    raise ParameterError(f"unknown Cartan family {family!r}")
 
 
 def hj_expansion(n, q):
@@ -110,8 +112,6 @@ def hj_expansion(n, q):
     >>> hj_expansion(7, 3)
     [3, 2, 2]
     """
-    from math import gcd
-
     if not (n > q >= 1):
         raise ParameterError("need n > q >= 1")
     if gcd(n, q) != 1:
@@ -145,14 +145,11 @@ def chain_matrix(weights):
         raise ParameterError("chain needs at least one vertex")
     if any(b < 2 for b in weights):
         raise ParameterError("chain weights must be >= 2")
-    r = len(weights)
-    gram = [[-weights[i] if i == j else (1 if abs(i - j) == 1 else 0) for j in range(r)]
-            for i in range(r)]
-    return IntersectionLattice(IntMatrix(gram), tuple(f"C{i}" for i in range(1, r + 1)))
+    return _plumbing(weights, [(i, i + 1) for i in range(len(weights) - 1)], 1)
 
 
 def star_matrix(central_weight, arm_weights):
-    """Star plumbing: one central vertex joined to single-vertex arms.
+    """Star plumbing: one central vertex C0 joined to single-vertex arms.
 
     >>> star_matrix(1, [2, 3, 11]).gram.to_lists()[0]
     [-1, 1, 1, 1]
@@ -160,14 +157,7 @@ def star_matrix(central_weight, arm_weights):
     arms = list(arm_weights)
     if central_weight < 1 or any(a < 1 for a in arms):
         raise ParameterError("weights must be >= 1")
-    size = 1 + len(arms)
-    gram = [[0] * size for _ in range(size)]
-    gram[0][0] = -central_weight
-    for i, a in enumerate(arms, start=1):
-        gram[i][i] = -a
-        gram[0][i] = gram[i][0] = 1
-    labels = ("C0",) + tuple(f"C{i}" for i in range(1, size))
-    return IntersectionLattice(IntMatrix(gram), labels)
+    return _plumbing([central_weight] + arms, [(0, i) for i in range(1, len(arms) + 1)], 0)
 
 
 def _mod1(x):
@@ -257,8 +247,9 @@ def trivial_package():
 
 
 def abstract_package(group, form_entries):
-    """Package from explicit data, e.g. (Z/8, [[1/8]]); no lattice behind it."""
-    entries = [[_mod1(Fraction(x)) for x in row] for row in form_entries]
+    """Package from explicit data, e.g. (Z/8, [[1/8]]); no lattice behind it.
+    Entries are checked as RatMatrix entries before reduction mod 1."""
+    entries = [[_mod1(x) for x in row] for row in RatMatrix(form_entries).to_lists()]
     return DiscriminantPackage(group, RatMatrix(entries), None)
 
 

@@ -6,7 +6,9 @@ Seifert fibered spaces over S^2 with finite first homology, boundaries of
 negative definite plumbings, and S^2 x S^3 (the threefold node link).
 
 All groups are obtained through the universal coefficient theorem from
-homology, so torsion lands one degree up from where it is born.
+homology, so torsion lands one degree up from where it is born.  One
+degree loop serves Z and Z/n coefficients alike, and every 3-manifold
+link enters it through the homology of a closed 3-manifold with its H_1.
 """
 
 from dataclasses import dataclass
@@ -14,14 +16,7 @@ from fractions import Fraction
 from math import gcd
 from operator import index
 
-from .abgroup import (
-    FGAbGroup,
-    ext1_to_Z,
-    ext_into_cyclic,
-    group_from_cokernel,
-    hom_into_cyclic,
-    hom_to_Z,
-)
+from .abgroup import FGAbGroup, ext1_to_Z, group_from_cokernel, tensor, tor
 from .errors import CapabilityError, InvariantError, ParameterError
 from .intmat import IntMatrix
 from .lattice import IntersectionLattice
@@ -118,8 +113,8 @@ class PlumbingBoundary:
 
 # -- universal coefficient conversions ---------------------------------------
 
-def uct_cohomology_from_homology(homology):
-    """H^k = Hom(H_k, Z) + Ext^1(H_{k-1}, Z), degreewise.
+def _uct(homology, hom, ext):
+    """H^k = hom(H_k) + ext(H_{k-1}), degreewise, trivial degrees dropped.
 
     The sequence splits abstractly, which is all that matters at the
     level of isomorphism classes.
@@ -129,25 +124,24 @@ def uct_cohomology_from_homology(homology):
     for k in degrees | {d + 1 for d in degrees}:
         h_k = homology.get(k, FGAbGroup.trivial())
         h_prev = homology.get(k - 1, FGAbGroup.trivial())
-        group = hom_to_Z(h_k).direct_sum(ext1_to_Z(h_prev))
+        group = hom(h_k).direct_sum(ext(h_prev))
         if not group.is_trivial():
             out[k] = group
     return out
 
 
+def uct_cohomology_from_homology(homology):
+    """H^k = Hom(H_k, Z) + Ext^1(H_{k-1}, Z): free part plus torsion."""
+    return _uct(homology, lambda g: FGAbGroup.free(g.free_rank), ext1_to_Z)
+
+
 def mod_n_cohomology(homology, n):
-    """H^r(X, Z/n) = Hom(H_r, Z/n) + Ext(H_{r-1}, Z/n) from integral homology."""
+    """H^r(X, Z/n) = Hom(H_r, Z/n) + Ext(H_{r-1}, Z/n) from integral
+    homology, with Hom(G, Z/n) = G (x) Z/n and Ext(G, Z/n) = Tor(G, Z/n)."""
     if n < 2:
         raise ParameterError("coefficient modulus must be >= 2")
-    degrees = set(homology)
-    out = {}
-    for r in degrees | {d + 1 for d in degrees}:
-        h_r = homology.get(r, FGAbGroup.trivial())
-        h_prev = homology.get(r - 1, FGAbGroup.trivial())
-        group = hom_into_cyclic(h_r, n).direct_sum(ext_into_cyclic(h_prev, n))
-        if not group.is_trivial():
-            out[r] = group
-    return out
+    z_n = FGAbGroup.cyclic(n)
+    return _uct(homology, lambda g: tensor(g, z_n), lambda g: tor(g, z_n))
 
 
 # -- lens spaces --------------------------------------------------------------
@@ -155,7 +149,7 @@ def mod_n_cohomology(homology, n):
 def lens_homology(p, q):
     """H_*(L(p, q)): (Z, Z/p, 0, Z); independent of q."""
     LensSpace(p, q)
-    return {0: FGAbGroup.free(1), 1: FGAbGroup.cyclic(p), 3: FGAbGroup.free(1)}
+    return _closed3_homology(FGAbGroup.cyclic(p))
 
 
 def lens_profile(p, q):
@@ -224,9 +218,7 @@ def link_profile(model):
     if isinstance(model, LensSpace):
         return lens_profile(model.p, model.q)
     if isinstance(model, SphereProduct):
-        groups = {0: FGAbGroup.free(1), 2: FGAbGroup.free(1),
-                  3: FGAbGroup.free(1), 5: FGAbGroup.free(1)}
-        return SpaceProfile("S^2 x S^3", groups)
+        return SpaceProfile("S^2 x S^3", {d: FGAbGroup.free(1) for d in (0, 2, 3, 5)})
     if isinstance(model, Seifert):
         order = seifert_h1_order(model.b, model.arms)
         if order is None:
@@ -238,17 +230,13 @@ def link_profile(model):
                 f"formula gives order {order}"
             )
         arms = ",".join(f"({a},{b})" for a, b in model.arms)
-        return SpaceProfile(
-            f"Seifert({model.b};{arms})",
-            uct_cohomology_from_homology(_closed3_homology(h1)),
-        )
-    if isinstance(model, PlumbingBoundary):
+        name = f"Seifert({model.b};{arms})"
+    elif isinstance(model, PlumbingBoundary):
         h1, _ = group_from_cokernel(model.lattice.gram)
-        return SpaceProfile(
-            f"plumbing boundary (rank {model.lattice.rank})",
-            uct_cohomology_from_homology(_closed3_homology(h1)),
-        )
-    raise ParameterError(f"unknown link model {model!r}")
+        name = f"plumbing boundary (rank {model.lattice.rank})"
+    else:
+        raise ParameterError(f"unknown link model {model!r}")
+    return SpaceProfile(name, uct_cohomology_from_homology(_closed3_homology(h1)))
 
 
 def _closed3_homology(h1):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .abgroup import FGAbGroup, group_from_cokernel
 from .errors import InvariantError, ParameterError
-from .intmat import IntMatrix, det
+from .intmat import IntMatrix
 from .lattice import cartan_matrix
 from .links import SphereProduct
 
@@ -84,7 +84,8 @@ class VariationResult:
 
 
 def variation_cokernel(t_matrix):
-    """Cokernel of T - id together with the determinant refinement.
+    """Cokernel of T - id and |det(T - id)| from one Smith form: the
+    determinant is the cokernel's order when finite, else 0 (None).
 
     >>> print(variation_cokernel(IntMatrix([[-1]])).cokernel)
     Z/2
@@ -92,9 +93,9 @@ def variation_cokernel(t_matrix):
     if not t_matrix.is_square():
         raise ParameterError("monodromy matrix must be square")
     variation = t_matrix - IntMatrix.identity(t_matrix.rows)
-    d = det(variation)
     cokernel, _ = group_from_cokernel(variation)
-    return VariationResult(t_matrix, variation, cokernel, abs(d) if d != 0 else None)
+    det_abs = cokernel.torsion_order() if cokernel.is_finite() else None
+    return VariationResult(t_matrix, variation, cokernel, det_abs)
 
 
 def milnor_number(family, parameter=None):

@@ -135,7 +135,7 @@ class SingularityModel:
         return PlumbingBoundary(self.resolution_lattice())
 
 
-def _preferred_generators(model):
+def _preferred_generators(model, rank):
     """Generator coset representatives in the customary geometric basis.
 
     Cyclic families use a dual basis vector (first node for chains,
@@ -145,16 +145,12 @@ def _preferred_generators(model):
     make the reported pairing values take their standard form, e.g.
     q = -k/(k+1) mod 1 on the A_k generator.
     """
-    if model.kind == "ak":
-        k = model.parameter
-        return IntMatrix.from_columns([tuple(int(i == 0) for i in range(k))])
+    if model.kind in ("ak", "quotient"):
+        return IntMatrix.from_columns([tuple(int(i == 0) for i in range(rank))])
     if model.kind == "d4":
         return IntMatrix.from_columns([(0, -1, 1, 0), (0, -1, 0, 1)])
     if model.kind == "brieskorn":
         return IntMatrix.from_columns([(0, 0, 0, 1)])
-    if model.kind == "quotient":
-        rank = model.resolution_lattice().rank
-        return IntMatrix.from_columns([tuple(int(i == 0) for i in range(rank))])
     return None
 
 
@@ -166,7 +162,12 @@ def local_package(model):
     """
     if model.kind == "odp":
         return None
-    return discriminant_package(model.resolution_lattice(), _preferred_generators(model))
+    lat = model.resolution_lattice()
+    return discriminant_package(lat, _preferred_generators(model, lat.rank))
+
+
+# Model kinds whose Milnor monodromy is a Coxeter element, by root system.
+_COXETER_FAMILIES = {"ak": "A", "d4": "D4", "e8": "E8"}
 
 
 @dataclass(frozen=True)
@@ -206,11 +207,9 @@ def realization_crosscheck(model):
     stations[STATION_LINK] = link_profile(model.link_model()).torsion(2)
     stations[STATION_PAIR] = link_profile(PlumbingBoundary(lat)).torsion(2)
 
-    if model.kind == "ak":
-        t = coxeter_element("A", model.parameter)
-        stations[STATION_MONODROMY] = variation_cokernel(t).torsion()
-    elif model.kind in ("d4", "e8"):
-        t = coxeter_element(model.kind.upper())
+    family = _COXETER_FAMILIES.get(model.kind)
+    if family is not None:
+        t = coxeter_element(family, model.parameter)
         stations[STATION_MONODROMY] = variation_cokernel(t).torsion()
     elif model.kind == "brieskorn":
         stations[STATION_MONODROMY] = stations[STATION_LINK]
@@ -230,7 +229,7 @@ class TrajectoryRow:
     example: str
     package: DiscriminantPackage  # None when no finite package exists
     realizations: Crosscheck
-    support_degree: int  # 2 for surface germs, None for the ODP
+    support_degree: int  # 2 for surface germs; None exactly when there is no package
     transport_note: str
     global_image_note: str
     brauer_residue_status: str
@@ -246,6 +245,7 @@ _GLOBAL_IMAGE_NOTES = {
     "d4": "depends on global relations and form data",
     "e8": "no birth: lattice unimodular",
     "brieskorn": "depends on global plumbing/support relations",
+    "quotient": "depends on global exceptional-chain relations",
     "odp": "no finite torsion image; free relations may create defect",
 }
 
@@ -259,46 +259,33 @@ def trajectory_row(model):
     """
     package = local_package(model)
     checks = realization_crosscheck(model)
-    if model.kind == "odp":
-        support = None
+    group = package.group if package is not None else FGAbGroup.trivial()
+    coble = model.kind == "quotient" and model.parameter == 4
+    if group.is_trivial():
         note = NOTE_NO_TORSION
-        global_image = _GLOBAL_IMAGE_NOTES["odp"]
-        shadow_note = None
     else:
-        support = 2
-        if model.kind == "e8":
-            note = NOTE_NO_TORSION
-            global_image = _GLOBAL_IMAGE_NOTES["e8"]
-            shadow_note = None
-        elif model.kind == "quotient" and model.parameter == 4:
-            note = NOTE_SHADOW
-            sh = shadow(package, 2)
-            shadow_note = (
-                f"BO 2-torsion selects 2E = {sh.sub.group}"
-                f" ({'isotropic' if sh.isotropic else 'non-isotropic'})"
-            )
-            global_image = f"full local image {package.group}; BO sees 2E"
-        elif model.kind == "ak" and model.parameter == 1:
-            note = NOTE_EXCEPTIONAL
-            global_image = "depends on global exceptional-curve relations"
-            shadow_note = None
-        elif model.kind == "quotient":
-            note = NOTE_EXCEPTIONAL
-            global_image = "depends on global exceptional-chain relations"
-            shadow_note = None
-        else:
-            note = NOTE_EXCEPTIONAL
-            global_image = _GLOBAL_IMAGE_NOTES[model.kind]
-            shadow_note = None
+        note = NOTE_SHADOW if coble else NOTE_EXCEPTIONAL
+    shadow_note = None
+    if coble:
+        sh = shadow(package, 2)
+        shadow_note = (
+            f"BO 2-torsion selects 2E = {sh.sub.group}"
+            f" ({'isotropic' if sh.isotropic else 'non-isotropic'})"
+        )
+        global_image = f"full local image {package.group}; BO sees 2E"
+    elif model.kind == "ak" and model.parameter == 1:
+        global_image = "depends on global exceptional-curve relations"
+    else:
+        global_image = _GLOBAL_IMAGE_NOTES[model.kind]
 
-    death = rationalize(package.group if package else FGAbGroup.trivial())
+    death = rationalize(group)
     if death != 0:
         raise InvariantError(f"rational death of a torsion package is {death}, expected 0")
     return TrajectoryRow(
         example=model.display_name(),
         package=package,
         realizations=checks,
-        support_degree=support,
+        support_degree=None if package is None else 2,
         transport_note=note,
         global_image_note=global_image,
         brauer_residue_status=BRAUER_LOCAL_UNDEFINED,

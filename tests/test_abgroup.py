@@ -37,6 +37,23 @@ def test_normalization():
     assert str(FGAbGroup(1, (2, 2, 4))) == "Z + (Z/2)^2 + Z/4"
 
 
+@pytest.mark.parametrize(
+    "build, shown",
+    [
+        (lambda: FGAbGroup(0, (2.5,)), "2.5"),
+        (lambda: FGAbGroup(0, ("6",)), "'6'"),
+        (lambda: FGAbGroup(1.5, ()), "1.5"),
+        (lambda: FGAbGroup.from_orders([2.7, 4]), "2.7"),
+    ],
+    ids=["float-factor", "string-factor", "float-rank", "float-order"],
+)
+def test_non_integer_group_data_rejected(build, shown):
+    # Each was truncated, parsed or left as a float, or ended in a
+    # TypeError from gcd; now a ValidationError names the value.
+    with pytest.raises(ValidationError, match=f"got {shown}$"):
+        build()
+
+
 def test_invalid_chain_rejected():
     with pytest.raises(ValidationError):
         FGAbGroup(0, (4, 2))
@@ -352,6 +369,26 @@ def test_hom_against_brute_force():
         )
 
 
+@st.composite
+def fin_ab_homs(draw):
+    src = FGAbGroup.from_orders(draw(st.lists(st.integers(2, 24), min_size=1, max_size=3)))
+    tgt = FGAbGroup.from_orders(draw(st.lists(st.integers(2, 24), min_size=1, max_size=3)))
+    # entry (j, i) must be a multiple of t_j / gcd(d_i, t_j)
+    entries = [[(t // gcd(d, t)) * draw(st.integers(0, gcd(d, t) - 1))
+                for d in src.invariant_factors]
+               for t in tgt.invariant_factors]
+    return FinAbHom(src, tgt, IntMatrix(entries))
+
+
+@given(fin_ab_homs())
+def test_hom_analyze_order_laws(f):
+    result = hom_analyze(f)
+    assert result.kernel.is_finite() and result.image.is_finite()
+    image_order = result.image.torsion_order()
+    assert result.kernel.torsion_order() * image_order == f.source.torsion_order()
+    assert image_order * result.cokernel.torsion_order() == f.target.torsion_order()
+
+
 def test_element_order():
     assert element_order((1, 0), (2, 4)) == 2
     assert element_order((0, 2), (2, 4)) == 2
@@ -375,7 +412,7 @@ def test_hom_preimage_rank_check(monkeypatch):
 
 
 def test_hom_analyze_one_snf_per_matrix(monkeypatch):
-    # Four presentations (cokernel, solution kernel, preimage span,
+    # Four presentations (cokernel, solution kernel, preimage basis,
     # kernel in the preimage basis), each put in Smith form exactly once.
     real_snf = intmat.snf
     seen = []

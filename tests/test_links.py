@@ -5,8 +5,10 @@ from math import gcd
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from torsiontraj.abgroup import FGAbGroup
+from torsiontraj.abgroup import FGAbGroup, ext1_to_Z
 from torsiontraj import links
 from torsiontraj.errors import CapabilityError, InvariantError, ParameterError
 from torsiontraj.lattice import cartan_matrix, chain_matrix, discriminant_package, hj_expansion, star_matrix
@@ -230,3 +232,57 @@ def test_seifert_presentation_must_match_closed_formula(monkeypatch):
     monkeypatch.setattr(links, "seifert_homology", lambda b, arms: FGAbGroup.cyclic(7))
     with pytest.raises(InvariantError, match="closed formula gives order 5"):
         link_profile(Seifert(-1, ((2, 1), (3, 1), (11, 1))))
+
+
+# The two degree loops that preceded the shared one, with their Hom/Ext
+# formulas written out, kept as references.
+def reference_uct(homology):
+    degrees = set(homology)
+    out = {}
+    for k in degrees | {d + 1 for d in degrees}:
+        h_k = homology.get(k, FGAbGroup.trivial())
+        h_prev = homology.get(k - 1, FGAbGroup.trivial())
+        group = FGAbGroup.free(h_k.free_rank).direct_sum(ext1_to_Z(h_prev))
+        if not group.is_trivial():
+            out[k] = group
+    return out
+
+
+def reference_mod_n(homology, n):
+    degrees = set(homology)
+    out = {}
+    for r in degrees | {d + 1 for d in degrees}:
+        h_r = homology.get(r, FGAbGroup.trivial())
+        h_prev = homology.get(r - 1, FGAbGroup.trivial())
+        hom = FGAbGroup.from_orders(
+            [gcd(d, n) for d in h_r.invariant_factors] + [n] * h_r.free_rank
+        )
+        ext = FGAbGroup.from_orders([gcd(d, n) for d in h_prev.invariant_factors])
+        group = hom.direct_sum(ext)
+        if not group.is_trivial():
+            out[r] = group
+    return out
+
+
+groups = st.builds(
+    FGAbGroup.from_orders,
+    st.lists(st.integers(2, 60), max_size=3),
+    st.integers(0, 3),
+)
+
+
+@given(st.dictionaries(st.integers(0, 5), groups, max_size=6), st.integers(2, 30))
+def test_uct_matches_reference_loops(homology, n):
+    assert list(uct_cohomology_from_homology(homology).items()) == list(
+        reference_uct(homology).items()
+    )
+    assert list(mod_n_cohomology(homology, n).items()) == list(
+        reference_mod_n(homology, n).items()
+    )
+
+
+def test_lens_homology_matches_literal():
+    for p in range(2, 41):
+        literal = {0: Z, 1: FGAbGroup.cyclic(p), 3: Z}
+        assert uct_cohomology_from_homology(lens_homology(p, 1)) == reference_uct(literal)
+        assert mod_n_cohomology(lens_homology(p, 1), 6) == reference_mod_n(literal, 6)

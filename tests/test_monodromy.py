@@ -1,6 +1,7 @@
 """Coxeter elements, variation cokernels, Milnor numbers."""
 
 import itertools
+import random
 
 import pytest
 
@@ -82,6 +83,34 @@ def test_variation_e8():
     result = variation_cokernel(coxeter_element("E8"))
     assert result.det_abs == 1
     assert result.torsion().is_trivial()
+
+
+def det_abs_reference(t):
+    d = det(t - IntMatrix.identity(t.rows))
+    return abs(d) if d != 0 else None
+
+
+def random_monodromy(rng):
+    n = rng.randint(1, 6)
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.3:  # last row of T - id := its first row (singular if n > 1)
+        rows[-1] = [a + int(i == n - 1) - int(i == 0)
+                    for i, a in enumerate(rows[0])]
+    return IntMatrix(rows)
+
+
+def test_det_abs_matches_determinant():
+    # det_abs is read off the Smith form; the determinant is the reference.
+    ts = [coxeter_element("A", k) for k in range(1, 61)]
+    ts += [coxeter_element("D4"), coxeter_element("E8"), odp_package()[0].matrix_t]
+    rng = random.Random(2024)
+    ts += [random_monodromy(rng) for _ in range(200)]
+    singular = 0
+    for t in ts:
+        expected = det_abs_reference(t)
+        singular += expected is None
+        assert variation_cokernel(t).det_abs == expected
+    assert singular > 10
 
 
 def test_ak_variation_family():
