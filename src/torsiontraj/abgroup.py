@@ -6,12 +6,14 @@ i.e. groups are compared up to isomorphism.  A primary (prime-power)
 decomposition is available as a derived view.
 
 Both fields and every cyclic order must be integers (``operator.index``);
-floats and strings are refused, not truncated.  Hom and Ext into Z/n are
-G (x) Z/n and Tor(G, Z/n), so they need no functions of their own.
+floats, strings and booleans are refused, not truncated.  Hom and Ext
+into Z/n are G (x) Z/n and Tor(G, Z/n), so they need no functions of
+their own.
 
 Homomorphisms between finite groups are integer matrices of generator
 images; kernels, images and cokernels are computed by reducing combined
-presentations with the Smith normal form.
+presentations with the Smith normal form, all in integers.  The kernel
+is the cokernel of the dual map on character groups.
 """
 
 from dataclasses import dataclass
@@ -19,7 +21,7 @@ from math import gcd, lcm, prod
 from operator import index
 
 from .errors import DimensionError, InvariantError, ValidationError
-from .intmat import IntMatrix, kernel_basis, rat_inverse, snf
+from .intmat import IntMatrix, kernel_basis, snf
 
 
 def _factorize(n):
@@ -40,12 +42,14 @@ def _factorize(n):
     return result
 
 
-def _integer(value, what):
-    """``value`` as an int, or a ValidationError naming it."""
-    try:
-        return index(value)
-    except TypeError:
-        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+def _integer(value, what, error=ValidationError):
+    """``value`` as an int, or ``error`` naming it; a bool is refused too."""
+    if not isinstance(value, bool):
+        try:
+            return index(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be an integer, got {value!r}")
 
 
 def _invariant_factors(orders):
@@ -322,8 +326,9 @@ def hom_analyze(f):
     forms of combined presentations:
 
     * cokernel = coker([M | R]) on the target's generators,
-    * the preimage lattice P = {x : Mx in R Z^m} gives
-      image = Z^n / P and kernel = P / D Z^n.
+    * the preimage lattice P = {x : Mx in R Z^m} gives image = Z^n / P,
+    * kernel = coker([N | D]) for the dual map f^ with N_ij = d_i M_ji / t_j
+      on the dual generators, as ker f is isomorphic to coker f^.
 
     Satisfies |kernel| * |image| = |source|.
     """
@@ -335,7 +340,6 @@ def hom_analyze(f):
     if m == 0:
         return HomAnalysis(f.source, FGAbGroup.trivial(), FGAbGroup.trivial())
 
-    d_mat = IntMatrix([[src[i] if i == j else 0 for j in range(n)] for i in range(n)])
     r_mat = IntMatrix([[tgt[i] if i == j else 0 for j in range(m)] for i in range(m)])
 
     cokernel, _ = group_from_cokernel(f.matrix.hstack(r_mat))
@@ -350,8 +354,10 @@ def hom_analyze(f):
         raise InvariantError(
             f"preimage lattice has rank {n - image.free_rank}, expected full rank {n}"
         )
-    in_basis = (rat_inverse(basis) @ d_mat).to_int_matrix()
-    kernel, _ = group_from_cokernel(in_basis)
+    # Each N_ij is an integer because f respects the orders.
+    dual = [[d * f.matrix.entry(j, i) // t for j, t in enumerate(tgt)]
+            + [d * (i == k) for k in range(n)] for i, d in enumerate(src)]
+    kernel, _ = group_from_cokernel(IntMatrix(dual))
 
     return HomAnalysis(kernel, image, cokernel)
 

@@ -23,6 +23,7 @@ from .errors import (
     TorsionTrajError,
     ValidationError,
 )
+from .intmat import det
 from .lattice import discriminant_package
 from .links import LensSpace, PlumbingBoundary, Seifert, link_profile
 from .products import GateRefusal, brauer_comparison, builtin_profile, product_cohomology, product_profile
@@ -133,7 +134,7 @@ def cmd_lattice(args):
     rows = [
         ("discriminant group", str(pkg.group)),
         ("form", serialize.form_display(pkg.form)),
-        ("|det(gram)|", str(abs(lat.determinant()))),
+        ("|det(gram)|", str(abs(det(lat.gram)))),
     ]
     if args.format == "csv":
         return serialize.csv_table(("field", "value"), rows)

@@ -17,10 +17,10 @@ and beyond, so the kernels follow two rules:
 * Zeros cost nothing in products.  The product sums only over the
   nonzero entries of both factors, so multiplying by a reflection (the
   identity but for one row) costs O(n^2).
-* Elimination stays fraction-free.  ``det`` and ``rat_inverse`` keep
-  integer numerators over one common denominator (Bareiss), with exact
-  divisions instead of a gcd per ``Fraction`` operation; a rational
-  result is formed only once, at the end.
+* Elimination stays fraction-free.  One Bareiss Gauss-Jordan pass with
+  exact divisions serves ``det``, ``rat_inverse`` (on [M | I], forming
+  each Fraction once, at the end) and ``kernel_basis`` (inverting a
+  unimodular V in integers).
 
 The centrepiece is ``snf``, a Smith normal form returning the full
 decomposition M = U * D * V with unimodular U, V.  Downstream code relies
@@ -196,21 +196,11 @@ class IntMatrix(_Matrix):
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self * -1
-
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch in subtraction")
         return IntMatrix(
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)]
-        )
-
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("shape mismatch in addition")
-        return IntMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)]
         )
 
     def __repr__(self):
@@ -380,44 +370,51 @@ def snf(matrix):
     return SnfDecomposition(IntMatrix(u), IntMatrix(a), IntMatrix(v))
 
 
+def _bareiss(a, n):
+    """Fraction-free Gauss-Jordan (Bareiss) on the leading n x n block of
+    the n rows of ``a``, in place.  Each column takes the first nonzero
+    entry at or below the diagonal as pivot p and replaces every other row
+    by (row * p - f * pivot_row) // prev, exact because every entry stays
+    a minor.  The block ends as p * I for the last pivot p, and the columns
+    beyond it as p times the block's inverse applied to them.  Returns det
+    of the block (the swap sign times p), or 0 when a column has no pivot.
+    """
+    sign = 1
+    prev = 1
+    for c in range(n):
+        pivot_row = next((r for r in range(c, n) if a[r][c] != 0), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != c:
+            a[c], a[pivot_row] = a[pivot_row], a[c]
+            sign = -sign
+        top = a[c]
+        p = top[c]
+        for r in range(n):
+            if r != c:
+                row = a[r]
+                f = row[c]
+                a[r] = [(x * p - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+    return sign * prev
+
+
 def det(matrix):
-    """Exact determinant of a square integer matrix (Bareiss elimination).
+    """Exact determinant of a square integer matrix: one Bareiss pass.
 
     >>> det(IntMatrix([[-1, 1, 1, 1], [1, -2, 0, 0], [1, 0, -3, 0], [1, 0, 0, -11]]))
     5
     """
     if not matrix.is_square():
         raise DimensionError("determinant requires a square matrix")
-    n = matrix.rows
-    a = matrix.to_lists()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    return _bareiss(matrix.to_lists(), matrix.rows)
 
 
 def rat_inverse(matrix):
     """Exact inverse of a nonsingular integer matrix, as a RatMatrix.
 
-    Fraction-free Gauss-Jordan (Bareiss) on [M | I]: each step replaces
-    every other row by (row * p - f * pivot_row) // prev, where p is the
-    new pivot, f the row's entry in the pivot column and prev the previous
-    pivot.  Every such division is exact, because each entry stays a minor
-    of [M | I].  The last pivot is +-det(M), and the right half ends as
-    that pivot times M^-1, so each entry is built as Fraction(x, pivot).
+    One Bareiss pass on [M | I] leaves [p * I | p * M^-1] for the last
+    pivot p, so each entry is built once, as Fraction(x, p).
 
     >>> print(rat_inverse(IntMatrix([[2, 1], [1, 1]])))
     [[1, -1], [-1, 2]]
@@ -430,22 +427,10 @@ def rat_inverse(matrix):
         raise DimensionError("inverse requires a square matrix")
     n = matrix.rows
     a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(matrix.to_lists())]
-    prev = 1
-    for c in range(n):
-        pivot_row = next((r for r in range(c, n) if a[r][c] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError(determinant=0)
-        if pivot_row != c:
-            a[c], a[pivot_row] = a[pivot_row], a[c]
-        top = a[c]
-        p = top[c]
-        for r in range(n):
-            if r != c:
-                row = a[r]
-                f = row[c]
-                a[r] = [(x * p - f * y) // prev for x, y in zip(row, top)]
-        prev = p
-    return RatMatrix([[Fraction(x, prev) for x in row[n:]] for row in a])
+    if _bareiss(a, n) == 0:
+        raise SingularMatrixError(determinant=0)
+    p = a[0][0]
+    return RatMatrix([[Fraction(x, p) for x in row[n:]] for row in a])
 
 
 def char_poly(matrix):
@@ -482,10 +467,15 @@ def kernel_basis(matrix):
 
     Derived from the Smith normal form: with M = U D V, the kernel is
     spanned by the columns of V^-1 matching zero diagonal entries of D.
+    V is unimodular, so the pass on [V | I] ends with p = +-1 and gives
+    V^-1 = p * (right half) in integers.
     """
     decomp = snf(matrix)
     rank = decomp.rank()
-    if rank == matrix.cols:
+    n = matrix.cols
+    if rank == n:
         return []
-    v_inv = rat_inverse(decomp.v).to_int_matrix()
-    return [v_inv.column(j) for j in range(rank, matrix.cols)]
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(decomp.v.to_lists())]
+    _bareiss(a, n)
+    p = a[0][0]
+    return [tuple(p * row[n + j] for row in a) for j in range(rank, n)]

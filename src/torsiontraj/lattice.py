@@ -15,14 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .abgroup import FGAbGroup, element_order, group_from_cokernel
+from .abgroup import FGAbGroup, _integer, element_order, group_from_cokernel
 from .errors import (
     CapabilityError,
     InvariantError,
     ParameterError,
     ValidationError,
 )
-from .intmat import IntMatrix, RatMatrix, det, rat_inverse
+from .intmat import IntMatrix, RatMatrix, char_poly, rat_inverse
 
 FORMS_ISOMORPHIC_BOUND = 64
 
@@ -48,16 +48,10 @@ class IntersectionLattice:
     def rank(self):
         return self.gram.rows
 
-    def determinant(self):
-        return det(self.gram)
-
     def is_negative_definite(self):
-        """Leading principal minors alternate in sign, starting negative."""
-        for k in range(1, self.rank + 1):
-            minor = det(IntMatrix([row[:k] for row in self.gram.to_lists()[:k]]))
-            if minor * (-1) ** k <= 0:
-                return False
-        return True
+        """The gram is symmetric, so det(tI - gram) has only real roots; they
+        are all negative iff every coefficient is positive (Descartes)."""
+        return all(c > 0 for c in char_poly(self.gram))
 
 
 def _plumbing(weights, edges, first_label):
@@ -85,11 +79,11 @@ def cartan_matrix(family, parameter=None):
     [[-2]]
     """
     if family == "A":
-        if parameter is None or parameter < 1:
+        if parameter is None or _integer(parameter, "k", ParameterError) < 1:
             raise ParameterError("A_k requires k >= 1")
         return chain_matrix([2] * parameter)
     if family == "D":
-        if parameter is None or parameter < 4:
+        if parameter is None or _integer(parameter, "n", ParameterError) < 4:
             raise ParameterError("D_n requires n >= 4")
         edges = [(0, 1), (0, 2), (0, 3)] + [(i, i + 1) for i in range(3, parameter - 1)]
         return _plumbing([2] * parameter, edges, 0)
@@ -112,6 +106,8 @@ def hj_expansion(n, q):
     >>> hj_expansion(7, 3)
     [3, 2, 2]
     """
+    for value in (n, q):
+        _integer(value, "a Hirzebruch-Jung entry", ParameterError)
     if not (n > q >= 1):
         raise ParameterError("need n > q >= 1")
     if gcd(n, q) != 1:

@@ -10,7 +10,7 @@ three instead has T = id with free cokernel.
 
 from dataclasses import dataclass
 
-from .abgroup import FGAbGroup, group_from_cokernel
+from .abgroup import FGAbGroup, _integer, group_from_cokernel
 from .errors import InvariantError, ParameterError
 from .intmat import IntMatrix
 from .lattice import cartan_matrix
@@ -19,13 +19,17 @@ from .links import SphereProduct
 MONODROMY_FAMILIES = ("A", "D4", "E8")
 
 
+def _no_parameter(family, parameter):
+    if parameter is not None:
+        raise ParameterError(f"{family} takes no parameter, got {parameter!r}")
+
+
 def _positive_cartan(family, parameter):
     if family == "A":
         lat = cartan_matrix("A", parameter)
-    elif family == "D4":
-        lat = cartan_matrix("D", 4)
-    elif family == "E8":
-        lat = cartan_matrix("E8")
+    elif family in ("D4", "E8"):
+        _no_parameter(family, parameter)
+        lat = cartan_matrix("D", 4) if family == "D4" else cartan_matrix("E8")
     else:
         raise ParameterError(
             f"monodromy families are {MONODROMY_FAMILIES}, got {family!r}"
@@ -106,16 +110,15 @@ def milnor_number(family, parameter=None):
     20
     """
     if family == "A":
-        if parameter is None or parameter < 1:
+        if parameter is None or _integer(parameter, "k", ParameterError) < 1:
             raise ParameterError("A_k requires k >= 1")
         return parameter
-    if family == "D4":
-        return 4
-    if family == "E8":
-        return 8
+    if family in ("D4", "E8"):
+        _no_parameter(family, parameter)
+        return 4 if family == "D4" else 8
     if family == "BP":
         try:
-            a, b, c = parameter
+            a, b, c = (_integer(e, "an exponent", ParameterError) for e in parameter)
         except (TypeError, ValueError):
             raise ParameterError("Brieskorn-Pham exponents must be a triple") from None
         if min(a, b, c) < 2:

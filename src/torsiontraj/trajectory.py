@@ -10,7 +10,7 @@ and the threefold ordinary double point.
 
 from dataclasses import dataclass
 
-from .abgroup import FGAbGroup, FinAbHom, group_from_cokernel, hom_analyze, rationalize
+from .abgroup import FGAbGroup, FinAbHom, _integer, group_from_cokernel, hom_analyze, rationalize
 from .bockstein import shadow
 from .errors import InvariantError, ParameterError, ValidationError
 from .intmat import IntMatrix
@@ -58,13 +58,15 @@ class SingularityModel:
 
     def __post_init__(self):
         if self.kind == "ak":
-            if self.parameter is None or self.parameter < 1:
+            if self.parameter is None or _integer(self.parameter, "k", ParameterError) < 1:
                 raise ParameterError("A_k requires k >= 1")
         elif self.kind == "quotient":
-            if self.parameter is None or self.parameter < 2:
+            if self.parameter is None or _integer(self.parameter, "n", ParameterError) < 2:
                 raise ParameterError("cyclic quotient 1/n(1,1) requires n >= 2")
         elif self.kind not in ("d4", "e8", "brieskorn", "odp"):
             raise ParameterError(f"unknown singularity model {self.kind!r}")
+        elif self.parameter is not None:
+            raise ParameterError(f"the {self.kind} model takes no parameter")
 
     @classmethod
     def ak(cls, k):
@@ -88,7 +90,7 @@ class SingularityModel:
 
     @classmethod
     def cyclic_quotient(cls, n, q=1):
-        if q != 1:
+        if _integer(q, "q", ParameterError) != 1:
             raise ParameterError("only quotients of type 1/n(1,1) are built in")
         return cls("quotient", n)
 
@@ -187,30 +189,29 @@ def realization_crosscheck(model):
     recomputation through the plumbing-boundary pipeline), "monodromy"
     (torsion cokernel of the variation map; recorded through the
     link equality for the Brieskorn case, not applicable for cyclic
-    quotients).
+    quotients).  The ODP has no lattice, so its lattice and pair-sequence
+    stations are notes, and its monodromy is the free cokernel of T = id.
     """
     stations = {}
     notes = {}
-    if model.kind == "odp":
-        stations[STATION_LINK] = link_profile(SphereProduct()).torsion(2)
-        variation, _ = odp_package()
-        stations[STATION_MONODROMY] = variation.torsion()
+    lat = model.resolution_lattice()
+    if lat is None:
         notes[STATION_LATTICE] = "no finite discriminant"
         notes[STATION_PAIR] = "free pair data"
-        notes[STATION_MONODROMY] = "free-cokernel"
-        agree = all(g.is_trivial() for g in stations.values())
-        return Crosscheck(stations, notes, agree)
-
-    lat = model.resolution_lattice()
-    coker, _ = group_from_cokernel(lat.gram)
-    stations[STATION_LATTICE] = coker.torsion()
+    else:
+        coker, _ = group_from_cokernel(lat.gram)
+        stations[STATION_LATTICE] = coker.torsion()
     stations[STATION_LINK] = link_profile(model.link_model()).torsion(2)
-    stations[STATION_PAIR] = link_profile(PlumbingBoundary(lat)).torsion(2)
+    if lat is not None:
+        stations[STATION_PAIR] = link_profile(PlumbingBoundary(lat)).torsion(2)
 
     family = _COXETER_FAMILIES.get(model.kind)
     if family is not None:
         t = coxeter_element(family, model.parameter)
         stations[STATION_MONODROMY] = variation_cokernel(t).torsion()
+    elif model.kind == "odp":
+        stations[STATION_MONODROMY] = odp_package()[0].torsion()
+        notes[STATION_MONODROMY] = "free-cokernel"
     elif model.kind == "brieskorn":
         stations[STATION_MONODROMY] = stations[STATION_LINK]
         notes[STATION_MONODROMY] = "wang-sequence"

@@ -44,12 +44,19 @@ def test_normalization():
         (lambda: FGAbGroup(0, ("6",)), "'6'"),
         (lambda: FGAbGroup(1.5, ()), "1.5"),
         (lambda: FGAbGroup.from_orders([2.7, 4]), "2.7"),
+        (lambda: FGAbGroup(True, (2,)), "True"),
+        (lambda: FGAbGroup(0, (2, True)), "True"),
+        (lambda: FGAbGroup.from_orders([True, 2]), "True"),
+        (lambda: FGAbGroup.cyclic(True), "True"),
+        (lambda: FGAbGroup.cyclic(False), "False"),
     ],
-    ids=["float-factor", "string-factor", "float-rank", "float-order"],
+    ids=["float-factor", "string-factor", "float-rank", "float-order", "bool-rank",
+         "bool-factor", "bool-order", "cyclic-true", "cyclic-false"],
 )
 def test_non_integer_group_data_rejected(build, shown):
-    # Each was truncated, parsed or left as a float, or ended in a
-    # TypeError from gcd; now a ValidationError names the value.
+    # Each was truncated, parsed or left as a float, ended in a TypeError
+    # from gcd, or read True as 1 and False as 0 (Z + Z/2, Z/2, the
+    # trivial group); now a ValidationError names the value.
     with pytest.raises(ValidationError, match=f"got {shown}$"):
         build()
 
@@ -413,7 +420,7 @@ def test_hom_preimage_rank_check(monkeypatch):
 
 def test_hom_analyze_one_snf_per_matrix(monkeypatch):
     # Four presentations (cokernel, solution kernel, preimage basis,
-    # kernel in the preimage basis), each put in Smith form exactly once.
+    # cokernel of the dual map), each put in Smith form exactly once.
     real_snf = intmat.snf
     seen = []
 
@@ -427,3 +434,36 @@ def test_hom_analyze_one_snf_per_matrix(monkeypatch):
     result = hom_analyze(FinAbHom(g, Z4, IntMatrix([[2, 1]])))
     assert len(seen) == 4 and len(set(seen)) == 4
     assert result.kernel.torsion_order() * result.image.torsion_order() == 8
+
+
+def preimage_hom_kernel(f):
+    """The kernel as P / D Z^n, with D Z^n written in a basis of the
+    preimage lattice P through rat_inverse: the previous construction."""
+    src = f.source.invariant_factors
+    tgt = f.target.invariant_factors
+    n, m = len(src), len(tgt)
+    d_mat = IntMatrix([[src[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    r_mat = IntMatrix([[tgt[i] if i == j else 0 for j in range(m)] for i in range(m)])
+    solution_kernel = intmat.kernel_basis(f.matrix.hstack(-1 * r_mat))
+    basis = IntMatrix.from_columns([vec[:n] for vec in solution_kernel])
+    in_basis = (intmat.rat_inverse(basis) @ d_mat).to_int_matrix()
+    return group_from_cokernel(in_basis)[0]
+
+
+@given(fin_ab_homs())
+def test_hom_kernel_matches_preimage_reference(f):
+    assert hom_analyze(f).kernel == preimage_hom_kernel(f)
+
+
+def test_hom_analyze_and_kernel_basis_stay_in_integers(monkeypatch):
+    def refuse(matrix):
+        raise AssertionError("rat_inverse called")
+
+    monkeypatch.setattr(intmat, "rat_inverse", refuse)
+    monkeypatch.setattr(abgroup, "rat_inverse", refuse, raising=False)
+    m = IntMatrix([[1, 2, 3], [2, 4, 6]])
+    assert intmat.kernel_basis(m) == [(-2, 1, 0), (-3, 0, 1)]
+    g = FGAbGroup.from_orders([2, 4])
+    result = hom_analyze(FinAbHom(g, Z4, IntMatrix([[2, 1]])))
+    assert result.kernel == Z2 and result.image == Z4
+

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torsiontraj.abgroup import group_from_cokernel
 from torsiontraj.errors import (
     DimensionError,
     InvariantError,
@@ -321,6 +322,40 @@ def fraction_inverse(matrix):
     return RatMatrix([row[n:] for row in a])
 
 
+def forward_bareiss_det(matrix):
+    """Forward-only Bareiss elimination, the determinant before it shared
+    one Gauss-Jordan pass with rat_inverse."""
+    n = matrix.rows
+    a = matrix.to_lists()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def inverse_kernel_basis(matrix):
+    """Kernel columns of V^-1 read from rat_inverse(V), in Fractions."""
+    decomp = snf(matrix)
+    rank = decomp.rank()
+    if rank == matrix.cols:
+        return []
+    v_inv = rat_inverse(decomp.v).to_int_matrix()
+    return [v_inv.column(j) for j in range(rank, matrix.cols)]
+
+
 def reference_snf(matrix):
     """Smith normal form with a full pivot search and divisibility scan at
     every step, even when the pivot is a unit."""
@@ -548,3 +583,32 @@ def snf_inputs(draw):
 def test_snf_properties_and_reference(m):
     # U D V = M, |det U| = |det V| = 1, D a nonnegative divisibility chain
     assert_snf_matches_reference(m)
+
+
+@settings(deadline=None)
+@given(st.one_of(square_matrices(), square_matrices(), singular_matrices()))
+def test_det_matches_forward_bareiss(m):
+    # About half the draws are singular, a third of all by a row combination.
+    d = det(m)
+    assert type(d) is int and d == forward_bareiss_det(m)
+
+
+@settings(deadline=None)
+@given(snf_inputs())
+def test_kernel_basis_matches_inverse_reference(m):
+    basis = kernel_basis(m)
+    assert basis == inverse_kernel_basis(m)
+    assert all(type(x) is int for vec in basis for x in vec)
+    assert all(m.apply(vec) == (0,) * m.rows for vec in basis)
+
+
+@settings(deadline=None)
+@given(square_matrices())
+def test_cokernel_order_is_abs_det(m):
+    group, _ = group_from_cokernel(m)
+    d = det(m)
+    if d == 0:
+        assert not group.is_finite()
+    else:
+        assert group.is_finite() and group.torsion_order() == abs(d)
+

@@ -59,6 +59,40 @@ def test_cartan_families_negative_definite():
         assert lat.is_negative_definite()
 
 
+def sylvester_negative_definite(lat):
+    """Sylvester's criterion: leading principal minors alternate in sign,
+    starting negative.  The previous test, with one determinant per minor."""
+    rows = lat.gram.to_lists()
+    for k in range(1, lat.rank + 1):
+        if det(IntMatrix([row[:k] for row in rows[:k]])) * (-1) ** k <= 0:
+            return False
+    return True
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """-(B^T B) scaled by a positive factor up to 2^70 (definite exactly when
+    B is nonsingular), or a symmetric matrix with independent entries."""
+    n = draw(st.integers(1, 6))
+    entries = st.integers(-4, 4)
+    if draw(st.booleans()):
+        b = IntMatrix(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                    min_size=n, max_size=n)))
+        return draw(st.integers(1, 2**70)) * -1 * (b.transpose() @ b)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            rows[i][j] = rows[j][i] = draw(st.integers(-12, 2) if i == j else entries)
+    return IntMatrix(rows)
+
+
+@settings(deadline=None)
+@given(symmetric_matrices())
+def test_negative_definite_matches_sylvester(gram):
+    lat = IntersectionLattice(gram)
+    assert lat.is_negative_definite() == sylvester_negative_definite(lat)
+
+
 def test_cartan_validation():
     with pytest.raises(ParameterError):
         cartan_matrix("A", 0)
@@ -66,6 +100,24 @@ def test_cartan_validation():
         cartan_matrix("D", 3)
     with pytest.raises(ParameterError):
         cartan_matrix("F", 4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: cartan_matrix("A", 2.5),
+        lambda: cartan_matrix("A", True),
+        lambda: cartan_matrix("D", 4.0),
+        lambda: hj_expansion(4.5, 1),
+        lambda: hj_expansion(4, True),
+    ],
+    ids=["a-float", "a-bool", "d-float", "hj-float", "hj-bool"],
+)
+def test_non_integer_parameters_rejected(call):
+    # The floats ended in a TypeError from list repetition or gcd, and
+    # True was read as 1.
+    with pytest.raises(ParameterError, match="must be an integer"):
+        call()
 
 
 def test_hj_expansion_examples():

@@ -167,6 +167,28 @@ def test_milnor_numbers():
         milnor_number("A", 0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: coxeter_element("E8", 5),
+        lambda: coxeter_element("D4", 17),
+        lambda: milnor_number("D4", 17),
+        lambda: milnor_number("E8", 8),
+        lambda: coxeter_element("A", 2.5),
+        lambda: milnor_number("A", 2.5),
+        lambda: milnor_number("A", True),
+        lambda: milnor_number("BP", (2, 3, 11.5)),
+    ],
+    ids=["coxeter-e8-5", "coxeter-d4-17", "milnor-d4-17", "milnor-e8-8",
+         "coxeter-a-float", "milnor-a-float", "milnor-a-bool", "milnor-bp-float"],
+)
+def test_family_parameters_checked(call):
+    # The first four returned the D_4 or E_8 answer, ignoring the
+    # parameter; the float cases ran on or failed with a TypeError.
+    with pytest.raises(ParameterError):
+        call()
+
+
 def test_odp_package():
     result, link = odp_package()
     assert result.torsion().is_trivial()

@@ -38,6 +38,29 @@ def test_model_validation():
         SingularityModel("nope")
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SingularityModel("e8", 5),
+        lambda: SingularityModel("odp", 3),
+        lambda: SingularityModel("d4", 4),
+        lambda: SingularityModel("brieskorn", 11),
+        lambda: SingularityModel.ak(2.5),
+        lambda: SingularityModel.ak(True),
+        lambda: SingularityModel.cyclic_quotient(4.0),
+        lambda: SingularityModel.cyclic_quotient(4, True),
+    ],
+    ids=["e8-parameter", "odp-parameter", "d4-parameter", "brieskorn-parameter",
+         "ak-float", "ak-bool", "quotient-float", "quotient-bool-q"],
+)
+def test_model_parameters_checked(build):
+    # Each was accepted: the parameter was dropped from an ordinary row,
+    # a float failed later with a TypeError in trajectory_row, and True
+    # was read as 1 ("A_1 surface").
+    with pytest.raises(ParameterError):
+        build()
+
+
 def test_local_package_values():
     assert local_package(SingularityModel.ak(1)).form.entry(0, 0) == Fraction(1, 2)
     coble = local_package(SingularityModel.cyclic_quotient(4))
