@@ -10,6 +10,7 @@ varieties, assembling everything into trajectory tables.
 from .abgroup import (
     FGAbGroup,
     FinAbHom,
+    cokernel_group,
     ext1_to_Z,
     group_from_cokernel,
     hom_analyze,

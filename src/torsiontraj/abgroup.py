@@ -12,8 +12,9 @@ their own.
 
 Homomorphisms between finite groups are integer matrices of generator
 images; kernels, images and cokernels are computed by reducing combined
-presentations with the Smith normal form, all in integers.  The kernel
-is the cokernel of the dual map on character groups.
+presentations with the Smith normal form, all in integers, and read
+only its diagonal (``cokernel_group``).  The kernel is the cokernel of
+the dual map on character groups.
 """
 
 from dataclasses import dataclass
@@ -176,32 +177,42 @@ class FGAbGroup:
         return " + ".join(parts) if parts else "0"
 
 
+def _cokernel(decomp, rows):
+    """coker(M) from its Smith form, and D's diagonal padded to ``rows``:
+    rows beyond the diagonal (wide-or-tall cases) are free directions too."""
+    diag = list(decomp.d.diagonal())
+    diag += [0] * (rows - len(diag))
+    group = FGAbGroup.from_orders([d for d in diag if d > 1], free_rank=diag.count(0))
+    return group, diag
+
+
+def cokernel_group(matrix):
+    """Cokernel of M : Z^cols -> Z^rows, read from D alone, so the Smith
+    form builds no transform.
+
+    >>> print(cokernel_group(IntMatrix([[2, 0], [0, 0]])))
+    Z + Z/2
+    """
+    return _cokernel(snf(matrix), matrix.rows)[0]
+
+
 def group_from_cokernel(matrix):
     """Cokernel of M : Z^cols -> Z^rows, with generator representatives.
 
     Returns ``(group, generators)`` where ``generators`` is a list of
     ``(order, column)`` pairs: the columns of the unimodular factor U of
     the Smith normal form whose classes generate the cokernel.  Order 0
-    marks a free generator.  Trivial (order-1) columns are omitted.
+    marks a free generator.  Trivial (order-1) columns are omitted.  Reads
+    D and U; a caller that needs only the group uses ``cokernel_group``.
 
     >>> g, gens = group_from_cokernel(IntMatrix([[-2]]))
     >>> print(g)
     Z/2
     """
     decomp = snf(matrix)
-    diag = list(decomp.d.diagonal())
-    # Rows beyond the diagonal (wide-or-tall cases) are free directions too.
-    diag += [0] * (matrix.rows - len(diag))
-    generators = []
-    torsion = []
-    for i, d in enumerate(diag):
-        if d == 0:
-            generators.append((0, decomp.u.column(i)))
-        elif d > 1:
-            torsion.append(d)
-            generators.append((d, decomp.u.column(i)))
-    group = FGAbGroup.from_orders(torsion, free_rank=diag.count(0))
-    return group, generators
+    group, diag = _cokernel(decomp, matrix.rows)
+    u = decomp.u
+    return group, [(d, u.column(i)) for i, d in enumerate(diag) if d != 1]
 
 
 def ext1_to_Z(group):
@@ -342,14 +353,14 @@ def hom_analyze(f):
 
     r_mat = IntMatrix([[tgt[i] if i == j else 0 for j in range(m)] for i in range(m)])
 
-    cokernel, _ = group_from_cokernel(f.matrix.hstack(r_mat))
+    cokernel = cokernel_group(f.matrix.hstack(r_mat))
 
     # Solutions of Mx = Ry, projected to x, form a basis of the preimage
     # lattice P = {x : Mx in R Z^m}.  R is nonsingular, so the projection
     # is injective, and P contains D Z^n because f respects the orders.
     solution_kernel = kernel_basis(f.matrix.hstack(-1 * r_mat))
     basis = IntMatrix.from_columns([vec[:n] for vec in solution_kernel])
-    image, _ = group_from_cokernel(basis)
+    image = cokernel_group(basis)
     if not image.is_finite():
         raise InvariantError(
             f"preimage lattice has rank {n - image.free_rank}, expected full rank {n}"
@@ -357,7 +368,7 @@ def hom_analyze(f):
     # Each N_ij is an integer because f respects the orders.
     dual = [[d * f.matrix.entry(j, i) // t for j, t in enumerate(tgt)]
             + [d * (i == k) for k in range(n)] for i, d in enumerate(src)]
-    kernel, _ = group_from_cokernel(IntMatrix(dual))
+    kernel = cokernel_group(IntMatrix(dual))
 
     return HomAnalysis(kernel, image, cokernel)
 

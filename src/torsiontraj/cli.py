@@ -253,6 +253,11 @@ def build_parser():
 
 
 def run(argv):
+    # Exact entries and results have any number of digits, in input and
+    # output alike, so the interpreter's int/str digit limit is lifted.
+    lift_digit_limit = getattr(sys, "set_int_max_str_digits", None)
+    if lift_digit_limit is not None:
+        lift_digit_limit(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -18,14 +18,14 @@ and beyond, so the kernels follow two rules:
   nonzero entries of both factors, so multiplying by a reflection (the
   identity but for one row) costs O(n^2).
 * Elimination stays fraction-free.  One Bareiss Gauss-Jordan pass with
-  exact divisions serves ``det``, ``rat_inverse`` (on [M | I], forming
-  each Fraction once, at the end) and ``kernel_basis`` (inverting a
-  unimodular V in integers).
+  exact divisions serves ``det`` and ``rat_inverse`` (on [M | I], forming
+  each Fraction once, at the end).
 
-The centrepiece is ``snf``, a Smith normal form returning the full
-decomposition M = U * D * V with unimodular U, V.  Downstream code relies
-on U for cokernel generator representatives, so the transforms are always
-computed, never just the diagonal.
+The centrepiece is ``snf``, a Smith normal form M = U * D * V with
+unimodular U, V.  It reduces M alone and logs its elementary operations;
+the transforms are replayed from that log on demand: U for cokernel
+generator representatives, V^-1 for ``kernel_basis``.  Most callers read
+only the diagonal and build no transform.
 """
 
 from fractions import Fraction
@@ -237,19 +237,78 @@ class RatMatrix(_Matrix):
         return f"RatMatrix({[[str(x) for x in row] for row in self._rows]!r})"
 
 
+# Kinds of the (kind, i, j, c) entries in the operation log of ``snf``:
+# swap rows (columns) i and j, negate row i, add c * row (column) j to i.
+_ROW_SWAP, _ROW_NEGATE, _ROW_ADD, _COL_SWAP, _COL_ADD = range(5)
+
+
 class SnfDecomposition:
     """Smith normal form M = U * D * V with unimodular U and V.
 
     The diagonal of D is nonnegative, satisfies d_i | d_{i+1}, and lists
     zeros last; it is the invariant-factor sequence of M.
+
+    ``snf`` reduces M alone and keeps the log of its elementary operations;
+    U, V and V^-1 are replayed from that log the first time each is read,
+    and then kept.  A caller that reads only D builds no transform.  A
+    decomposition built from explicit U, D, V keeps them and has no log.
     """
 
-    __slots__ = ("u", "d", "v")
+    __slots__ = ("d", "_log", "_u", "_v", "_v_inv")
 
     def __init__(self, u, d, v):
-        self.u = u
         self.d = d
-        self.v = v
+        self._log = None
+        self._u, self._v, self._v_inv = u, v, None
+
+    @classmethod
+    def _recorded(cls, d, log):
+        decomp = cls(None, d, None)
+        decomp._log = log
+        return decomp
+
+    @property
+    def u(self):
+        """U: each row operation on A, replayed as the inverse column
+        operation on the columns of U."""
+        if self._u is None:
+            cols = IntMatrix.identity(self.d.rows).to_lists()
+            for kind, i, j, c in self._log:
+                if kind == _ROW_ADD:
+                    cols[j] = [x - c * y for x, y in zip(cols[j], cols[i])]
+                elif kind == _ROW_SWAP:
+                    cols[i], cols[j] = cols[j], cols[i]
+                elif kind == _ROW_NEGATE:
+                    cols[i] = [-x for x in cols[i]]
+            self._u = IntMatrix.from_columns(cols)
+        return self._u
+
+    @property
+    def v(self):
+        """V: each column operation on A, replayed as the inverse row
+        operation on the rows of V."""
+        if self._v is None:
+            rows = IntMatrix.identity(self.d.cols).to_lists()
+            for kind, i, j, c in self._log:
+                if kind == _COL_ADD:
+                    rows[j] = [x - c * y for x, y in zip(rows[j], rows[i])]
+                elif kind == _COL_SWAP:
+                    rows[i], rows[j] = rows[j], rows[i]
+            self._v = IntMatrix(rows)
+        return self._v
+
+    def _v_inverse_columns(self):
+        """Columns of V^-1: each column operation on A, replayed as the
+        same column operation on V^-1."""
+        if self._v_inv is None:
+            cols = IntMatrix.identity(self.d.cols).to_lists()
+            for kind, i, j, c in self._log:
+                if kind == _COL_ADD:
+                    cols[i] = [x + c * y for x, y in zip(cols[i], cols[j])]
+                elif kind == _COL_SWAP:
+                    cols[i], cols[j] = cols[j], cols[i]
+            self._v_inv = [tuple(col) for col in cols]
+        return self._v_inv
 
     def reconstruct(self):
         return self.u @ self.d @ self.v
@@ -268,6 +327,9 @@ class SnfDecomposition:
 def snf(matrix):
     """Smith normal form of an integer matrix (rectangular allowed).
 
+    Only D is computed here; U, V and V^-1 are built from the operation
+    log when first read (see ``SnfDecomposition``).
+
     >>> snf(IntMatrix([[-2]])).d.to_lists()
     [[2]]
     >>> snf(IntMatrix([[2, 4], [6, 8]])).invariant_factors()
@@ -275,39 +337,14 @@ def snf(matrix):
     """
     a = matrix.to_lists()
     nr, nc = matrix.rows, matrix.cols
-    u = IntMatrix.identity(nr).to_lists()
-    v = IntMatrix.identity(nc).to_lists()
-
-    # Invariant maintained by every operation below: matrix == U @ A @ V.
-    # A row operation on A is compensated by the inverse column operation
-    # on U, a column operation on A by the inverse row operation on V.
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        for r in u:
-            r[i], r[j] = r[j], r[i]
-
-    def row_negate(i):
-        a[i] = [-x for x in a[i]]
-        for r in u:
-            r[i] = -r[i]
+    # Every operation on A is logged once; replaying the log keeps
+    # matrix == U @ A @ V (see SnfDecomposition).
+    log = []
 
     def row_add(i, j, c):
         # a[i] += c * a[j]
         a[i] = [x + c * y for x, y in zip(a[i], a[j])]
-        for r in u:
-            r[j] -= c * r[i]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        v[i], v[j] = v[j], v[i]
-
-    def col_add(i, j, c):
-        # column i += c * column j
-        for r in a:
-            r[i] += c * r[j]
-        v[j] = [x - c * y for x, y in zip(v[j], v[i])]
+        log.append((_ROW_ADD, i, j, c))
 
     t = 0
     bound = min(nr, nc)
@@ -317,8 +354,9 @@ def snf(matrix):
         pivot = None
         best = None
         for i in range(t, nr):
+            row = a[i]
             for j in range(t, nc):
-                x = a[i][j]
+                x = row[j]
                 if x != 0 and (best is None or abs(x) < best):
                     best = abs(x)
                     pivot = (i, j)
@@ -330,11 +368,15 @@ def snf(matrix):
             break
         pi, pj = pivot
         if pi != t:
-            row_swap(t, pi)
+            a[t], a[pi] = a[pi], a[t]
+            log.append((_ROW_SWAP, t, pi, 0))
         if pj != t:
-            col_swap(t, pj)
+            for r in a:
+                r[t], r[pj] = r[pj], r[t]
+            log.append((_COL_SWAP, t, pj, 0))
         if a[t][t] < 0:
-            row_negate(t)
+            a[t] = [-x for x in a[t]]
+            log.append((_ROW_NEGATE, t, t, 0))
 
         p = a[t][t]
         dirty = False
@@ -345,14 +387,18 @@ def snf(matrix):
                     row_add(i, t, -q)
                 if a[i][t] != 0:
                     dirty = True
-        for j in range(t + 1, nc):
-            if a[t][j] != 0:
-                q = a[t][j] // p
-                if q:
-                    col_add(j, t, -q)
-                if a[t][j] != 0:
-                    dirty = True
-        if dirty:
+        # Column j -= q_j * column t for every j > t at once: column t does
+        # not change, so each row is visited once and rows with a zero in
+        # column t are skipped.
+        steps = [(j, q) for j in range(t + 1, nc) if (q := a[t][j] // p)]
+        if steps:
+            for r in a:
+                x = r[t]
+                if x:
+                    for j, q in steps:
+                        r[j] -= q * x
+            log.extend((_COL_ADD, j, t, -q) for j, q in steps)
+        if dirty or any(a[t][t + 1:]):
             continue
 
         offender = None
@@ -367,17 +413,18 @@ def snf(matrix):
             continue
         t += 1
 
-    return SnfDecomposition(IntMatrix(u), IntMatrix(a), IntMatrix(v))
+    return SnfDecomposition._recorded(IntMatrix(a), log)
 
 
 def _bareiss(a, n):
     """Fraction-free Gauss-Jordan (Bareiss) on the leading n x n block of
-    the n rows of ``a``, in place.  Each column takes the first nonzero
-    entry at or below the diagonal as pivot p and replaces every other row
-    by (row * p - f * pivot_row) // prev, exact because every entry stays
-    a minor.  The block ends as p * I for the last pivot p, and the columns
-    beyond it as p times the block's inverse applied to them.  Returns det
-    of the block (the swap sign times p), or 0 when a column has no pivot.
+    the n rows of ``a``, in place; ``det`` and ``rat_inverse`` share it.
+    Each column takes the first nonzero entry at or below the diagonal as
+    pivot p and replaces every other row by (row * p - f * pivot_row) //
+    prev, exact because every entry stays a minor.  The block ends as p * I
+    for the last pivot p, and the columns beyond it as p times the block's
+    inverse applied to them.  Returns det of the block (the swap sign
+    times p), or 0 when a column has no pivot.
     """
     sign = 1
     prev = 1
@@ -467,15 +514,11 @@ def kernel_basis(matrix):
 
     Derived from the Smith normal form: with M = U D V, the kernel is
     spanned by the columns of V^-1 matching zero diagonal entries of D.
-    V is unimodular, so the pass on [V | I] ends with p = +-1 and gives
-    V^-1 = p * (right half) in integers.
+    V^-1 is replayed from the operation log of ``snf``, in integers and
+    with no elimination of V.
     """
     decomp = snf(matrix)
     rank = decomp.rank()
-    n = matrix.cols
-    if rank == n:
+    if rank == matrix.cols:
         return []
-    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(decomp.v.to_lists())]
-    _bareiss(a, n)
-    p = a[0][0]
-    return [tuple(p * row[n + j] for row in a) for j in range(rank, n)]
+    return decomp._v_inverse_columns()[rank:]

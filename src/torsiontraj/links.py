@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 from operator import index
 
-from .abgroup import FGAbGroup, ext1_to_Z, group_from_cokernel, tensor, tor
+from .abgroup import FGAbGroup, cokernel_group, ext1_to_Z, tensor, tor
 from .errors import CapabilityError, InvariantError, ParameterError
 from .intmat import IntMatrix
 from .lattice import IntersectionLattice
@@ -199,7 +199,7 @@ def seifert_homology(b, arms):
         col[n] = beta
         columns.append(col)
     columns.append([1] * n + [-data.b])
-    h1, _ = group_from_cokernel(IntMatrix.from_columns(columns))
+    h1 = cokernel_group(IntMatrix.from_columns(columns))
     return h1
 
 
@@ -232,7 +232,7 @@ def link_profile(model):
         arms = ",".join(f"({a},{b})" for a, b in model.arms)
         name = f"Seifert({model.b};{arms})"
     elif isinstance(model, PlumbingBoundary):
-        h1, _ = group_from_cokernel(model.lattice.gram)
+        h1 = cokernel_group(model.lattice.gram)
         name = f"plumbing boundary (rank {model.lattice.rank})"
     else:
         raise ParameterError(f"unknown link model {model!r}")

@@ -10,7 +10,7 @@ three instead has T = id with free cokernel.
 
 from dataclasses import dataclass
 
-from .abgroup import FGAbGroup, _integer, group_from_cokernel
+from .abgroup import FGAbGroup, _integer, cokernel_group
 from .errors import InvariantError, ParameterError
 from .intmat import IntMatrix
 from .lattice import cartan_matrix
@@ -97,7 +97,7 @@ def variation_cokernel(t_matrix):
     if not t_matrix.is_square():
         raise ParameterError("monodromy matrix must be square")
     variation = t_matrix - IntMatrix.identity(t_matrix.rows)
-    cokernel, _ = group_from_cokernel(variation)
+    cokernel = cokernel_group(variation)
     det_abs = cokernel.torsion_order() if cokernel.is_finite() else None
     return VariationResult(t_matrix, variation, cokernel, det_abs)
 

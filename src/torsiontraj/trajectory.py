@@ -10,7 +10,7 @@ and the threefold ordinary double point.
 
 from dataclasses import dataclass
 
-from .abgroup import FGAbGroup, FinAbHom, _integer, group_from_cokernel, hom_analyze, rationalize
+from .abgroup import FGAbGroup, FinAbHom, _integer, cokernel_group, hom_analyze, rationalize
 from .bockstein import shadow
 from .errors import InvariantError, ParameterError, ValidationError
 from .intmat import IntMatrix
@@ -199,7 +199,7 @@ def realization_crosscheck(model):
         notes[STATION_LATTICE] = "no finite discriminant"
         notes[STATION_PAIR] = "free pair data"
     else:
-        coker, _ = group_from_cokernel(lat.gram)
+        coker = cokernel_group(lat.gram)
         stations[STATION_LATTICE] = coker.torsion()
     stations[STATION_LINK] = link_profile(model.link_model()).torsion(2)
     if lat is not None:

@@ -1,10 +1,31 @@
 """Command-line behaviour: outputs, formats, exit codes."""
 
 import json
+import random
+import sys
 
 import pytest
 
+from torsiontraj import serialize
 from torsiontraj.cli import run
+from torsiontraj.intmat import IntMatrix
+from torsiontraj.lattice import IntersectionLattice, discriminant_package
+
+
+@pytest.fixture(autouse=True)
+def default_digit_limit():
+    """Run each test with the interpreter's default int/str digit limit in
+    force, and put back the limit set before: ``run`` lifts it for the
+    whole process."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def invoke(capsys, *argv):
@@ -240,3 +261,34 @@ def test_transport_rejects_bad_packages(tmp_path, capsys, name):
     assert code == 2
     assert out == ""
     assert "usage error" in err
+
+
+def lattice_json(tmp_path, capsys, text):
+    path = tmp_path / "gram.json"
+    path.write_text(text)
+    code, out, err = invoke(capsys, "lattice", "--gram", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    return serialize.package_from_json(json.loads(out))
+
+
+def test_lattice_prints_exact_results_of_any_size(tmp_path, capsys):
+    # The duals of this gram have numerators of about 16k bits, past the
+    # 4300-digit limit of str(int); printing them ended in a traceback.
+    rng = random.Random(70)
+    gram = [[0] * 8 for _ in range(8)]
+    for i in range(8):
+        for j in range(i, 8):
+            gram[i][j] = gram[j][i] = rng.randint(-2**70, 2**70)
+    parsed = lattice_json(tmp_path, capsys, json.dumps({"gram": gram}))
+    pkg = discriminant_package(IntersectionLattice(IntMatrix(gram)))
+    assert parsed.generators == pkg.generators
+    assert max(x.numerator.bit_length() for row in pkg.generators.to_lists() for x in row) > 15000
+
+
+def test_lattice_reads_entries_of_any_size(tmp_path, capsys):
+    # A 5000-digit entry ended in a traceback from json.load.
+    digits = "7" * 5000
+    parsed = lattice_json(tmp_path, capsys, '{"gram": [[-' + digits + ']]}')
+    pkg = discriminant_package(IntersectionLattice(IntMatrix([[-int(digits)]])))
+    assert parsed.generators == pkg.generators
+    assert parsed.group.invariant_factors == (int(digits),)

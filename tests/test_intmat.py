@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torsiontraj.abgroup import group_from_cokernel
+from torsiontraj import abgroup, intmat
+from torsiontraj.abgroup import FGAbGroup, FinAbHom, group_from_cokernel, hom_analyze
 from torsiontraj.errors import (
     DimensionError,
     InvariantError,
@@ -18,13 +19,16 @@ from torsiontraj.errors import (
 from torsiontraj.intmat import (
     IntMatrix,
     RatMatrix,
+    SnfDecomposition,
     char_poly,
     det,
     kernel_basis,
     rat_inverse,
     snf,
 )
-from torsiontraj.lattice import cartan_matrix
+from torsiontraj.lattice import cartan_matrix, discriminant_package
+from torsiontraj.links import PlumbingBoundary, Seifert, link_profile
+from torsiontraj.monodromy import coxeter_element, variation_cokernel
 
 BRIESKORN_STAR = IntMatrix([[-1, 1, 1, 1], [1, -2, 0, 0], [1, 0, -3, 0], [1, 0, 0, -11]])
 NEG_D4 = IntMatrix([[-2, 1, 1, 1], [1, -2, 0, 0], [1, 0, -2, 0], [1, 0, 0, -2]])
@@ -612,3 +616,88 @@ def test_cokernel_order_is_abs_det(m):
     else:
         assert group.is_finite() and group.torsion_order() == abs(d)
 
+
+def bareiss_v_inverse(v):
+    """V^-1 of a unimodular V from one Bareiss pass on [V | I]: the
+    elimination ``kernel_basis`` ran before V^-1 was replayed from the log."""
+    n = v.rows
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(v.to_lists())]
+    intmat._bareiss(a, n)
+    p = a[0][0]
+    return IntMatrix([[p * x for x in row[n:]] for row in a])
+
+
+@settings(deadline=None)
+@given(snf_inputs(), st.permutations(["u", "v", "v_inv"]))
+def test_replayed_transforms_match_eager_reference(m, order):
+    # U, V and V^-1 are replayed from the log in any order of reading;
+    # each equals the transform the eager reference carried along.
+    decomp = snf(m)
+    u, d, v = reference_snf(m)
+    assert decomp.d == d
+    read = {
+        "u": lambda: decomp.u,
+        "v": lambda: decomp.v,
+        "v_inv": lambda: IntMatrix.from_columns(decomp._v_inverse_columns()),
+    }
+    built = {name: read[name]() for name in order}
+    assert (built["u"], built["v"]) == (u, v)
+    assert built["v_inv"] @ v == IntMatrix.identity(m.cols)
+    assert built["v_inv"] == bareiss_v_inverse(v)
+    assert decomp.u is built["u"] and decomp.v is built["v"]
+
+
+def test_explicit_decomposition_keeps_its_matrices():
+    u, d, v = IntMatrix([[0, 1], [1, 0]]), IntMatrix([[1, 0], [0, 2]]), IntMatrix.identity(2)
+    decomp = SnfDecomposition(u, d, v)
+    assert (decomp.u, decomp.d, decomp.v) == (u, d, v)
+    assert decomp.reconstruct() == IntMatrix([[0, 2], [1, 0]])
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """Every decomposition ``snf`` returns, under either module's name."""
+    decomps = []
+    real_snf = intmat.snf
+
+    def recording_snf(matrix):
+        decomps.append(real_snf(matrix))
+        return decomps[-1]
+
+    monkeypatch.setattr(intmat, "snf", recording_snf)
+    monkeypatch.setattr(abgroup, "snf", recording_snf)
+    return decomps
+
+
+def transforms_built(decomps):
+    """For each decomposition, the transforms replayed from its log."""
+    return [{name for name in ("u", "v", "v_inv") if getattr(d, "_" + name) is not None}
+            for d in decomps]
+
+
+def test_diagonal_only_stations_build_no_transform(recorded):
+    lat = cartan_matrix("D", 4)
+    package = discriminant_package(lat)
+    stations = [
+        lambda: variation_cokernel(coxeter_element("A", 6)),
+        lambda: link_profile(PlumbingBoundary(lat)),
+        lambda: link_profile(Seifert(-1, ((2, 1), (3, 1), (11, 1)))),
+        package.is_nondegenerate,
+    ]
+    for station in stations:
+        recorded.clear()
+        station()
+        assert transforms_built(recorded) == [set()]
+
+
+def test_hom_analyze_builds_only_the_kernel_basis_inverse(recorded):
+    # cokernel, solution kernel, preimage basis, cokernel of the dual map
+    g = FGAbGroup.from_orders([2, 4])
+    hom_analyze(FinAbHom(g, FGAbGroup.cyclic(4), IntMatrix([[2, 1]])))
+    assert transforms_built(recorded) == [set(), {"v_inv"}, set(), set()]
+
+
+def test_generators_build_u_and_kernels_build_v_inverse(recorded):
+    group_from_cokernel(NEG_D4)
+    kernel_basis(IntMatrix([[1, 2, 3], [2, 4, 6]]))
+    assert transforms_built(recorded) == [{"u"}, {"v_inv"}]

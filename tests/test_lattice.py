@@ -120,6 +120,14 @@ def test_non_integer_parameters_rejected(call):
         call()
 
 
+@pytest.mark.parametrize("parameter", [8, 8.0, True], ids=["int", "float", "bool"])
+def test_e8_refuses_every_parameter(parameter):
+    # 8 and 8.0 were accepted, as E8 has rank 8; every other
+    # parameterless family refuses any parameter.
+    with pytest.raises(ParameterError, match="E8 takes no parameter"):
+        cartan_matrix("E8", parameter)
+
+
 def test_hj_expansion_examples():
     assert hj_expansion(4, 1) == [4]
     assert hj_expansion(2, 1) == [2]

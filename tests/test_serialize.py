@@ -3,9 +3,13 @@
 import json
 from fractions import Fraction
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from torsiontraj import serialize
 from torsiontraj.abgroup import FGAbGroup
-from torsiontraj.lattice import cartan_matrix, discriminant_package
+from torsiontraj.intmat import IntMatrix, det
+from torsiontraj.lattice import IntersectionLattice, cartan_matrix, discriminant_package
 from torsiontraj.links import lens_profile
 from torsiontraj.products import builtin_profile, product_cohomology
 from torsiontraj.trajectory import SingularityModel, trajectory_row, trajectory_table
@@ -92,3 +96,42 @@ def test_row_cells_values():
     coble = serialize.row_cells(trajectory_row(SingularityModel.cyclic_quotient(4)))
     assert coble[2] == "3/4 (= -1/4)"
     assert "monodromy n/a" in coble[3]
+
+
+ORDERS = st.integers(1, 12) | st.integers(2**64, 2**80)
+
+
+@st.composite
+def groups(draw):
+    return FGAbGroup.from_orders(draw(st.lists(ORDERS, max_size=5)), draw(st.integers(0, 3)))
+
+
+@st.composite
+def packages(draw):
+    """Discriminant packages of nonsingular symmetric grams, some with
+    entries beyond 2^64; the trivial package when the gram is unimodular."""
+    n = draw(st.integers(1, 5))
+    entries = st.integers(-6, 6) | st.integers(-(2**70), 2**70)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            rows[i][j] = rows[j][i] = draw(entries)
+    gram = IntMatrix(rows)
+    assume(det(gram) != 0)
+    return discriminant_package(IntersectionLattice(gram))
+
+
+def assert_text_round_trip(to_json, from_json, value):
+    text = serialize.to_json_text(to_json(value))
+    assert serialize.to_json_text(to_json(from_json(json.loads(text)))) == text
+
+
+@given(groups())
+def test_group_json_round_trip_is_byte_identical(group):
+    assert_text_round_trip(serialize.group_to_json, serialize.group_from_json, group)
+
+
+@settings(deadline=None)
+@given(packages())
+def test_package_json_round_trip_is_byte_identical(pkg):
+    assert_text_round_trip(serialize.package_to_json, serialize.package_from_json, pkg)
