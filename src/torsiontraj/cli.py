@@ -7,6 +7,9 @@ for kernels of relation maps, and ``table`` for the full trajectory
 table.  Output is Markdown by default; ``--format json`` and
 ``--format csv`` are available everywhere, ``--out`` writes to a file.
 
+Each command builds its JSON value and its table rows once, and one
+render path, ``_render``, turns them into the chosen format.
+
 Exit codes: 0 on success, 1 on computation refusals (gate failures,
 capability limits), 2 on usage errors.
 """
@@ -23,7 +26,6 @@ from .errors import (
     TorsionTrajError,
     ValidationError,
 )
-from .intmat import det
 from .lattice import discriminant_package
 from .links import LensSpace, PlumbingBoundary, Seifert, link_profile
 from .products import GateRefusal, brauer_comparison, builtin_profile, product_cohomology, product_profile
@@ -53,42 +55,47 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
-def _kv_markdown(pairs):
-    return serialize.markdown_table(("Field", "Value"), pairs)
+def _render(args, data, headers, rows, title=""):
+    """The one output path: ``data`` as JSON, or ``rows`` as CSV or Markdown.
+
+    ``headers`` None marks a key-value listing, headed "Field | Value" in
+    Markdown and "field,value" in CSV.  ``title`` leads the Markdown only.
+    """
+    if args.format == "json":
+        return serialize.to_json_text(data)
+    if args.format == "csv":
+        return serialize.csv_table(headers or ("field", "value"), rows)
+    return title + serialize.markdown_table(headers or ("Field", "Value"), rows)
+
+
+# Positional integer counts each singularity kind accepts (default: none).
+_SINGULARITY_ARITY = {"brieskorn": (0, 3), "quotient": (2,)}
 
 
 def _model_from_args(args):
-    which = args.which
-    if which == "a1":
-        return SingularityModel.ak(1)
+    which, params = args.which, args.params
+    arity = _SINGULARITY_ARITY.get(which, (0,))
+    if len(params) not in arity:
+        raise ParameterError(
+            f"{which} takes {' or '.join(map(str, arity))} integer parameters, "
+            f"got {len(params)}"
+        )
     if which == "ak":
         if args.k is None:
             raise ParameterError("ak requires --k")
         return SingularityModel.ak(args.k)
-    if which == "d4":
-        return SingularityModel.d4()
-    if which == "e8":
-        return SingularityModel.e8()
-    if which == "brieskorn":
-        a, b, c = (args.params + [2, 3, 11])[:3] if args.params else (2, 3, 11)
-        return SingularityModel.brieskorn(a, b, c)
+    if args.k is not None:
+        raise ParameterError(f"--k applies only to ak, not {which}")
+    if which == "a1":
+        return SingularityModel.ak(1)
     if which == "quotient":
-        if len(args.params) != 2:
-            raise ParameterError("quotient requires N Q (with Q = 1)")
-        return SingularityModel.cyclic_quotient(args.params[0], args.params[1])
-    if which == "odp":
-        return SingularityModel.odp()
-    raise ParameterError(f"unknown singularity {which!r}")
+        return SingularityModel.cyclic_quotient(*params)
+    return getattr(SingularityModel, which)(*params)
 
 
 def cmd_singularity(args):
     row = trajectory_row(_model_from_args(args))
-    if args.format == "json":
-        return serialize.to_json_text(serialize.row_to_json(row))
-    cells = serialize.row_cells(row)
-    if args.format == "csv":
-        return serialize.csv_table(TABLE_HEADERS, [cells])
-    return serialize.markdown_table(TABLE_HEADERS, [cells])
+    return _render(args, serialize.row_to_json(row), TABLE_HEADERS, [serialize.row_cells(row)])
 
 
 def _link_model_from_args(args):
@@ -118,27 +125,20 @@ def _link_model_from_args(args):
 
 def cmd_link(args):
     profile = link_profile(_link_model_from_args(args))
-    if args.format == "json":
-        return serialize.to_json_text(serialize.profile_to_json(profile))
     rows = [(str(k), str(g)) for k, g in sorted(profile.cohomology.items())]
-    if args.format == "csv":
-        return serialize.csv_table(("degree", "group"), rows)
-    return f"Profile: {profile.name}\n\n" + serialize.markdown_table(("degree", "group"), rows)
+    return _render(args, serialize.profile_to_json(profile), ("degree", "group"), rows,
+                   title=f"Profile: {profile.name}\n\n")
 
 
 def cmd_lattice(args):
-    lat = serialize.lattice_from_json(_load_json(args.gram))
-    pkg = discriminant_package(lat)
-    if args.format == "json":
-        return serialize.to_json_text(serialize.package_to_json(pkg))
+    pkg = discriminant_package(serialize.lattice_from_json(_load_json(args.gram)))
+    # discriminant_package refuses a singular gram, and |coker(gram)| = |det(gram)|.
     rows = [
         ("discriminant group", str(pkg.group)),
         ("form", serialize.form_display(pkg.form)),
-        ("|det(gram)|", str(abs(det(lat.gram)))),
+        ("|det(gram)|", str(pkg.group.torsion_order())),
     ]
-    if args.format == "csv":
-        return serialize.csv_table(("field", "value"), rows)
-    return _kv_markdown(rows)
+    return _render(args, serialize.package_to_json(pkg), None, rows)
 
 
 def cmd_product(args):
@@ -147,30 +147,23 @@ def cmd_product(args):
     report = product_cohomology(surface, curve, args.degree)
     full = product_profile(surface, curve)
     brauer = brauer_comparison(full)
-    if isinstance(brauer, GateRefusal) and args.format != "json":
+    refused = isinstance(brauer, GateRefusal)
+    if refused and args.format != "json":
         raise CapabilityError(str(brauer))
-    if args.format == "json":
-        data = serialize.report_to_json(report)
-        data["h02"] = full.h0q(2)
-        data["brauer"] = (
-            serialize.group_to_json(brauer)
-            if not isinstance(brauer, GateRefusal)
-            else {"refused": brauer.failed_hypothesis}
-        )
-        return serialize.to_json_text(data)
+    data = serialize.report_to_json(report)
+    data["h02"] = full.h0q(2)
+    data["brauer"] = (
+        {"refused": brauer.failed_hypothesis} if refused else serialize.group_to_json(brauer)
+    )
     rows = [
         (f"H^{args.degree} total", str(report.total)),
         (f"H^{args.degree} torsion", str(report.total_torsion)),
         ("h^(0,2)", str(full.h0q(2))),
         ("Brauer group", str(brauer)),
     ]
-    for a, b, g in report.summands:
-        rows.append((f"H^{a} (x) H^{b}", str(g)))
-    for a, b, g in report.tor_terms:
-        rows.append((f"Tor(H^{a}, H^{b})", str(g)))
-    if args.format == "csv":
-        return serialize.csv_table(("field", "value"), rows)
-    return _kv_markdown(rows)
+    rows += [(f"H^{a} (x) H^{b}", str(g)) for a, b, g in report.summands]
+    rows += [(f"Tor(H^{a}, H^{b})", str(g)) for a, b, g in report.tor_terms]
+    return _render(args, data, None, rows)
 
 
 def cmd_transport(args):
@@ -182,22 +175,14 @@ def cmd_transport(args):
     source = FGAbGroup.trivial().direct_sum(*packages)
     relation = FinAbHom(source, target, matrix)
     kernel = transport_kernel(TransportProblem(tuple(packages), relation))
-    if args.format == "json":
-        return serialize.to_json_text({"kernel": serialize.group_to_json(kernel)})
-    rows = [("kernel", str(kernel))]
-    if args.format == "csv":
-        return serialize.csv_table(("field", "value"), rows)
-    return _kv_markdown(rows)
+    return _render(args, {"kernel": serialize.group_to_json(kernel)}, None,
+                   [("kernel", str(kernel))])
 
 
 def cmd_table(args):
     rows = trajectory_table()
-    if args.format == "json":
-        return serialize.to_json_text([serialize.row_to_json(r) for r in rows])
-    cells = [serialize.row_cells(r) for r in rows]
-    if args.format == "csv":
-        return serialize.csv_table(TABLE_HEADERS, cells)
-    return serialize.markdown_table(TABLE_HEADERS, cells)
+    return _render(args, [serialize.row_to_json(r) for r in rows], TABLE_HEADERS,
+                   [serialize.row_cells(r) for r in rows])
 
 
 def build_parser():

@@ -257,7 +257,8 @@ def discriminant_package(lat, generators=None):
     nontrivial invariant factors.  ``generators`` may instead supply
     integer coset representatives (an IntMatrix whose columns match the
     nontrivial invariant factors in order); the induced form does not
-    depend on the choice of representative within a coset.
+    depend on the choice of representative within a coset.  The group is
+    then read from D alone, so the Smith form builds no U.
 
     Form entries are g_i^T gram^-1 g_j reduced into [0, 1).  The duals
     gram^-1 g_i also give each supplied class its order (the lcm of their
@@ -272,14 +273,13 @@ def discriminant_package(lat, generators=None):
     """
     gram = lat.gram
     inverse = rat_inverse(gram)
-    group, snf_generators = group_from_cokernel(gram)
-    if group.is_trivial():
-        return trivial_package()
-
     if generators is None:
+        group, snf_generators = group_from_cokernel(gram)
         columns = [col for order, col in snf_generators]
     else:
-        columns = generators.columns()
+        group, columns = cokernel_group(gram), generators.columns()
+    if group.is_trivial():
+        return trivial_package()
 
     # q(g_i, g_j) = g_i^T gram^-1 g_j, evaluated as (gram^-1 g_i) . g_j.
     duals = [inverse.apply(col) for col in columns]

@@ -99,12 +99,6 @@ class Seifert:
 class SphereProduct:
     """S^2 x S^3, the link of the threefold ordinary double point."""
 
-    dims: tuple = (2, 3)
-
-    def __post_init__(self):
-        if tuple(self.dims) != (2, 3):
-            raise ParameterError("only the S^2 x S^3 product is supported")
-
 
 @dataclass(frozen=True)
 class PlumbingBoundary:

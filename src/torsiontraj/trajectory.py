@@ -6,9 +6,16 @@ the degree in which it supports, how it transports, its Brauer/residue
 status, and its rational death.  The built-in models are the ADE
 families, the Brieskorn (2,3,11) singularity, cyclic quotients 1/n(1,1),
 and the threefold ordinary double point.
+
+Each model kind's facts sit in one row of the private table ``_KINDS``:
+its parameter rule, display name, resolution lattice, link, preferred
+generators, monodromy and global-image note.  The model methods and the
+row assembly read that table, so a new model is one table entry plus a
+factory classmethod.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .abgroup import FGAbGroup, FinAbHom, _integer, cokernel_group, hom_analyze, rationalize
 from .bockstein import shadow
@@ -48,6 +55,63 @@ BRAUER_LOCAL_UNDEFINED = "local-undefined"
 BRAUER_GLOBAL_BENCHMARK = "global-benchmark"
 BRAUER_GATE_PASSED = "gate-passed"
 
+# Monodromy station notes of the kinds whose monodromy is no Coxeter element.
+_MONODROMY_NOTES = ("wang-sequence", "free-cokernel", "not-applicable")
+
+
+class _Kind(NamedTuple):
+    """The facts of one built-in model kind.
+
+    ``name``, ``lattice`` and ``link`` are functions of the model's
+    parameter; a refusal calls ``name`` with the parameter's symbol, as
+    in "A_k surface requires k >= 1".  ``generators`` lists the leading
+    entries of each preferred generator column; the rest of a column is
+    zero up to the lattice rank.  ``monodromy`` is a Coxeter family for
+    ``coxeter_element`` or one of the station notes in
+    ``_MONODROMY_NOTES``.
+    """
+
+    parameter: tuple  # (name, least value), or None for a parameterless kind
+    name: object
+    lattice: object  # None: no resolution lattice (the ODP)
+    link: object  # None: the plumbing boundary of the lattice
+    generators: tuple  # None: the Smith form's generators
+    monodromy: str
+    global_image: str
+
+
+# Preferred generators are the customary geometric basis: a dual basis
+# vector for the cyclic families (first node of a chain, the heaviest arm
+# of the Brieskorn star) and, for D_4, the half-difference classes
+# (C1 - C2)/2 and (C1 - C3)/2.  The reported pairing values then take
+# their standard form, e.g. q = -k/(k+1) mod 1 on the A_k generator.
+_KINDS = {
+    "ak": _Kind(
+        ("k", 1), lambda k: f"A_{k} surface", lambda k: cartan_matrix("A", k),
+        lambda k: LensSpace(k + 1, k), ((1,),), "A",
+        "depends on global exceptional-chain relations"),
+    "d4": _Kind(
+        None, lambda _: "D_4 surface", lambda _: cartan_matrix("D", 4),
+        None, ((0, -1, 1, 0), (0, -1, 0, 1)), "D4",
+        "depends on global relations and form data"),
+    "e8": _Kind(
+        None, lambda _: "E_8 surface", lambda _: cartan_matrix("E8"),
+        None, None, "E8", "no birth: lattice unimodular"),
+    "brieskorn": _Kind(
+        None, lambda _: "x^2+y^3+z^11 (Brieskorn)", lambda _: star_matrix(1, [2, 3, 11]),
+        lambda _: Seifert(*BRIESKORN_SEIFERT), ((0, 0, 0, 1),), "wang-sequence",
+        "depends on global plumbing/support relations"),
+    "quotient": _Kind(
+        ("n", 2),
+        lambda n: "Coble boundary 1/4(1,1)" if n == 4 else f"cyclic quotient 1/{n}(1,1)",
+        lambda n: chain_matrix(hj_expansion(n, 1)),
+        lambda n: LensSpace(n, 1), ((1,),), "not-applicable",
+        "depends on global exceptional-chain relations"),
+    "odp": _Kind(
+        None, lambda _: "threefold ODP", None, lambda _: SphereProduct(), None,
+        "free-cokernel", "no finite torsion image; free relations may create defect"),
+}
+
 
 @dataclass(frozen=True)
 class SingularityModel:
@@ -57,16 +121,16 @@ class SingularityModel:
     parameter: int = None
 
     def __post_init__(self):
-        if self.kind == "ak":
-            if self.parameter is None or _integer(self.parameter, "k", ParameterError) < 1:
-                raise ParameterError("A_k requires k >= 1")
-        elif self.kind == "quotient":
-            if self.parameter is None or _integer(self.parameter, "n", ParameterError) < 2:
-                raise ParameterError("cyclic quotient 1/n(1,1) requires n >= 2")
-        elif self.kind not in ("d4", "e8", "brieskorn", "odp"):
+        spec = _KINDS.get(self.kind) if isinstance(self.kind, str) else None
+        if spec is None:
             raise ParameterError(f"unknown singularity model {self.kind!r}")
-        elif self.parameter is not None:
-            raise ParameterError(f"the {self.kind} model takes no parameter")
+        if spec.parameter is None:
+            if self.parameter is not None:
+                raise ParameterError(f"the {self.kind} model takes no parameter")
+            return
+        name, least = spec.parameter
+        if self.parameter is None or _integer(self.parameter, name, ParameterError) < least:
+            raise ParameterError(f"{spec.name(name)} requires {name} >= {least}")
 
     @classmethod
     def ak(cls, k):
@@ -99,61 +163,18 @@ class SingularityModel:
         return cls("odp")
 
     def display_name(self):
-        if self.kind == "ak":
-            return "A_1 surface" if self.parameter == 1 else f"A_{self.parameter} surface"
-        return {
-            "d4": "D_4 surface",
-            "e8": "E_8 surface",
-            "brieskorn": "x^2+y^3+z^11 (Brieskorn)",
-            "odp": "threefold ODP",
-        }.get(self.kind) or (
-            "Coble boundary 1/4(1,1)" if self.parameter == 4
-            else f"cyclic quotient 1/{self.parameter}(1,1)"
-        )
+        return _KINDS[self.kind].name(self.parameter)
 
     def resolution_lattice(self):
         """Exceptional intersection lattice, or None for the ODP."""
-        if self.kind == "ak":
-            return cartan_matrix("A", self.parameter)
-        if self.kind == "d4":
-            return cartan_matrix("D", 4)
-        if self.kind == "e8":
-            return cartan_matrix("E8")
-        if self.kind == "brieskorn":
-            return star_matrix(1, [2, 3, 11])
-        if self.kind == "quotient":
-            return chain_matrix(hj_expansion(self.parameter, 1))
-        return None
+        lattice = _KINDS[self.kind].lattice
+        return None if lattice is None else lattice(self.parameter)
 
     def link_model(self):
-        if self.kind == "ak":
-            return LensSpace(self.parameter + 1, self.parameter)
-        if self.kind == "quotient":
-            return LensSpace(self.parameter, 1)
-        if self.kind == "brieskorn":
-            return Seifert(BRIESKORN_SEIFERT[0], BRIESKORN_SEIFERT[1])
-        if self.kind == "odp":
-            return SphereProduct()
-        return PlumbingBoundary(self.resolution_lattice())
-
-
-def _preferred_generators(model, rank):
-    """Generator coset representatives in the customary geometric basis.
-
-    Cyclic families use a dual basis vector (first node for chains,
-    the heaviest arm for the Brieskorn star); D_4 uses the half-difference
-    classes (C1 - C2)/2 and (C1 - C3)/2, whose integer representatives
-    in coker(gram) are (0, -1, 1, 0) and (0, -1, 0, 1).  These choices
-    make the reported pairing values take their standard form, e.g.
-    q = -k/(k+1) mod 1 on the A_k generator.
-    """
-    if model.kind in ("ak", "quotient"):
-        return IntMatrix.from_columns([tuple(int(i == 0) for i in range(rank))])
-    if model.kind == "d4":
-        return IntMatrix.from_columns([(0, -1, 1, 0), (0, -1, 0, 1)])
-    if model.kind == "brieskorn":
-        return IntMatrix.from_columns([(0, 0, 0, 1)])
-    return None
+        link = _KINDS[self.kind].link
+        if link is None:
+            return PlumbingBoundary(self.resolution_lattice())
+        return link(self.parameter)
 
 
 def local_package(model):
@@ -162,14 +183,14 @@ def local_package(model):
     >>> print(local_package(SingularityModel.cyclic_quotient(4)).form)
     [[3/4]]
     """
-    if model.kind == "odp":
-        return None
     lat = model.resolution_lattice()
-    return discriminant_package(lat, _preferred_generators(model, lat.rank))
-
-
-# Model kinds whose Milnor monodromy is a Coxeter element, by root system.
-_COXETER_FAMILIES = {"ak": "A", "d4": "D4", "e8": "E8"}
+    if lat is None:
+        return None
+    generators = _KINDS[model.kind].generators
+    if generators is not None:
+        generators = IntMatrix.from_columns(
+            [col + (0,) * (lat.rank - len(col)) for col in generators])
+    return discriminant_package(lat, generators)
 
 
 @dataclass(frozen=True)
@@ -205,18 +226,16 @@ def realization_crosscheck(model):
     if lat is not None:
         stations[STATION_PAIR] = link_profile(PlumbingBoundary(lat)).torsion(2)
 
-    family = _COXETER_FAMILIES.get(model.kind)
-    if family is not None:
-        t = coxeter_element(family, model.parameter)
+    monodromy = _KINDS[model.kind].monodromy
+    if monodromy not in _MONODROMY_NOTES:
+        t = coxeter_element(monodromy, model.parameter)
         stations[STATION_MONODROMY] = variation_cokernel(t).torsion()
-    elif model.kind == "odp":
-        stations[STATION_MONODROMY] = odp_package()[0].torsion()
-        notes[STATION_MONODROMY] = "free-cokernel"
-    elif model.kind == "brieskorn":
-        stations[STATION_MONODROMY] = stations[STATION_LINK]
-        notes[STATION_MONODROMY] = "wang-sequence"
     else:
-        notes[STATION_MONODROMY] = "not-applicable"
+        notes[STATION_MONODROMY] = monodromy
+        if monodromy == "free-cokernel":
+            stations[STATION_MONODROMY] = odp_package()[0].torsion()
+        elif monodromy == "wang-sequence":
+            stations[STATION_MONODROMY] = stations[STATION_LINK]
 
     groups = list(stations.values())
     agree = all(g == groups[0] for g in groups)
@@ -239,16 +258,6 @@ class TrajectoryRow:
 
     def group(self):
         return self.package.group if self.package is not None else None
-
-
-_GLOBAL_IMAGE_NOTES = {
-    "ak": "depends on global exceptional-chain relations",
-    "d4": "depends on global relations and form data",
-    "e8": "no birth: lattice unimodular",
-    "brieskorn": "depends on global plumbing/support relations",
-    "quotient": "depends on global exceptional-chain relations",
-    "odp": "no finite torsion image; free relations may create defect",
-}
 
 
 def trajectory_row(model):
@@ -277,7 +286,7 @@ def trajectory_row(model):
     elif model.kind == "ak" and model.parameter == 1:
         global_image = "depends on global exceptional-curve relations"
     else:
-        global_image = _GLOBAL_IMAGE_NOTES[model.kind]
+        global_image = _KINDS[model.kind].global_image
 
     death = rationalize(group)
     if death != 0:

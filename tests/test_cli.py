@@ -170,12 +170,21 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = invoke(capsys, "singularity", "ak")
     assert code == 2
+    assert "ak requires --k" in err
     code, _, _ = invoke(capsys, "nonsense")
     assert code == 2
     code, _, _ = invoke(capsys, "singularity", "quotient", "4", "3")
     assert code == 2
     code, _, _ = invoke(capsys, "lattice", "--gram", "/does/not/exist.json")
     assert code == 2
+    # Parameters a kind does not take were dropped with exit 0, and a short
+    # Brieskorn triple was padded with default exponents.
+    for extra in [("a1", "7"), ("d4", "3", "3"), ("odp", "5"), ("e8", "1"),
+                  ("d4", "--k", "5"), ("ak", "3", "--k", "3"),
+                  ("brieskorn", "2", "3"), ("quotient", "4")]:
+        code, out, err = invoke(capsys, "singularity", *extra)
+        assert (code, out) == (2, ""), extra
+        assert "usage error" in err
 
 
 def test_out_flag(tmp_path, capsys):

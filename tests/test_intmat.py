@@ -701,3 +701,13 @@ def test_generators_build_u_and_kernels_build_v_inverse(recorded):
     group_from_cokernel(NEG_D4)
     kernel_basis(IntMatrix([[1, 2, 3], [2, 4, 6]]))
     assert transforms_built(recorded) == [{"u"}, {"v_inv"}]
+
+
+def test_supplied_generators_build_no_u(recorded):
+    # Only the default generators are read from U; supplied ones need the
+    # group alone (and the span check's group).
+    generators = IntMatrix.from_columns([(0, -1, 1, 0), (0, -1, 0, 1)])
+    package = discriminant_package(cartan_matrix("D", 4), generators=generators)
+    assert package.group == FGAbGroup.from_orders([2, 2])
+    assert recorded
+    assert all("u" not in built for built in transforms_built(recorded))

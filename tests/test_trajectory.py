@@ -6,7 +6,7 @@ import pytest
 
 from torsiontraj.abgroup import FGAbGroup, FinAbHom
 from torsiontraj.bockstein import bo_direction_span, bockstein_image, shadow
-from torsiontraj import trajectory
+from torsiontraj import serialize, trajectory
 from torsiontraj.errors import InvariantError, ParameterError, ValidationError
 from torsiontraj.intmat import IntMatrix
 from torsiontraj.links import lens_profile
@@ -36,6 +36,8 @@ def test_model_validation():
         SingularityModel.brieskorn(2, 3, 7)
     with pytest.raises(ParameterError):
         SingularityModel("nope")
+    with pytest.raises(ParameterError):
+        SingularityModel(["ak"])
 
 
 @pytest.mark.parametrize(
@@ -116,6 +118,25 @@ def test_crosscheck_all_surface_models_agree():
         groups = list(checks.stations.values())
         assert all(g == groups[0] for g in groups)
         assert checks.agree
+
+
+@pytest.mark.parametrize("kind", sorted(trajectory._KINDS))
+def test_every_built_in_kind_assembles(kind):
+    # A kind with a parameter is sampled a little above its least value.
+    rule = trajectory._KINDS[kind].parameter
+    model = SingularityModel(kind, None if rule is None else rule[1] + 3)
+    row = trajectory_row(model)
+    checks = realization_crosscheck(model)
+    assert row.realizations == checks
+    assert serialize.row_to_json(row)["example"] == serialize.row_cells(row)[0] == model.display_name()
+    assert "monodromy" in checks.stations or "monodromy" in checks.notes
+    groups = list(checks.stations.values())
+    assert checks.agree and all(g == groups[0] for g in groups)
+    package = local_package(model)
+    if package is None:
+        assert model.resolution_lattice() is None and groups[0].is_trivial()
+    else:
+        assert package.group == checks.stations["lattice"] == groups[0]
 
 
 def test_order_equals_det_for_surface_models():
