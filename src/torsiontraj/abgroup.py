@@ -17,10 +17,10 @@ only its diagonal (``cokernel_group``).  The kernel is the cokernel of
 the dual map on character groups.
 """
 
-from dataclasses import dataclass
 from math import gcd, lcm, prod
 from operator import index
 
+from ._record import Record
 from .errors import DimensionError, InvariantError, ValidationError
 from .intmat import IntMatrix, kernel_basis, snf
 
@@ -76,8 +76,7 @@ def _invariant_factors(orders):
     return tuple(d for d in factors if d != 1)
 
 
-@dataclass(frozen=True)
-class FGAbGroup:
+class FGAbGroup(Record):
     """A finitely generated abelian group Z^r + Z/d_1 + ... + Z/d_k.
 
     >>> FGAbGroup.from_orders([2, 3]) == FGAbGroup.from_orders([6])
@@ -89,19 +88,22 @@ class FGAbGroup:
     free_rank: int = 0
     invariant_factors: tuple = ()
 
-    def __post_init__(self):
-        rank = _integer(self.free_rank, "free rank")
+    # Most records built are groups, so this initializer checks and
+    # normalizes its arguments itself instead of the generic one.
+    def __init__(self, free_rank=0, invariant_factors=()):
+        rank = _integer(free_rank, "free rank")
         if rank < 0:
             raise ValidationError("free rank must be nonnegative")
-        factors = tuple(_integer(d, "invariant factor") for d in self.invariant_factors)
-        object.__setattr__(self, "free_rank", rank)
-        object.__setattr__(self, "invariant_factors", factors)
+        factors = tuple(_integer(d, "invariant factor") for d in invariant_factors)
         for d in factors:
             if d < 2:
                 raise ValidationError("invariant factors must be >= 2")
         for a, b in zip(factors, factors[1:]):
             if b % a:
                 raise ValidationError(f"invariant factors must form a divisibility chain, got {factors}")
+        fields = self.__dict__
+        fields["free_rank"] = rank
+        fields["invariant_factors"] = factors
 
     @classmethod
     def from_orders(cls, orders, free_rank=0):
@@ -277,8 +279,7 @@ def rationalize(group):
     return group.free_rank
 
 
-@dataclass(frozen=True)
-class FinAbHom:
+class FinAbHom(Record):
     """A homomorphism between finite abelian groups.
 
     ``matrix`` holds generator images: column i lists the coordinates of
@@ -322,8 +323,7 @@ class FinAbHom:
         )
 
 
-@dataclass(frozen=True)
-class HomAnalysis:
+class HomAnalysis(Record):
     kernel: FGAbGroup
     image: FGAbGroup
     cokernel: FGAbGroup

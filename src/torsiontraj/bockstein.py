@@ -6,10 +6,10 @@ it selects the subgroup nE with the restricted pairing, the "shadow"
 that a mod-n cover class can see.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._record import Record
 from .abgroup import FGAbGroup, n_torsion, scale_subgroup, tensor
 from .errors import ParameterError, ValidationError
 from .intmat import RatMatrix
@@ -35,8 +35,7 @@ def bockstein_image(h_r, h_r1, n):
     return image, kernel_size
 
 
-@dataclass(frozen=True)
-class ShadowPackage:
+class ShadowPackage(Record):
     """The subgroup nE with restricted form, the quotient E/nE, and the
     short exact sequence 0 -> nE -> E -> E/nE -> 0."""
 

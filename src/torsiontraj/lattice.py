@@ -11,10 +11,10 @@ display.
 """
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 
+from ._record import Record
 from .abgroup import FGAbGroup, _integer, cokernel_group, element_order, group_from_cokernel
 from .errors import (
     CapabilityError,
@@ -27,8 +27,7 @@ from .intmat import IntMatrix, RatMatrix, char_poly, rat_inverse
 FORMS_ISOMORPHIC_BOUND = 64
 
 
-@dataclass(frozen=True)
-class IntersectionLattice:
+class IntersectionLattice(Record):
     """A symmetric integer Gram matrix in the geometric (negative definite)
     convention, with optional curve labels."""
 
@@ -166,8 +165,7 @@ def geometric_rep(value):
     return value - 1 if value > 0 else value
 
 
-@dataclass(frozen=True)
-class DiscriminantPackage:
+class DiscriminantPackage(Record):
     """A finite group with generator representatives and its Q/Z pairing.
 
     ``form`` is the symmetric Gram matrix of the pairing on the chosen

@@ -11,19 +11,18 @@ degree loop serves Z and Z/n coefficients alike, and every 3-manifold
 link enters it through the homology of a closed 3-manifold with its H_1.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import index
 
+from ._record import Record
 from .abgroup import FGAbGroup, cokernel_group, ext1_to_Z, tensor, tor
 from .errors import CapabilityError, InvariantError, ParameterError
 from .intmat import IntMatrix
 from .lattice import IntersectionLattice
 
 
-@dataclass(frozen=True)
-class SpaceProfile:
+class SpaceProfile(Record):
     """Per-degree integral cohomology, plus an optional h^{0,q} column."""
 
     name: str
@@ -60,8 +59,7 @@ class SpaceProfile:
 
 # -- link models ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LensSpace:
+class LensSpace(Record):
     p: int
     q: int
 
@@ -70,8 +68,7 @@ class LensSpace:
             raise ParameterError("lens space needs p >= 2 and gcd(p, q) = 1")
 
 
-@dataclass(frozen=True)
-class Seifert:
+class Seifert(Record):
     """Seifert data (b; (alpha_1, beta_1), ..., (alpha_n, beta_n)) over S^2."""
 
     b: int
@@ -95,13 +92,11 @@ class Seifert:
         object.__setattr__(self, "arms", arms)
 
 
-@dataclass(frozen=True)
-class SphereProduct:
+class SphereProduct(Record):
     """S^2 x S^3, the link of the threefold ordinary double point."""
 
 
-@dataclass(frozen=True)
-class PlumbingBoundary:
+class PlumbingBoundary(Record):
     lattice: IntersectionLattice
 
 

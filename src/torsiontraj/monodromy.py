@@ -8,8 +8,7 @@ the local discriminant group; the ordinary double point in dimension
 three instead has T = id with free cokernel.
 """
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .abgroup import FGAbGroup, _integer, cokernel_group
 from .errors import InvariantError, ParameterError
 from .intmat import IntMatrix
@@ -69,8 +68,7 @@ def coxeter_element(family, parameter=None, node_order=None):
     return result
 
 
-@dataclass(frozen=True)
-class VariationResult:
+class VariationResult(Record):
     """The variation map T - id with its cokernel data.
 
     ``det_abs`` is |det(T - id)| when the map is rationally invertible

@@ -6,8 +6,7 @@ multiplies the same way, and feeds the gate for the Brauer comparison:
 when h^{0,2} vanishes, the Brauer group is the torsion of H^3.
 """
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .abgroup import FGAbGroup, tensor, tor
 from .errors import ParameterError
 from .links import SpaceProfile, SphereProduct, lens_profile, link_profile
@@ -47,8 +46,7 @@ def builtin_profile(name, genus=None, p=None, q=None):
     raise ParameterError(f"unknown builtin profile {name!r}")
 
 
-@dataclass(frozen=True)
-class ProductReport:
+class ProductReport(Record):
     """Kunneth data of H^k(X x Y): tensor summands, Tor corrections, and
     their direct sum with its torsion part."""
 
@@ -108,8 +106,7 @@ def product_profile(x, y):
     return SpaceProfile(f"{x.name} x {y.name}", groups, hodge)
 
 
-@dataclass(frozen=True)
-class GateRefusal:
+class GateRefusal(Record):
     """Refusal value of a gated comparison, naming the failed hypothesis."""
 
     failed_hypothesis: str

@@ -14,9 +14,7 @@ row assembly read that table, so a new model is one table entry plus a
 factory classmethod.
 """
 
-from dataclasses import dataclass
-from typing import NamedTuple
-
+from ._record import Record
 from .abgroup import FGAbGroup, FinAbHom, _integer, cokernel_group, hom_analyze, rationalize
 from .bockstein import shadow
 from .errors import InvariantError, ParameterError, ValidationError
@@ -59,7 +57,7 @@ BRAUER_GATE_PASSED = "gate-passed"
 _MONODROMY_NOTES = ("wang-sequence", "free-cokernel", "not-applicable")
 
 
-class _Kind(NamedTuple):
+class _Kind(Record):
     """The facts of one built-in model kind.
 
     ``name``, ``lattice`` and ``link`` are functions of the model's
@@ -113,8 +111,7 @@ _KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class SingularityModel:
+class SingularityModel(Record):
     """One of the built-in local models; use the factory classmethods."""
 
     kind: str
@@ -193,8 +190,7 @@ def local_package(model):
     return discriminant_package(lat, generators)
 
 
-@dataclass(frozen=True)
-class Crosscheck:
+class Crosscheck(Record):
     """Station groups, per-station notes, and the agreement flag."""
 
     stations: dict
@@ -242,8 +238,7 @@ def realization_crosscheck(model):
     return Crosscheck(stations, notes, agree)
 
 
-@dataclass(frozen=True)
-class TrajectoryRow:
+class TrajectoryRow(Record):
     """One example's assembled trajectory data."""
 
     example: str
@@ -304,8 +299,7 @@ def trajectory_row(model):
     )
 
 
-@dataclass(frozen=True)
-class TransportProblem:
+class TransportProblem(Record):
     """Local torsion packages plus the forget-support composite acting on
     their direct sum."""
 
@@ -372,8 +366,7 @@ TABLE_MODELS = (
 )
 
 
-@dataclass(frozen=True)
-class MarkerRow:
+class MarkerRow(Record):
     """A table row carried as literal status text (no local computation)."""
 
     example: str
