@@ -31,6 +31,7 @@ from .links import LensSpace, PlumbingBoundary, Seifert, link_profile
 from .products import GateRefusal, brauer_comparison, builtin_profile, product_cohomology, product_profile
 from .serialize import TABLE_HEADERS
 from .trajectory import (
+    _KINDS,
     SingularityModel,
     TransportProblem,
     trajectory_row,
@@ -68,29 +69,19 @@ def _render(args, data, headers, rows, title=""):
     return title + serialize.markdown_table(headers or ("Field", "Value"), rows)
 
 
-# Positional integer counts each singularity kind accepts (default: none).
-_SINGULARITY_ARITY = {"brieskorn": (0, 3), "quotient": (2,)}
-
-
 def _model_from_args(args):
-    which, params = args.which, args.params
-    arity = _SINGULARITY_ARITY.get(which, (0,))
-    if len(params) not in arity:
-        raise ParameterError(
-            f"{which} takes {' or '.join(map(str, arity))} integer parameters, "
-            f"got {len(params)}"
-        )
+    which, params = args.which, tuple(args.params)
     if which == "ak":
         if args.k is None:
             raise ParameterError("ak requires --k")
-        return SingularityModel.ak(args.k)
-    if args.k is not None:
+        params = (args.k, *params)
+    elif args.k is not None:
         raise ParameterError(f"--k applies only to ak, not {which}")
     if which == "a1":
-        return SingularityModel.ak(1)
-    if which == "quotient":
-        return SingularityModel.cyclic_quotient(*params)
-    return getattr(SingularityModel, which)(*params)
+        which, params = "ak", (1, *params)
+    if which == "brieskorn":
+        return SingularityModel.brieskorn(*params)
+    return SingularityModel(which, params)
 
 
 def cmd_singularity(args):
@@ -199,7 +190,7 @@ def build_parser():
         return sub.add_parser(name, parents=[common], **kwargs)
 
     sing = add_parser("singularity", help="trajectory row of a local model")
-    sing.add_argument("which", choices=("a1", "ak", "d4", "e8", "brieskorn", "quotient", "odp"))
+    sing.add_argument("which", choices=("a1", *_KINDS))
     sing.add_argument("params", nargs="*", type=int)
     sing.add_argument("--k", type=int, help="index k for the A_k family")
     sing.set_defaults(func=cmd_singularity)

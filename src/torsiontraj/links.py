@@ -16,7 +16,7 @@ from math import gcd
 from operator import index
 
 from ._record import Record
-from .abgroup import FGAbGroup, cokernel_group, ext1_to_Z, tensor, tor
+from .abgroup import FGAbGroup, _integer, cokernel_group, ext1_to_Z, tensor, tor
 from .errors import CapabilityError, InvariantError, ParameterError
 from .intmat import IntMatrix
 from .lattice import IntersectionLattice
@@ -30,11 +30,11 @@ class SpaceProfile(Record):
     hodge_h0q: dict = None
 
     def __post_init__(self):
-        clean = {int(k): g for k, g in self.cohomology.items() if not g.is_trivial()}
+        clean = {_integer(k, "degree"): g for k, g in self.cohomology.items() if not g.is_trivial()}
         object.__setattr__(self, "cohomology", clean)
         if self.hodge_h0q is not None:
-            hodge = {int(k): int(v) for k, v in self.hodge_h0q.items() if v}
-            object.__setattr__(self, "hodge_h0q", hodge)
+            hodge = {_integer(k, "degree"): _integer(v, "Hodge number") for k, v in self.hodge_h0q.items()}
+            object.__setattr__(self, "hodge_h0q", {k: v for k, v in hodge.items() if v})
 
     def group(self, degree):
         return self.cohomology.get(degree, FGAbGroup.trivial())

@@ -151,12 +151,18 @@ def profile_to_json(profile):
     return data
 
 
+def _json_degree(key):
+    # A degree key is a decimal integer string; int() would also take " 2" or "٢".
+    return _json_int(int(key) if key.isascii() and key.isdigit() else key, "degree")
+
+
 def profile_from_json(data):
     hodge = data.get("hodge_h0q")
     return SpaceProfile(
         data["name"],
-        {int(k): group_from_json(g) for k, g in data["cohomology"].items()},
-        {int(k): int(v) for k, v in hodge.items()} if hodge is not None else None,
+        {_json_degree(k): group_from_json(g) for k, g in data["cohomology"].items()},
+        {_json_degree(k): _json_int(v, "Hodge number") for k, v in hodge.items()}
+        if hodge is not None else None,
     )
 
 

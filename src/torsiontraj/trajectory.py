@@ -4,14 +4,15 @@ A row records where a local torsion package is born (group and form),
 the stations that recompute it (lattice, link, pair sequence, monodromy),
 the degree in which it supports, how it transports, its Brauer/residue
 status, and its rational death.  The built-in models are the ADE
-families, the Brieskorn (2,3,11) singularity, cyclic quotients 1/n(1,1),
+families, the Brieskorn (2,3,11) singularity, cyclic quotients 1/n(1,q),
 and the threefold ordinary double point.
 
 Each model kind's facts sit in one row of the private table ``_KINDS``:
-its parameter rule, display name, resolution lattice, link, preferred
-generators, monodromy and global-image note.  The model methods and the
-row assembly read that table, so a new model is one table entry plus a
-factory classmethod.
+its parameter rule (named integer parameters with least values, and a
+joint check), display name, resolution lattice, link, preferred
+generators, monodromy and global-image note.  The model, the row
+assembly and the command line read that table, so a new model is one
+table entry plus a factory classmethod.
 """
 
 from ._record import Record
@@ -60,19 +61,22 @@ _MONODROMY_NOTES = ("wang-sequence", "free-cokernel", "not-applicable")
 class _Kind(Record):
     """The facts of one built-in model kind.
 
-    ``name``, ``lattice`` and ``link`` are functions of the model's
-    parameter; a refusal calls ``name`` with the parameter's symbol, as
-    in "A_k surface requires k >= 1".  ``generators`` lists the leading
+    ``parameters`` is the rule: ``(name, least)`` pairs in order.  A
+    model's parameters are one integer per pair, at least its least value,
+    that then pass ``check`` (None, or a joint check raising
+    ``ParameterError``).  ``name``, ``lattice`` and ``link`` are functions
+    of the parameters; a refusal calls ``name`` with their symbols, as in
+    "A_k surface requires k >= 1".  ``generators`` lists the leading
     entries of each preferred generator column; the rest of a column is
     zero up to the lattice rank.  ``monodromy`` is a Coxeter family for
-    ``coxeter_element`` or one of the station notes in
-    ``_MONODROMY_NOTES``.
+    ``coxeter_element`` or one of the station notes in ``_MONODROMY_NOTES``.
     """
 
-    parameter: tuple  # (name, least value), or None for a parameterless kind
+    parameters: tuple
+    check: object
     name: object
     lattice: object  # None: no resolution lattice (the ODP)
-    link: object  # None: the plumbing boundary of the lattice
+    link: object
     generators: tuple  # None: the Smith form's generators
     monodromy: str
     global_image: str
@@ -82,31 +86,33 @@ class _Kind(Record):
 # vector for the cyclic families (first node of a chain, the heaviest arm
 # of the Brieskorn star) and, for D_4, the half-difference classes
 # (C1 - C2)/2 and (C1 - C3)/2.  The reported pairing values then take
-# their standard form, e.g. q = -k/(k+1) mod 1 on the A_k generator.
+# their standard form, e.g. q = -k/(k+1) mod 1 on A_k and -q/n on 1/n(1,q).
+# The D_4 and E_8 links are the Seifert data (b; each arm's n/q) of their stars.
 _KINDS = {
     "ak": _Kind(
-        ("k", 1), lambda k: f"A_{k} surface", lambda k: cartan_matrix("A", k),
+        (("k", 1),), None, lambda k: f"A_{k} surface", lambda k: cartan_matrix("A", k),
         lambda k: LensSpace(k + 1, k), ((1,),), "A",
         "depends on global exceptional-chain relations"),
     "d4": _Kind(
-        None, lambda _: "D_4 surface", lambda _: cartan_matrix("D", 4),
-        None, ((0, -1, 1, 0), (0, -1, 0, 1)), "D4",
+        (), None, lambda: "D_4 surface", lambda: cartan_matrix("D", 4),
+        lambda: Seifert(-2, ((2, 1), (2, 1), (2, 1))), ((0, -1, 1, 0), (0, -1, 0, 1)), "D4",
         "depends on global relations and form data"),
     "e8": _Kind(
-        None, lambda _: "E_8 surface", lambda _: cartan_matrix("E8"),
-        None, None, "E8", "no birth: lattice unimodular"),
+        (), None, lambda: "E_8 surface", lambda: cartan_matrix("E8"),
+        lambda: Seifert(-2, ((2, 1), (3, 2), (5, 4))), None, "E8", "no birth: lattice unimodular"),
     "brieskorn": _Kind(
-        None, lambda _: "x^2+y^3+z^11 (Brieskorn)", lambda _: star_matrix(1, [2, 3, 11]),
-        lambda _: Seifert(*BRIESKORN_SEIFERT), ((0, 0, 0, 1),), "wang-sequence",
+        (), None, lambda: "x^2+y^3+z^11 (Brieskorn)", lambda: star_matrix(1, [2, 3, 11]),
+        lambda: Seifert(*BRIESKORN_SEIFERT), ((0, 0, 0, 1),), "wang-sequence",
         "depends on global plumbing/support relations"),
+    # hj_expansion refuses q >= n and gcd(n, q) != 1, so it is the joint check.
     "quotient": _Kind(
-        ("n", 2),
-        lambda n: "Coble boundary 1/4(1,1)" if n == 4 else f"cyclic quotient 1/{n}(1,1)",
-        lambda n: chain_matrix(hj_expansion(n, 1)),
-        lambda n: LensSpace(n, 1), ((1,),), "not-applicable",
+        (("n", 2), ("q", 1)), hj_expansion,
+        lambda n, q: "Coble boundary 1/4(1,1)" if (n, q) == (4, 1) else f"cyclic quotient 1/{n}(1,{q})",
+        lambda n, q: chain_matrix(hj_expansion(n, q)),
+        LensSpace, ((1,),), "not-applicable",
         "depends on global exceptional-chain relations"),
     "odp": _Kind(
-        None, lambda _: "threefold ODP", None, lambda _: SphereProduct(), None,
+        (), None, lambda: "threefold ODP", None, SphereProduct, None,
         "free-cokernel", "no finite torsion image; free relations may create defect"),
 }
 
@@ -115,23 +121,26 @@ class SingularityModel(Record):
     """One of the built-in local models; use the factory classmethods."""
 
     kind: str
-    parameter: int = None
+    parameters: tuple = ()
 
     def __post_init__(self):
         spec = _KINDS.get(self.kind) if isinstance(self.kind, str) else None
         if spec is None:
             raise ParameterError(f"unknown singularity model {self.kind!r}")
-        if spec.parameter is None:
-            if self.parameter is not None:
-                raise ParameterError(f"the {self.kind} model takes no parameter")
-            return
-        name, least = spec.parameter
-        if self.parameter is None or _integer(self.parameter, name, ParameterError) < least:
-            raise ParameterError(f"{spec.name(name)} requires {name} >= {least}")
+        rule, given = spec.parameters, self.parameters
+        symbols = [name for name, _ in rule]
+        if not isinstance(given, tuple) or len(given) != len(rule):
+            raise ParameterError(f"the {self.kind} model takes {len(rule)} integer parameters"
+                                 f" ({', '.join(symbols)}), got {given!r}")
+        for value, (name, least) in zip(given, rule):
+            if _integer(value, name, ParameterError) < least:
+                raise ParameterError(f"{spec.name(*symbols)} requires {name} >= {least}")
+        if spec.check is not None:
+            spec.check(*given)
 
     @classmethod
     def ak(cls, k):
-        return cls("ak", k)
+        return cls("ak", (k,))
 
     @classmethod
     def d4(cls):
@@ -142,36 +151,27 @@ class SingularityModel(Record):
         return cls("e8")
 
     @classmethod
-    def brieskorn(cls, a=2, b=3, c=11):
-        if (a, b, c) != BRIESKORN_EXPONENTS:
-            raise ParameterError(
-                "only the Brieskorn singularity x^2 + y^3 + z^11 is built in"
-            )
-        return cls("brieskorn")
+    def brieskorn(cls, *exponents):
+        return cls("brieskorn", () if exponents == BRIESKORN_EXPONENTS else exponents)
 
     @classmethod
     def cyclic_quotient(cls, n, q=1):
-        if _integer(q, "q", ParameterError) != 1:
-            raise ParameterError("only quotients of type 1/n(1,1) are built in")
-        return cls("quotient", n)
+        return cls("quotient", (n, q))
 
     @classmethod
     def odp(cls):
         return cls("odp")
 
     def display_name(self):
-        return _KINDS[self.kind].name(self.parameter)
+        return _KINDS[self.kind].name(*self.parameters)
 
     def resolution_lattice(self):
         """Exceptional intersection lattice, or None for the ODP."""
         lattice = _KINDS[self.kind].lattice
-        return None if lattice is None else lattice(self.parameter)
+        return None if lattice is None else lattice(*self.parameters)
 
     def link_model(self):
-        link = _KINDS[self.kind].link
-        if link is None:
-            return PlumbingBoundary(self.resolution_lattice())
-        return link(self.parameter)
+        return _KINDS[self.kind].link(*self.parameters)
 
 
 def local_package(model):
@@ -224,7 +224,7 @@ def realization_crosscheck(model):
 
     monodromy = _KINDS[model.kind].monodromy
     if monodromy not in _MONODROMY_NOTES:
-        t = coxeter_element(monodromy, model.parameter)
+        t = coxeter_element(monodromy, *model.parameters)
         stations[STATION_MONODROMY] = variation_cokernel(t).torsion()
     else:
         notes[STATION_MONODROMY] = monodromy
@@ -265,7 +265,7 @@ def trajectory_row(model):
     package = local_package(model)
     checks = realization_crosscheck(model)
     group = package.group if package is not None else FGAbGroup.trivial()
-    coble = model.kind == "quotient" and model.parameter == 4
+    coble = model.kind == "quotient" and model.parameters == (4, 1)
     if group.is_trivial():
         note = NOTE_NO_TORSION
     else:
@@ -278,7 +278,7 @@ def trajectory_row(model):
             f" ({'isotropic' if sh.isotropic else 'non-isotropic'})"
         )
         global_image = f"full local image {package.group}; BO sees 2E"
-    elif model.kind == "ak" and model.parameter == 1:
+    elif model.kind == "ak" and model.parameters == (1,):
         global_image = "depends on global exceptional-curve relations"
     else:
         global_image = _KINDS[model.kind].global_image

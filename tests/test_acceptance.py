@@ -205,11 +205,11 @@ def test_criterion_10_bo_shape():
 
 
 TABLE3_EXPECTED = {
-    "ak": lambda model: FGAbGroup.cyclic(model.parameter + 1),
+    "ak": lambda model: FGAbGroup.cyclic(model.parameters[0] + 1),
     "d4": lambda model: FGAbGroup.from_orders([2, 2]),
     "e8": lambda model: FGAbGroup.trivial(),
     "brieskorn": lambda model: FGAbGroup.cyclic(5),
-    "quotient": lambda model: FGAbGroup.cyclic(model.parameter),
+    "quotient": lambda model: FGAbGroup.cyclic(model.parameters[0]),
 }
 
 

@@ -173,7 +173,7 @@ def test_usage_errors(capsys):
     assert "ak requires --k" in err
     code, _, _ = invoke(capsys, "nonsense")
     assert code == 2
-    code, _, _ = invoke(capsys, "singularity", "quotient", "4", "3")
+    code, _, _ = invoke(capsys, "singularity", "quotient", "4", "2")
     assert code == 2
     code, _, _ = invoke(capsys, "lattice", "--gram", "/does/not/exist.json")
     assert code == 2
@@ -185,6 +185,21 @@ def test_usage_errors(capsys):
         code, out, err = invoke(capsys, "singularity", *extra)
         assert (code, out) == (2, ""), extra
         assert "usage error" in err
+
+
+def test_singularity_quotient_q(capsys):
+    code, out, _ = invoke(capsys, "singularity", "quotient", "7", "3")
+    assert code == 0
+    cells = out.splitlines()[2].split(" | ")
+    assert cells[1:4] == ["Z/7", "4/7 (= -3/7)", "3 agree; monodromy n/a"]
+    _, quotient, _ = invoke(capsys, "singularity", "quotient", "4", "3")
+    _, ak, _ = invoke(capsys, "singularity", "ak", "--k", "3")
+    assert quotient.splitlines()[2].split(" | ")[1:3] == ak.splitlines()[2].split(" | ")[1:3]
+    for refused in [("4", "2"), ("4", "4"), ("4",)]:
+        code, out, err = invoke(capsys, "singularity", "quotient", *refused)
+        assert (code, out) == (2, ""), refused
+        assert "usage error" in err
+    assert "takes 2 integer parameters (n, q), got (4,)" in err
 
 
 def test_out_flag(tmp_path, capsys):

@@ -64,7 +64,7 @@ SAMPLES = {
     ProductReport: lambda: product_cohomology(
         builtin_profile("enriques"), builtin_profile("curve", genus=2), 4),
     GateRefusal: lambda: GateRefusal("h^(0,2) = 1 is nonzero"),
-    _Kind: lambda: _Kind(None, str, None, None, None, "A", "a note"),
+    _Kind: lambda: _Kind((), None, str, None, None, None, "A", "a note"),
     SingularityModel: lambda: SingularityModel.ak(3),
     Crosscheck: lambda: realization_crosscheck(SingularityModel.ak(1)),
     TrajectoryRow: lambda: trajectory_row(SingularityModel.ak(1)),
@@ -81,7 +81,7 @@ DEFAULTS = {
     IntersectionLattice: ((A2.gram,), {"labels": None}),
     DiscriminantPackage: ((FGAbGroup(),), {"form": None, "generators": None}),
     SpaceProfile: (("X", {}), {"hodge_h0q": None}),
-    SingularityModel: (("d4",), {"parameter": None}),
+    SingularityModel: (("d4",), {"parameters": ()}),
     TrajectoryRow: (
         ("A_1", None, Crosscheck({}, {}, True), None, "t", "g", "b", 0),
         {"shadow_note": None}),

@@ -3,14 +3,16 @@
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torsiontraj import serialize
 from torsiontraj.abgroup import FGAbGroup
+from torsiontraj.errors import ValidationError
 from torsiontraj.intmat import IntMatrix, det
 from torsiontraj.lattice import IntersectionLattice, cartan_matrix, discriminant_package
-from torsiontraj.links import lens_profile
+from torsiontraj.links import SpaceProfile, lens_profile
 from torsiontraj.products import builtin_profile, product_cohomology
 from torsiontraj.trajectory import SingularityModel, trajectory_row, trajectory_table
 
@@ -45,6 +47,21 @@ def test_profile_roundtrip():
         data = serialize.profile_to_json(profile)
         again = serialize.profile_from_json(data)
         assert again == profile
+
+
+@pytest.mark.parametrize("hodge", [{"2": 1.9, "1": True}, {"1": True}, {" 2": 1}, {"2.0": 1}])
+def test_profile_integers_are_strict(hodge):
+    # int() made {"2": 1.9, "1": true} into {2: 1, 1: 1}.
+    with pytest.raises(ValidationError):
+        serialize.profile_from_json({"name": "X", "cohomology": {}, "hodge_h0q": hodge})
+
+
+def test_space_profile_integers_are_strict():
+    with pytest.raises(ValidationError):
+        SpaceProfile("X", {1.5: FGAbGroup.cyclic(2)})
+    for hodge in ({2: 1.9}, {2: 0.0}, {1: False}):
+        with pytest.raises(ValidationError):
+            SpaceProfile("X", {}, hodge)
 
 
 def test_json_emission_is_stable():

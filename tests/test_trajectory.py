@@ -1,15 +1,19 @@
 """Trajectory rows, cross-realization, transport kernels, strata."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsiontraj.abgroup import FGAbGroup, FinAbHom
 from torsiontraj.bockstein import bo_direction_span, bockstein_image, shadow
 from torsiontraj import serialize, trajectory
 from torsiontraj.errors import InvariantError, ParameterError, ValidationError
 from torsiontraj.intmat import IntMatrix
-from torsiontraj.links import lens_profile
+from torsiontraj.lattice import discriminant_package, forms_isomorphic
+from torsiontraj.links import PlumbingBoundary, lens_profile
 from torsiontraj.products import builtin_profile, product_cohomology
 from torsiontraj.trajectory import (
     BENOIST_OTTEM_ROW,
@@ -30,8 +34,9 @@ Z2 = FGAbGroup.cyclic(2)
 def test_model_validation():
     with pytest.raises(ParameterError):
         SingularityModel.ak(0)
-    with pytest.raises(ParameterError):
-        SingularityModel.cyclic_quotient(4, 3)
+    for q in (2, 4, 0):  # gcd(4, 2) = 2, q = n, q < 1
+        with pytest.raises(ParameterError):
+            SingularityModel.cyclic_quotient(4, q)
     with pytest.raises(ParameterError):
         SingularityModel.brieskorn(2, 3, 7)
     with pytest.raises(ParameterError):
@@ -122,14 +127,16 @@ def test_crosscheck_all_surface_models_agree():
 
 @pytest.mark.parametrize("kind", sorted(trajectory._KINDS))
 def test_every_built_in_kind_assembles(kind):
-    # A kind with a parameter is sampled a little above its least value.
-    rule = trajectory._KINDS[kind].parameter
-    model = SingularityModel(kind, None if rule is None else rule[1] + 3)
+    # A kind with parameters is sampled a little above their least values.
+    rule = trajectory._KINDS[kind].parameters
+    model = SingularityModel(kind, tuple(least + 3 for _, least in rule))
     row = trajectory_row(model)
     checks = realization_crosscheck(model)
     assert row.realizations == checks
     assert serialize.row_to_json(row)["example"] == serialize.row_cells(row)[0] == model.display_name()
     assert "monodromy" in checks.stations or "monodromy" in checks.notes
+    # The link station reads the kind's own link, not the lattice's boundary.
+    assert not isinstance(model.link_model(), PlumbingBoundary)
     groups = list(checks.stations.values())
     assert checks.agree and all(g == groups[0] for g in groups)
     package = local_package(model)
@@ -137,6 +144,52 @@ def test_every_built_in_kind_assembles(kind):
         assert model.resolution_lattice() is None and groups[0].is_trivial()
     else:
         assert package.group == checks.stations["lattice"] == groups[0]
+
+
+@st.composite
+def coprime_pairs(draw):
+    n = draw(st.integers(2, 60))
+    q = draw(st.integers(1, n - 1).filter(lambda q: gcd(n, q) == 1))
+    return n, q
+
+
+@settings(deadline=None)
+@given(coprime_pairs())
+def test_cyclic_quotient_package_and_stations(pair):
+    n, q = pair
+    model = SingularityModel.cyclic_quotient(n, q)
+    package = local_package(model)
+    assert package.group == FGAbGroup.cyclic(n)
+    assert package.form.to_lists() == [[Fraction(-q % n, n)]]
+    # The preferred generator is the dual of the first node: gram * g = e_1.
+    gram = model.resolution_lattice().gram.to_lists()
+    column = [row[0] for row in package.generators.to_lists()]
+    assert [sum(a * c for a, c in zip(row, column)) for row in gram] == [1] + [0] * (len(gram) - 1)
+    checks = realization_crosscheck(model)
+    assert checks.stations == {s: FGAbGroup.cyclic(n) for s in ("lattice", "link", "pair-sequence")}
+    assert checks.notes == {"monodromy": "not-applicable"} and checks.agree
+    # Smith-form generators give -q*/n with q q* = 1 mod n: another form, an isomorphic package.
+    assert forms_isomorphic(package, discriminant_package(model.resolution_lattice()))
+
+
+def test_cyclic_quotient_smith_generators_give_the_inverse_form():
+    model = SingularityModel.cyclic_quotient(7, 3)
+    assert local_package(model).form.to_lists() == [[Fraction(4, 7)]]
+    assert discriminant_package(model.resolution_lattice()).form.to_lists() == [[Fraction(2, 7)]]
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_cyclic_quotient_of_type_k_is_ak(k):
+    assert local_package(SingularityModel.cyclic_quotient(k + 1, k)) == local_package(SingularityModel.ak(k))
+
+
+def test_only_the_coble_quotient_gets_its_name_and_shadow():
+    coble = trajectory_row(SingularityModel.cyclic_quotient(4, 1))
+    assert coble.example == "Coble boundary 1/4(1,1)"
+    assert coble.shadow_note and coble.transport_note == "shadow-selected"
+    other = trajectory_row(SingularityModel.cyclic_quotient(4, 3))
+    assert other.example == "cyclic quotient 1/4(1,3)"
+    assert other.shadow_note is None and other.transport_note == "exceptional-relations"
 
 
 def test_order_equals_det_for_surface_models():
