@@ -89,7 +89,15 @@ def cmd_singularity(args):
     return _render(args, serialize.row_to_json(row), TABLE_HEADERS, [serialize.row_cells(row)])
 
 
+# The link kind each option belongs to; another kind refuses it.
+_LINK_OPTION_KIND = {"params": "lens", "b": "seifert", "arms": "seifert", "gram": "plumbing"}
+
+
 def _link_model_from_args(args):
+    for option, kind in _LINK_OPTION_KIND.items():
+        if getattr(args, option) not in (None, []) and kind != args.link_kind:
+            shown = "P Q" if option == "params" else f"--{option}"
+            raise ParameterError(f"{shown} applies only to {kind}, not {args.link_kind}")
     if args.link_kind == "lens":
         if len(args.params) != 2:
             raise ParameterError("lens requires two integers P Q")

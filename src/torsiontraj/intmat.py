@@ -250,22 +250,17 @@ class SnfDecomposition:
 
     ``snf`` reduces M alone and keeps the log of its elementary operations;
     U, V and V^-1 are replayed from that log the first time each is read,
-    and then kept.  A caller that reads only D builds no transform.  A
-    decomposition built from explicit U, D, V keeps them and has no log.
+    and then kept.  A caller that reads only D builds no transform.  The
+    one constructor takes D and that log; an empty log replays to U = I
+    and V = V^-1 = I.
     """
 
     __slots__ = ("d", "_log", "_u", "_v", "_v_inv")
 
-    def __init__(self, u, d, v):
+    def __init__(self, d, log):
         self.d = d
-        self._log = None
-        self._u, self._v, self._v_inv = u, v, None
-
-    @classmethod
-    def _recorded(cls, d, log):
-        decomp = cls(None, d, None)
-        decomp._log = log
-        return decomp
+        self._log = log
+        self._u = self._v = self._v_inv = None
 
     @property
     def u(self):
@@ -413,7 +408,7 @@ def snf(matrix):
             continue
         t += 1
 
-    return SnfDecomposition._recorded(IntMatrix(a), log)
+    return SnfDecomposition(IntMatrix(a), log)
 
 
 def _bareiss(a, n):

@@ -261,7 +261,9 @@ def discriminant_package(lat, generators=None):
     Form entries are g_i^T gram^-1 g_j reduced into [0, 1).  The duals
     gram^-1 g_i also give each supplied class its order (the lcm of their
     denominators), and supplied columns generate iff coker([columns | gram])
-    is trivial.  A singular gram raises SingularMatrixError in rat_inverse.
+    is trivial.  A unimodular gram returns the trivial package before any
+    inverse is built; a singular gram has a free cokernel, so it reaches
+    rat_inverse, which raises SingularMatrixError.
 
     >>> pkg = discriminant_package(chain_matrix([4]))
     >>> print(pkg.group)
@@ -270,7 +272,6 @@ def discriminant_package(lat, generators=None):
     [[3/4]]
     """
     gram = lat.gram
-    inverse = rat_inverse(gram)
     if generators is None:
         group, snf_generators = group_from_cokernel(gram)
         columns = [col for order, col in snf_generators]
@@ -280,6 +281,7 @@ def discriminant_package(lat, generators=None):
         return trivial_package()
 
     # q(g_i, g_j) = g_i^T gram^-1 g_j, evaluated as (gram^-1 g_i) . g_j.
+    inverse = rat_inverse(gram)
     duals = [inverse.apply(col) for col in columns]
     if generators is not None:
         expected = group.invariant_factors

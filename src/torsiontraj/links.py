@@ -13,7 +13,6 @@ link enters it through the homology of a closed 3-manifold with its H_1.
 
 from fractions import Fraction
 from math import gcd
-from operator import index
 
 from ._record import Record
 from .abgroup import FGAbGroup, _integer, cokernel_group, ext1_to_Z, tensor, tor
@@ -39,9 +38,6 @@ class SpaceProfile(Record):
     def group(self, degree):
         return self.cohomology.get(degree, FGAbGroup.trivial())
 
-    def degrees(self):
-        return sorted(self.cohomology)
-
     def max_degree(self):
         return max(self.cohomology, default=0)
 
@@ -64,7 +60,11 @@ class LensSpace(Record):
     q: int
 
     def __post_init__(self):
-        if self.p < 2 or gcd(self.p, self.q) != 1:
+        p = _integer(self.p, "p", ParameterError)
+        q = _integer(self.q, "q", ParameterError)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        if p < 2 or gcd(p, q) != 1:
             raise ParameterError("lens space needs p >= 2 and gcd(p, q) = 1")
 
 
@@ -75,13 +75,13 @@ class Seifert(Record):
     arms: tuple
 
     def __post_init__(self):
+        b = _integer(self.b, "Seifert b", ParameterError)
         try:
-            b = index(self.b)
-            arms = tuple((index(a), index(c)) for a, c in self.arms)
-        except (TypeError, ValueError):
+            arms = tuple((_integer(a, "a Seifert alpha", ParameterError),
+                          _integer(c, "a Seifert beta", ParameterError)) for a, c in self.arms)
+        except (TypeError, ValueError):  # not an iterable of pairs
             raise ParameterError(
-                "Seifert data must be an integer b and integer pairs (alpha, beta), "
-                f"got b={self.b!r}, arms={self.arms!r}"
+                f"Seifert arms must be integer pairs (alpha, beta), got {self.arms!r}"
             ) from None
         if any(a < 2 for a, _ in arms):
             raise ParameterError("Seifert multiplicities must be >= 2")
@@ -137,8 +137,7 @@ def mod_n_cohomology(homology, n):
 
 def lens_homology(p, q):
     """H_*(L(p, q)): (Z, Z/p, 0, Z); independent of q."""
-    LensSpace(p, q)
-    return _closed3_homology(FGAbGroup.cyclic(p))
+    return _closed3_homology(FGAbGroup.cyclic(LensSpace(p, q).p))
 
 
 def lens_profile(p, q):
@@ -147,8 +146,7 @@ def lens_profile(p, q):
     >>> print(lens_profile(2, 1).group(2))
     Z/2
     """
-    cohomology = uct_cohomology_from_homology(lens_homology(p, q))
-    return SpaceProfile(f"L({p},{q})", cohomology)
+    return link_profile(LensSpace(p, q))
 
 
 # -- Seifert fibered spaces ---------------------------------------------------
@@ -197,18 +195,19 @@ def seifert_homology(b, arms):
 def link_profile(model):
     """Cohomology profile of a link model.
 
-    Plumbing boundaries are closed oriented 3-manifolds with
-    H_1 = coker(gram); Seifert spaces are accepted only when H_1 is
-    finite.
+    Every model but S^2 x S^3 is a closed oriented 3-manifold given by
+    its H_1: Z/p for L(p, q), coker(gram) for a plumbing boundary, and
+    the Seifert presentation's cokernel, accepted only when finite.
 
     >>> link_profile(SphereProduct()).is_torsion_free()
     True
     """
-    if isinstance(model, LensSpace):
-        return lens_profile(model.p, model.q)
     if isinstance(model, SphereProduct):
         return SpaceProfile("S^2 x S^3", {d: FGAbGroup.free(1) for d in (0, 2, 3, 5)})
-    if isinstance(model, Seifert):
+    if isinstance(model, LensSpace):
+        h1 = FGAbGroup.cyclic(model.p)
+        name = f"L({model.p},{model.q})"
+    elif isinstance(model, Seifert):
         order = seifert_h1_order(model.b, model.arms)
         if order is None:
             raise CapabilityError("Seifert space has infinite H_1; profile not constructed")

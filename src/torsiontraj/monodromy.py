@@ -18,16 +18,14 @@ from .links import SphereProduct
 MONODROMY_FAMILIES = ("A", "D4", "E8")
 
 
-def _no_parameter(family, parameter):
-    if parameter is not None:
-        raise ParameterError(f"{family} takes no parameter, got {parameter!r}")
-
-
 def _positive_cartan(family, parameter):
+    """Positive Cartan matrix of a monodromy family; its rank is the
+    Milnor number, so every parameter check sits here."""
     if family == "A":
         lat = cartan_matrix("A", parameter)
     elif family in ("D4", "E8"):
-        _no_parameter(family, parameter)
+        if parameter is not None:
+            raise ParameterError(f"{family} takes no parameter, got {parameter!r}")
         lat = cartan_matrix("D", 4) if family == "D4" else cartan_matrix("E8")
     else:
         raise ParameterError(
@@ -45,25 +43,21 @@ def simple_reflection(cartan, i):
     return IntMatrix(rows)
 
 
-def coxeter_element(family, parameter=None, node_order=None):
-    """Product of all simple reflections, in the given node order.
+def coxeter_element(family, parameter=None):
+    """Product s_0 s_1 ... s_{n-1} of the simple reflections in the
+    natural node order: 1..k along the A_k chain, and the central node
+    first for D_4 (the rightmost factor acts first).
 
-    The default order is the natural one: 1..k for A_k read along the
-    chain, and the central node first for D_4 (the order in which the
-    product s_0 s_1 s_2 s_3 is written; the rightmost factor acts first).
+    Any other order gives a conjugate element, so T - id and hence the
+    variation cokernel are the same up to isomorphism; one order suffices.
 
     >>> coxeter_element("A", 1).to_lists()
     [[-1]]
     """
     cartan = _positive_cartan(family, parameter)
     n = cartan.rows
-    if node_order is None:
-        node_order = range(n)
-    order = list(node_order)
-    if sorted(order) != list(range(n)):
-        raise ParameterError(f"node order must be a permutation of 0..{n - 1}")
     result = IntMatrix.identity(n)
-    for i in order:
+    for i in range(n):
         result = result @ simple_reflection(cartan, i)
     return result
 
@@ -101,19 +95,15 @@ def variation_cokernel(t_matrix):
 
 
 def milnor_number(family, parameter=None):
-    """Milnor number: k for A_k, 4 for D_4, 8 for E_8, and
-    (a-1)(b-1)(c-1) for the Brieskorn-Pham singularity x^a + y^b + z^c.
+    """Milnor number: the rank of the Cartan matrix for the families
+    "A" (k), "D4" and "E8", and (a-1)(b-1)(c-1) for the Brieskorn-Pham
+    singularity x^a + y^b + z^c ("BP", with the triple (a, b, c)).
 
+    >>> milnor_number("A", 7), milnor_number("E8")
+    (7, 8)
     >>> milnor_number("BP", (2, 3, 11))
     20
     """
-    if family == "A":
-        if parameter is None or _integer(parameter, "k", ParameterError) < 1:
-            raise ParameterError("A_k requires k >= 1")
-        return parameter
-    if family in ("D4", "E8"):
-        _no_parameter(family, parameter)
-        return 4 if family == "D4" else 8
     if family == "BP":
         try:
             a, b, c = (_integer(e, "an exponent", ParameterError) for e in parameter)
@@ -122,7 +112,7 @@ def milnor_number(family, parameter=None):
         if min(a, b, c) < 2:
             raise ParameterError("Brieskorn-Pham exponents must be >= 2")
         return (a - 1) * (b - 1) * (c - 1)
-    raise ParameterError(f"unknown singularity family {family!r}")
+    return _positive_cartan(family, parameter).rows
 
 
 def odp_package():

@@ -13,13 +13,15 @@ from .links import SpaceProfile, SphereProduct, lens_profile, link_profile
 
 
 def builtin_profile(name, genus=None, p=None, q=None):
-    """Profiles used by the product tests.
+    """Built-in factor profiles for products, by name.
 
     * "enriques": H^0 = Z, H^2 = Z^10 + Z/2, H^3 = Z/2, H^4 = Z,
       with h^{0,*} = (1, 0, 0).
     * "curve": genus g, H^1 = Z^{2g}, h^{0,*} = (1, g).
-    * "lens": L(p, q).
-    * "odp_link" / "sphere23": S^2 x S^3.
+    * "lens": L(p, q), q = 1 when omitted.
+    * "odp_link": S^2 x S^3.
+
+    Any other name raises ParameterError.
 
     >>> print(builtin_profile("enriques").group(3))
     Z/2
@@ -41,7 +43,7 @@ def builtin_profile(name, genus=None, p=None, q=None):
         if p is None:
             raise ParameterError("lens profile needs p (and optionally q)")
         return lens_profile(p, 1 if q is None else q)
-    if name in ("odp_link", "sphere23"):
+    if name == "odp_link":
         return link_profile(SphereProduct())
     raise ParameterError(f"unknown builtin profile {name!r}")
 

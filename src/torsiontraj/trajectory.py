@@ -152,6 +152,7 @@ class SingularityModel(Record):
 
     @classmethod
     def brieskorn(cls, *exponents):
+        exponents = tuple(_integer(e, "an exponent", ParameterError) for e in exponents)
         return cls("brieskorn", () if exponents == BRIESKORN_EXPONENTS else exponents)
 
     @classmethod
@@ -356,16 +357,6 @@ def stratum_cohomology(coefficients, genus):
 
 # -- the nine-row table -------------------------------------------------------
 
-TABLE_MODELS = (
-    SingularityModel.ak(1),
-    SingularityModel.ak(3),
-    SingularityModel.d4(),
-    SingularityModel.e8(),
-    SingularityModel.brieskorn(),
-    SingularityModel.odp(),
-)
-
-
 class MarkerRow(Record):
     """A table row carried as literal status text (no local computation)."""
 
@@ -402,12 +393,24 @@ BENOIST_OTTEM_ROW = MarkerRow(
     brauer_text="global Brauer/unramified benchmark",
 )
 
+# The table in order: each model becomes its computed row, each marker
+# row stands as it is.
+TABLE_ENTRIES = (
+    SingularityModel.ak(1),
+    SingularityModel.ak(3),
+    SingularityModel.d4(),
+    SingularityModel.e8(),
+    SingularityModel.brieskorn(),
+    SingularityModel.odp(),
+    NODAL_THREEFOLD_ROW,
+    BENOIST_OTTEM_ROW,
+    SingularityModel.cyclic_quotient(4),
+)
+
 
 def trajectory_table():
-    """All nine table rows: computed model rows plus the nodal-threefold
-    and Benoist-Ottem marker rows, benchmark examples first."""
-    rows = [trajectory_row(m) for m in TABLE_MODELS]
-    rows.insert(6, NODAL_THREEFOLD_ROW)
-    rows.insert(7, BENOIST_OTTEM_ROW)
-    rows.append(trajectory_row(SingularityModel.cyclic_quotient(4)))
-    return rows
+    """All nine table rows, in the order of ``TABLE_ENTRIES``: the six
+    benchmark models, the nodal-threefold and Benoist-Ottem marker rows,
+    and the Coble boundary 1/4(1,1)."""
+    return [entry if isinstance(entry, MarkerRow) else trajectory_row(entry)
+            for entry in TABLE_ENTRIES]

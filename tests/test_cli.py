@@ -94,6 +94,25 @@ def test_link_seifert_rejects_non_coprime_arm(capsys):
     assert "usage error" in err and "gcd" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lens", "4", "1", "--b", "3"),
+        ("seifert", "7", "7", "--b", "-1", "--arms", "2,1;3,1;11,1"),
+        ("plumbing", "--gram", "G", "--b", "2"),
+        ("lens", "4", "1", "--arms", "2,1"),
+        ("seifert", "--b", "-1", "--arms", "2,1;3,1;11,1", "--gram", "G"),
+    ],
+    ids=["lens-b", "seifert-params", "plumbing-b", "lens-arms", "seifert-gram"],
+)
+def test_link_refuses_options_of_other_kinds(capsys, argv):
+    # each option was read only by its own kind and silently ignored by
+    # the others, with exit 0
+    code, out, err = invoke(capsys, "link", *argv)
+    assert (code, out) == (2, "")
+    assert "usage error" in err and f"not {argv[0]}" in err
+
+
 def test_link_plumbing(tmp_path, capsys):
     gram = tmp_path / "gram.json"
     gram.write_text(json.dumps({"gram": [[-1, 1, 1, 1], [1, -2, 0, 0], [1, 0, -3, 0], [1, 0, 0, -11]]}))

@@ -647,11 +647,13 @@ def test_replayed_transforms_match_eager_reference(m, order):
     assert decomp.u is built["u"] and decomp.v is built["v"]
 
 
-def test_explicit_decomposition_keeps_its_matrices():
-    u, d, v = IntMatrix([[0, 1], [1, 0]]), IntMatrix([[1, 0], [0, 2]]), IntMatrix.identity(2)
-    decomp = SnfDecomposition(u, d, v)
-    assert (decomp.u, decomp.d, decomp.v) == (u, d, v)
-    assert decomp.reconstruct() == IntMatrix([[0, 2], [1, 0]])
+def test_empty_log_replays_identity_transforms():
+    d = IntMatrix([[1, 0, 0], [0, 2, 0]])
+    decomp = SnfDecomposition(d, [])
+    assert decomp.u == IntMatrix.identity(2)
+    assert decomp.v == IntMatrix.identity(3)
+    assert IntMatrix.from_columns(decomp._v_inverse_columns()) == IntMatrix.identity(3)
+    assert decomp.reconstruct() == d
 
 
 @pytest.fixture

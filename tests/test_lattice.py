@@ -300,6 +300,17 @@ def test_package_singular_gram():
         discriminant_package(IntersectionLattice(IntMatrix([[0]])))
 
 
+def test_unimodular_package_builds_no_inverse(monkeypatch):
+    import torsiontraj.lattice
+
+    def no_inverse(matrix):
+        raise AssertionError("a unimodular gram built its inverse")
+
+    monkeypatch.setattr(torsiontraj.lattice, "rat_inverse", no_inverse)
+    assert discriminant_package(cartan_matrix("E8")) == trivial_package()
+    assert discriminant_package(IntersectionLattice(IntMatrix([[-2, 1], [1, -1]]))) == trivial_package()
+
+
 def test_package_generator_validation():
     lat = cartan_matrix("A", 3)
     with pytest.raises(ValidationError):

@@ -60,6 +60,25 @@ def test_lens_validation():
         lens_profile(1, 1)
 
 
+def test_lens_profile_is_link_profile():
+    for p, q in [(2, 1), (7, 3), (12, 5)]:
+        profile = link_profile(LensSpace(p, q))
+        assert profile.name == f"L({p},{q})"
+        assert profile.cohomology == uct_cohomology_from_homology(lens_homology(p, q))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: LensSpace(3, True), lambda: LensSpace(2.5, 1), lambda: Seifert(True, ((2, 1),))],
+    ids=["lens-bool-q", "lens-float-p", "seifert-bool-b"],
+)
+def test_link_data_must_be_integers(build):
+    # L(3,True) was accepted under that name, gcd raised a bare TypeError
+    # for 2.5, and True was stored as b = 1.
+    with pytest.raises(ParameterError, match="must be an integer"):
+        build()
+
+
 def test_seifert_order_brieskorn():
     assert seifert_h1_order(-1, [(2, 1), (3, 1), (11, 1)]) == 5
 

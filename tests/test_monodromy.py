@@ -121,20 +121,32 @@ def test_ak_variation_family():
         assert result.cokernel == FGAbGroup.cyclic(k + 1)
 
 
+def product_of_reflections(cartan, order):
+    """The simple reflections of ``cartan`` multiplied in ``order``."""
+    result = IntMatrix.identity(cartan.rows)
+    for i in order:
+        result = result @ simple_reflection(cartan, i)
+    return result
+
+
 def test_coxeter_preserves_cartan_form():
-    cases = [("A", 4, None), ("A", 7, None), ("D4", None, None), ("E8", None, None)]
-    for family, parameter, _ in cases:
+    cases = [("A", 4), ("A", 7), ("D4", None), ("E8", None)]
+    for family, parameter in cases:
         cartan = positive_cartan(family, parameter)
         n = cartan.rows
-        for order in ([list(range(n))] + [list(reversed(range(n)))]):
-            t = coxeter_element(family, parameter, node_order=order)
+        natural = product_of_reflections(cartan, range(n))
+        assert natural == coxeter_element(family, parameter)
+        for t in (natural, product_of_reflections(cartan, reversed(range(n)))):
             assert t.transpose() @ cartan @ t == cartan
 
 
 def test_coxeter_char_poly_order_invariant():
+    # Every order gives a conjugate element, hence the same variation cokernel.
+    cartan = positive_cartan("D4")
     reference = char_poly(coxeter_element("D4"))
+    assert product_of_reflections(cartan, range(4)) == coxeter_element("D4")
     for order in itertools.permutations(range(4)):
-        t = coxeter_element("D4", node_order=order)
+        t = product_of_reflections(cartan, order)
         assert char_poly(t) == reference
         assert snf(t - IntMatrix.identity(4)).d.diagonal() == (1, 1, 2, 2)
 
@@ -142,8 +154,6 @@ def test_coxeter_char_poly_order_invariant():
 def test_coxeter_validation():
     with pytest.raises(ParameterError):
         coxeter_element("A")
-    with pytest.raises(ParameterError):
-        coxeter_element("D4", node_order=[0, 1, 2])
     with pytest.raises(ParameterError):
         coxeter_element("B", 2)
 
@@ -165,6 +175,17 @@ def test_milnor_numbers():
         milnor_number("BP", (1, 2, 3))
     with pytest.raises(ParameterError):
         milnor_number("A", 0)
+
+
+def test_milnor_number_is_cartan_rank():
+    cases = [("A", k) for k in range(1, 13)] + [("D4", None), ("E8", None)]
+    for family, parameter in cases:
+        assert milnor_number(family, parameter) == positive_cartan(family, parameter).rows
+    for args in [("D4", 3), ("A", 0)]:
+        with pytest.raises(ParameterError):
+            milnor_number(*args)
+    with pytest.raises(ParameterError, match="'X'"):
+        milnor_number("X")
 
 
 @pytest.mark.parametrize(

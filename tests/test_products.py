@@ -34,7 +34,8 @@ def test_builtin_curves():
 def test_builtin_lens_and_odp():
     assert builtin_profile("lens", p=4, q=1).group(2) == FGAbGroup.cyclic(4)
     assert builtin_profile("odp_link").is_torsion_free()
-    assert builtin_profile("sphere23").is_torsion_free()
+    with pytest.raises(ParameterError):
+        builtin_profile("sphere23")
     with pytest.raises(ParameterError):
         builtin_profile("nope")
 

@@ -56,16 +56,22 @@ def test_model_validation():
         lambda: SingularityModel.ak(True),
         lambda: SingularityModel.cyclic_quotient(4.0),
         lambda: SingularityModel.cyclic_quotient(4, True),
+        lambda: SingularityModel.brieskorn(2.0, 3, 11),
     ],
     ids=["e8-parameter", "odp-parameter", "d4-parameter", "brieskorn-parameter",
-         "ak-float", "ak-bool", "quotient-float", "quotient-bool-q"],
+         "ak-float", "ak-bool", "quotient-float", "quotient-bool-q", "brieskorn-float"],
 )
 def test_model_parameters_checked(build):
     # Each was accepted: the parameter was dropped from an ordinary row,
-    # a float failed later with a TypeError in trajectory_row, and True
-    # was read as 1 ("A_1 surface").
+    # a float failed later with a TypeError in trajectory_row, True
+    # was read as 1 ("A_1 surface"), and (2.0, 3, 11) compared equal to
+    # the built-in exponents.
     with pytest.raises(ParameterError):
         build()
+
+
+def test_brieskorn_spelled_out_is_builtin():
+    assert SingularityModel.brieskorn(2, 3, 11) == SingularityModel.brieskorn()
 
 
 def test_local_package_values():
