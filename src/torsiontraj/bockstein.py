@@ -36,12 +36,12 @@ def bockstein_image(h_r, h_r1, n):
 
 
 class ShadowPackage(Record):
-    """The subgroup nE with restricted form, the quotient E/nE, and the
-    short exact sequence 0 -> nE -> E -> E/nE -> 0."""
+    """The subgroup nE with restricted form, the quotient E/nE, and whether
+    nE is isotropic.  With E itself these make up the short exact sequence
+    0 -> nE -> E -> E/nE -> 0, whose order law ``shadow`` checks."""
 
     sub: DiscriminantPackage
     quotient: FGAbGroup
-    ses: tuple
     isotropic: bool
 
 
@@ -75,10 +75,9 @@ def shadow(package, n):
             )
         sub_pkg = DiscriminantPackage(sub_group, RatMatrix(entries), generators)
         isotropic = all(x == 0 for row in entries for x in row)
-    ses = (sub_group, package.group, quotient)
     if sub_group.torsion_order() * quotient.torsion_order() != package.group.torsion_order():
         raise ValidationError("shadow order law violated")
-    return ShadowPackage(sub_pkg, quotient, ses, isotropic)
+    return ShadowPackage(sub_pkg, quotient, isotropic)
 
 
 def bo_direction_span(torsion_factor, free_factor):

@@ -11,7 +11,8 @@ Each command builds its JSON value and its table rows once, and one
 render path, ``_render``, turns them into the chosen format.
 
 Exit codes: 0 on success, 1 on computation refusals (gate failures,
-capability limits), 2 on usage errors.
+capability limits), 2 on usage errors, which include a path that cannot
+be read or written and an input file that is not UTF-8.
 """
 
 import argparse
@@ -248,17 +249,17 @@ def run(argv):
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
     try:
-        text = args.func(args)
-    except FileNotFoundError as exc:
+        _emit(args, args.func(args))
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (ParameterError, ValidationError, json.JSONDecodeError, KeyError) as exc:
+    except (ParameterError, ValidationError, json.JSONDecodeError, UnicodeDecodeError,
+            KeyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except (CapabilityError, TorsionTrajError) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return REFUSAL_EXIT
-    _emit(args, text)
     return 0
 
 

@@ -10,16 +10,8 @@ class TorsionTrajError(Exception):
     """Base class for all library errors."""
 
 
-class DimensionError(TorsionTrajError):
-    """Matrix shapes are incompatible with the requested operation."""
-
-
 class SingularMatrixError(TorsionTrajError):
-    """A nonsingular matrix was required; carries the offending determinant."""
-
-    def __init__(self, message="matrix is singular", determinant=0):
-        super().__init__(message)
-        self.determinant = determinant
+    """A nonsingular matrix was required and the matrix is singular."""
 
 
 class ParameterError(TorsionTrajError):
@@ -28,6 +20,14 @@ class ParameterError(TorsionTrajError):
 
 class ValidationError(TorsionTrajError):
     """Structured data (a homomorphism, a package) violates its invariants."""
+
+
+class DimensionError(ValidationError):
+    """Matrix shapes are incompatible with the requested operation.
+
+    A matrix of the wrong shape is malformed data, so this is a
+    ValidationError: from outside data it is a usage error.
+    """
 
 
 class InvariantError(TorsionTrajError):

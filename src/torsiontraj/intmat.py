@@ -463,14 +463,14 @@ def rat_inverse(matrix):
     >>> print(rat_inverse(IntMatrix([[-2, 1], [1, -2]])))
     [[-2/3, -1/3], [-1/3, -2/3]]
 
-    Raises SingularMatrixError (carrying determinant 0) when singular.
+    Raises SingularMatrixError when the matrix is singular.
     """
     if not matrix.is_square():
         raise DimensionError("inverse requires a square matrix")
     n = matrix.rows
     a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(matrix.to_lists())]
     if _bareiss(a, n) == 0:
-        raise SingularMatrixError(determinant=0)
+        raise SingularMatrixError("matrix is singular")
     p = a[0][0]
     return RatMatrix([[Fraction(x, p) for x in row[n:]] for row in a])
 

@@ -2,7 +2,8 @@
 
 Every built-in lattice (ADE Cartan matrix, Hirzebruch-Jung chain, star)
 is the plumbing lattice of a weighted tree, built by one private builder
-from its weights and edge list; A_k is the chain of k (-2)-curves.  The
+from its weights and edge list; A_k is the chain of k (-2)-curves.  A
+lattice is its gram alone: curve i is row and column i.  The
 discriminant package of a nonsingular lattice is the finite group
 coker(gram) together with the Q/Z-valued pairing induced by the inverse
 gram matrix; the canonical representative of a pairing value lives in
@@ -29,19 +30,13 @@ FORMS_ISOMORPHIC_BOUND = 64
 
 class IntersectionLattice(Record):
     """A symmetric integer Gram matrix in the geometric (negative definite)
-    convention, with optional curve labels."""
+    convention.  The gram alone determines the discriminant package."""
 
     gram: IntMatrix
-    labels: tuple = None
 
     def __post_init__(self):
         if not self.gram.is_symmetric():
             raise ValidationError("gram matrix must be symmetric")
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != self.gram.rows:
-                raise ValidationError("label count must match rank")
-            object.__setattr__(self, "labels", labels)
 
     @property
     def rank(self):
@@ -53,17 +48,16 @@ class IntersectionLattice(Record):
         return all(c > 0 for c in char_poly(self.gram))
 
 
-def _plumbing(weights, edges, first_label):
+def _plumbing(weights, edges):
     """Plumbing lattice of a weighted tree: -b_i on the diagonal, 1 on
-    each edge (i, j), vertices labelled C<first_label>, C<first_label+1>, ..."""
+    each edge (i, j); vertex i is row and column i of the gram."""
     n = len(weights)
     gram = [[0] * n for _ in range(n)]
     for i, b in enumerate(weights):
         gram[i][i] = -b
     for i, j in edges:
         gram[i][j] = gram[j][i] = 1
-    labels = tuple(f"C{i}" for i in range(first_label, first_label + n))
-    return IntersectionLattice(IntMatrix(gram), labels)
+    return IntersectionLattice(IntMatrix(gram))
 
 
 def cartan_matrix(family, parameter=None):
@@ -85,13 +79,13 @@ def cartan_matrix(family, parameter=None):
         if parameter is None or _integer(parameter, "n", ParameterError) < 4:
             raise ParameterError("D_n requires n >= 4")
         edges = [(0, 1), (0, 2), (0, 3)] + [(i, i + 1) for i in range(3, parameter - 1)]
-        return _plumbing([2] * parameter, edges, 0)
+        return _plumbing([2] * parameter, edges)
     if family == "E8":
         if parameter is not None:
             raise ParameterError("E8 takes no parameter")
         # Bourbaki numbering C1..C8: chain 1-3-4-5-6-7-8 with node 2 attached to 4.
         edges = [(0, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (6, 7)]
-        return _plumbing([2] * 8, edges, 1)
+        return _plumbing([2] * 8, edges)
     raise ParameterError(f"unknown Cartan family {family!r}")
 
 
@@ -140,7 +134,7 @@ def chain_matrix(weights):
         raise ParameterError("chain needs at least one vertex")
     if any(b < 2 for b in weights):
         raise ParameterError("chain weights must be >= 2")
-    return _plumbing(weights, [(i, i + 1) for i in range(len(weights) - 1)], 1)
+    return _plumbing(weights, [(i, i + 1) for i in range(len(weights) - 1)])
 
 
 def star_matrix(central_weight, arm_weights):
@@ -152,7 +146,7 @@ def star_matrix(central_weight, arm_weights):
     arms = list(arm_weights)
     if central_weight < 1 or any(a < 1 for a in arms):
         raise ParameterError("weights must be >= 1")
-    return _plumbing([central_weight] + arms, [(0, i) for i in range(1, len(arms) + 1)], 0)
+    return _plumbing([central_weight] + arms, [(0, i) for i in range(1, len(arms) + 1)])
 
 
 def _mod1(x):

@@ -63,14 +63,13 @@ def coxeter_element(family, parameter=None):
 
 
 class VariationResult(Record):
-    """The variation map T - id with its cokernel data.
+    """The variation map T - id of a monodromy T, with its cokernel data.
 
     ``det_abs`` is |det(T - id)| when the map is rationally invertible
     and None when it is singular (the zero-flag case of the ordinary
     double point).
     """
 
-    matrix_t: IntMatrix
     variation: IntMatrix
     cokernel: FGAbGroup
     det_abs: int
@@ -91,7 +90,7 @@ def variation_cokernel(t_matrix):
     variation = t_matrix - IntMatrix.identity(t_matrix.rows)
     cokernel = cokernel_group(variation)
     det_abs = cokernel.torsion_order() if cokernel.is_finite() else None
-    return VariationResult(t_matrix, variation, cokernel, det_abs)
+    return VariationResult(variation, cokernel, det_abs)
 
 
 def milnor_number(family, parameter=None):

@@ -7,7 +7,7 @@ when h^{0,2} vanishes, the Brauer group is the torsion of H^3.
 """
 
 from ._record import Record
-from .abgroup import FGAbGroup, tensor, tor
+from .abgroup import FGAbGroup, _integer, tensor, tor
 from .errors import ParameterError
 from .links import SpaceProfile, SphereProduct, lens_profile, link_profile
 
@@ -35,7 +35,7 @@ def builtin_profile(name, genus=None, p=None, q=None):
         }
         return SpaceProfile("Enriques surface", groups, {0: 1, 1: 0, 2: 0})
     if name == "curve":
-        if genus is None or genus < 0:
+        if genus is None or _integer(genus, "genus", ParameterError) < 0:
             raise ParameterError("curve profile needs genus >= 0")
         groups = {0: FGAbGroup.free(1), 1: FGAbGroup.free(2 * genus), 2: FGAbGroup.free(1)}
         return SpaceProfile(f"genus-{genus} curve", groups, {0: 1, 1: genus})

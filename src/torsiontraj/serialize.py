@@ -2,8 +2,9 @@
 
 JSON conventions: rationals are "num/den" strings with the canonical
 [0, 1) representative; groups are {"free_rank": n, "invariant_factors":
-[...]}; matrices are {"matrix": [[...]]}.  Emission uses sorted keys and
-two-space indentation so that parse-then-re-render is byte-identical.
+[...]}; matrices are lists of rows.  Emission uses sorted keys and
+two-space indentation.  Only the inputs that a command takes are parsed:
+lattices, group lists and transport relations.
 """
 
 import csv
@@ -13,9 +14,8 @@ from fractions import Fraction
 
 from .abgroup import FGAbGroup
 from .errors import ValidationError
-from .intmat import IntMatrix, RatMatrix
-from .lattice import DiscriminantPackage, IntersectionLattice, geometric_rep
-from .links import SpaceProfile
+from .intmat import IntMatrix
+from .lattice import IntersectionLattice, geometric_rep
 from .trajectory import MarkerRow
 
 TABLE_HEADERS = ("Example", "E", "q", "Local", "Supp.", "Global image", "Br/res.", "Q")
@@ -24,11 +24,6 @@ TABLE_HEADERS = ("Example", "E", "q", "Local", "Supp.", "Global image", "Br/res.
 def fraction_str(value):
     f = Fraction(value)
     return f"{f.numerator}/{f.denominator}"
-
-
-def parse_fraction(text):
-    num, _, den = str(text).partition("/")
-    return Fraction(int(num), int(den) if den else 1)
 
 
 def fraction_display(value):
@@ -92,15 +87,8 @@ def int_matrix_from_json(rows, what="matrix"):
     return IntMatrix(rows)
 
 
-def rat_matrix_to_json(matrix):
-    return {"matrix": [[fraction_str(x) for x in row] for row in matrix.to_lists()]}
-
-
-def lattice_to_json(lat):
-    data = {"gram": lat.gram.to_lists()}
-    if lat.labels is not None:
-        data["labels"] = list(lat.labels)
-    return data
+def _fraction_rows(matrix):
+    return [[fraction_str(x) for x in row] for row in matrix.to_lists()]
 
 
 def lattice_from_json(data):
@@ -109,7 +97,7 @@ def lattice_from_json(data):
     gram = data.get("gram", data.get("matrix"))
     if gram is None:
         raise ValidationError('lattice literal must have a "gram" (or "matrix") key')
-    return IntersectionLattice(int_matrix_from_json(gram, "gram"), data.get("labels"))
+    return IntersectionLattice(int_matrix_from_json(gram, "gram"))
 
 
 def relation_from_json(data):
@@ -124,21 +112,10 @@ def relation_from_json(data):
 def package_to_json(pkg):
     data = {"group": group_to_json(pkg.group)}
     if pkg.form is not None:
-        data["form"] = rat_matrix_to_json(pkg.form)["matrix"]
+        data["form"] = _fraction_rows(pkg.form)
     if pkg.generators is not None:
-        data["generators"] = rat_matrix_to_json(pkg.generators)["matrix"]
+        data["generators"] = _fraction_rows(pkg.generators)
     return data
-
-
-def package_from_json(data):
-    group = group_from_json(data["group"])
-    form = None
-    if "form" in data:
-        form = RatMatrix([[parse_fraction(x) for x in row] for row in data["form"]])
-    generators = None
-    if "generators" in data:
-        generators = RatMatrix([[parse_fraction(x) for x in row] for row in data["generators"]])
-    return DiscriminantPackage(group, form, generators)
 
 
 def profile_to_json(profile):
@@ -149,21 +126,6 @@ def profile_to_json(profile):
     if profile.hodge_h0q is not None:
         data["hodge_h0q"] = {str(k): v for k, v in profile.hodge_h0q.items()}
     return data
-
-
-def _json_degree(key):
-    # A degree key is a decimal integer string; int() would also take " 2" or "٢".
-    return _json_int(int(key) if key.isascii() and key.isdigit() else key, "degree")
-
-
-def profile_from_json(data):
-    hodge = data.get("hodge_h0q")
-    return SpaceProfile(
-        data["name"],
-        {_json_degree(k): group_from_json(g) for k, g in data["cohomology"].items()},
-        {_json_degree(k): _json_int(v, "Hodge number") for k, v in hodge.items()}
-        if hodge is not None else None,
-    )
 
 
 def report_to_json(report):

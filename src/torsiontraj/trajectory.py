@@ -341,7 +341,7 @@ def stratum_cohomology(coefficients, genus):
     """
     if not coefficients.is_finite():
         raise ParameterError("coefficients must be a finite group")
-    if genus < 0:
+    if _integer(genus, "genus", ParameterError) < 0:
         raise ParameterError("genus must be nonnegative")
     curve_homology = {
         0: FGAbGroup.free(1),

@@ -61,7 +61,6 @@ def test_shadow_coble():
     assert result.sub.form.entry(0, 0) == 0
     assert result.isotropic
     assert result.quotient == Z2
-    assert result.ses == (Z2, Z4, Z2)
 
 
 def test_shadow_a1_trivial():

@@ -3,13 +3,14 @@
 import json
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
 from torsiontraj import serialize
 from torsiontraj.cli import run
-from torsiontraj.intmat import IntMatrix
-from torsiontraj.lattice import IntersectionLattice, discriminant_package
+from torsiontraj.intmat import IntMatrix, RatMatrix
+from torsiontraj.lattice import DiscriminantPackage, IntersectionLattice, discriminant_package
 
 
 @pytest.fixture(autouse=True)
@@ -232,12 +233,52 @@ def test_out_flag(tmp_path, capsys):
     assert data["package"]["group"] == {"free_rank": 0, "invariant_factors": [2, 2]}
 
 
+def not_utf8_gram(tmp_path):
+    path = tmp_path / "gram.json"
+    path.write_bytes(b'{"gram": [[-4]]} \xff')
+    return path
+
+
+# Each ended in a traceback (exit 1): --out was written outside the
+# guarded block, and only a missing file was caught.
+UNUSABLE_PATHS = {
+    "out-missing-dir": lambda tmp: ("singularity", "a1", "--out", tmp / "missing" / "row.md"),
+    "out-is-dir": lambda tmp: ("singularity", "a1", "--out", tmp),
+    "gram-is-dir": lambda tmp: ("lattice", "--gram", tmp),
+    "gram-not-utf8": lambda tmp: ("lattice", "--gram", not_utf8_gram(tmp)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNUSABLE_PATHS))
+def test_unusable_path_is_a_usage_error(tmp_path, capsys, name):
+    argv = [str(arg) for arg in UNUSABLE_PATHS[name](tmp_path)]
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "error" in err and "Traceback" not in err
+
+
+def test_lattice_ignores_labels(tmp_path, capsys):
+    # Curve labels enter no output, so the key is ignored like any other
+    # unknown key; a label list of the wrong length was refused (exit 2).
+    gram = [[-2, 1], [1, -2]]
+    path = tmp_path / "gram.json"
+    for fmt in ("md", "json", "csv"):
+        printed = []
+        for literal in ({"gram": gram}, {"gram": gram, "labels": ["C1"]}):
+            path.write_text(json.dumps(literal))
+            printed.append(invoke(capsys, "lattice", "--gram", str(path), "--format", fmt))
+        assert printed[0] == printed[1]
+        assert printed[0][0] == 0
+
+
 BAD_MATRICES = {
     "float": [[-2.5]],
     "string": [["-4"]],
     "boolean": [[True]],
     "ragged": [[-2, 1], [1]],
     "empty": [],
+    # The wrong shape for the map Z/2 -> Z/2: transport refused it (exit 1).
+    "wide": [[1, 0]],
 }
 
 
@@ -311,7 +352,11 @@ def lattice_json(tmp_path, capsys, text):
     path.write_text(text)
     code, out, err = invoke(capsys, "lattice", "--gram", str(path), "--format", "json")
     assert (code, err) == (0, "")
-    return serialize.package_from_json(json.loads(out))
+    data = json.loads(out)
+    # The printed rationals are "num/den" strings, which Fraction reads as they are.
+    form, generators = (RatMatrix([[Fraction(x) for x in row] for row in data[key]])
+                        for key in ("form", "generators"))
+    return DiscriminantPackage(serialize.group_from_json(data["group"]), form, generators)
 
 
 def test_lattice_prints_exact_results_of_any_size(tmp_path, capsys):

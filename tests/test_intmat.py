@@ -119,9 +119,8 @@ def test_rat_inverse_identity():
 
 
 def test_rat_inverse_singular():
-    with pytest.raises(SingularMatrixError) as info:
+    with pytest.raises(SingularMatrixError):
         rat_inverse(IntMatrix([[1, 2], [2, 4]]))
-    assert info.value.determinant == 0
 
 
 def random_matrix(rng, max_size=6, bound=9):
@@ -314,7 +313,7 @@ def fraction_inverse(matrix):
     for c in range(n):
         pivot_row = next((r for r in range(c, n) if a[r][c] != 0), None)
         if pivot_row is None:
-            raise SingularMatrixError(determinant=0)
+            raise SingularMatrixError()
         if pivot_row != c:
             a[c], a[pivot_row] = a[pivot_row], a[c]
         inv = 1 / a[c][c]
@@ -513,9 +512,8 @@ def test_rat_inverse_matches_fraction_reference(m):
     try:
         expected = fraction_inverse(m)
     except SingularMatrixError:
-        with pytest.raises(SingularMatrixError) as info:
+        with pytest.raises(SingularMatrixError):
             rat_inverse(m)
-        assert info.value.determinant == 0
         return
     inverse = rat_inverse(m)
     assert repr(inverse) == repr(expected)
@@ -525,9 +523,8 @@ def test_rat_inverse_matches_fraction_reference(m):
 @settings(deadline=None)
 @given(singular_matrices())
 def test_rat_inverse_singular_property(m):
-    with pytest.raises(SingularMatrixError) as info:
+    with pytest.raises(SingularMatrixError):
         rat_inverse(m)
-    assert info.value.determinant == 0
     with pytest.raises(SingularMatrixError):
         fraction_inverse(m)
 

@@ -187,34 +187,31 @@ def test_star_matrix():
 
 
 # The literal builders that preceded the shared plumbing builder, kept
-# as references: every gram and label must come out unchanged.
+# as references: every gram must come out unchanged.
 def reference_cartan(family, parameter=None):
     if family == "A":
         k = parameter
         gram = [[-2 if i == j else (1 if abs(i - j) == 1 else 0) for j in range(k)]
                 for i in range(k)]
-        labels = tuple(f"C{i}" for i in range(1, k + 1))
     elif family == "D":
         n = parameter
         edges = [(0, 1), (0, 2), (0, 3)] + [(i, i + 1) for i in range(3, n - 1)]
         gram = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
         for a, b in edges:
             gram[a][b] = gram[b][a] = 1
-        labels = tuple(f"C{i}" for i in range(n))
     else:
         edges = [(1, 3), (3, 4), (2, 4), (4, 5), (5, 6), (6, 7), (7, 8)]
         gram = [[-2 if i == j else 0 for j in range(8)] for i in range(8)]
         for a, b in edges:
             gram[a - 1][b - 1] = gram[b - 1][a - 1] = 1
-        labels = tuple(f"C{i}" for i in range(1, 9))
-    return gram, labels
+    return gram
 
 
 def reference_chain(weights):
     r = len(weights)
     gram = [[-weights[i] if i == j else (1 if abs(i - j) == 1 else 0) for j in range(r)]
             for i in range(r)]
-    return gram, tuple(f"C{i}" for i in range(1, r + 1))
+    return gram
 
 
 def reference_star(central_weight, arms):
@@ -224,30 +221,25 @@ def reference_star(central_weight, arms):
     for i, a in enumerate(arms, start=1):
         gram[i][i] = -a
         gram[0][i] = gram[i][0] = 1
-    labels = ("C0",) + tuple(f"C{i}" for i in range(1, size))
-    return gram, labels
-
-
-def gram_and_labels(lat):
-    return lat.gram.to_lists(), lat.labels
+    return gram
 
 
 def test_cartan_families_match_literal_builders():
     cases = [("A", k) for k in range(1, 61)] + [("D", n) for n in range(4, 13)]
     for family, parameter in cases + [("E8", None)]:
-        assert gram_and_labels(cartan_matrix(family, parameter)) == reference_cartan(
+        assert cartan_matrix(family, parameter).gram.to_lists() == reference_cartan(
             family, parameter
         )
 
 
 @given(st.lists(st.integers(2, 40), min_size=1, max_size=12))
 def test_chain_matches_literal_builder(weights):
-    assert gram_and_labels(chain_matrix(weights)) == reference_chain(weights)
+    assert chain_matrix(weights).gram.to_lists() == reference_chain(weights)
 
 
 @given(st.integers(1, 40), st.lists(st.integers(1, 40), max_size=8))
 def test_star_matches_literal_builder(central_weight, arms):
-    assert gram_and_labels(star_matrix(central_weight, arms)) == reference_star(
+    assert star_matrix(central_weight, arms).gram.to_lists() == reference_star(
         central_weight, arms
     )
 
@@ -255,8 +247,6 @@ def test_star_matches_literal_builder(central_weight, arms):
 def test_lattice_validation():
     with pytest.raises(ValidationError):
         IntersectionLattice(IntMatrix([[0, 1], [2, 0]]))
-    with pytest.raises(ValidationError):
-        IntersectionLattice(IntMatrix([[-2]]), labels=("a", "b"))
 
 
 def test_package_a1():

@@ -13,6 +13,7 @@ from torsiontraj.products import (
     product_cohomology,
     product_profile,
 )
+from torsiontraj.trajectory import stratum_cohomology
 
 Z2 = FGAbGroup.cyclic(2)
 
@@ -29,6 +30,16 @@ def test_builtin_curves():
     assert builtin_profile("curve", genus=3).group(1) == FGAbGroup.free(6)
     with pytest.raises(ParameterError):
         builtin_profile("curve", genus=-1)
+
+
+@pytest.mark.parametrize("genus", [True, 1.5])
+def test_genus_is_an_integer(genus):
+    # genus=1.5 was refused as a "free rank 3.0", and a boolean genus was
+    # taken as 1 by stratum_cohomology.
+    with pytest.raises(ParameterError, match="genus"):
+        builtin_profile("curve", genus=genus)
+    with pytest.raises(ParameterError, match="genus"):
+        stratum_cohomology(Z2, genus)
 
 
 def test_builtin_lens_and_odp():

@@ -78,7 +78,6 @@ SAMPLES = {
 DEFAULTS = {
     FGAbGroup: ((), {"free_rank": 0, "invariant_factors": ()}),
     SphereProduct: ((), {}),
-    IntersectionLattice: ((A2.gram,), {"labels": None}),
     DiscriminantPackage: ((FGAbGroup(),), {"form": None, "generators": None}),
     SpaceProfile: (("X", {}), {"hodge_h0q": None}),
     SingularityModel: (("d4",), {"parameters": ()}),
