@@ -6,9 +6,10 @@ i.e. groups are compared up to isomorphism.  A primary (prime-power)
 decomposition is available as a derived view.
 
 Both fields and every cyclic order must be integers (``operator.index``);
-floats, strings and booleans are refused, not truncated.  Hom and Ext
-into Z/n are G (x) Z/n and Tor(G, Z/n), so they need no functions of
-their own.
+floats, strings and booleans are refused, not truncated.  Finite
+coefficients go through ``tensor`` and ``tor`` alone: Hom and Ext into
+Z/n are G (x) Z/n and Tor(G, Z/n), the n-torsion of G is Tor(G, Z/n)
+and G/nG is G (x) Z/n, so none of them has a formula of its own.
 
 Homomorphisms between finite groups are integer matrices of generator
 images; kernels, images and cokernels are computed by reducing combined
@@ -244,22 +245,21 @@ def tor(g, h):
 
 
 def n_torsion(group, n):
-    """Kernel of multiplication by n: sum of Z/gcd(n, d_i).
+    """Kernel of multiplication by n, which is Tor(G, Z/n).
 
     >>> print(n_torsion(FGAbGroup.cyclic(4), 2))
     Z/2
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    return FGAbGroup.from_orders([gcd(n, d) for d in group.invariant_factors])
+    return tor(group, FGAbGroup.cyclic(n))
 
 
 def scale_subgroup(group, n):
-    """The subgroup nG and the quotient G/nG.
+    """The subgroup nG and the quotient G/nG = G (x) Z/n.
 
-    On torsion, nG = sum Z/(d_i / gcd(n, d_i)) and
-    G/nG = sum Z/gcd(n, d_i) + (Z/n)^rank; n times a free summand is
-    still free of the same rank.
+    On torsion, nG = sum Z/(d_i / gcd(n, d_i)); n times a free summand
+    is still free of the same rank.
 
     >>> sub, quot = scale_subgroup(FGAbGroup.cyclic(4), 2)
     >>> print(sub, "|", quot)
@@ -270,8 +270,7 @@ def scale_subgroup(group, n):
     sub = FGAbGroup.from_orders(
         [d // gcd(n, d) for d in group.invariant_factors], group.free_rank
     )
-    quot_orders = [gcd(n, d) for d in group.invariant_factors] + [n] * group.free_rank
-    return sub, FGAbGroup.from_orders(quot_orders)
+    return sub, tensor(group, FGAbGroup.cyclic(n))
 
 
 def rationalize(group):
@@ -284,7 +283,8 @@ class FinAbHom(Record):
 
     ``matrix`` holds generator images: column i lists the coordinates of
     f(s_i) in the target's generators, where s_i is the source generator
-    of order ``source.invariant_factors[i]``.
+    of order ``source.invariant_factors[i]``.  Both groups are finite and
+    nontrivial, since a matrix has at least one row and one column.
     """
 
     source: FGAbGroup
@@ -294,6 +294,12 @@ class FinAbHom(Record):
     def __post_init__(self):
         if not self.source.is_finite() or not self.target.is_finite():
             raise ValidationError("homomorphism analysis supports torsion groups only")
+        for side, group in (("source", self.source), ("target", self.target)):
+            if group.is_trivial():
+                raise ValidationError(
+                    f"the {side} of a homomorphism is the trivial group 0; "
+                    "it must be a nontrivial finite group"
+                )
         n_src = len(self.source.invariant_factors)
         n_tgt = len(self.target.invariant_factors)
         if (self.matrix.rows, self.matrix.cols) != (n_tgt, n_src):
@@ -346,10 +352,6 @@ def hom_analyze(f):
     src = f.source.invariant_factors
     tgt = f.target.invariant_factors
     n, m = len(src), len(tgt)
-    if n == 0:
-        return HomAnalysis(FGAbGroup.trivial(), FGAbGroup.trivial(), f.target)
-    if m == 0:
-        return HomAnalysis(f.source, FGAbGroup.trivial(), FGAbGroup.trivial())
 
     r_mat = IntMatrix([[tgt[i] if i == j else 0 for j in range(m)] for i in range(m)])
 

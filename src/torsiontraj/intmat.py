@@ -9,7 +9,8 @@ and in a few type-specific operations; an IntMatrix refuses a float or
 float or a string instead of converting it.  Equality compares entries,
 so an integral RatMatrix equals the IntMatrix with the same entries, and
 a product with a RatMatrix on either side is a RatMatrix.  There is one
-product, over row lists, shared by ``@`` and the integer ``char_poly``.
+product, over row lists, shared by ``@``, ``apply`` and the integer
+``char_poly``.
 
 Sizes range from 8x8 intersection matrices to Coxeter elements of A_60
 and beyond, so the kernels follow two rules:
@@ -129,7 +130,7 @@ class _Matrix:
         """Matrix times column vector, returned as a tuple of entries."""
         if len(vector) != self.cols:
             raise DimensionError("vector length does not match column count")
-        return tuple(sum(a * b for a, b in zip(row, vector)) for row in self._rows)
+        return tuple(row[0] for row in _row_product(self._rows, [[x] for x in vector]))
 
     def __matmul__(self, other):
         if self.cols != other.rows:

@@ -12,7 +12,7 @@ import io
 import json
 from fractions import Fraction
 
-from .abgroup import FGAbGroup
+from .abgroup import FGAbGroup, _integer
 from .errors import ValidationError
 from .intmat import IntMatrix
 from .lattice import IntersectionLattice, geometric_rep
@@ -46,26 +46,20 @@ def group_to_json(group):
     return {"free_rank": group.free_rank, "invariant_factors": list(group.invariant_factors)}
 
 
-def _json_int(x, what):
-    if type(x) is not int:  # bool is an int subclass; reject it too
-        raise ValidationError(f"{what} {x!r} is not an integer")
-    return x
-
-
 def group_from_json(data):
-    """FGAbGroup from a parsed group literal, checked before any conversion.
+    """FGAbGroup from a parsed group literal.
 
-    ``free_rank`` must be a JSON integer and ``invariant_factors`` a list
-    of JSON integers; nothing is truncated or coerced by ``int``.
+    Both keys are required and ``invariant_factors`` must be a list;
+    ``FGAbGroup`` itself refuses floats, strings and booleans, so nothing
+    is truncated or coerced by ``int``.
     """
     data = _json_object(data, "group literal")
+    if "free_rank" not in data or "invariant_factors" not in data:
+        raise ValidationError('group literal must have "free_rank" and "invariant_factors" keys')
     factors = data["invariant_factors"]
     if not isinstance(factors, list):
         raise ValidationError("invariant_factors must be a list")
-    return FGAbGroup(
-        _json_int(data["free_rank"], "free_rank"),
-        tuple(_json_int(d, "invariant factor") for d in factors),
-    )
+    return FGAbGroup(data["free_rank"], factors)
 
 
 def int_matrix_from_json(rows, what="matrix"):
@@ -73,7 +67,8 @@ def int_matrix_from_json(rows, what="matrix"):
 
     Rows must form a non-empty rectangular list of lists of JSON integers;
     floats, strings and booleans are rejected rather than truncated or
-    coerced by ``int``.
+    coerced by ``int``.  ``IntMatrix`` alone would take a boolean, so
+    every entry is checked here first.
     """
     if not isinstance(rows, list) or not rows or not all(
         isinstance(row, list) and row for row in rows
@@ -83,7 +78,7 @@ def int_matrix_from_json(rows, what="matrix"):
         raise ValidationError(f"{what} has ragged rows")
     for row in rows:
         for x in row:
-            _json_int(x, f"{what} entry")
+            _integer(x, f"{what} entry")
     return IntMatrix(rows)
 
 

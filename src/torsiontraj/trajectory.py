@@ -16,7 +16,7 @@ table entry plus a factory classmethod.
 """
 
 from ._record import Record
-from .abgroup import FGAbGroup, FinAbHom, _integer, cokernel_group, hom_analyze, rationalize
+from .abgroup import FGAbGroup, FinAbHom, _integer, cokernel_group, hom_analyze, rationalize, tensor
 from .bockstein import shadow
 from .errors import InvariantError, ParameterError, ValidationError
 from .intmat import IntMatrix
@@ -34,7 +34,6 @@ from .links import (
     Seifert,
     SphereProduct,
     link_profile,
-    mod_n_cohomology,
 )
 from .monodromy import coxeter_element, odp_package, variation_cokernel
 
@@ -330,11 +329,12 @@ def transport_kernel(problem):
 
 
 def stratum_cohomology(coefficients, genus):
-    """H^r of a genus-g curve with constant finite coefficients.
+    """H^r of a genus-g curve with constant finite coefficients E.
 
-    Computed factor by factor through the mod-order universal
-    coefficient theorem applied to the curve's integral homology:
-    H^0 = E, H^1 = E^{2g}, H^2 = E.
+    The curve's integral homology (Z, Z^{2g}, Z) is free, so every Ext
+    term of the universal coefficient theorem vanishes and
+    H^r(C; E) = H_r(C) (x) E: H^0 = E, H^1 = E^{2g}, H^2 = E.  Trivial
+    degrees are dropped.
 
     >>> print(stratum_cohomology(FGAbGroup.cyclic(2), 2)[1])
     (Z/2)^4
@@ -348,11 +348,8 @@ def stratum_cohomology(coefficients, genus):
         1: FGAbGroup.free(2 * genus),
         2: FGAbGroup.free(1),
     }
-    out = {}
-    for d in coefficients.invariant_factors:
-        for deg, group in mod_n_cohomology(curve_homology, d).items():
-            out[deg] = out.get(deg, FGAbGroup.trivial()).direct_sum(group)
-    return out
+    groups = {deg: tensor(h, coefficients) for deg, h in curve_homology.items()}
+    return {deg: group for deg, group in groups.items() if not group.is_trivial()}
 
 
 # -- the nine-row table -------------------------------------------------------

@@ -269,6 +269,38 @@ def test_scale_subgroup_free_part():
     assert quot == FGAbGroup.from_orders([2, 2, 2])
 
 
+def gcd_n_torsion(group, n):
+    """n-torsion by its own gcd formula: the previous construction."""
+    return FGAbGroup.from_orders([gcd(n, d) for d in group.invariant_factors])
+
+
+def gcd_scale_subgroup(group, n):
+    """nG and G/nG by their own gcd formulas: the previous construction."""
+    sub = FGAbGroup.from_orders(
+        [d // gcd(n, d) for d in group.invariant_factors], group.free_rank
+    )
+    quot_orders = [gcd(n, d) for d in group.invariant_factors] + [n] * group.free_rank
+    return sub, FGAbGroup.from_orders(quot_orders)
+
+
+groups_with_free_part = st.builds(
+    lambda orders, rank: FGAbGroup.from_orders(orders, rank),
+    st.lists(st.integers(1, 36), max_size=4), st.integers(0, 3),
+)
+
+
+@given(groups_with_free_part, st.integers(1, 40))
+def test_finite_coefficients_match_gcd_formulas(group, n):
+    assert n_torsion(group, n) == gcd_n_torsion(group, n)
+    assert scale_subgroup(group, n) == gcd_scale_subgroup(group, n)
+
+
+@pytest.mark.parametrize("call", [n_torsion, scale_subgroup])
+def test_finite_coefficients_refuse_n_below_one(call):
+    with pytest.raises(ValidationError, match="n must be >= 1"):
+        call(Z4, 0)
+
+
 def test_rationalize():
     assert rationalize(FGAbGroup.cyclic(7)) == 0
     assert rationalize(FGAbGroup(3, (2,))) == 3
@@ -341,6 +373,15 @@ def test_hom_validation():
         FinAbHom(Z2, Z2, IntMatrix([[1, 0]]))
     with pytest.raises(ValidationError):
         FinAbHom(FGAbGroup.free(1), Z2, IntMatrix([[0]]))
+
+
+def test_hom_refuses_a_trivial_side_by_name():
+    # A matrix has at least one row and column, so no matrix fits a
+    # trivial side; the shape check asked for a 1x0 or 0x1 matrix.
+    with pytest.raises(ValidationError, match="source of a homomorphism is the trivial group"):
+        FinAbHom(FGAbGroup.trivial(), Z2, IntMatrix([[1]]))
+    with pytest.raises(ValidationError, match="target of a homomorphism is the trivial group"):
+        FinAbHom(Z2, FGAbGroup.trivial(), IntMatrix([[1]]))
 
 
 def random_hom(rng):

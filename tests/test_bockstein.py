@@ -1,9 +1,11 @@
 """Bockstein images, shadow subpackages, the middle Kunneth direction."""
 
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from torsiontraj.abgroup import FGAbGroup
 from torsiontraj.bockstein import bo_direction_span, bockstein_image, shadow
@@ -38,6 +40,27 @@ def test_bockstein_image_z6():
 def test_bockstein_validation():
     with pytest.raises(ParameterError):
         bockstein_image(Z2, Z2, 1)
+
+
+def gcd_bockstein_image(h_r, h_r1, n):
+    """Image and kernel size by their own gcd formulas: the previous
+    construction, with n-torsion and H^r / n written out."""
+    image = FGAbGroup.from_orders([gcd(n, d) for d in h_r1.invariant_factors])
+    reduction = FGAbGroup.from_orders(
+        [gcd(n, d) for d in h_r.invariant_factors] + [n] * h_r.free_rank
+    )
+    return image, reduction.torsion_order()
+
+
+groups_with_free_part = st.builds(
+    lambda orders, rank: FGAbGroup.from_orders(orders, rank),
+    st.lists(st.integers(1, 36), max_size=4), st.integers(0, 3),
+)
+
+
+@given(groups_with_free_part, groups_with_free_part, st.integers(2, 40))
+def test_bockstein_image_matches_gcd_formulas(h_r, h_r1, n):
+    assert bockstein_image(h_r, h_r1, n) == gcd_bockstein_image(h_r, h_r1, n)
 
 
 def test_exactness_accounting_for_lens_spaces():

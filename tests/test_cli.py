@@ -332,6 +332,8 @@ BAD_PACKAGES = {
     "scalar-factors": [{"free_rank": 0, "invariant_factors": 2}],
     "boolean-factor": [{"free_rank": 0, "invariant_factors": [True]}],
     "not-a-list": 5,
+    # A KeyError escaped as "usage error: 'free_rank'", naming no literal.
+    "missing-rank": [{"invariant_factors": [2]}],
 }
 
 
@@ -345,6 +347,39 @@ def test_transport_rejects_bad_packages(tmp_path, capsys, name):
     assert code == 2
     assert out == ""
     assert "usage error" in err
+
+
+@pytest.mark.parametrize("key", ["free_rank", "invariant_factors"])
+def test_group_literal_names_a_missing_key(tmp_path, capsys, key):
+    literal = {"free_rank": 0, "invariant_factors": [2]}
+    del literal[key]
+    relations = {"target": {"free_rank": 0, "invariant_factors": [2]}, "matrix": [[1]]}
+    code, out, err = invoke(capsys, "transport", *write_transport_inputs(tmp_path, relations,
+                                                                         [literal]))
+    assert (code, out) == (2, "")
+    assert "group literal" in err
+
+
+Z2_LITERAL = {"free_rank": 0, "invariant_factors": [2]}
+TRIVIAL_LITERAL = {"free_rank": 0, "invariant_factors": []}
+TRIVIAL_TRANSPORT = {
+    # (packages, relation target, side named in the refusal)
+    "empty-packages": ([], Z2_LITERAL, "source"),
+    "trivial-packages": ([TRIVIAL_LITERAL, TRIVIAL_LITERAL], Z2_LITERAL, "source"),
+    "trivial-target": ([Z2_LITERAL], TRIVIAL_LITERAL, "target"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRIVIAL_TRANSPORT))
+def test_transport_refuses_a_trivial_group_by_name(tmp_path, capsys, name):
+    # These asked for a 1x0 (or 0x1) matrix, which no JSON matrix can be.
+    packages, target, side = TRIVIAL_TRANSPORT[name]
+    relations = {"target": target, "matrix": [[1]]}
+    code, out, err = invoke(capsys, "transport", *write_transport_inputs(tmp_path, relations,
+                                                                         packages))
+    assert (code, out) == (2, "")
+    assert f"{side} of a homomorphism is the trivial group" in err
+    assert not any(shape in err for shape in ("1x0", "0x1", "0x0"))
 
 
 def lattice_json(tmp_path, capsys, text):

@@ -218,6 +218,41 @@ def test_kernel_basis():
     assert kernel_basis(IntMatrix.identity(3)) == []
 
 
+def dense_apply(matrix, vector):
+    """Every row dotted with the vector, zeros included: the previous
+    ``apply``."""
+    return tuple(sum(a * b for a, b in zip(row, vector)) for row in matrix.to_lists())
+
+
+@st.composite
+def matrices_and_vectors(draw):
+    """An Int or Rat matrix and a vector, with zero rows and zero vectors
+    drawn often."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        kind, entries = IntMatrix, st.integers(-9, 9)
+    else:
+        kind, entries = RatMatrix, st.fractions(-9, 9, max_denominator=6)
+    entries = st.one_of(st.just(0), entries)
+    matrix = [draw(st.one_of(st.just([0] * cols),
+                             st.lists(entries, min_size=cols, max_size=cols)))
+              for _ in range(rows)]
+    vector = draw(st.one_of(st.just([0] * cols),
+                            st.lists(entries, min_size=cols, max_size=cols)))
+    return kind(matrix), vector
+
+
+@given(matrices_and_vectors())
+def test_apply_matches_dense_sum(case):
+    matrix, vector = case
+    assert matrix.apply(vector) == dense_apply(matrix, vector)
+
+
+def test_apply_refuses_a_vector_of_the_wrong_length():
+    with pytest.raises(DimensionError, match="vector length"):
+        IntMatrix([[0, 0], [1, 2]]).apply([1])
+
+
 def test_matrix_validation():
     with pytest.raises(DimensionError):
         IntMatrix([[1, 2], [3]])

@@ -3,13 +3,13 @@
 import random
 import sys
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from torsiontraj.abgroup import FGAbGroup, element_order
+from torsiontraj.abgroup import FGAbGroup, cokernel_group, element_order, group_from_cokernel
 from torsiontraj.errors import (
     CapabilityError,
     InvariantError,
@@ -17,7 +17,7 @@ from torsiontraj.errors import (
     SingularMatrixError,
     ValidationError,
 )
-from torsiontraj.intmat import IntMatrix, RatMatrix, det
+from torsiontraj.intmat import IntMatrix, RatMatrix, det, rat_inverse
 from torsiontraj.lattice import (
     DiscriminantPackage,
     IntersectionLattice,
@@ -33,6 +33,7 @@ from torsiontraj.lattice import (
     star_matrix,
     trivial_package,
 )
+from torsiontraj.serialize import package_to_json, to_json_text
 
 HALF = Fraction(1, 2)
 
@@ -345,6 +346,80 @@ def test_form_well_defined_under_representative_perturbation():
                 shifted.append(tuple(c + m for c, m in zip(column, moved)))
             perturbed = discriminant_package(lat, IntMatrix.from_columns(shifted))
             assert perturbed.form == base.form
+
+
+def dense_discriminant_package(lat, generators=None):
+    """The previous construction: each dual a dense matrix-vector product
+    with gram^-1, each form entry a dot product of a dual and a column."""
+    gram = lat.gram
+    if generators is None:
+        group, snf_generators = group_from_cokernel(gram)
+        columns = [col for order, col in snf_generators]
+    else:
+        group, columns = cokernel_group(gram), generators.columns()
+    if group.is_trivial():
+        return trivial_package()
+    inverse = rat_inverse(gram).to_lists()
+    duals = [tuple(sum(a * b for a, b in zip(row, col)) for row in inverse) for col in columns]
+    if generators is not None:
+        for dual, d_i in zip(duals, group.invariant_factors):
+            assert lcm(*(f.denominator for f in dual)) == d_i
+        span = IntMatrix.from_columns(columns).hstack(gram)
+        assert cokernel_group(span).is_trivial()
+    form = RatMatrix(
+        [[(sum(a * b for a, b in zip(duals[i], columns[j])) % 1) for j in range(len(columns))]
+         for i in range(len(columns))]
+    )
+    return DiscriminantPackage(group, form, RatMatrix.from_columns(duals))
+
+
+def package_text(pkg):
+    return to_json_text(package_to_json(pkg))
+
+
+@st.composite
+def negative_definite_grams(draw):
+    """-(B^T B) for a nonsingular B."""
+    n = draw(st.integers(1, 6))
+    b = IntMatrix(draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                                min_size=n, max_size=n)))
+    assume(det(b) != 0)
+    return IntersectionLattice(-1 * (b.transpose() @ b))
+
+
+@settings(deadline=None)
+@given(negative_definite_grams())
+def test_package_matches_dense_reference(lat):
+    assert package_text(discriminant_package(lat)) == package_text(dense_discriminant_package(lat))
+
+
+@st.composite
+def plumbings_with_shifted_generators(draw):
+    """A chain or a star, and its Smith generators each moved by gram * s
+    for a sparse integer vector s, as in the perturbation property."""
+    if draw(st.booleans()):
+        lat = chain_matrix(draw(st.lists(st.integers(2, 9), min_size=1, max_size=8)))
+    else:
+        lat = star_matrix(draw(st.integers(1, 4)),
+                          draw(st.lists(st.integers(2, 7), min_size=1, max_size=4)))
+        assume(det(lat.gram) != 0)
+    _, columns = _cokernel_generators(lat)
+    assume(columns)
+    sparse = st.lists(st.one_of(st.just(0), st.integers(-4, 4)),
+                      min_size=lat.rank, max_size=lat.rank)
+    shifted = []
+    for column in columns:
+        move = lat.gram.apply(draw(sparse))
+        shifted.append(tuple(c + m for c, m in zip(column, move)))
+    return lat, IntMatrix.from_columns(shifted)
+
+
+@settings(deadline=None)
+@given(plumbings_with_shifted_generators())
+def test_package_with_supplied_generators_matches_dense_reference(case):
+    lat, generators = case
+    assert (package_text(discriminant_package(lat, generators))
+            == package_text(dense_discriminant_package(lat, generators)))
 
 
 def _cokernel_generators(lat):

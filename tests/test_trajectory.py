@@ -13,7 +13,7 @@ from torsiontraj import serialize, trajectory
 from torsiontraj.errors import InvariantError, ParameterError, ValidationError
 from torsiontraj.intmat import IntMatrix
 from torsiontraj.lattice import discriminant_package, forms_isomorphic
-from torsiontraj.links import PlumbingBoundary, lens_profile
+from torsiontraj.links import PlumbingBoundary, lens_profile, mod_n_cohomology
 from torsiontraj.products import builtin_profile, product_cohomology
 from torsiontraj.trajectory import (
     BENOIST_OTTEM_ROW,
@@ -287,6 +287,30 @@ def test_stratum_cohomology():
     assert stratum_cohomology(FGAbGroup.trivial(), 5) == {}
     with pytest.raises(ParameterError):
         stratum_cohomology(FGAbGroup.free(1), 2)
+
+
+def factorwise_stratum_cohomology(coefficients, genus):
+    """Mod-d cohomology of the curve summed over the invariant factors d
+    of E: the previous construction."""
+    curve_homology = {0: FGAbGroup.free(1), 1: FGAbGroup.free(2 * genus), 2: FGAbGroup.free(1)}
+    out = {}
+    for d in coefficients.invariant_factors:
+        for deg, group in mod_n_cohomology(curve_homology, d).items():
+            out[deg] = out.get(deg, FGAbGroup.trivial()).direct_sum(group)
+    return out
+
+
+@given(st.lists(st.integers(1, 36), max_size=4), st.integers(0, 6))
+def test_stratum_cohomology_matches_factorwise_reference(orders, genus):
+    coefficients = FGAbGroup.from_orders(orders)
+    table = stratum_cohomology(coefficients, genus)
+    reference = factorwise_stratum_cohomology(coefficients, genus)
+    assert list(table.items()) == list(reference.items())
+
+
+def test_stratum_cohomology_refuses_a_negative_genus():
+    with pytest.raises(ParameterError, match="nonnegative"):
+        stratum_cohomology(Z2, -1)
 
 
 def test_table_layout():
