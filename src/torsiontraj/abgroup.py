@@ -44,13 +44,22 @@ def _factorize(n):
     return result
 
 
-def _integer(value, what, error=ValidationError):
-    """``value`` as an int, or ``error`` naming it; a bool is refused too."""
+def _integer(value, what, error=ValidationError, least=None):
+    """``value`` as an int, or ``error`` naming it as ``what``.
+
+    The one check of every integer parameter.  A bool, float or string is
+    refused ("must be an integer, got 1.5"), never truncated, and so is a
+    value below ``least`` when one is given ("must be >= 2, got 1").
+    """
     if not isinstance(value, bool):
         try:
-            return index(value)
+            value = index(value)
         except TypeError:
             pass
+        else:
+            if least is None or value >= least:
+                return value
+            raise error(f"{what} must be >= {least}, got {value}")
     raise error(f"{what} must be an integer, got {value!r}")
 
 
@@ -67,9 +76,6 @@ def _invariant_factors(orders):
     (2, 2, 12)
     """
     factors = list(orders)
-    for d in factors:
-        if d < 1:
-            raise ValidationError(f"cyclic order must be positive, got {d}")
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
             a, b = factors[i], factors[j]
@@ -92,13 +98,8 @@ class FGAbGroup(Record):
     # Most records built are groups, so this initializer checks and
     # normalizes its arguments itself instead of the generic one.
     def __init__(self, free_rank=0, invariant_factors=()):
-        rank = _integer(free_rank, "free rank")
-        if rank < 0:
-            raise ValidationError("free rank must be nonnegative")
-        factors = tuple(_integer(d, "invariant factor") for d in invariant_factors)
-        for d in factors:
-            if d < 2:
-                raise ValidationError("invariant factors must be >= 2")
+        rank = _integer(free_rank, "free rank", ValidationError, 0)
+        factors = tuple(_integer(d, "invariant factor", ValidationError, 2) for d in invariant_factors)
         for a, b in zip(factors, factors[1:]):
             if b % a:
                 raise ValidationError(f"invariant factors must form a divisibility chain, got {factors}")
@@ -109,7 +110,7 @@ class FGAbGroup(Record):
     @classmethod
     def from_orders(cls, orders, free_rank=0):
         """Normalize an arbitrary list of cyclic orders (1s are dropped)."""
-        orders = [_integer(d, "cyclic order") for d in orders]
+        orders = [_integer(d, "cyclic order", ValidationError, 1) for d in orders]
         return cls(free_rank, _invariant_factors([d for d in orders if d != 1]))
 
     @classmethod
@@ -250,8 +251,7 @@ def n_torsion(group, n):
     >>> print(n_torsion(FGAbGroup.cyclic(4), 2))
     Z/2
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    n = _integer(n, "n", ValidationError, 1)
     return tor(group, FGAbGroup.cyclic(n))
 
 
@@ -265,8 +265,7 @@ def scale_subgroup(group, n):
     >>> print(sub, "|", quot)
     Z/2 | Z/2
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    n = _integer(n, "n", ValidationError, 1)
     sub = FGAbGroup.from_orders(
         [d // gcd(n, d) for d in group.invariant_factors], group.free_rank
     )
@@ -276,6 +275,20 @@ def scale_subgroup(group, n):
 def rationalize(group):
     """dim_Q (G (x) Q): the free rank; all torsion dies."""
     return group.free_rank
+
+
+def _check_hom_groups(source, target):
+    """Refuse the groups no generator-image matrix fits: an infinite one,
+    or the trivial group, which would need a matrix with no rows or no
+    columns."""
+    if not source.is_finite() or not target.is_finite():
+        raise ValidationError("homomorphism analysis supports torsion groups only")
+    for side, group in (("source", source), ("target", target)):
+        if group.is_trivial():
+            raise ValidationError(
+                f"the {side} of a homomorphism is the trivial group 0; "
+                "it must be a nontrivial finite group"
+            )
 
 
 class FinAbHom(Record):
@@ -292,14 +305,7 @@ class FinAbHom(Record):
     matrix: IntMatrix
 
     def __post_init__(self):
-        if not self.source.is_finite() or not self.target.is_finite():
-            raise ValidationError("homomorphism analysis supports torsion groups only")
-        for side, group in (("source", self.source), ("target", self.target)):
-            if group.is_trivial():
-                raise ValidationError(
-                    f"the {side} of a homomorphism is the trivial group 0; "
-                    "it must be a nontrivial finite group"
-                )
+        _check_hom_groups(self.source, self.target)
         n_src = len(self.source.invariant_factors)
         n_tgt = len(self.target.invariant_factors)
         if (self.matrix.rows, self.matrix.cols) != (n_tgt, n_src):
@@ -317,11 +323,12 @@ class FinAbHom(Record):
 
     @classmethod
     def identity(cls, group):
-        n = len(group.invariant_factors)
-        return cls(group, group, IntMatrix.identity(n))
+        _check_hom_groups(group, group)
+        return cls(group, group, IntMatrix.identity(len(group.invariant_factors)))
 
     @classmethod
     def zero(cls, source, target):
+        _check_hom_groups(source, target)
         return cls(
             source,
             target,

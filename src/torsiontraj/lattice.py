@@ -72,14 +72,11 @@ def cartan_matrix(family, parameter=None):
     [[-2]]
     """
     if family == "A":
-        if parameter is None or _integer(parameter, "k", ParameterError) < 1:
-            raise ParameterError("A_k requires k >= 1")
-        return chain_matrix([2] * parameter)
+        return chain_matrix([2] * _integer(parameter, "A_k parameter k", ParameterError, 1))
     if family == "D":
-        if parameter is None or _integer(parameter, "n", ParameterError) < 4:
-            raise ParameterError("D_n requires n >= 4")
-        edges = [(0, 1), (0, 2), (0, 3)] + [(i, i + 1) for i in range(3, parameter - 1)]
-        return _plumbing([2] * parameter, edges)
+        n = _integer(parameter, "D_n parameter n", ParameterError, 4)
+        edges = [(0, 1), (0, 2), (0, 3)] + [(i, i + 1) for i in range(3, n - 1)]
+        return _plumbing([2] * n, edges)
     if family == "E8":
         if parameter is not None:
             raise ParameterError("E8 takes no parameter")
@@ -129,11 +126,9 @@ def chain_matrix(weights):
     >>> chain_matrix([4]).gram.to_lists()
     [[-4]]
     """
-    weights = list(weights)
+    weights = [_integer(b, "chain weight", ParameterError, 2) for b in weights]
     if not weights:
         raise ParameterError("chain needs at least one vertex")
-    if any(b < 2 for b in weights):
-        raise ParameterError("chain weights must be >= 2")
     return _plumbing(weights, [(i, i + 1) for i in range(len(weights) - 1)])
 
 
@@ -143,10 +138,9 @@ def star_matrix(central_weight, arm_weights):
     >>> star_matrix(1, [2, 3, 11]).gram.to_lists()[0]
     [-1, 1, 1, 1]
     """
-    arms = list(arm_weights)
-    if central_weight < 1 or any(a < 1 for a in arms):
-        raise ParameterError("weights must be >= 1")
-    return _plumbing([central_weight] + arms, [(0, i) for i in range(1, len(arms) + 1)])
+    central = _integer(central_weight, "star central weight", ParameterError, 1)
+    arms = [_integer(a, "star arm weight", ParameterError, 1) for a in arm_weights]
+    return _plumbing([central] + arms, [(0, i) for i in range(1, len(arms) + 1)])
 
 
 def _mod1(x):

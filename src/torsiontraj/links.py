@@ -16,7 +16,7 @@ from math import gcd
 
 from ._record import Record
 from .abgroup import FGAbGroup, _integer, cokernel_group, ext1_to_Z, tensor, tor
-from .errors import CapabilityError, InvariantError, ParameterError
+from .errors import CapabilityError, InvariantError, ParameterError, ValidationError
 from .intmat import IntMatrix
 from .lattice import IntersectionLattice
 
@@ -29,10 +29,12 @@ class SpaceProfile(Record):
     hodge_h0q: dict = None
 
     def __post_init__(self):
-        clean = {_integer(k, "degree"): g for k, g in self.cohomology.items() if not g.is_trivial()}
+        clean = {_integer(k, "degree", ValidationError, 0): g
+                 for k, g in self.cohomology.items() if not g.is_trivial()}
         object.__setattr__(self, "cohomology", clean)
         if self.hodge_h0q is not None:
-            hodge = {_integer(k, "degree"): _integer(v, "Hodge number") for k, v in self.hodge_h0q.items()}
+            hodge = {_integer(k, "degree", ValidationError, 0):
+                     _integer(v, "Hodge number", ValidationError, 0) for k, v in self.hodge_h0q.items()}
             object.__setattr__(self, "hodge_h0q", {k: v for k, v in hodge.items() if v})
 
     def group(self, degree):
@@ -60,12 +62,12 @@ class LensSpace(Record):
     q: int
 
     def __post_init__(self):
-        p = _integer(self.p, "p", ParameterError)
-        q = _integer(self.q, "q", ParameterError)
+        p = _integer(self.p, "lens space p", ParameterError, 2)
+        q = _integer(self.q, "lens space q", ParameterError)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-        if p < 2 or gcd(p, q) != 1:
-            raise ParameterError("lens space needs p >= 2 and gcd(p, q) = 1")
+        if gcd(p, q) != 1:
+            raise ParameterError(f"lens space L({p},{q}) needs gcd(p, q) = 1")
 
 
 class Seifert(Record):
@@ -77,14 +79,12 @@ class Seifert(Record):
     def __post_init__(self):
         b = _integer(self.b, "Seifert b", ParameterError)
         try:
-            arms = tuple((_integer(a, "a Seifert alpha", ParameterError),
+            arms = tuple((_integer(a, "a Seifert alpha", ParameterError, 2),
                           _integer(c, "a Seifert beta", ParameterError)) for a, c in self.arms)
         except (TypeError, ValueError):  # not an iterable of pairs
             raise ParameterError(
                 f"Seifert arms must be integer pairs (alpha, beta), got {self.arms!r}"
             ) from None
-        if any(a < 2 for a, _ in arms):
-            raise ParameterError("Seifert multiplicities must be >= 2")
         for a, c in arms:
             if gcd(a, c) != 1:
                 raise ParameterError(f"Seifert arm ({a}, {c}) needs gcd(alpha, beta) = 1")
@@ -127,9 +127,7 @@ def uct_cohomology_from_homology(homology):
 def mod_n_cohomology(homology, n):
     """H^r(X, Z/n) = Hom(H_r, Z/n) + Ext(H_{r-1}, Z/n) from integral
     homology, with Hom(G, Z/n) = G (x) Z/n and Ext(G, Z/n) = Tor(G, Z/n)."""
-    if n < 2:
-        raise ParameterError("coefficient modulus must be >= 2")
-    z_n = FGAbGroup.cyclic(n)
+    z_n = FGAbGroup.cyclic(_integer(n, "coefficient modulus", ParameterError, 2))
     return _uct(homology, lambda g: tensor(g, z_n), lambda g: tor(g, z_n))
 
 
@@ -248,6 +246,5 @@ def stalk_profile(link, n):
     >>> print(table[0])
     Z/2
     """
-    if n < 0:
-        raise ParameterError("complex dimension must be >= 0")
+    n = _integer(n, "complex dimension", ParameterError, 0)
     return {deg - n: group for deg, group in link.cohomology.items()}

@@ -105,11 +105,9 @@ def milnor_number(family, parameter=None):
     """
     if family == "BP":
         try:
-            a, b, c = (_integer(e, "an exponent", ParameterError) for e in parameter)
+            a, b, c = (_integer(e, "a Brieskorn-Pham exponent", ParameterError, 2) for e in parameter)
         except (TypeError, ValueError):
             raise ParameterError("Brieskorn-Pham exponents must be a triple") from None
-        if min(a, b, c) < 2:
-            raise ParameterError("Brieskorn-Pham exponents must be >= 2")
         return (a - 1) * (b - 1) * (c - 1)
     return _positive_cartan(family, parameter).rows
 

@@ -35,8 +35,7 @@ def builtin_profile(name, genus=None, p=None, q=None):
         }
         return SpaceProfile("Enriques surface", groups, {0: 1, 1: 0, 2: 0})
     if name == "curve":
-        if genus is None or _integer(genus, "genus", ParameterError) < 0:
-            raise ParameterError("curve profile needs genus >= 0")
+        genus = _integer(genus, "genus", ParameterError, 0)
         groups = {0: FGAbGroup.free(1), 1: FGAbGroup.free(2 * genus), 2: FGAbGroup.free(1)}
         return SpaceProfile(f"genus-{genus} curve", groups, {0: 1, 1: genus})
     if name == "lens":
@@ -66,8 +65,7 @@ def product_cohomology(x, y, k):
     >>> print(report.total_torsion)
     (Z/2)^5
     """
-    if k < 0:
-        raise ParameterError("degree must be nonnegative")
+    k = _integer(k, "Kunneth degree", ParameterError, 0)
     summands = []
     for a in range(0, k + 1):
         term = tensor(x.group(a), y.group(k - a))
@@ -90,6 +88,7 @@ def h0q_product(x, y, q):
     >>> h0q_product(builtin_profile("enriques"), builtin_profile("curve", genus=3), 2)
     0
     """
+    q = _integer(q, "Hodge degree q", ParameterError)
     return sum(x.h0q(a) * y.h0q(q - a) for a in range(0, q + 1))
 
 

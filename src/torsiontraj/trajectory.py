@@ -64,11 +64,12 @@ class _Kind(Record):
     model's parameters are one integer per pair, at least its least value,
     that then pass ``check`` (None, or a joint check raising
     ``ParameterError``).  ``name``, ``lattice`` and ``link`` are functions
-    of the parameters; a refusal calls ``name`` with their symbols, as in
-    "A_k surface requires k >= 1".  ``generators`` lists the leading
-    entries of each preferred generator column; the rest of a column is
-    zero up to the lattice rank.  ``monodromy`` is a Coxeter family for
-    ``coxeter_element`` or one of the station notes in ``_MONODROMY_NOTES``.
+    of the parameters; a refusal names the parameter after ``name`` called
+    with the symbols, as in "A_k surface parameter k must be >= 1, got 0".
+    ``generators`` lists the leading entries of each preferred generator
+    column; the rest of a column is zero up to the lattice rank.
+    ``monodromy`` is a Coxeter family for ``coxeter_element`` or one of
+    the station notes in ``_MONODROMY_NOTES``.
     """
 
     parameters: tuple
@@ -132,8 +133,7 @@ class SingularityModel(Record):
             raise ParameterError(f"the {self.kind} model takes {len(rule)} integer parameters"
                                  f" ({', '.join(symbols)}), got {given!r}")
         for value, (name, least) in zip(given, rule):
-            if _integer(value, name, ParameterError) < least:
-                raise ParameterError(f"{spec.name(*symbols)} requires {name} >= {least}")
+            _integer(value, f"{spec.name(*symbols)} parameter {name}", ParameterError, least)
         if spec.check is not None:
             spec.check(*given)
 
@@ -341,8 +341,7 @@ def stratum_cohomology(coefficients, genus):
     """
     if not coefficients.is_finite():
         raise ParameterError("coefficients must be a finite group")
-    if _integer(genus, "genus", ParameterError) < 0:
-        raise ParameterError("genus must be nonnegative")
+    genus = _integer(genus, "genus", ParameterError, 0)
     curve_homology = {
         0: FGAbGroup.free(1),
         1: FGAbGroup.free(2 * genus),

@@ -113,7 +113,7 @@ def test_from_orders_matches_factoring_reference(orders):
 
 def test_nonpositive_order_rejected():
     for bad in ([0], [2, -3]):
-        with pytest.raises(ValidationError, match="must be positive"):
+        with pytest.raises(ValidationError, match=f"cyclic order must be >= 1, got {min(bad)}"):
             FGAbGroup.from_orders(bad)
 
 

@@ -309,7 +309,7 @@ def test_stratum_cohomology_matches_factorwise_reference(orders, genus):
 
 
 def test_stratum_cohomology_refuses_a_negative_genus():
-    with pytest.raises(ParameterError, match="nonnegative"):
+    with pytest.raises(ParameterError, match="genus must be >= 0, got -1"):
         stratum_cohomology(Z2, -1)
 
 
