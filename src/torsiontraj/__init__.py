@@ -11,7 +11,6 @@ from .abgroup import (
     FGAbGroup,
     FinAbHom,
     cokernel_group,
-    ext1_to_Z,
     group_from_cokernel,
     hom_analyze,
     n_torsion,
@@ -50,7 +49,6 @@ from .links import (
     SphereProduct,
     lens_profile,
     link_profile,
-    mod_n_cohomology,
     seifert_h1_order,
     stalk_profile,
     uct_cohomology_from_homology,

@@ -2,14 +2,13 @@
 
 A group is stored canonically as a free rank plus the invariant-factor
 chain d_1 | d_2 | ... (each >= 2).  Equality is equality of that data,
-i.e. groups are compared up to isomorphism.  A primary (prime-power)
-decomposition is available as a derived view.
+i.e. groups are compared up to isomorphism.
 
 Both fields and every cyclic order must be integers (``operator.index``);
 floats, strings and booleans are refused, not truncated.  Finite
-coefficients go through ``tensor`` and ``tor`` alone: Hom and Ext into
-Z/n are G (x) Z/n and Tor(G, Z/n), the n-torsion of G is Tor(G, Z/n)
-and G/nG is G (x) Z/n, so none of them has a formula of its own.
+coefficients go through ``tensor`` and ``tor`` alone: the n-torsion of
+G is Tor(G, Z/n) and G/nG is G (x) Z/n, so neither has a formula of
+its own.
 
 Homomorphisms between finite groups are integer matrices of generator
 images; kernels, images and cokernels are computed by reducing combined
@@ -24,24 +23,6 @@ from operator import index
 from ._record import Record
 from .errors import DimensionError, InvariantError, ValidationError
 from .intmat import IntMatrix, kernel_basis, snf
-
-
-def _factorize(n):
-    """Prime factorization {p: e} by trial division.
-
-    Used only by the derived views ``prime_support`` and
-    ``primary_decomposition``; normalization never factors.
-    """
-    result = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            result[p] = result.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        result[n] = result.get(n, 0) + 1
-    return result
 
 
 def _integer(value, what, error=ValidationError, least=None):
@@ -141,20 +122,6 @@ class FGAbGroup(Record):
     def torsion(self):
         return FGAbGroup(0, self.invariant_factors)
 
-    def prime_support(self):
-        """Primes dividing the torsion order."""
-        support = set()
-        for d in self.invariant_factors:
-            support |= set(_factorize(d))
-        return frozenset(support)
-
-    def primary_decomposition(self):
-        """Derived view: sorted tuple of prime-power cyclic orders."""
-        powers = []
-        for d in self.invariant_factors:
-            powers.extend(p ** e for p, e in _factorize(d).items())
-        return tuple(sorted(powers))
-
     def direct_sum(self, *others):
         orders = list(self.invariant_factors)
         rank = self.free_rank
@@ -219,11 +186,6 @@ def group_from_cokernel(matrix):
     return group, [(d, u.column(i)) for i, d in enumerate(diag) if d != 1]
 
 
-def ext1_to_Z(group):
-    """Ext^1(G, Z): the torsion part of G; free summands contribute nothing."""
-    return group.torsion()
-
-
 def tensor(g, h):
     """G (x) H with Z/m (x) Z/n = Z/gcd(m, n) and Z (x) H = H.
 
@@ -277,20 +239,6 @@ def rationalize(group):
     return group.free_rank
 
 
-def _check_hom_groups(source, target):
-    """Refuse the groups no generator-image matrix fits: an infinite one,
-    or the trivial group, which would need a matrix with no rows or no
-    columns."""
-    if not source.is_finite() or not target.is_finite():
-        raise ValidationError("homomorphism analysis supports torsion groups only")
-    for side, group in (("source", source), ("target", target)):
-        if group.is_trivial():
-            raise ValidationError(
-                f"the {side} of a homomorphism is the trivial group 0; "
-                "it must be a nontrivial finite group"
-            )
-
-
 class FinAbHom(Record):
     """A homomorphism between finite abelian groups.
 
@@ -305,7 +253,14 @@ class FinAbHom(Record):
     matrix: IntMatrix
 
     def __post_init__(self):
-        _check_hom_groups(self.source, self.target)
+        if not self.source.is_finite() or not self.target.is_finite():
+            raise ValidationError("homomorphism analysis supports torsion groups only")
+        for side, group in (("source", self.source), ("target", self.target)):
+            if group.is_trivial():
+                raise ValidationError(
+                    f"the {side} of a homomorphism is the trivial group 0; "
+                    "it must be a nontrivial finite group"
+                )
         n_src = len(self.source.invariant_factors)
         n_tgt = len(self.target.invariant_factors)
         if (self.matrix.rows, self.matrix.cols) != (n_tgt, n_src):
@@ -320,20 +275,6 @@ class FinAbHom(Record):
                         f"generator {i} of order {d} maps outside the target: "
                         f"entry ({j},{i}) violates order compatibility"
                     )
-
-    @classmethod
-    def identity(cls, group):
-        _check_hom_groups(group, group)
-        return cls(group, group, IntMatrix.identity(len(group.invariant_factors)))
-
-    @classmethod
-    def zero(cls, source, target):
-        _check_hom_groups(source, target)
-        return cls(
-            source,
-            target,
-            IntMatrix.zero(len(target.invariant_factors), len(source.invariant_factors)),
-        )
 
 
 class HomAnalysis(Record):

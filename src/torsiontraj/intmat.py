@@ -170,18 +170,6 @@ class IntMatrix(_Matrix):
     # IntMatrix itself and can be wrapped without touching RatMatrix.
     __matmul__ = _Matrix.__matmul__
 
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls([[0] * cols for _ in range(rows)])
-
-    def is_diagonal(self):
-        return all(
-            self._rows[i][j] == 0
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if i != j
-        )
-
     def diagonal(self):
         return tuple(self._rows[i][i] for i in range(min(self.rows, self.cols)))
 
@@ -228,11 +216,6 @@ class RatMatrix(_Matrix):
 
     __slots__ = ()
     _entry = staticmethod(_fraction)
-
-    def to_int_matrix(self):
-        if any(x.denominator != 1 for row in self._rows for x in row):
-            raise DimensionError("matrix has non-integer entries")
-        return IntMatrix([[x.numerator for x in row] for row in self._rows])
 
     def __repr__(self):
         return f"RatMatrix({[[str(x) for x in row] for row in self._rows]!r})"

@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
     ValidationError,
 )
-from .intmat import IntMatrix, RatMatrix, char_poly, rat_inverse
+from .intmat import IntMatrix, RatMatrix, rat_inverse
 
 FORMS_ISOMORPHIC_BOUND = 64
 
@@ -41,11 +41,6 @@ class IntersectionLattice(Record):
     @property
     def rank(self):
         return self.gram.rows
-
-    def is_negative_definite(self):
-        """The gram is symmetric, so det(tI - gram) has only real roots; they
-        are all negative iff every coefficient is positive (Descartes)."""
-        return all(c > 0 for c in char_poly(self.gram))
 
 
 def _plumbing(weights, edges):
@@ -99,9 +94,9 @@ def hj_expansion(n, q):
     for value in (n, q):
         _integer(value, "a Hirzebruch-Jung entry", ParameterError)
     if not (n > q >= 1):
-        raise ParameterError("need n > q >= 1")
+        raise ParameterError(f"need n > q >= 1, got n = {n}, q = {q}")
     if gcd(n, q) != 1:
-        raise ParameterError("need gcd(n, q) = 1")
+        raise ParameterError(f"need gcd(n, q) = 1, got n = {n}, q = {q}")
     weights = []
     while q > 0:
         b = -(-n // q)  # ceil(n / q)
@@ -193,35 +188,9 @@ class DiscriminantPackage(Record):
     def orders(self):
         return self.group.invariant_factors
 
-    def form_value(self, coords_a, coords_b):
-        """Pairing of two elements given by generator coordinates."""
-        total = Fraction(0)
-        for i, a in enumerate(coords_a):
-            for j, b in enumerate(coords_b):
-                total += a * b * self.form.entry(i, j)
-        return _mod1(total)
-
     def elements(self):
         """All coordinate tuples of the underlying group."""
         return itertools.product(*(range(d) for d in self.orders()))
-
-    def is_nondegenerate(self):
-        """Whether x -> q(x, -) is injective from E to E^ = Hom(E, Q/Z).
-
-        This adjoint sends s_i to the sum of (d_j q_ij) chi_j, where chi_j is
-        the character dual to s_j.  E and E^ have the same order, so it is
-        injective iff coker([adjoint | diag(d)]) is trivial: one Smith form.
-        """
-        orders = self.orders()
-        if not orders:
-            return True
-        k = len(orders)
-        span = IntMatrix(
-            [[(d * self.form.entry(i, j)).numerator for i in range(k)]
-             + [d * (i == j) for i in range(k)]
-             for j, d in enumerate(orders)]
-        )
-        return cokernel_group(span).is_trivial()
 
 
 def trivial_package():

@@ -6,16 +6,16 @@ Seifert fibered spaces over S^2 with finite first homology, boundaries of
 negative definite plumbings, and S^2 x S^3 (the threefold node link).
 
 All groups are obtained through the universal coefficient theorem from
-homology, so torsion lands one degree up from where it is born.  One
-degree loop serves Z and Z/n coefficients alike, and every 3-manifold
-link enters it through the homology of a closed 3-manifold with its H_1.
+homology, so torsion lands one degree up from where it is born.  Every
+3-manifold link enters it through the homology of a closed 3-manifold
+with its H_1.
 """
 
 from fractions import Fraction
 from math import gcd
 
 from ._record import Record
-from .abgroup import FGAbGroup, _integer, cokernel_group, ext1_to_Z, tensor, tor
+from .abgroup import FGAbGroup, _integer, cokernel_group
 from .errors import CapabilityError, InvariantError, ParameterError, ValidationError
 from .intmat import IntMatrix
 from .lattice import IntersectionLattice
@@ -100,10 +100,11 @@ class PlumbingBoundary(Record):
     lattice: IntersectionLattice
 
 
-# -- universal coefficient conversions ---------------------------------------
+# -- universal coefficient theorem --------------------------------------------
 
-def _uct(homology, hom, ext):
-    """H^k = hom(H_k) + ext(H_{k-1}), degreewise, trivial degrees dropped.
+def uct_cohomology_from_homology(homology):
+    """H^k = Hom(H_k, Z) + Ext^1(H_{k-1}, Z): free part plus torsion,
+    degreewise, trivial degrees dropped.
 
     The sequence splits abstractly, which is all that matters at the
     level of isomorphism classes.
@@ -113,30 +114,13 @@ def _uct(homology, hom, ext):
     for k in degrees | {d + 1 for d in degrees}:
         h_k = homology.get(k, FGAbGroup.trivial())
         h_prev = homology.get(k - 1, FGAbGroup.trivial())
-        group = hom(h_k).direct_sum(ext(h_prev))
+        group = FGAbGroup.free(h_k.free_rank).direct_sum(h_prev.torsion())
         if not group.is_trivial():
             out[k] = group
     return out
 
 
-def uct_cohomology_from_homology(homology):
-    """H^k = Hom(H_k, Z) + Ext^1(H_{k-1}, Z): free part plus torsion."""
-    return _uct(homology, lambda g: FGAbGroup.free(g.free_rank), ext1_to_Z)
-
-
-def mod_n_cohomology(homology, n):
-    """H^r(X, Z/n) = Hom(H_r, Z/n) + Ext(H_{r-1}, Z/n) from integral
-    homology, with Hom(G, Z/n) = G (x) Z/n and Ext(G, Z/n) = Tor(G, Z/n)."""
-    z_n = FGAbGroup.cyclic(_integer(n, "coefficient modulus", ParameterError, 2))
-    return _uct(homology, lambda g: tensor(g, z_n), lambda g: tor(g, z_n))
-
-
 # -- lens spaces --------------------------------------------------------------
-
-def lens_homology(p, q):
-    """H_*(L(p, q)): (Z, Z/p, 0, Z); independent of q."""
-    return _closed3_homology(FGAbGroup.cyclic(LensSpace(p, q).p))
-
 
 def lens_profile(p, q):
     """Integral cohomology of L(p, q): H^2 = Z/p via Ext, the rest free.

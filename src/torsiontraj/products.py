@@ -58,6 +58,13 @@ class ProductReport(Record):
     total_torsion: FGAbGroup
 
 
+def _degree_window(x, y, total):
+    """The degrees a with a + b = total, a <= top(X) and b <= top(Y): above
+    its top degree a profile holds only zero groups, so no other pair can
+    give a nonzero term, and the loops cost nothing at a huge degree."""
+    return range(max(0, total - y.max_degree()), min(total, x.max_degree()) + 1)
+
+
 def product_cohomology(x, y, k):
     """H^k(X x Y) by the Kunneth formula with Tor corrections.
 
@@ -67,12 +74,12 @@ def product_cohomology(x, y, k):
     """
     k = _integer(k, "Kunneth degree", ParameterError, 0)
     summands = []
-    for a in range(0, k + 1):
+    for a in _degree_window(x, y, k):
         term = tensor(x.group(a), y.group(k - a))
         if not term.is_trivial():
             summands.append((a, k - a, term))
     tor_terms = []
-    for a in range(0, k + 2):
+    for a in _degree_window(x, y, k + 1):
         term = tor(x.group(a), y.group(k + 1 - a))
         if not term.is_trivial():
             tor_terms.append((a, k + 1 - a, term))

@@ -36,6 +36,7 @@ from .links import (
     link_profile,
 )
 from .monodromy import coxeter_element, odp_package, variation_cokernel
+from .products import builtin_profile
 
 BRIESKORN_EXPONENTS = (2, 3, 11)
 BRIESKORN_SEIFERT = (-1, ((2, 1), (3, 1), (11, 1)))
@@ -331,23 +332,19 @@ def transport_kernel(problem):
 def stratum_cohomology(coefficients, genus):
     """H^r of a genus-g curve with constant finite coefficients E.
 
-    The curve's integral homology (Z, Z^{2g}, Z) is free, so every Ext
-    term of the universal coefficient theorem vanishes and
-    H^r(C; E) = H_r(C) (x) E: H^0 = E, H^1 = E^{2g}, H^2 = E.  Trivial
-    degrees are dropped.
+    The curve's groups (Z, Z^{2g}, Z), in homology and cohomology alike,
+    are read from its built-in profile (``products.builtin_profile``).
+    They are free, so every Ext term of the universal coefficient theorem
+    vanishes and H^r(C; E) = H_r(C) (x) E: H^0 = E, H^1 = E^{2g},
+    H^2 = E.  Trivial degrees are dropped.
 
     >>> print(stratum_cohomology(FGAbGroup.cyclic(2), 2)[1])
     (Z/2)^4
     """
     if not coefficients.is_finite():
         raise ParameterError("coefficients must be a finite group")
-    genus = _integer(genus, "genus", ParameterError, 0)
-    curve_homology = {
-        0: FGAbGroup.free(1),
-        1: FGAbGroup.free(2 * genus),
-        2: FGAbGroup.free(1),
-    }
-    groups = {deg: tensor(h, coefficients) for deg, h in curve_homology.items()}
+    curve = builtin_profile("curve", genus=genus)
+    groups = {deg: tensor(h, coefficients) for deg, h in curve.cohomology.items()}
     return {deg: group for deg, group in groups.items() if not group.is_trivial()}
 
 

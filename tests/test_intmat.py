@@ -46,7 +46,8 @@ def check_snf(matrix):
     assert abs(det(decomp.u)) == 1
     assert abs(det(decomp.v)) == 1
     diag = list(decomp.d.diagonal())
-    assert decomp.d.is_diagonal()
+    d = decomp.d.to_lists()
+    assert all(x == 0 for i, row in enumerate(d) for j, x in enumerate(row) if i != j)
     assert all(x >= 0 for x in diag)
     nonzero = [x for x in diag if x]
     assert diag == nonzero + [0] * (len(diag) - len(nonzero))
@@ -268,16 +269,6 @@ def test_int_matrix_refuses_inexact_entries():
     assert IntMatrix([[True, 2**80]]).to_lists() == [[1, 2**80]]
 
 
-def test_to_int_matrix_round_trips():
-    ints = IntMatrix([[-3, 0], [2**70, 1]])
-    back = RatMatrix(ints.to_lists()).to_int_matrix()
-    assert type(back) is IntMatrix and back == ints
-    assert all(type(x) is int for row in back.to_lists() for x in row)
-    assert RatMatrix([[Fraction(4, 2)]]).to_int_matrix().to_lists() == [[2]]
-    with pytest.raises(DimensionError):
-        RatMatrix([[Fraction(1, 2)]]).to_int_matrix()
-
-
 def test_rat_matrix_refuses_inexact_entries():
     # Fraction() took these: 2.7 became 3039929748475085/1125899906842624
     # (the binary value of the float) and "1/2" became 1/2.
@@ -390,8 +381,9 @@ def inverse_kernel_basis(matrix):
     rank = decomp.rank()
     if rank == matrix.cols:
         return []
-    v_inv = rat_inverse(decomp.v).to_int_matrix()
-    return [v_inv.column(j) for j in range(rank, matrix.cols)]
+    v_inv = rat_inverse(decomp.v).to_lists()
+    assert all(x.denominator == 1 for row in v_inv for x in row)
+    return [tuple(row[j].numerator for row in v_inv) for j in range(rank, matrix.cols)]
 
 
 def reference_snf(matrix):
@@ -711,12 +703,10 @@ def transforms_built(decomps):
 
 def test_diagonal_only_stations_build_no_transform(recorded):
     lat = cartan_matrix("D", 4)
-    package = discriminant_package(lat)
     stations = [
         lambda: variation_cokernel(coxeter_element("A", 6)),
         lambda: link_profile(PlumbingBoundary(lat)),
         lambda: link_profile(Seifert(-1, ((2, 1), (3, 1), (11, 1)))),
-        package.is_nondegenerate,
     ]
     for station in stations:
         recorded.clear()

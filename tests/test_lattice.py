@@ -57,7 +57,7 @@ def test_cartan_a3_determinant():
 
 def test_cartan_families_negative_definite():
     for lat in (cartan_matrix("A", 5), cartan_matrix("D", 6), cartan_matrix("E8")):
-        assert lat.is_negative_definite()
+        assert sylvester_negative_definite(lat)
 
 
 def sylvester_negative_definite(lat):
@@ -68,30 +68,6 @@ def sylvester_negative_definite(lat):
         if det(IntMatrix([row[:k] for row in rows[:k]])) * (-1) ** k <= 0:
             return False
     return True
-
-
-@st.composite
-def symmetric_matrices(draw):
-    """-(B^T B) scaled by a positive factor up to 2^70 (definite exactly when
-    B is nonsingular), or a symmetric matrix with independent entries."""
-    n = draw(st.integers(1, 6))
-    entries = st.integers(-4, 4)
-    if draw(st.booleans()):
-        b = IntMatrix(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
-                                    min_size=n, max_size=n)))
-        return draw(st.integers(1, 2**70)) * -1 * (b.transpose() @ b)
-    rows = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            rows[i][j] = rows[j][i] = draw(st.integers(-12, 2) if i == j else entries)
-    return IntMatrix(rows)
-
-
-@settings(deadline=None)
-@given(symmetric_matrices())
-def test_negative_definite_matches_sylvester(gram):
-    lat = IntersectionLattice(gram)
-    assert lat.is_negative_definite() == sylvester_negative_definite(lat)
 
 
 def test_cartan_validation():
@@ -439,7 +415,7 @@ def test_discriminant_order_matches_det():
             continue
         gram = -1 * (b.transpose() @ b)
         lat = IntersectionLattice(gram)
-        assert lat.is_negative_definite()
+        assert sylvester_negative_definite(lat)
         pkg = discriminant_package(lat)
         assert pkg.group.torsion_order() == abs(det(gram))
         done += 1
@@ -456,7 +432,16 @@ def test_builtin_family_forms_symmetric_nondegenerate():
     ]
     for pkg in families:
         assert pkg.form.is_symmetric()
-        assert pkg.is_nondegenerate()
+        assert brute_force_nondegenerate(pkg)
+
+
+def form_value(pkg, coords_a, coords_b):
+    """Pairing of two elements given by generator coordinates, in [0, 1)."""
+    total = Fraction(0)
+    for i, a in enumerate(coords_a):
+        for j, b in enumerate(coords_b):
+            total += a * b * pkg.form.entry(i, j)
+    return total % 1
 
 
 def brute_force_nondegenerate(pkg):
@@ -465,41 +450,9 @@ def brute_force_nondegenerate(pkg):
     k = len(pkg.orders())
     units = [tuple(int(t == j) for t in range(k)) for j in range(k)]
     for coords in pkg.elements():
-        if any(coords) and all(pkg.form_value(coords, u) == 0 for u in units):
+        if any(coords) and all(form_value(pkg, coords, u) == 0 for u in units):
             return False
     return True
-
-
-@st.composite
-def small_packages(draw):
-    """Abstract packages on Z/d_1 + ... + Z/d_k with d_1 | ... | d_k and
-    a random symmetric form; many of them are degenerate."""
-    orders = [draw(st.integers(2, 6))]
-    for _ in range(draw(st.integers(0, 2))):
-        orders.append(orders[-1] * draw(st.integers(1, 3)))
-    assume(prod(orders) <= 400)
-    k = len(orders)
-    form = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            g = gcd(orders[i], orders[j])
-            form[i][j] = form[j][i] = Fraction(draw(st.integers(0, g - 1)), g)
-    return abstract_package(FGAbGroup.from_orders(orders), form)
-
-
-@settings(deadline=None, max_examples=300)
-@given(small_packages())
-def test_is_nondegenerate_matches_brute_force(pkg):
-    assert pkg.is_nondegenerate() == brute_force_nondegenerate(pkg)
-
-
-def test_is_nondegenerate_beyond_enumeration():
-    # order 101^2 > 10^4, past what enumeration covered
-    square = FGAbGroup.from_orders([101, 101])
-    unit = Fraction(1, 101)
-    assert abstract_package(square, [[unit, 0], [0, unit]]).is_nondegenerate()
-    assert not abstract_package(square, [[unit, 0], [0, 0]]).is_nondegenerate()
-    assert trivial_package().is_nondegenerate()
 
 
 def test_dn_parity_law():
@@ -576,7 +529,7 @@ def fraction_pairing_table(pkg):
     unit_values = {}
     for x in elements:
         unit_values[x] = [
-            pkg.form_value(x, tuple(int(t == j) for t in range(k))) for j in range(k)
+            form_value(pkg, x, tuple(int(t == j) for t in range(k))) for j in range(k)
         ]
     table = {}
     for x in elements:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from torsiontraj.abgroup import FGAbGroup, ext1_to_Z
+from torsiontraj.abgroup import FGAbGroup
 from torsiontraj import links
 from torsiontraj.errors import CapabilityError, InvariantError, ParameterError
 from torsiontraj.lattice import cartan_matrix, chain_matrix, discriminant_package, hj_expansion, star_matrix
@@ -18,15 +18,15 @@ from torsiontraj.links import (
     Seifert,
     SpaceProfile,
     SphereProduct,
-    lens_homology,
     lens_profile,
     link_profile,
-    mod_n_cohomology,
     seifert_h1_order,
     seifert_homology,
     stalk_profile,
     uct_cohomology_from_homology,
 )
+
+from uct_references import reference_uct
 
 Z = FGAbGroup.free(1)
 
@@ -64,7 +64,8 @@ def test_lens_profile_is_link_profile():
     for p, q in [(2, 1), (7, 3), (12, 5)]:
         profile = link_profile(LensSpace(p, q))
         assert profile.name == f"L({p},{q})"
-        assert profile.cohomology == uct_cohomology_from_homology(lens_homology(p, q))
+        homology = {0: Z, 1: FGAbGroup.cyclic(p), 3: Z}
+        assert profile.cohomology == uct_cohomology_from_homology(homology)
 
 
 @pytest.mark.parametrize(
@@ -152,29 +153,6 @@ def test_stalk_profile_identity_shift():
     assert stalk_profile(profile, 0) == profile.cohomology
 
 
-def test_mod_n_curve():
-    for g in range(0, 4):
-        homology = {0: Z, 1: FGAbGroup.free(2 * g), 2: Z}
-        table = mod_n_cohomology(homology, 2)
-        assert table.get(1, FGAbGroup.trivial()) == FGAbGroup.from_orders([2] * 2 * g)
-
-
-def test_mod_n_lens():
-    table = mod_n_cohomology(lens_homology(4, 1), 2)
-    assert table[1] == FGAbGroup.cyclic(2)
-
-
-def test_mod_n_simply_connected_torsion_free():
-    homology = {0: Z, 2: FGAbGroup.free(2), 4: Z}
-    table = mod_n_cohomology(homology, 5)
-    assert 1 not in table
-
-
-def test_mod_n_validation():
-    with pytest.raises(ParameterError):
-        mod_n_cohomology({0: Z}, 1)
-
-
 def test_uct_rp3():
     homology = {0: Z, 1: FGAbGroup.cyclic(2), 3: Z}
     cohomology = uct_cohomology_from_homology(homology)
@@ -253,36 +231,6 @@ def test_seifert_presentation_must_match_closed_formula(monkeypatch):
         link_profile(Seifert(-1, ((2, 1), (3, 1), (11, 1))))
 
 
-# The two degree loops that preceded the shared one, with their Hom/Ext
-# formulas written out, kept as references.
-def reference_uct(homology):
-    degrees = set(homology)
-    out = {}
-    for k in degrees | {d + 1 for d in degrees}:
-        h_k = homology.get(k, FGAbGroup.trivial())
-        h_prev = homology.get(k - 1, FGAbGroup.trivial())
-        group = FGAbGroup.free(h_k.free_rank).direct_sum(ext1_to_Z(h_prev))
-        if not group.is_trivial():
-            out[k] = group
-    return out
-
-
-def reference_mod_n(homology, n):
-    degrees = set(homology)
-    out = {}
-    for r in degrees | {d + 1 for d in degrees}:
-        h_r = homology.get(r, FGAbGroup.trivial())
-        h_prev = homology.get(r - 1, FGAbGroup.trivial())
-        hom = FGAbGroup.from_orders(
-            [gcd(d, n) for d in h_r.invariant_factors] + [n] * h_r.free_rank
-        )
-        ext = FGAbGroup.from_orders([gcd(d, n) for d in h_prev.invariant_factors])
-        group = hom.direct_sum(ext)
-        if not group.is_trivial():
-            out[r] = group
-    return out
-
-
 groups = st.builds(
     FGAbGroup.from_orders,
     st.lists(st.integers(2, 60), max_size=3),
@@ -290,18 +238,8 @@ groups = st.builds(
 )
 
 
-@given(st.dictionaries(st.integers(0, 5), groups, max_size=6), st.integers(2, 30))
-def test_uct_matches_reference_loops(homology, n):
+@given(st.dictionaries(st.integers(0, 5), groups, max_size=6))
+def test_uct_matches_reference_loops(homology):
     assert list(uct_cohomology_from_homology(homology).items()) == list(
         reference_uct(homology).items()
     )
-    assert list(mod_n_cohomology(homology, n).items()) == list(
-        reference_mod_n(homology, n).items()
-    )
-
-
-def test_lens_homology_matches_literal():
-    for p in range(2, 41):
-        literal = {0: Z, 1: FGAbGroup.cyclic(p), 3: Z}
-        assert uct_cohomology_from_homology(lens_homology(p, 1)) == reference_uct(literal)
-        assert mod_n_cohomology(lens_homology(p, 1), 6) == reference_mod_n(literal, 6)

@@ -15,13 +15,13 @@ from torsiontraj.abgroup import FGAbGroup, FinAbHom, n_torsion, scale_subgroup
 from torsiontraj.bockstein import bockstein_image, shadow
 from torsiontraj.cli import run
 from torsiontraj.errors import ParameterError, ValidationError
-from torsiontraj.lattice import abstract_package, cartan_matrix, chain_matrix, star_matrix
+from torsiontraj.intmat import IntMatrix
+from torsiontraj.lattice import abstract_package, cartan_matrix, chain_matrix, hj_expansion, star_matrix
 from torsiontraj.links import (
     LensSpace,
     Seifert,
     SpaceProfile,
     lens_profile,
-    mod_n_cohomology,
     stalk_profile,
 )
 from torsiontraj.monodromy import milnor_number
@@ -56,8 +56,6 @@ SITES = {
     "lens-p": ("lens space p", 2, ParameterError, lambda v: LensSpace(v, 1)),
     "seifert-alpha": ("a Seifert alpha", 2, ParameterError,
                       lambda v: Seifert(-1, ((2, 1), (v, 1)))),
-    "mod-n-modulus": ("coefficient modulus", 2, ParameterError,
-                      lambda v: mod_n_cohomology({0: Z}, v)),
     "stalk-dimension": ("complex dimension", 0, ParameterError, lambda v: stalk_profile(L21, v)),
     "bp-exponent": ("a Brieskorn-Pham exponent", 2, ParameterError,
                     lambda v: milnor_number("BP", (2, v, 11))),
@@ -82,7 +80,6 @@ DEFECTS = [
     ("chain-weight", 2.5),
     ("star-central", True),
     ("hodge-number", -1),
-    ("mod-n-modulus", 2.5),
     ("stalk-dimension", 1.5),
     ("stalk-dimension", True),
     ("kunneth-degree", 2.5),
@@ -120,17 +117,39 @@ def test_least_value_is_accepted(site):
     call(0 if least is None else least)
 
 
-# The factories once failed building a matrix with no rows or columns,
-# before the groups were checked.
-@pytest.mark.parametrize("build, fragment", [
-    (lambda: FinAbHom.identity(FGAbGroup.trivial()), "source of a homomorphism is the trivial group"),
-    (lambda: FinAbHom.zero(FGAbGroup.trivial(), Z2), "source of a homomorphism is the trivial group"),
-    (lambda: FinAbHom.zero(Z2, FGAbGroup.trivial()), "target of a homomorphism is the trivial group"),
-    (lambda: FinAbHom.identity(Z), "torsion groups only"),
-], ids=["identity-trivial", "zero-trivial-source", "zero-trivial-target", "identity-free"])
-def test_homomorphism_factories_refuse_groups_by_name(build, fragment):
+# The groups are checked before the matrix's shape, so each refusal names
+# the group even when a 1x1 matrix could not fit it.
+@pytest.mark.parametrize("source, target, fragment", [
+    (FGAbGroup.trivial(), Z2, "source of a homomorphism is the trivial group"),
+    (Z2, FGAbGroup.trivial(), "target of a homomorphism is the trivial group"),
+    (Z, Z2, "torsion groups only"),
+], ids=["trivial-source", "trivial-target", "free-source"])
+def test_homomorphism_refuses_groups_by_name(source, target, fragment):
     with pytest.raises(ValidationError, match=fragment):
-        build()
+        FinAbHom(source, target, IntMatrix([[1]]))
+
+
+# The joint checks of 1/n(1,q) name both values, as the single-parameter
+# refusals name theirs; the CLI prints the same text as a usage error.
+JOINT_REFUSALS = pytest.mark.parametrize("n, q, fragment", [
+    (4, 5, "need n > q >= 1, got n = 4, q = 5"),
+    (4, 2, "need gcd(n, q) = 1, got n = 4, q = 2"),
+], ids=["order", "gcd"])
+
+
+@JOINT_REFUSALS
+def test_hj_expansion_joint_refusal_names_n_and_q(n, q, fragment):
+    with pytest.raises(ParameterError) as caught:
+        hj_expansion(n, q)
+    assert str(caught.value) == fragment
+
+
+@JOINT_REFUSALS
+def test_cli_quotient_joint_refusal_names_n_and_q(capsys, n, q, fragment):
+    code = run(["singularity", "quotient", str(n), str(q)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"usage error: {fragment}\n"
 
 
 @pytest.mark.parametrize("argv", [

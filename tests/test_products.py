@@ -1,12 +1,15 @@
 """Kunneth products, coherent Hodge column, Brauer gate."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from torsiontraj.abgroup import FGAbGroup, rationalize, tensor, tor
 from torsiontraj.errors import CapabilityError, ParameterError
 from torsiontraj.links import SpaceProfile
 from torsiontraj.products import (
     GateRefusal,
+    ProductReport,
     brauer_comparison,
     builtin_profile,
     h0q_product,
@@ -88,6 +91,49 @@ def brute_kunneth(x, y, k):
     for a in range(0, k + 2):
         total = total.direct_sum(tor(x.group(a), y.group(k + 1 - a)))
     return total
+
+
+def unbounded_product_cohomology(x, y, k):
+    """The report with every a in 0..k (0..k+1 for Tor), however far past
+    the profiles' top degrees: the previous loops."""
+    summands = []
+    for a in range(0, k + 1):
+        term = tensor(x.group(a), y.group(k - a))
+        if not term.is_trivial():
+            summands.append((a, k - a, term))
+    tor_terms = []
+    for a in range(0, k + 2):
+        term = tor(x.group(a), y.group(k + 1 - a))
+        if not term.is_trivial():
+            tor_terms.append((a, k + 1 - a, term))
+    total = FGAbGroup.trivial().direct_sum(
+        *(t for _, _, t in summands), *(t for _, _, t in tor_terms)
+    )
+    return ProductReport(k, tuple(summands), tuple(tor_terms), total, total.torsion())
+
+
+profiles = st.builds(
+    lambda groups: SpaceProfile("random", groups),
+    st.dictionaries(
+        st.integers(0, 6),
+        st.builds(FGAbGroup.from_orders, st.lists(st.integers(1, 12), max_size=3),
+                  st.integers(0, 2)),
+        max_size=4,
+    ),
+)
+
+
+@given(profiles, profiles, st.data())
+def test_product_cohomology_matches_unbounded_loops(x, y, data):
+    k = data.draw(st.integers(0, x.max_degree() + y.max_degree() + 3))
+    assert product_cohomology(x, y, k) == unbounded_product_cohomology(x, y, k)
+
+
+def test_product_cohomology_at_a_huge_degree():
+    # The loops once ran over every degree up to k.
+    report = product_cohomology(builtin_profile("enriques"), builtin_profile("curve", genus=1), 10**9)
+    assert report.summands == report.tor_terms == ()
+    assert report.total.is_trivial()
 
 
 def test_product_formal_torsion_profiles():
