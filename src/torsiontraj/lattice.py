@@ -17,12 +17,7 @@ from math import gcd, lcm, prod
 
 from ._record import Record
 from .abgroup import FGAbGroup, _integer, cokernel_group, element_order, group_from_cokernel
-from .errors import (
-    CapabilityError,
-    InvariantError,
-    ParameterError,
-    ValidationError,
-)
+from .errors import CapabilityError, ParameterError, ValidationError
 from .intmat import IntMatrix, RatMatrix, rat_inverse
 
 FORMS_ISOMORPHIC_BOUND = 64
@@ -58,23 +53,24 @@ def _plumbing(weights, edges):
 def cartan_matrix(family, parameter=None):
     """Negative definite geometric intersection matrix of an ADE family.
 
-    ``family`` is one of "A" (parameter k >= 1), "D" (parameter n >= 4)
-    or "E8".  D_n is ordered with the central node first, then its three
-    neighbours, then the remaining chain; for D_4 this is the order
-    (C0, C1, C2, C3).
+    The one map from a family name to its Dynkin graph.  ``family`` is
+    one of "A" (parameter k >= 1), "D" (parameter n >= 4), or the
+    parameterless "D4" (the same graph as ("D", 4)) and "E8".  D_n is
+    ordered with the central node first, then its three neighbours, then
+    the remaining chain; for D_4 this is the order (C0, C1, C2, C3).
 
     >>> cartan_matrix("A", 1).gram.to_lists()
     [[-2]]
     """
+    if family in ("D4", "E8") and parameter is not None:
+        raise ParameterError(f"{family} takes no parameter, got {parameter!r}")
     if family == "A":
         return chain_matrix([2] * _integer(parameter, "A_k parameter k", ParameterError, 1))
-    if family == "D":
-        n = _integer(parameter, "D_n parameter n", ParameterError, 4)
+    if family in ("D", "D4"):
+        n = 4 if family == "D4" else _integer(parameter, "D_n parameter n", ParameterError, 4)
         edges = [(0, 1), (0, 2), (0, 3)] + [(i, i + 1) for i in range(3, n - 1)]
         return _plumbing([2] * n, edges)
     if family == "E8":
-        if parameter is not None:
-            raise ParameterError("E8 takes no parameter")
         # Bourbaki numbering C1..C8: chain 1-3-4-5-6-7-8 with node 2 attached to 4.
         edges = [(0, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (6, 7)]
         return _plumbing([2] * 8, edges)
@@ -84,15 +80,16 @@ def cartan_matrix(family, parameter=None):
 def hj_expansion(n, q):
     """Hirzebruch-Jung continued fraction n/q = b1 - 1/(b2 - 1/(...)).
 
-    All b_i >= 2, and the recomposition reproduces n/q exactly.
+    All b_i >= 2, since n > q >= 1 gives b1 = ceil(n/q) >= 2 and each
+    step (n, q) -> (q, b q - n) keeps 0 <= b q - n < q; the recomposition
+    reproduces n/q exactly.
 
     >>> hj_expansion(4, 1)
     [4]
     >>> hj_expansion(7, 3)
     [3, 2, 2]
     """
-    for value in (n, q):
-        _integer(value, "a Hirzebruch-Jung entry", ParameterError)
+    n, q = (_integer(value, "a Hirzebruch-Jung entry", ParameterError) for value in (n, q))
     if not (n > q >= 1):
         raise ParameterError(f"need n > q >= 1, got n = {n}, q = {q}")
     if gcd(n, q) != 1:
@@ -102,8 +99,6 @@ def hj_expansion(n, q):
         b = -(-n // q)  # ceil(n / q)
         weights.append(b)
         n, q = q, b * q - n
-    if any(b < 2 for b in weights):
-        raise InvariantError(f"Hirzebruch-Jung weights {weights} are not all >= 2")
     return weights
 
 

@@ -15,25 +15,6 @@ from .intmat import IntMatrix
 from .lattice import cartan_matrix
 from .links import SphereProduct
 
-MONODROMY_FAMILIES = ("A", "D4", "E8")
-
-
-def _positive_cartan(family, parameter):
-    """Positive Cartan matrix of a monodromy family; its rank is the
-    Milnor number, so every parameter check sits here."""
-    if family == "A":
-        lat = cartan_matrix("A", parameter)
-    elif family in ("D4", "E8"):
-        if parameter is not None:
-            raise ParameterError(f"{family} takes no parameter, got {parameter!r}")
-        lat = cartan_matrix("D", 4) if family == "D4" else cartan_matrix("E8")
-    else:
-        raise ParameterError(
-            f"monodromy families are {MONODROMY_FAMILIES}, got {family!r}"
-        )
-    return -1 * lat.gram
-
-
 def simple_reflection(cartan, i):
     """Matrix of s_i on the simple-root basis: alpha_j -> alpha_j - A_ij alpha_i."""
     n = cartan.rows
@@ -44,9 +25,10 @@ def simple_reflection(cartan, i):
 
 
 def coxeter_element(family, parameter=None):
-    """Product s_0 s_1 ... s_{n-1} of the simple reflections in the
-    natural node order: 1..k along the A_k chain, and the central node
-    first for D_4 (the rightmost factor acts first).
+    """Product s_0 s_1 ... s_{n-1} of the simple reflections of the
+    positive Cartan matrix ``-cartan_matrix(family, parameter)``, in its
+    node order: 1..k along the A_k chain, and the central node first for
+    D_n (the rightmost factor acts first).
 
     Any other order gives a conjugate element, so T - id and hence the
     variation cokernel are the same up to isomorphism; one order suffices.
@@ -54,7 +36,7 @@ def coxeter_element(family, parameter=None):
     >>> coxeter_element("A", 1).to_lists()
     [[-1]]
     """
-    cartan = _positive_cartan(family, parameter)
+    cartan = -1 * cartan_matrix(family, parameter).gram
     n = cartan.rows
     result = IntMatrix.identity(n)
     for i in range(n):
@@ -94,9 +76,10 @@ def variation_cokernel(t_matrix):
 
 
 def milnor_number(family, parameter=None):
-    """Milnor number: the rank of the Cartan matrix for the families
-    "A" (k), "D4" and "E8", and (a-1)(b-1)(c-1) for the Brieskorn-Pham
-    singularity x^a + y^b + z^c ("BP", with the triple (a, b, c)).
+    """Milnor number: the rank of ``cartan_matrix(family, parameter)``
+    for an ADE family ("A" k, "D" n, "D4", "E8"), and (a-1)(b-1)(c-1)
+    for the Brieskorn-Pham singularity x^a + y^b + z^c ("BP", with the
+    triple (a, b, c)).
 
     >>> milnor_number("A", 7), milnor_number("E8")
     (7, 8)
@@ -109,7 +92,7 @@ def milnor_number(family, parameter=None):
         except (TypeError, ValueError):
             raise ParameterError("Brieskorn-Pham exponents must be a triple") from None
         return (a - 1) * (b - 1) * (c - 1)
-    return _positive_cartan(family, parameter).rows
+    return cartan_matrix(family, parameter).rank
 
 
 def odp_package():

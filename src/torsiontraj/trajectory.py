@@ -69,8 +69,9 @@ class _Kind(Record):
     with the symbols, as in "A_k surface parameter k must be >= 1, got 0".
     ``generators`` lists the leading entries of each preferred generator
     column; the rest of a column is zero up to the lattice rank.
-    ``monodromy`` is a Coxeter family for ``coxeter_element`` or one of
-    the station notes in ``_MONODROMY_NOTES``.
+    ``monodromy`` is a Coxeter family for ``coxeter_element``, spelled as
+    the ``cartan_matrix`` family of ``lattice``, or one of the station
+    notes in ``_MONODROMY_NOTES``.
     """
 
     parameters: tuple
@@ -95,7 +96,7 @@ _KINDS = {
         lambda k: LensSpace(k + 1, k), ((1,),), "A",
         "depends on global exceptional-chain relations"),
     "d4": _Kind(
-        (), None, lambda: "D_4 surface", lambda: cartan_matrix("D", 4),
+        (), None, lambda: "D_4 surface", lambda: cartan_matrix("D4"),
         lambda: Seifert(-2, ((2, 1), (2, 1), (2, 1))), ((0, -1, 1, 0), (0, -1, 0, 1)), "D4",
         "depends on global relations and form data"),
     "e8": _Kind(
@@ -133,8 +134,9 @@ class SingularityModel(Record):
         if not isinstance(given, tuple) or len(given) != len(rule):
             raise ParameterError(f"the {self.kind} model takes {len(rule)} integer parameters"
                                  f" ({', '.join(symbols)}), got {given!r}")
-        for value, (name, least) in zip(given, rule):
-            _integer(value, f"{spec.name(*symbols)} parameter {name}", ParameterError, least)
+        given = tuple(_integer(value, f"{spec.name(*symbols)} parameter {name}", ParameterError, least)
+                      for value, (name, least) in zip(given, rule))
+        object.__setattr__(self, "parameters", given)
         if spec.check is not None:
             spec.check(*given)
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from torsiontraj.abgroup import FGAbGroup, cokernel_group, element_order, group_from_cokernel
 from torsiontraj.errors import (
     CapabilityError,
-    InvariantError,
     ParameterError,
     SingularMatrixError,
     ValidationError,
@@ -130,16 +129,28 @@ def test_hj_validation():
         hj_expansion(3, 3)
 
 
-def test_hj_expansion_weight_check():
-    # An n whose ">" lies slips past the parameter check (really n < q)
-    # and yields a weight of 1; the check is an explicit error, so it
-    # also fires under python -O.
+def test_hj_expansion_lying_gt_gets_the_joint_refusal():
+    # A ">" that lies once slipped past the parameter check and yielded a
+    # weight of 1; the check now compares the exact ints it converted.
     class LyingInt(int):
         def __gt__(self, other):
             return True
 
-    with pytest.raises(InvariantError, match=r"weights \[1, 2\] are not all >= 2"):
+    with pytest.raises(ParameterError) as caught:
         hj_expansion(LyingInt(1), 2)
+    assert str(caught.value) == "need n > q >= 1, got n = 1, q = 2"
+
+
+def test_hj_expansion_reads_index_only_values():
+    # An object with only __index__ passed the check, then failed at n > q.
+    class I:
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    assert hj_expansion(I(7), I(3)) == [3, 2, 2]
 
 
 def test_chain_matrix():

@@ -9,6 +9,7 @@ from torsiontraj.abgroup import FGAbGroup
 from torsiontraj import monodromy
 from torsiontraj.errors import InvariantError, ParameterError
 from torsiontraj.intmat import IntMatrix, char_poly, det, snf
+from torsiontraj.lattice import cartan_matrix
 from torsiontraj.monodromy import (
     coxeter_element,
     milnor_number,
@@ -21,13 +22,7 @@ D4_COXETER = IntMatrix([[2, -1, -1, -1], [1, -1, 0, 0], [1, 0, -1, 0], [1, 0, 0,
 
 
 def positive_cartan(family, parameter=None):
-    from torsiontraj.lattice import cartan_matrix
-
-    if family == "A":
-        return -1 * cartan_matrix("A", parameter).gram
-    if family == "D4":
-        return -1 * cartan_matrix("D", 4).gram
-    return -1 * cartan_matrix("E8").gram
+    return -1 * cartan_matrix(family, parameter).gram
 
 
 def test_coxeter_a1():
@@ -156,6 +151,22 @@ def test_coxeter_validation():
         coxeter_element("A")
     with pytest.raises(ParameterError):
         coxeter_element("B", 2)
+
+
+@pytest.mark.parametrize("n", range(4, 31))
+def test_coxeter_dn_family(n):
+    # D_n's discriminant group is Z/4 for odd n and (Z/2)^2 for even n,
+    # and its Coxeter number is 2n - 2.
+    t = coxeter_element("D", n)
+    expected = FGAbGroup.cyclic(4) if n % 2 else FGAbGroup.from_orders([2, 2])
+    assert variation_cokernel(t).cokernel == expected
+    power = IntMatrix.identity(n)
+    for _ in range(2 * n - 2):
+        power = power @ t
+    assert power == IntMatrix.identity(n)
+    assert milnor_number("D", n) == n
+    if n == 4:
+        assert t == coxeter_element("D4")
 
 
 def test_simple_reflection_involution():

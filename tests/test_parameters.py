@@ -26,7 +26,7 @@ from torsiontraj.links import (
 )
 from torsiontraj.monodromy import milnor_number
 from torsiontraj.products import builtin_profile, h0q_product, product_cohomology
-from torsiontraj.trajectory import SingularityModel, stratum_cohomology
+from torsiontraj.trajectory import SingularityModel, stratum_cohomology, trajectory_row
 
 Z = FGAbGroup.free(1)
 Z2 = FGAbGroup.cyclic(2)
@@ -115,6 +115,27 @@ def test_parameter_refusal_names_parameter_bound_and_value(call, value, error, f
 def test_least_value_is_accepted(site):
     _, least, _, call = SITES[site]
     call(0 if least is None else least)
+
+
+class Index:
+    """An integer that is no int: it has only ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+# A model keeps the ints it converted: these once passed the check, then
+# failed with a bare TypeError at k + 1 or n > q.
+@pytest.mark.parametrize("build", [
+    lambda v: trajectory_row(SingularityModel.ak(v(3))),
+    lambda v: trajectory_row(SingularityModel.cyclic_quotient(v(4), v(1))),
+], ids=["ak-row", "coble-row"])
+def test_index_only_value_acts_as_its_int(build):
+    # The int rows are A_3 and the Coble row with its shadow note.
+    assert build(Index) == build(int)
 
 
 # The groups are checked before the matrix's shape, so each refusal names

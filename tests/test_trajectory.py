@@ -12,7 +12,7 @@ from torsiontraj.bockstein import bo_direction_span, bockstein_image, shadow
 from torsiontraj import serialize, trajectory
 from torsiontraj.errors import InvariantError, ParameterError, ValidationError
 from torsiontraj.intmat import IntMatrix
-from torsiontraj.lattice import discriminant_package, forms_isomorphic
+from torsiontraj.lattice import cartan_matrix, discriminant_package, forms_isomorphic
 from torsiontraj.links import PlumbingBoundary, lens_profile
 from torsiontraj.products import builtin_profile, product_cohomology
 from torsiontraj.trajectory import (
@@ -145,6 +145,10 @@ def test_every_built_in_kind_assembles(kind):
     assert "monodromy" in checks.stations or "monodromy" in checks.notes
     # The link station reads the kind's own link, not the lattice's boundary.
     assert not isinstance(model.link_model(), PlumbingBoundary)
+    # A Coxeter kind spells its lattice and its monodromy the same way.
+    monodromy = trajectory._KINDS[kind].monodromy
+    if monodromy not in trajectory._MONODROMY_NOTES:
+        assert model.resolution_lattice() == cartan_matrix(monodromy, *model.parameters)
     groups = list(checks.stations.values())
     assert checks.agree and all(g == groups[0] for g in groups)
     package = local_package(model)
