@@ -15,9 +15,12 @@ product, over row lists, shared by ``@``, ``apply`` and the integer
 Sizes range from 8x8 intersection matrices to Coxeter elements of A_60
 and beyond, so the kernels follow two rules:
 
-* Zeros cost nothing in products.  The product sums only over the
-  nonzero entries of both factors, so multiplying by a reflection (the
-  identity but for one row) costs O(n^2).
+* Zeros cost nothing.  The product sums only over the nonzero entries
+  of both factors, and finds them with ``itertools.compress`` in C, so a
+  zero costs no interpreted step and multiplying by a reflection (the
+  identity but for one row) costs O(n^2) at most.  Elimination rewrites
+  only the rows with a nonzero in the pivot column; every other row is
+  scaled lazily, in one pass when it is next read.
 * Elimination stays fraction-free.  One Bareiss Gauss-Jordan pass with
   exact divisions serves ``det`` and ``rat_inverse`` (on [M | I], forming
   each Fraction once, at the end).
@@ -30,7 +33,8 @@ only the diagonal and build no transform.
 """
 
 from fractions import Fraction
-from operator import index
+from itertools import compress
+from operator import index, itemgetter
 
 from .errors import DimensionError, InvariantError, SingularMatrixError, ValidationError
 
@@ -38,16 +42,20 @@ from .errors import DimensionError, InvariantError, SingularMatrixError, Validat
 def _row_product(left, right):
     """Rows of left @ right.  Row i sums a * (row k of right) over the
     nonzero a = left[i][k], and rows of right keep only their nonzero
-    (j, b) pairs, so a reflection factor costs O(n^2), not O(n^3)."""
+    (j, b) pairs.  Both filters are ``itertools.compress`` on the entries'
+    truth values, so a zero (int or Fraction) is skipped in C: the
+    interpreted work is one step per pair of nonzeros a = left[i][k],
+    b = right[k][j].  A reflection factor (the identity but for one row)
+    on the right thus costs O(n^2) at most, and O(n) when the left factor
+    has O(n) nonzeros, as the partial Coxeter products of A_k do."""
     width = len(right[0])
-    sparse_rows = [[(j, b) for j, b in enumerate(row) if b] for row in right]
+    sparse_rows = [[(j, row[j]) for j in compress(range(width), row)] for row in right]
     product = []
     for row in left:
         acc = [0] * width
-        for a, terms in zip(row, sparse_rows):
-            if a:
-                for j, b in terms:
-                    acc[j] += a * b
+        for a, terms in compress(zip(row, sparse_rows), row):
+            for j, b in terms:
+                acc[j] += a * b
         product.append(acc)
     return product
 
@@ -80,14 +88,16 @@ class _Matrix:
         rows = tuple(converted)
         if not rows or not rows[0]:
             raise DimensionError("matrix must have at least one row and column")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
+        if len(set(map(len, rows))) != 1:
             raise DimensionError("ragged rows in matrix literal")
         self._rows = rows
 
     @classmethod
     def identity(cls, n):
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
+        rows = [[0] * n for _ in range(n)]
+        for i, row in enumerate(rows):
+            row[i] = 1
+        return cls(rows)
 
     @classmethod
     def from_columns(cls, columns):
@@ -398,31 +408,61 @@ def snf(matrix):
 def _bareiss(a, n):
     """Fraction-free Gauss-Jordan (Bareiss) on the leading n x n block of
     the n rows of ``a``, in place; ``det`` and ``rat_inverse`` share it.
-    Each column takes the first nonzero entry at or below the diagonal as
+    Column c takes the first nonzero entry at or below the diagonal as
     pivot p and replaces every other row by (row * p - f * pivot_row) //
-    prev, exact because every entry stays a minor.  The block ends as p * I
-    for the last pivot p, and the columns beyond it as p times the block's
-    inverse applied to them.  Returns det of the block (the swap sign
-    times p), or 0 when a column has no pivot.
+    prev, where f is the row's entry in column c and prev the previous
+    pivot; the division is exact because every entry stays a minor.
+
+    A row with f = 0 would only be scaled by p / prev, so it is left as it
+    is and scaled lazily.  ``pivots[s]`` is the divisor in force at stage s
+    (pivots[0] = 1), and ``stage[r]`` the stage row r was last brought up
+    to.  The scalings telescope, so a row from stage s is brought to stage
+    c in one pass as x * pivots[c] // pivots[s]; that division is exact
+    because the result is the eager row, whose entries are minors.  A row
+    is brought up to date only when it is read: as the pivot row, as a row
+    with f != 0 (f is read again after scaling), and at the end.  A swap
+    swaps stages too, and the pivot row, which its own column leaves as it
+    is, moves on to stage c + 1.  The rows with a nonzero in the pivot
+    column are found by ``compress`` in C, so a zero there costs no
+    interpreted step.
+
+    The block ends as p * I for the last pivot p, and the columns beyond
+    it as p times the block's inverse applied to them.  Returns det of the
+    block (the swap sign times p), or 0 when a column has no pivot.
     """
     sign = 1
-    prev = 1
+    pivots = [1]
+    stage = [0] * n
+
+    def current(r, c):
+        s = stage[r]
+        if s != c:
+            scale, divisor = pivots[c], pivots[s]
+            a[r] = [x * scale // divisor for x in a[r]]
+            stage[r] = c
+        return a[r]
+
     for c in range(n):
-        pivot_row = next((r for r in range(c, n) if a[r][c] != 0), None)
+        pivot_row = next((r for r in range(c, n) if a[r][c]), None)
         if pivot_row is None:
             return 0
         if pivot_row != c:
             a[c], a[pivot_row] = a[pivot_row], a[c]
+            stage[c], stage[pivot_row] = stage[pivot_row], stage[c]
             sign = -sign
-        top = a[c]
-        p = top[c]
-        for r in range(n):
+        top = current(c, c)
+        p, prev = top[c], pivots[c]
+        for r in compress(range(n), list(map(itemgetter(c), a))):
             if r != c:
-                row = a[r]
+                row = current(r, c)
                 f = row[c]
                 a[r] = [(x * p - f * y) // prev for x, y in zip(row, top)]
-        prev = p
-    return sign * prev
+                stage[r] = c + 1
+        stage[c] = c + 1
+        pivots.append(p)
+    for r in range(n):
+        current(r, n)
+    return sign * pivots[n]
 
 
 def det(matrix):
@@ -440,7 +480,11 @@ def rat_inverse(matrix):
     """Exact inverse of a nonsingular integer matrix, as a RatMatrix.
 
     One Bareiss pass on [M | I] leaves [p * I | p * M^-1] for the last
-    pivot p, so each entry is built once, as Fraction(x, p).
+    pivot p, so each entry is built once, as Fraction(x, p).  The pass
+    rewrites a row only at the steps where it has a nonzero in the pivot
+    column and scales it lazily, and exactly, across the others (see
+    ``_bareiss``); for the tridiagonal A_k gram that skips every row below
+    the pivot but one.
 
     >>> print(rat_inverse(IntMatrix([[2, 1], [1, 1]])))
     [[1, -1], [-1, 2]]
@@ -452,7 +496,10 @@ def rat_inverse(matrix):
     if not matrix.is_square():
         raise DimensionError("inverse requires a square matrix")
     n = matrix.rows
-    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(matrix.to_lists())]
+    a = matrix.to_lists()
+    for i, row in enumerate(a):
+        row += [0] * n
+        row[n + i] = 1
     if _bareiss(a, n) == 0:
         raise SingularMatrixError("matrix is singular")
     p = a[0][0]

@@ -18,9 +18,10 @@ from .links import SphereProduct
 def simple_reflection(cartan, i):
     """Matrix of s_i on the simple-root basis: alpha_j -> alpha_j - A_ij alpha_i."""
     n = cartan.rows
-    rows = IntMatrix.identity(n).to_lists()
-    for j in range(n):
-        rows[i][j] -= cartan.entry(i, j)
+    rows = [[0] * n for _ in range(n)]
+    for j, row in enumerate(rows):
+        row[j] = 1
+    rows[i] = [int(i == j) - cartan.entry(i, j) for j in range(n)]
     return IntMatrix(rows)
 
 

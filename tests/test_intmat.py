@@ -325,10 +325,12 @@ def fraction_char_poly(matrix):
 
 
 def dense_product(x, y):
-    """Every entry as the full dot product of a row and a column."""
+    """Every entry as the full dot product of a row and a column; rational
+    when either factor is."""
     cols = y.columns()
-    return IntMatrix([[sum(a * b for a, b in zip(row, col)) for col in cols]
-                      for row in x.to_lists()])
+    kind = RatMatrix if RatMatrix in (type(x), type(y)) else IntMatrix
+    return kind([[sum(a * b for a, b in zip(row, col)) for col in cols]
+                 for row in x.to_lists()])
 
 
 def fraction_inverse(matrix):
@@ -463,6 +465,8 @@ SMALL = st.integers(-9, 9)
 # Entries beyond 2^64, so no fixed-width shortcut can pass.
 HUGE = st.integers(2**64, 2**80) | st.integers(-(2**80), -(2**64))
 SIZES = st.integers(1, 6)
+# Entries that often cancel to a zero pivot during elimination.
+TINY = st.integers(-2, 2)
 
 
 @st.composite
@@ -619,6 +623,96 @@ def test_det_matches_forward_bareiss(m):
     # About half the draws are singular, a third of all by a row combination.
     d = det(m)
     assert type(d) is int and d == forward_bareiss_det(m)
+
+
+@st.composite
+def structured_matrices(draw):
+    """Square matrices up to 24x24 that are tridiagonal, banded or
+    block-diagonal, with their rows permuted half of the time.  Most rows
+    hold a zero in most pivot columns, so Bareiss leaves them stale across
+    many pivots; permuted rows put zeros on the diagonal, so stale rows are
+    swapped and become pivot rows."""
+    n = draw(st.integers(1, 24))
+    entries = draw(st.sampled_from([SMALL, SMALL | HUGE, TINY]))
+    shape = draw(st.sampled_from(["tridiagonal", "banded", "block"]))
+    if shape == "block":
+        # Block b has sizes[b] rows; n sizes of at least 1 cover n rows.
+        sizes = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+        owner = [b for b, size in enumerate(sizes) for _ in range(size)][:n]
+        inside = lambda i, j: owner[i] == owner[j]
+    else:
+        width = 1 if shape == "tridiagonal" else draw(st.integers(0, 4))
+        inside = lambda i, j: abs(i - j) <= width
+    rows = [[draw(entries) if inside(i, j) else 0 for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    return IntMatrix(rows)
+
+
+@settings(deadline=None, max_examples=60)
+@given(structured_matrices())
+def test_lazy_bareiss_det_matches_forward_bareiss_at_size(m):
+    d = det(m)
+    assert type(d) is int and d == forward_bareiss_det(m)
+
+
+@settings(deadline=None, max_examples=60)
+@given(structured_matrices())
+def test_lazy_bareiss_inverse_matches_fraction_reference_at_size(m):
+    try:
+        expected = fraction_inverse(m)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            rat_inverse(m)
+        return
+    assert repr(rat_inverse(m)) == repr(expected)
+
+
+def test_lazy_bareiss_on_cancelling_entries():
+    # Entries in -2..2 often cancel to a zero in the pivot column, so a row
+    # brought up to date at one step swaps with a row left stale since an
+    # earlier one; a swap that kept the stages in place fails here.
+    rng = random.Random(18)
+    for _ in range(400):
+        n = rng.randint(2, 8)
+        m = IntMatrix([[rng.choice((0, 0, 1, -1, 2, -2)) for _ in range(n)] for _ in range(n)])
+        assert det(m) == forward_bareiss_det(m)
+        try:
+            expected = fraction_inverse(m)
+        except SingularMatrixError:
+            continue
+        assert rat_inverse(m) == expected
+
+
+@st.composite
+def sparse_factors(draw, rows, cols):
+    """An IntMatrix or RatMatrix with at most a tenth of its entries nonzero."""
+    if draw(st.booleans()):
+        kind, values = IntMatrix, SMALL | HUGE
+    else:
+        kind, values = RatMatrix, st.fractions(-9, 9, max_denominator=6)
+    data = [[0] * cols for _ in range(rows)]
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    for (i, j) in draw(st.lists(cells, max_size=rows * cols // 10, unique=True)):
+        data[i][j] = draw(values.filter(bool))
+    return kind(data)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 30), st.data())
+def test_sparse_products_match_dense_reference_at_size(r, k, c, data):
+    x, y = data.draw(sparse_factors(r, k)), data.draw(sparse_factors(k, c))
+    product = x @ y
+    expected = dense_product(x, y)
+    assert product == expected and type(product) is type(expected)
+
+
+@pytest.mark.parametrize("k", [*range(1, 13), 20, 33, 47, 60, 79, 80])
+def test_ak_gram_inverse_closed_form(k):
+    # (A_k gram)^-1 has entry -min(i, j) (k + 1 - max(i, j)) / (k + 1), 1-indexed.
+    expected = [[Fraction(-min(i, j) * (k + 1 - max(i, j)), k + 1)
+                 for j in range(1, k + 1)] for i in range(1, k + 1)]
+    assert rat_inverse(neg_ak(k)).to_lists() == expected
 
 
 @settings(deadline=None)

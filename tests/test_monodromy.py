@@ -153,11 +153,27 @@ def test_coxeter_validation():
         coxeter_element("B", 2)
 
 
+def dense_dn_coxeter(n):
+    """s_0 s_1 ... s_{n-1} for D_n in plain lists: the central node 0
+    joined to 1, 2 and 3, then the chain 3 - 4 - ... - (n - 1)."""
+    edges = {(0, 1), (0, 2), (0, 3)} | {(i, i + 1) for i in range(3, n - 1)}
+    cartan = [[2 if i == j else -int((i, j) in edges or (j, i) in edges) for j in range(n)]
+              for i in range(n)]
+    result = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        s = [[int(r == j) - (cartan[i][j] if r == i else 0) for j in range(n)]
+             for r in range(n)]
+        result = [[sum(result[r][m] * s[m][j] for m in range(n)) for j in range(n)]
+                  for r in range(n)]
+    return result
+
+
 @pytest.mark.parametrize("n", range(4, 31))
 def test_coxeter_dn_family(n):
     # D_n's discriminant group is Z/4 for odd n and (Z/2)^2 for even n,
     # and its Coxeter number is 2n - 2.
     t = coxeter_element("D", n)
+    assert t.to_lists() == dense_dn_coxeter(n)
     expected = FGAbGroup.cyclic(4) if n % 2 else FGAbGroup.from_orders([2, 2])
     assert variation_cokernel(t).cokernel == expected
     power = IntMatrix.identity(n)
@@ -167,6 +183,14 @@ def test_coxeter_dn_family(n):
     assert milnor_number("D", n) == n
     if n == 4:
         assert t == coxeter_element("D4")
+
+
+@pytest.mark.parametrize("k", [*range(1, 13), 20, 31, 44, 60])
+def test_coxeter_ak_companion_shape(k):
+    # s_1 ... s_k on the A_k chain is the companion matrix of
+    # 1 + t + ... + t^k: ones below the diagonal, -1 down the last column.
+    expected = [[-1 if j == k - 1 else int(i == j + 1) for j in range(k)] for i in range(k)]
+    assert coxeter_element("A", k).to_lists() == expected
 
 
 def test_simple_reflection_involution():
