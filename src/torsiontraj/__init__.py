@@ -24,7 +24,6 @@ from .errors import (
     CapabilityError,
     DimensionError,
     InvariantError,
-    ParameterError,
     SingularMatrixError,
     TorsionTrajError,
     ValidationError,

@@ -25,8 +25,8 @@ from .errors import DimensionError, InvariantError, ValidationError
 from .intmat import IntMatrix, kernel_basis, snf
 
 
-def _integer(value, what, error=ValidationError, least=None):
-    """``value`` as an int, or ``error`` naming it as ``what``.
+def _integer(value, what, least=None):
+    """``value`` as an int, or a ValidationError naming it as ``what``.
 
     The one check of every integer parameter.  A bool, float or string is
     refused ("must be an integer, got 1.5"), never truncated, and so is a
@@ -40,28 +40,58 @@ def _integer(value, what, error=ValidationError, least=None):
         else:
             if least is None or value >= least:
                 return value
-            raise error(f"{what} must be >= {least}, got {value}")
-    raise error(f"{what} must be an integer, got {value!r}")
+            raise ValidationError(f"{what} must be >= {least}, got {value}")
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
 def _invariant_factors(orders):
     """Canonical invariant-factor chain of a direct sum of cyclic groups.
 
-    One pairwise pass replaces (a_i, a_j), i < j, by (gcd, lcm).  That
-    keeps the product and, prime by prime, sorts the exponents upwards,
-    so the result is a divisibility chain; the 1s are then dropped.
+    The chain d_1 | d_2 | ... is kept as ``[value, count]`` runs, and each
+    order x goes in from the top run down.  Where x divides a run's value
+    v, x passes the run unchanged; where v divides x, x sits right above
+    the run and stops.  Otherwise the run's top element becomes lcm(v, x)
+    and the carry gcd(v, x) goes on down: that keeps the product and,
+    prime by prime, sorts the exponents.  A carry of 1 stops, so 1s drop
+    out.
 
     >>> _invariant_factors([2, 3])
     (6,)
     >>> _invariant_factors([4, 6, 2])
     (2, 2, 12)
     """
-    factors = list(orders)
-    for i in range(len(factors)):
-        for j in range(i + 1, len(factors)):
-            a, b = factors[i], factors[j]
-            factors[i], factors[j] = gcd(a, b), lcm(a, b)
-    return tuple(d for d in factors if d != 1)
+    runs = []
+    for x in orders:
+        i = len(runs)  # x goes in below runs[i]
+        while i and x != 1:
+            run = runs[i - 1]
+            v = run[0]
+            if x % v == 0:
+                break
+            if v % x:
+                _put(runs, i, lcm(v, x))
+                run[1] -= 1
+                if not run[1]:
+                    del runs[i - 1]
+                x = gcd(v, x)
+            i -= 1
+        if x != 1:
+            _put(runs, i, x)
+    factors = []
+    for v, count in runs:
+        factors += [v] * count
+    return tuple(factors)
+
+
+def _put(runs, i, value):
+    """One more ``value`` between runs[i - 1] and runs[i], merged into
+    either run when their value is equal."""
+    if i < len(runs) and runs[i][0] == value:
+        runs[i][1] += 1
+    elif i and runs[i - 1][0] == value:
+        runs[i - 1][1] += 1
+    else:
+        runs.insert(i, [value, 1])
 
 
 class FGAbGroup(Record):
@@ -79,8 +109,8 @@ class FGAbGroup(Record):
     # Most records built are groups, so this initializer checks and
     # normalizes its arguments itself instead of the generic one.
     def __init__(self, free_rank=0, invariant_factors=()):
-        rank = _integer(free_rank, "free rank", ValidationError, 0)
-        factors = tuple(_integer(d, "invariant factor", ValidationError, 2) for d in invariant_factors)
+        rank = _integer(free_rank, "free rank", 0)
+        factors = tuple(_integer(d, "invariant factor", 2) for d in invariant_factors)
         for a, b in zip(factors, factors[1:]):
             if b % a:
                 raise ValidationError(f"invariant factors must form a divisibility chain, got {factors}")
@@ -91,8 +121,8 @@ class FGAbGroup(Record):
     @classmethod
     def from_orders(cls, orders, free_rank=0):
         """Normalize an arbitrary list of cyclic orders (1s are dropped)."""
-        orders = [_integer(d, "cyclic order", ValidationError, 1) for d in orders]
-        return cls(free_rank, _invariant_factors([d for d in orders if d != 1]))
+        orders = [_integer(d, "cyclic order", 1) for d in orders]
+        return cls(free_rank, _invariant_factors(orders))
 
     @classmethod
     def trivial(cls):
@@ -213,7 +243,7 @@ def n_torsion(group, n):
     >>> print(n_torsion(FGAbGroup.cyclic(4), 2))
     Z/2
     """
-    n = _integer(n, "n", ValidationError, 1)
+    n = _integer(n, "n", 1)
     return tor(group, FGAbGroup.cyclic(n))
 
 
@@ -227,7 +257,7 @@ def scale_subgroup(group, n):
     >>> print(sub, "|", quot)
     Z/2 | Z/2
     """
-    n = _integer(n, "n", ValidationError, 1)
+    n = _integer(n, "n", 1)
     sub = FGAbGroup.from_orders(
         [d // gcd(n, d) for d in group.invariant_factors], group.free_rank
     )

@@ -11,7 +11,7 @@ from math import gcd
 
 from ._record import Record
 from .abgroup import FGAbGroup, _integer, n_torsion, scale_subgroup, tensor
-from .errors import ParameterError, ValidationError
+from .errors import ValidationError
 from .intmat import RatMatrix
 from .lattice import DiscriminantPackage, _mod1, trivial_package
 
@@ -27,7 +27,7 @@ def bockstein_image(h_r, h_r1, n):
     >>> print(image, kernel)
     Z/2 1
     """
-    n = _integer(n, "coefficient modulus", ParameterError, 2)
+    n = _integer(n, "coefficient modulus", 2)
     image = n_torsion(h_r1, n)
     _, reduction_image = scale_subgroup(h_r, n)
     kernel_size = reduction_image.torsion_order()
@@ -57,7 +57,7 @@ def shadow(package, n):
     >>> s.isotropic, str(s.quotient)
     (True, 'Z/2')
     """
-    n = _integer(n, "shadow index", ParameterError, 2)
+    n = _integer(n, "shadow index", 2)
     sub_group, quotient = scale_subgroup(package.group, n)
     if sub_group.is_trivial():
         sub_pkg = trivial_package()

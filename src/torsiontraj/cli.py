@@ -21,12 +21,7 @@ import sys
 
 from . import serialize
 from .abgroup import FGAbGroup, FinAbHom
-from .errors import (
-    CapabilityError,
-    ParameterError,
-    TorsionTrajError,
-    ValidationError,
-)
+from .errors import CapabilityError, TorsionTrajError, ValidationError
 from .lattice import discriminant_package
 from .links import LensSpace, PlumbingBoundary, Seifert, link_profile
 from .products import GateRefusal, brauer_comparison, builtin_profile, product_cohomology, product_profile
@@ -74,10 +69,10 @@ def _model_from_args(args):
     which, params = args.which, tuple(args.params)
     if which == "ak":
         if args.k is None:
-            raise ParameterError("ak requires --k")
+            raise ValidationError("ak requires --k")
         params = (args.k, *params)
     elif args.k is not None:
-        raise ParameterError(f"--k applies only to ak, not {which}")
+        raise ValidationError(f"--k applies only to ak, not {which}")
     if which == "a1":
         which, params = "ak", (1, *params)
     if which == "brieskorn":
@@ -98,29 +93,29 @@ def _link_model_from_args(args):
     for option, kind in _LINK_OPTION_KIND.items():
         if getattr(args, option) not in (None, []) and kind != args.link_kind:
             shown = "P Q" if option == "params" else f"--{option}"
-            raise ParameterError(f"{shown} applies only to {kind}, not {args.link_kind}")
+            raise ValidationError(f"{shown} applies only to {kind}, not {args.link_kind}")
     if args.link_kind == "lens":
         if len(args.params) != 2:
-            raise ParameterError("lens requires two integers P Q")
+            raise ValidationError("lens requires two integers P Q")
         return LensSpace(args.params[0], args.params[1])
     if args.link_kind == "seifert":
         if args.b is None or not args.arms:
-            raise ParameterError("seifert requires --b and --arms \"a1,b1;a2,b2;...\"")
+            raise ValidationError("seifert requires --b and --arms \"a1,b1;a2,b2;...\"")
         arms = []
         for chunk in args.arms.split(";"):
             try:
                 alpha, beta = map(int, chunk.split(","))
             except ValueError:
-                raise ParameterError(
+                raise ValidationError(
                     f"--arms entry {chunk!r} is not a pair of integers \"a,b\""
                 ) from None
             arms.append((alpha, beta))
         return Seifert(args.b, tuple(arms))
     if args.link_kind == "plumbing":
         if not args.gram:
-            raise ParameterError("plumbing requires --gram FILE")
+            raise ValidationError("plumbing requires --gram FILE")
         return PlumbingBoundary(serialize.lattice_from_json(_load_json(args.gram)))
-    raise ParameterError(f"unknown link kind {args.link_kind!r}")
+    raise ValidationError(f"unknown link kind {args.link_kind!r}")
 
 
 def cmd_link(args):
@@ -253,11 +248,10 @@ def run(argv):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (ParameterError, ValidationError, json.JSONDecodeError, UnicodeDecodeError,
-            KeyError) as exc:
+    except (ValidationError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (CapabilityError, TorsionTrajError) as exc:
+    except TorsionTrajError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return REFUSAL_EXIT
     return 0

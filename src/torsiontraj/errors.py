@@ -1,8 +1,9 @@
 """Exception types shared across the library.
 
-Usage errors (bad parameters, malformed data) and computation refusals
-(capability limits, failed gate hypotheses) are kept distinct so the
-command-line layer can map them to different exit codes.
+One class covers every usage error: ``ValidationError``, a bad
+parameter or malformed data, which the command line maps to exit 2.
+The other ``TorsionTrajError`` classes are refusals (a capability
+limit, a failed gate hypothesis, a broken identity), mapped to exit 1.
 """
 
 
@@ -10,16 +11,9 @@ class TorsionTrajError(Exception):
     """Base class for all library errors."""
 
 
-class SingularMatrixError(TorsionTrajError):
-    """A nonsingular matrix was required and the matrix is singular."""
-
-
-class ParameterError(TorsionTrajError):
-    """A parameter is outside the documented domain of an operation."""
-
-
 class ValidationError(TorsionTrajError):
-    """Structured data (a homomorphism, a package) violates its invariants."""
+    """A parameter is outside its documented domain, or structured data
+    (a homomorphism, a package) violates its invariants."""
 
 
 class DimensionError(ValidationError):
@@ -27,6 +21,14 @@ class DimensionError(ValidationError):
 
     A matrix of the wrong shape is malformed data, so this is a
     ValidationError: from outside data it is a usage error.
+    """
+
+
+class SingularMatrixError(ValidationError):
+    """A nonsingular matrix was required and the matrix is singular.
+
+    Like a wrong shape, a singular matrix is malformed data for the
+    operation that refuses it.
     """
 
 

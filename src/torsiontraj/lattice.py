@@ -17,7 +17,7 @@ from math import gcd, lcm, prod
 
 from ._record import Record
 from .abgroup import FGAbGroup, _integer, cokernel_group, element_order, group_from_cokernel
-from .errors import CapabilityError, ParameterError, ValidationError
+from .errors import CapabilityError, SingularMatrixError, ValidationError
 from .intmat import IntMatrix, RatMatrix, rat_inverse
 
 FORMS_ISOMORPHIC_BOUND = 64
@@ -63,18 +63,18 @@ def cartan_matrix(family, parameter=None):
     [[-2]]
     """
     if family in ("D4", "E8") and parameter is not None:
-        raise ParameterError(f"{family} takes no parameter, got {parameter!r}")
+        raise ValidationError(f"{family} takes no parameter, got {parameter!r}")
     if family == "A":
-        return chain_matrix([2] * _integer(parameter, "A_k parameter k", ParameterError, 1))
+        return chain_matrix([2] * _integer(parameter, "A_k parameter k", 1))
     if family in ("D", "D4"):
-        n = 4 if family == "D4" else _integer(parameter, "D_n parameter n", ParameterError, 4)
+        n = 4 if family == "D4" else _integer(parameter, "D_n parameter n", 4)
         edges = [(0, 1), (0, 2), (0, 3)] + [(i, i + 1) for i in range(3, n - 1)]
         return _plumbing([2] * n, edges)
     if family == "E8":
         # Bourbaki numbering C1..C8: chain 1-3-4-5-6-7-8 with node 2 attached to 4.
         edges = [(0, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (6, 7)]
         return _plumbing([2] * 8, edges)
-    raise ParameterError(f"unknown Cartan family {family!r}")
+    raise ValidationError(f"unknown Cartan family {family!r}")
 
 
 def hj_expansion(n, q):
@@ -89,11 +89,11 @@ def hj_expansion(n, q):
     >>> hj_expansion(7, 3)
     [3, 2, 2]
     """
-    n, q = (_integer(value, "a Hirzebruch-Jung entry", ParameterError) for value in (n, q))
+    n, q = (_integer(value, "a Hirzebruch-Jung entry") for value in (n, q))
     if not (n > q >= 1):
-        raise ParameterError(f"need n > q >= 1, got n = {n}, q = {q}")
+        raise ValidationError(f"need n > q >= 1, got n = {n}, q = {q}")
     if gcd(n, q) != 1:
-        raise ParameterError(f"need gcd(n, q) = 1, got n = {n}, q = {q}")
+        raise ValidationError(f"need gcd(n, q) = 1, got n = {n}, q = {q}")
     weights = []
     while q > 0:
         b = -(-n // q)  # ceil(n / q)
@@ -116,9 +116,9 @@ def chain_matrix(weights):
     >>> chain_matrix([4]).gram.to_lists()
     [[-4]]
     """
-    weights = [_integer(b, "chain weight", ParameterError, 2) for b in weights]
+    weights = [_integer(b, "chain weight", 2) for b in weights]
     if not weights:
-        raise ParameterError("chain needs at least one vertex")
+        raise ValidationError("chain needs at least one vertex")
     return _plumbing(weights, [(i, i + 1) for i in range(len(weights) - 1)])
 
 
@@ -128,8 +128,8 @@ def star_matrix(central_weight, arm_weights):
     >>> star_matrix(1, [2, 3, 11]).gram.to_lists()[0]
     [-1, 1, 1, 1]
     """
-    central = _integer(central_weight, "star central weight", ParameterError, 1)
-    arms = [_integer(a, "star arm weight", ParameterError, 1) for a in arm_weights]
+    central = _integer(central_weight, "star central weight", 1)
+    arms = [_integer(a, "star arm weight", 1) for a in arm_weights]
     return _plumbing([central] + arms, [(0, i) for i in range(1, len(arms) + 1)])
 
 
@@ -216,8 +216,8 @@ def discriminant_package(lat, generators=None):
     each supplied class its order (the lcm of their denominators), and
     supplied columns generate iff coker([G | gram]) is trivial.  A
     unimodular gram returns the trivial package before any inverse is
-    built; a singular gram has a free cokernel, so it reaches rat_inverse,
-    which raises SingularMatrixError.
+    built.  A singular gram has a free cokernel: it raises
+    SingularMatrixError, a usage error that names the free rank.
 
     >>> pkg = discriminant_package(chain_matrix([4]))
     >>> print(pkg.group)
@@ -231,6 +231,8 @@ def discriminant_package(lat, generators=None):
         columns = [col for order, col in snf_generators]
     else:
         group, columns = cokernel_group(gram), generators.columns()
+    if not group.is_finite():
+        raise SingularMatrixError(f"gram is singular: its cokernel has free rank {group.free_rank}")
     if group.is_trivial():
         return trivial_package()
 

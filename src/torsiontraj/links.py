@@ -16,7 +16,7 @@ from math import gcd
 
 from ._record import Record
 from .abgroup import FGAbGroup, _integer, cokernel_group
-from .errors import CapabilityError, InvariantError, ParameterError, ValidationError
+from .errors import CapabilityError, InvariantError, ValidationError
 from .intmat import IntMatrix
 from .lattice import IntersectionLattice
 
@@ -29,12 +29,12 @@ class SpaceProfile(Record):
     hodge_h0q: dict = None
 
     def __post_init__(self):
-        clean = {_integer(k, "degree", ValidationError, 0): g
+        clean = {_integer(k, "degree", 0): g
                  for k, g in self.cohomology.items() if not g.is_trivial()}
         object.__setattr__(self, "cohomology", clean)
         if self.hodge_h0q is not None:
-            hodge = {_integer(k, "degree", ValidationError, 0):
-                     _integer(v, "Hodge number", ValidationError, 0) for k, v in self.hodge_h0q.items()}
+            hodge = {_integer(k, "degree", 0):
+                     _integer(v, "Hodge number", 0) for k, v in self.hodge_h0q.items()}
             object.__setattr__(self, "hodge_h0q", {k: v for k, v in hodge.items() if v})
 
     def group(self, degree):
@@ -62,12 +62,12 @@ class LensSpace(Record):
     q: int
 
     def __post_init__(self):
-        p = _integer(self.p, "lens space p", ParameterError, 2)
-        q = _integer(self.q, "lens space q", ParameterError)
+        p = _integer(self.p, "lens space p", 2)
+        q = _integer(self.q, "lens space q")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         if gcd(p, q) != 1:
-            raise ParameterError(f"lens space L({p},{q}) needs gcd(p, q) = 1")
+            raise ValidationError(f"lens space L({p},{q}) needs gcd(p, q) = 1")
 
 
 class Seifert(Record):
@@ -77,17 +77,17 @@ class Seifert(Record):
     arms: tuple
 
     def __post_init__(self):
-        b = _integer(self.b, "Seifert b", ParameterError)
+        b = _integer(self.b, "Seifert b")
         try:
-            arms = tuple((_integer(a, "a Seifert alpha", ParameterError, 2),
-                          _integer(c, "a Seifert beta", ParameterError)) for a, c in self.arms)
+            arms = tuple((_integer(a, "a Seifert alpha", 2),
+                          _integer(c, "a Seifert beta")) for a, c in self.arms)
         except (TypeError, ValueError):  # not an iterable of pairs
-            raise ParameterError(
+            raise ValidationError(
                 f"Seifert arms must be integer pairs (alpha, beta), got {self.arms!r}"
             ) from None
         for a, c in arms:
             if gcd(a, c) != 1:
-                raise ParameterError(f"Seifert arm ({a}, {c}) needs gcd(alpha, beta) = 1")
+                raise ValidationError(f"Seifert arm ({a}, {c}) needs gcd(alpha, beta) = 1")
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "arms", arms)
 
@@ -205,7 +205,7 @@ def link_profile(model):
         h1 = cokernel_group(model.lattice.gram)
         name = f"plumbing boundary (rank {model.lattice.rank})"
     else:
-        raise ParameterError(f"unknown link model {model!r}")
+        raise ValidationError(f"unknown link model {model!r}")
     return SpaceProfile(name, uct_cohomology_from_homology(_closed3_homology(h1)))
 
 
@@ -230,5 +230,5 @@ def stalk_profile(link, n):
     >>> print(table[0])
     Z/2
     """
-    n = _integer(n, "complex dimension", ParameterError, 0)
+    n = _integer(n, "complex dimension", 0)
     return {deg - n: group for deg, group in link.cohomology.items()}

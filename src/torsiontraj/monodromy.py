@@ -10,7 +10,7 @@ three instead has T = id with free cokernel.
 
 from ._record import Record
 from .abgroup import FGAbGroup, _integer, cokernel_group
-from .errors import InvariantError, ParameterError
+from .errors import InvariantError, ValidationError
 from .intmat import IntMatrix
 from .lattice import cartan_matrix
 from .links import SphereProduct
@@ -69,7 +69,7 @@ def variation_cokernel(t_matrix):
     Z/2
     """
     if not t_matrix.is_square():
-        raise ParameterError("monodromy matrix must be square")
+        raise ValidationError("monodromy matrix must be square")
     variation = t_matrix - IntMatrix.identity(t_matrix.rows)
     cokernel = cokernel_group(variation)
     det_abs = cokernel.torsion_order() if cokernel.is_finite() else None
@@ -89,9 +89,9 @@ def milnor_number(family, parameter=None):
     """
     if family == "BP":
         try:
-            a, b, c = (_integer(e, "a Brieskorn-Pham exponent", ParameterError, 2) for e in parameter)
+            a, b, c = (_integer(e, "a Brieskorn-Pham exponent", 2) for e in parameter)
         except (TypeError, ValueError):
-            raise ParameterError("Brieskorn-Pham exponents must be a triple") from None
+            raise ValidationError("Brieskorn-Pham exponents must be a triple") from None
         return (a - 1) * (b - 1) * (c - 1)
     return cartan_matrix(family, parameter).rank
 

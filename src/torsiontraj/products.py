@@ -8,7 +8,7 @@ when h^{0,2} vanishes, the Brauer group is the torsion of H^3.
 
 from ._record import Record
 from .abgroup import FGAbGroup, _integer, tensor, tor
-from .errors import ParameterError
+from .errors import ValidationError
 from .links import SpaceProfile, SphereProduct, lens_profile, link_profile
 
 
@@ -21,7 +21,7 @@ def builtin_profile(name, genus=None, p=None, q=None):
     * "lens": L(p, q), q = 1 when omitted.
     * "odp_link": S^2 x S^3.
 
-    Any other name raises ParameterError.
+    Any other name raises ValidationError.
 
     >>> print(builtin_profile("enriques").group(3))
     Z/2
@@ -35,16 +35,16 @@ def builtin_profile(name, genus=None, p=None, q=None):
         }
         return SpaceProfile("Enriques surface", groups, {0: 1, 1: 0, 2: 0})
     if name == "curve":
-        genus = _integer(genus, "genus", ParameterError, 0)
+        genus = _integer(genus, "genus", 0)
         groups = {0: FGAbGroup.free(1), 1: FGAbGroup.free(2 * genus), 2: FGAbGroup.free(1)}
         return SpaceProfile(f"genus-{genus} curve", groups, {0: 1, 1: genus})
     if name == "lens":
         if p is None:
-            raise ParameterError("lens profile needs p (and optionally q)")
+            raise ValidationError("lens profile needs p (and optionally q)")
         return lens_profile(p, 1 if q is None else q)
     if name == "odp_link":
         return link_profile(SphereProduct())
-    raise ParameterError(f"unknown builtin profile {name!r}")
+    raise ValidationError(f"unknown builtin profile {name!r}")
 
 
 class ProductReport(Record):
@@ -72,7 +72,7 @@ def product_cohomology(x, y, k):
     >>> print(report.total_torsion)
     (Z/2)^5
     """
-    k = _integer(k, "Kunneth degree", ParameterError, 0)
+    k = _integer(k, "Kunneth degree", 0)
     summands = []
     for a in _degree_window(x, y, k):
         term = tensor(x.group(a), y.group(k - a))
@@ -95,7 +95,7 @@ def h0q_product(x, y, q):
     >>> h0q_product(builtin_profile("enriques"), builtin_profile("curve", genus=3), 2)
     0
     """
-    q = _integer(q, "Hodge degree q", ParameterError)
+    q = _integer(q, "Hodge degree q")
     return sum(x.h0q(a) * y.h0q(q - a) for a in range(0, q + 1))
 
 

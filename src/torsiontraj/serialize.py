@@ -189,10 +189,8 @@ def row_cells(row):
         e_text = str(group)
         q_text = form_display(row.package.form)
     support = f"deg. {row.support_degree}" if row.support_degree is not None else "none"
-    brauer = {
-        "local-undefined": "not local in isolated germ",
-        "global-benchmark": "global Brauer/unramified benchmark",
-    }.get(row.brauer_residue_status, row.brauer_residue_status)
+    # Every computed row is local-undefined; a marker row carries its own text.
+    brauer = {"local-undefined": "not local in isolated germ"}[row.brauer_residue_status]
     global_image = row.global_image_note
     if row.shadow_note:
         global_image = f"{global_image}; {row.shadow_note}"

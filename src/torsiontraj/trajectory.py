@@ -18,7 +18,7 @@ table entry plus a factory classmethod.
 from ._record import Record
 from .abgroup import FGAbGroup, FinAbHom, _integer, cokernel_group, hom_analyze, rationalize, tensor
 from .bockstein import shadow
-from .errors import InvariantError, ParameterError, ValidationError
+from .errors import InvariantError, ValidationError
 from .intmat import IntMatrix
 from .lattice import (
     DiscriminantPackage,
@@ -64,7 +64,7 @@ class _Kind(Record):
     ``parameters`` is the rule: ``(name, least)`` pairs in order.  A
     model's parameters are one integer per pair, at least its least value,
     that then pass ``check`` (None, or a joint check raising
-    ``ParameterError``).  ``name``, ``lattice`` and ``link`` are functions
+    ``ValidationError``).  ``name``, ``lattice`` and ``link`` are functions
     of the parameters; a refusal names the parameter after ``name`` called
     with the symbols, as in "A_k surface parameter k must be >= 1, got 0".
     ``generators`` lists the leading entries of each preferred generator
@@ -128,13 +128,13 @@ class SingularityModel(Record):
     def __post_init__(self):
         spec = _KINDS.get(self.kind) if isinstance(self.kind, str) else None
         if spec is None:
-            raise ParameterError(f"unknown singularity model {self.kind!r}")
+            raise ValidationError(f"unknown singularity model {self.kind!r}")
         rule, given = spec.parameters, self.parameters
         symbols = [name for name, _ in rule]
         if not isinstance(given, tuple) or len(given) != len(rule):
-            raise ParameterError(f"the {self.kind} model takes {len(rule)} integer parameters"
-                                 f" ({', '.join(symbols)}), got {given!r}")
-        given = tuple(_integer(value, f"{spec.name(*symbols)} parameter {name}", ParameterError, least)
+            raise ValidationError(f"the {self.kind} model takes {len(rule)} integer parameters"
+                                  f" ({', '.join(symbols)}), got {given!r}")
+        given = tuple(_integer(value, f"{spec.name(*symbols)} parameter {name}", least)
                       for value, (name, least) in zip(given, rule))
         object.__setattr__(self, "parameters", given)
         if spec.check is not None:
@@ -154,7 +154,7 @@ class SingularityModel(Record):
 
     @classmethod
     def brieskorn(cls, *exponents):
-        exponents = tuple(_integer(e, "an exponent", ParameterError) for e in exponents)
+        exponents = tuple(_integer(e, "an exponent") for e in exponents)
         return cls("brieskorn", () if exponents == BRIESKORN_EXPONENTS else exponents)
 
     @classmethod
@@ -344,7 +344,7 @@ def stratum_cohomology(coefficients, genus):
     (Z/2)^4
     """
     if not coefficients.is_finite():
-        raise ParameterError("coefficients must be a finite group")
+        raise ValidationError("coefficients must be a finite group")
     curve = builtin_profile("curve", genus=genus)
     groups = {deg: tensor(h, coefficients) for deg, h in curve.cohomology.items()}
     return {deg: group for deg, group in groups.items() if not group.is_trivial()}

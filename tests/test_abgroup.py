@@ -106,10 +106,12 @@ def factoring_invariant_factors(orders):
 
 
 PRIME_POWERS = st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49])
-# Products of small prime powers (1 included); every other order repeated.
-ORDERS = st.lists(st.lists(PRIME_POWERS, max_size=3).map(prod), max_size=8).map(
-    lambda xs: xs + xs[::2]
-)
+# Products of small prime powers (1 included), each repeated up to 8
+# times, in any order: lists of up to 96 orders with long runs of equal
+# values.
+ORDERS = st.lists(
+    st.tuples(st.lists(PRIME_POWERS, max_size=3).map(prod), st.integers(1, 8)), max_size=12
+).flatmap(lambda runs: st.permutations([d for d, count in runs for _ in range(count)]))
 
 
 @given(ORDERS)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from torsiontraj.abgroup import FGAbGroup
 from torsiontraj.bockstein import bo_direction_span, bockstein_image, shadow
-from torsiontraj.errors import ParameterError, ValidationError
+from torsiontraj.errors import ValidationError
 from torsiontraj.lattice import abstract_package, chain_matrix, discriminant_package
 
 from uct_references import reference_mod_n
@@ -39,7 +39,7 @@ def test_bockstein_image_z6():
 
 
 def test_bockstein_validation():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValidationError):
         bockstein_image(Z2, Z2, 1)
 
 

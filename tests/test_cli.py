@@ -292,6 +292,29 @@ def test_lattice_rejects_bad_gram(tmp_path, capsys, name):
     assert "usage error" in err
 
 
+def test_lattice_singular_gram_is_a_usage_error(tmp_path, capsys):
+    # It was refused with exit 1, which is kept for gate and capability refusals.
+    gram = tmp_path / "gram.json"
+    gram.write_text(json.dumps({"gram": [[-2, 2], [2, -2]]}))
+    for fmt in ("md", "json", "csv"):
+        code, out, err = invoke(capsys, "lattice", "--gram", str(gram), "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == "usage error: gram is singular: its cokernel has free rank 1\n"
+
+
+def test_library_key_error_propagates(monkeypatch, capsys):
+    # A KeyError is a defect, never a usage error: every JSON key is
+    # checked before it is read.
+    import torsiontraj.cli
+
+    def broken(args):
+        raise KeyError("x")
+    monkeypatch.setattr(torsiontraj.cli, "cmd_singularity", broken)
+    with pytest.raises(KeyError):
+        run(["singularity", "a1"])
+    assert capsys.readouterr().err == ""
+
+
 def test_lattice_rejects_top_level_list(tmp_path, capsys):
     gram = tmp_path / "gram.json"
     gram.write_text(json.dumps([[-4]]))

@@ -10,12 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torsiontraj.abgroup import FGAbGroup, cokernel_group, element_order, group_from_cokernel
-from torsiontraj.errors import (
-    CapabilityError,
-    ParameterError,
-    SingularMatrixError,
-    ValidationError,
-)
+from torsiontraj.errors import CapabilityError, SingularMatrixError, ValidationError
 from torsiontraj.intmat import IntMatrix, RatMatrix, det, rat_inverse
 from torsiontraj.lattice import (
     DiscriminantPackage,
@@ -70,11 +65,11 @@ def sylvester_negative_definite(lat):
 
 
 def test_cartan_validation():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValidationError):
         cartan_matrix("A", 0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValidationError):
         cartan_matrix("D", 3)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValidationError):
         cartan_matrix("F", 4)
 
 
@@ -92,7 +87,7 @@ def test_cartan_validation():
 def test_non_integer_parameters_rejected(call):
     # The floats ended in a TypeError from list repetition or gcd, and
     # True was read as 1.
-    with pytest.raises(ParameterError, match="must be an integer"):
+    with pytest.raises(ValidationError, match="must be an integer"):
         call()
 
 
@@ -100,7 +95,7 @@ def test_non_integer_parameters_rejected(call):
 def test_e8_refuses_every_parameter(parameter):
     # 8 and 8.0 were accepted, as E8 has rank 8; every other
     # parameterless family refuses any parameter.
-    with pytest.raises(ParameterError, match="E8 takes no parameter"):
+    with pytest.raises(ValidationError, match="E8 takes no parameter"):
         cartan_matrix("E8", parameter)
 
 
@@ -123,9 +118,9 @@ def test_hj_expansion_exact_for_all_coprime_pairs():
 
 
 def test_hj_validation():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValidationError):
         hj_expansion(4, 2)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValidationError):
         hj_expansion(3, 3)
 
 
@@ -136,7 +131,7 @@ def test_hj_expansion_lying_gt_gets_the_joint_refusal():
         def __gt__(self, other):
             return True
 
-    with pytest.raises(ParameterError) as caught:
+    with pytest.raises(ValidationError) as caught:
         hj_expansion(LyingInt(1), 2)
     assert str(caught.value) == "need n > q >= 1, got n = 1, q = 2"
 
@@ -157,9 +152,9 @@ def test_chain_matrix():
     assert chain_matrix([4]).gram.to_lists() == [[-4]]
     assert chain_matrix([2]).gram.to_lists() == [[-2]]
     assert chain_matrix([2, 2]).gram == cartan_matrix("A", 2).gram
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValidationError):
         chain_matrix([1])
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValidationError):
         chain_matrix([])
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from torsiontraj.abgroup import FGAbGroup
 from torsiontraj import links
-from torsiontraj.errors import CapabilityError, InvariantError, ParameterError
+from torsiontraj.errors import CapabilityError, InvariantError, ValidationError
 from torsiontraj.lattice import cartan_matrix, chain_matrix, discriminant_package, hj_expansion, star_matrix
 from torsiontraj.links import (
     LensSpace,
@@ -54,9 +54,9 @@ def test_lens_profile_independent_of_q():
 
 
 def test_lens_validation():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValidationError):
         lens_profile(4, 2)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValidationError):
         lens_profile(1, 1)
 
 
@@ -76,7 +76,7 @@ def test_lens_profile_is_link_profile():
 def test_link_data_must_be_integers(build):
     # L(3,True) was accepted under that name, gcd raised a bare TypeError
     # for 2.5, and True was stored as b = 1.
-    with pytest.raises(ParameterError, match="must be an integer"):
+    with pytest.raises(ValidationError, match="must be an integer"):
         build()
 
 
@@ -214,14 +214,14 @@ def test_seifert_order_integrality_check(monkeypatch):
 )
 def test_seifert_refuses_non_integer_data(b, arms):
     # int() truncated these: (2.7, 1) became (2, 1)
-    with pytest.raises(ParameterError, match="integer"):
+    with pytest.raises(ValidationError, match="integer"):
         Seifert(b, arms)
 
 
 @pytest.mark.parametrize("arms", [((2, 0), (3, 1), (11, 1)), ((4, 2), (3, 1), (11, 1))])
 def test_seifert_refuses_non_coprime_arm(arms):
     # not Seifert invariants; they printed H^2 = Z/38 and Z/10
-    with pytest.raises(ParameterError, match="gcd"):
+    with pytest.raises(ValidationError, match="gcd"):
         link_profile(Seifert(-1, arms))
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from torsiontraj.abgroup import FGAbGroup
 from torsiontraj import monodromy
-from torsiontraj.errors import InvariantError, ParameterError
+from torsiontraj.errors import InvariantError, ValidationError
 from torsiontraj.intmat import IntMatrix, char_poly, det, snf
 from torsiontraj.lattice import cartan_matrix
 from torsiontraj.monodromy import (
@@ -147,9 +147,9 @@ def test_coxeter_char_poly_order_invariant():
 
 
 def test_coxeter_validation():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValidationError):
         coxeter_element("A")
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValidationError):
         coxeter_element("B", 2)
 
 
@@ -206,9 +206,9 @@ def test_milnor_numbers():
     assert milnor_number("BP", (2, 2, 2)) == 1
     assert milnor_number("A", 7) == 7
     assert milnor_number("E8") == 8
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValidationError):
         milnor_number("BP", (1, 2, 3))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValidationError):
         milnor_number("A", 0)
 
 
@@ -217,9 +217,9 @@ def test_milnor_number_is_cartan_rank():
     for family, parameter in cases:
         assert milnor_number(family, parameter) == positive_cartan(family, parameter).rows
     for args in [("D4", 3), ("A", 0)]:
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError):
             milnor_number(*args)
-    with pytest.raises(ParameterError, match="'X'"):
+    with pytest.raises(ValidationError, match="'X'"):
         milnor_number("X")
 
 
@@ -241,7 +241,7 @@ def test_milnor_number_is_cartan_rank():
 def test_family_parameters_checked(call):
     # The first four returned the D_4 or E_8 answer, ignoring the
     # parameter; the float cases ran on or failed with a TypeError.
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValidationError):
         call()
 
 

@@ -1,10 +1,10 @@
 """One integer rule for every library parameter.
 
 Each site is one integer parameter of the library: the name its refusals
-print, its least value (None: any integer), the error class it raises,
-and a call that passes it a value.  Every site refuses a bool, a float
-and the value just below its least; the message names the parameter and
-the value, and for a low value the bound too.
+print, its least value (None: any integer) and a call that passes it a
+value.  Every site refuses a bool, a float and the value just below its
+least with a ValidationError; the message names the parameter and the
+value, and for a low value the bound too.
 """
 
 from fractions import Fraction
@@ -14,7 +14,7 @@ import pytest
 from torsiontraj.abgroup import FGAbGroup, FinAbHom, n_torsion, scale_subgroup
 from torsiontraj.bockstein import bockstein_image, shadow
 from torsiontraj.cli import run
-from torsiontraj.errors import ParameterError, ValidationError
+from torsiontraj.errors import ValidationError
 from torsiontraj.intmat import IntMatrix
 from torsiontraj.lattice import abstract_package, cartan_matrix, chain_matrix, hj_expansion, star_matrix
 from torsiontraj.links import (
@@ -37,38 +37,34 @@ ENRIQUES = builtin_profile("enriques")
 CURVE = builtin_profile("curve", genus=1)
 
 SITES = {
-    "free-rank": ("free rank", 0, ValidationError, lambda v: FGAbGroup(v)),
-    "invariant-factor": ("invariant factor", 2, ValidationError, lambda v: FGAbGroup(0, (v,))),
-    "cyclic-order": ("cyclic order", 1, ValidationError, lambda v: FGAbGroup.from_orders([2, v])),
-    "n-torsion": ("n", 1, ValidationError, lambda v: n_torsion(Z4, v)),
-    "scale-subgroup": ("n", 1, ValidationError, lambda v: scale_subgroup(Z4, v)),
-    "bockstein-modulus": ("coefficient modulus", 2, ParameterError,
-                          lambda v: bockstein_image(FGAbGroup.trivial(), Z4, v)),
-    "shadow-index": ("shadow index", 2, ParameterError, lambda v: shadow(COBLE, v)),
-    "cartan-a": ("A_k parameter k", 1, ParameterError, lambda v: cartan_matrix("A", v)),
-    "cartan-d": ("D_n parameter n", 4, ParameterError, lambda v: cartan_matrix("D", v)),
-    "chain-weight": ("chain weight", 2, ParameterError, lambda v: chain_matrix([2, v])),
-    "star-central": ("star central weight", 1, ParameterError, lambda v: star_matrix(v, [2])),
-    "star-arm": ("star arm weight", 1, ParameterError, lambda v: star_matrix(1, [2, v])),
-    "profile-degree": ("degree", 0, ValidationError, lambda v: SpaceProfile("x", {v: Z2})),
-    "hodge-degree": ("degree", 0, ValidationError, lambda v: SpaceProfile("x", {}, {v: 1})),
-    "hodge-number": ("Hodge number", 0, ValidationError, lambda v: SpaceProfile("x", {}, {0: v})),
-    "lens-p": ("lens space p", 2, ParameterError, lambda v: LensSpace(v, 1)),
-    "seifert-alpha": ("a Seifert alpha", 2, ParameterError,
-                      lambda v: Seifert(-1, ((2, 1), (v, 1)))),
-    "stalk-dimension": ("complex dimension", 0, ParameterError, lambda v: stalk_profile(L21, v)),
-    "bp-exponent": ("a Brieskorn-Pham exponent", 2, ParameterError,
-                    lambda v: milnor_number("BP", (2, v, 11))),
-    "curve-genus": ("genus", 0, ParameterError, lambda v: builtin_profile("curve", genus=v)),
-    "kunneth-degree": ("Kunneth degree", 0, ParameterError,
-                       lambda v: product_cohomology(ENRIQUES, CURVE, v)),
-    "hodge-q": ("Hodge degree q", None, ParameterError, lambda v: h0q_product(ENRIQUES, CURVE, v)),
-    "ak-model": ("A_k surface parameter k", 1, ParameterError, lambda v: SingularityModel.ak(v)),
-    "quotient-n": ("cyclic quotient 1/n(1,q) parameter n", 2, ParameterError,
+    "free-rank": ("free rank", 0, lambda v: FGAbGroup(v)),
+    "invariant-factor": ("invariant factor", 2, lambda v: FGAbGroup(0, (v,))),
+    "cyclic-order": ("cyclic order", 1, lambda v: FGAbGroup.from_orders([2, v])),
+    "n-torsion": ("n", 1, lambda v: n_torsion(Z4, v)),
+    "scale-subgroup": ("n", 1, lambda v: scale_subgroup(Z4, v)),
+    "bockstein-modulus": ("coefficient modulus", 2, lambda v: bockstein_image(FGAbGroup.trivial(), Z4, v)),
+    "shadow-index": ("shadow index", 2, lambda v: shadow(COBLE, v)),
+    "cartan-a": ("A_k parameter k", 1, lambda v: cartan_matrix("A", v)),
+    "cartan-d": ("D_n parameter n", 4, lambda v: cartan_matrix("D", v)),
+    "chain-weight": ("chain weight", 2, lambda v: chain_matrix([2, v])),
+    "star-central": ("star central weight", 1, lambda v: star_matrix(v, [2])),
+    "star-arm": ("star arm weight", 1, lambda v: star_matrix(1, [2, v])),
+    "profile-degree": ("degree", 0, lambda v: SpaceProfile("x", {v: Z2})),
+    "hodge-degree": ("degree", 0, lambda v: SpaceProfile("x", {}, {v: 1})),
+    "hodge-number": ("Hodge number", 0, lambda v: SpaceProfile("x", {}, {0: v})),
+    "lens-p": ("lens space p", 2, lambda v: LensSpace(v, 1)),
+    "seifert-alpha": ("a Seifert alpha", 2, lambda v: Seifert(-1, ((2, 1), (v, 1)))),
+    "stalk-dimension": ("complex dimension", 0, lambda v: stalk_profile(L21, v)),
+    "bp-exponent": ("a Brieskorn-Pham exponent", 2, lambda v: milnor_number("BP", (2, v, 11))),
+    "curve-genus": ("genus", 0, lambda v: builtin_profile("curve", genus=v)),
+    "kunneth-degree": ("Kunneth degree", 0, lambda v: product_cohomology(ENRIQUES, CURVE, v)),
+    "hodge-q": ("Hodge degree q", None, lambda v: h0q_product(ENRIQUES, CURVE, v)),
+    "ak-model": ("A_k surface parameter k", 1, lambda v: SingularityModel.ak(v)),
+    "quotient-n": ("cyclic quotient 1/n(1,q) parameter n", 2,
                    lambda v: SingularityModel.cyclic_quotient(v, 1)),
-    "quotient-q": ("cyclic quotient 1/n(1,q) parameter q", 1, ParameterError,
+    "quotient-q": ("cyclic quotient 1/n(1,q) parameter q", 1,
                    lambda v: SingularityModel.cyclic_quotient(4, v)),
-    "stratum-genus": ("genus", 0, ParameterError, lambda v: stratum_cohomology(Z2, v)),
+    "stratum-genus": ("genus", 0, lambda v: stratum_cohomology(Z2, v)),
 }
 
 # Values that once got through, or ended in a bare TypeError or a message
@@ -89,31 +85,31 @@ DEFECTS = [
 
 
 def _row(site, value):
-    """(call, bad value, error class, message fragment) of one refusal."""
-    what, least, error, call = SITES[site]
+    """(call, bad value, message fragment) of one refusal."""
+    what, least, call = SITES[site]
     if isinstance(value, int) and not isinstance(value, bool):
         fragment = f"{what} must be >= {least}, got {value}"
     else:
         fragment = f"{what} must be an integer, got {value!r}"
-    return call, value, error, fragment
+    return call, value, fragment
 
 
 ROWS = [pytest.param(*_row(site, value), id=f"{site}-{value!r}")
-        for site, (_, least, _, _) in SITES.items()
+        for site, (_, least, _) in SITES.items()
         for value in (True, 2.5) + (() if least is None else (least - 1,))]
 ROWS += [pytest.param(*_row(site, value), id=f"defect-{site}-{value!r}") for site, value in DEFECTS]
 
 
-@pytest.mark.parametrize("call, value, error, fragment", ROWS)
-def test_parameter_refusal_names_parameter_bound_and_value(call, value, error, fragment):
-    with pytest.raises(error) as caught:
+@pytest.mark.parametrize("call, value, fragment", ROWS)
+def test_parameter_refusal_names_parameter_bound_and_value(call, value, fragment):
+    with pytest.raises(ValidationError) as caught:
         call(value)
     assert fragment in str(caught.value)
 
 
 @pytest.mark.parametrize("site", sorted(SITES))
 def test_least_value_is_accepted(site):
-    _, least, _, call = SITES[site]
+    _, least, call = SITES[site]
     call(0 if least is None else least)
 
 
@@ -160,7 +156,7 @@ JOINT_REFUSALS = pytest.mark.parametrize("n, q, fragment", [
 
 @JOINT_REFUSALS
 def test_hj_expansion_joint_refusal_names_n_and_q(n, q, fragment):
-    with pytest.raises(ParameterError) as caught:
+    with pytest.raises(ValidationError) as caught:
         hj_expansion(n, q)
     assert str(caught.value) == fragment
 

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from torsiontraj.abgroup import FGAbGroup, rationalize, tensor, tor
-from torsiontraj.errors import CapabilityError, ParameterError
+from torsiontraj.errors import CapabilityError, ValidationError
 from torsiontraj.links import SpaceProfile
 from torsiontraj.products import (
     GateRefusal,
@@ -31,7 +31,7 @@ def test_builtin_enriques():
 def test_builtin_curves():
     assert builtin_profile("curve", genus=0).group(1).is_trivial()
     assert builtin_profile("curve", genus=3).group(1) == FGAbGroup.free(6)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValidationError):
         builtin_profile("curve", genus=-1)
 
 
@@ -39,18 +39,18 @@ def test_builtin_curves():
 def test_genus_is_an_integer(genus):
     # genus=1.5 was refused as a "free rank 3.0", and a boolean genus was
     # taken as 1 by stratum_cohomology.
-    with pytest.raises(ParameterError, match="genus"):
+    with pytest.raises(ValidationError, match="genus"):
         builtin_profile("curve", genus=genus)
-    with pytest.raises(ParameterError, match="genus"):
+    with pytest.raises(ValidationError, match="genus"):
         stratum_cohomology(Z2, genus)
 
 
 def test_builtin_lens_and_odp():
     assert builtin_profile("lens", p=4, q=1).group(2) == FGAbGroup.cyclic(4)
     assert builtin_profile("odp_link").is_torsion_free()
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValidationError):
         builtin_profile("sphere23")
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValidationError):
         builtin_profile("nope")
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from torsiontraj.abgroup import FGAbGroup, FinAbHom
 from torsiontraj.bockstein import bo_direction_span, bockstein_image, shadow
 from torsiontraj import serialize, trajectory
-from torsiontraj.errors import InvariantError, ParameterError, ValidationError
+from torsiontraj.errors import InvariantError, ValidationError
 from torsiontraj.intmat import IntMatrix
 from torsiontraj.lattice import cartan_matrix, discriminant_package, forms_isomorphic
 from torsiontraj.links import PlumbingBoundary, lens_profile
@@ -34,16 +34,16 @@ Z2 = FGAbGroup.cyclic(2)
 
 
 def test_model_validation():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValidationError):
         SingularityModel.ak(0)
     for q in (2, 4, 0):  # gcd(4, 2) = 2, q = n, q < 1
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError):
             SingularityModel.cyclic_quotient(4, q)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValidationError):
         SingularityModel.brieskorn(2, 3, 7)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValidationError):
         SingularityModel("nope")
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValidationError):
         SingularityModel(["ak"])
 
 
@@ -68,7 +68,7 @@ def test_model_parameters_checked(build):
     # a float failed later with a TypeError in trajectory_row, True
     # was read as 1 ("A_1 surface"), and (2.0, 3, 11) compared equal to
     # the built-in exponents.
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValidationError):
         build()
 
 
@@ -297,7 +297,7 @@ def test_stratum_cohomology():
     z4 = FGAbGroup.cyclic(4)
     assert stratum_cohomology(z4, 3)[1] == FGAbGroup.from_orders([4] * 6)
     assert stratum_cohomology(FGAbGroup.trivial(), 5) == {}
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValidationError):
         stratum_cohomology(FGAbGroup.free(1), 2)
 
 
@@ -321,7 +321,7 @@ def test_stratum_cohomology_matches_factorwise_reference(orders, genus):
 
 
 def test_stratum_cohomology_refuses_a_negative_genus():
-    with pytest.raises(ParameterError, match="genus must be >= 0, got -1"):
+    with pytest.raises(ValidationError, match="genus must be >= 0, got -1"):
         stratum_cohomology(Z2, -1)
 
 
