@@ -4,7 +4,7 @@ A group is stored canonically as a free rank plus the invariant-factor
 chain d_1 | d_2 | ... (each >= 2).  Equality is equality of that data,
 i.e. groups are compared up to isomorphism.
 
-Both fields and every cyclic order must be integers (``operator.index``);
+Both fields and every cyclic order must be integers (``_integer``):
 floats, strings and booleans are refused, not truncated.  Finite
 coefficients go through ``tensor`` and ``tor`` alone: the n-torsion of
 G is Tor(G, Z/n) and G/nG is G (x) Z/n, so neither has a formula of
@@ -18,30 +18,10 @@ the dual map on character groups.
 """
 
 from math import gcd, lcm, prod
-from operator import index
 
 from ._record import Record
 from .errors import DimensionError, InvariantError, ValidationError
-from .intmat import IntMatrix, kernel_basis, snf
-
-
-def _integer(value, what, least=None):
-    """``value`` as an int, or a ValidationError naming it as ``what``.
-
-    The one check of every integer parameter.  A bool, float or string is
-    refused ("must be an integer, got 1.5"), never truncated, and so is a
-    value below ``least`` when one is given ("must be >= 2, got 1").
-    """
-    if not isinstance(value, bool):
-        try:
-            value = index(value)
-        except TypeError:
-            pass
-        else:
-            if least is None or value >= least:
-                return value
-            raise ValidationError(f"{what} must be >= {least}, got {value}")
-    raise ValidationError(f"{what} must be an integer, got {value!r}")
+from .intmat import IntMatrix, _integer, kernel_basis, snf
 
 
 def _invariant_factors(orders):

@@ -10,9 +10,9 @@ from fractions import Fraction
 from math import gcd
 
 from ._record import Record
-from .abgroup import FGAbGroup, _integer, n_torsion, scale_subgroup, tensor
+from .abgroup import FGAbGroup, n_torsion, scale_subgroup, tensor
 from .errors import ValidationError
-from .intmat import RatMatrix
+from .intmat import RatMatrix, _integer
 from .lattice import DiscriminantPackage, _mod1, trivial_package
 
 

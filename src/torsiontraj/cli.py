@@ -74,7 +74,9 @@ def _model_from_args(args):
     elif args.k is not None:
         raise ValidationError(f"--k applies only to ak, not {which}")
     if which == "a1":
-        which, params = "ak", (1, *params)
+        if params:
+            raise ValidationError(f"a1 takes no parameters, got {params!r}")
+        which, params = "ak", (1,)
     if which == "brieskorn":
         return SingularityModel.brieskorn(*params)
     return SingularityModel(which, params)

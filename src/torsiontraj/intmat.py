@@ -4,13 +4,13 @@ Everything here runs on Python's arbitrary-precision integers and
 ``fractions.Fraction``; no floating point is used anywhere.  One base
 class holds shape, access, equality and the product; ``IntMatrix`` and
 ``RatMatrix`` differ only in their entry type (``int`` or ``Fraction``)
-and in a few type-specific operations; an IntMatrix refuses a float or
-``Fraction`` entry instead of truncating it, and a RatMatrix refuses a
-float or a string instead of converting it.  Equality compares entries,
-so an integral RatMatrix equals the IntMatrix with the same entries, and
-a product with a RatMatrix on either side is a RatMatrix.  There is one
-product, over row lists, shared by ``@``, ``apply`` and the integer
-``char_poly``.
+and in a few type-specific operations.  An entry that is not a Fraction
+(in an IntMatrix, any entry) passes ``_integer``, the library's one
+integer rule, so a bool, float or string is refused, never converted.
+Equality compares entries, so an integral RatMatrix equals the IntMatrix
+with the same entries, and a product with a RatMatrix on either side is
+a RatMatrix.  There is one product, over row lists, shared by ``@``,
+``apply`` and the integer ``char_poly``.
 
 Sizes range from 8x8 intersection matrices to Coxeter elements of A_60
 and beyond, so the kernels follow two rules:
@@ -33,10 +33,31 @@ only the diagonal and build no transform.
 """
 
 from fractions import Fraction
+from functools import partial
 from itertools import compress
 from operator import index, itemgetter
 
 from .errors import DimensionError, InvariantError, SingularMatrixError, ValidationError
+
+
+def _integer(value, what, least=None):
+    """``value`` as an int, or a ValidationError naming it as ``what``.
+
+    The one check of every integer parameter and matrix entry.  A bool,
+    float or string is refused ("must be an integer, got 1.5"), never
+    truncated, and so is a value below ``least`` when one is given
+    ("must be >= 2, got 1").
+    """
+    if not isinstance(value, bool):
+        try:
+            value = index(value)
+        except TypeError:
+            pass
+        else:
+            if least is None or value >= least:
+                return value
+            raise ValidationError(f"{what} must be >= {least}, got {value}")
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
 def _row_product(left, right):
@@ -63,29 +84,19 @@ def _row_product(left, right):
 class _Matrix:
     """Shape, access and products shared by IntMatrix and RatMatrix.
 
-    A subclass names its entry type in ``_entry``; the constructor applies
-    it once to every entry.  Results keep the caller's entry type, and a
-    product with a RatMatrix on either side is a RatMatrix.
+    A subclass names its exact entry type in ``_exact`` and its entry rule
+    in ``_entry``.  The constructor keeps a row of exact entries as it is
+    (a type scan in C) and passes any other row through ``_entry``.
+    Results keep the caller's entry type, and a product with a RatMatrix
+    on either side is a RatMatrix.
     """
 
     __slots__ = ("_rows",)
 
     def __init__(self, rows):
-        entry = self._entry
-        converted = []
-        for row in rows:
-            try:
-                converted.append(tuple(map(entry, row)))
-            except TypeError:
-                for x in row:
-                    try:
-                        entry(x)
-                    except TypeError:
-                        raise ValidationError(
-                            f"{x!r} is not a valid {type(self).__name__} entry"
-                        ) from None
-                raise
-        rows = tuple(converted)
+        exact, entry = self._exact, self._entry
+        rows = tuple([row if exact.issuperset(map(type, row)) else tuple(map(entry, row))
+                      for row in map(tuple, rows)])
         if not rows or not rows[0]:
             raise DimensionError("matrix must have at least one row and column")
         if len(set(map(len, rows))) != 1:
@@ -174,7 +185,8 @@ class IntMatrix(_Matrix):
     """
 
     __slots__ = ()
-    _entry = index
+    _exact = frozenset({int})
+    _entry = staticmethod(partial(_integer, what="IntMatrix entry"))
 
     # Bound here as well, so the integer product is an attribute of
     # IntMatrix itself and can be wrapped without touching RatMatrix.
@@ -207,13 +219,9 @@ class IntMatrix(_Matrix):
 
 
 def _fraction(x):
-    """A RatMatrix entry: a Fraction as it is, an integer as a Fraction.
-    A float or a string raises TypeError instead of being converted."""
-    if type(x) is Fraction:
-        return x
-    if isinstance(x, Fraction):
-        return Fraction(x.numerator, x.denominator)
-    return Fraction(index(x))
+    """A RatMatrix entry off the scan path: any Fraction becomes a plain
+    Fraction, and anything else must pass ``_integer``."""
+    return Fraction(x if isinstance(x, Fraction) else _integer(x, "RatMatrix entry"))
 
 
 class RatMatrix(_Matrix):
@@ -221,10 +229,11 @@ class RatMatrix(_Matrix):
 
     Entries are ``fractions.Fraction`` values, hence always in lowest
     terms with positive denominator.  Fractions and integers are accepted;
-    a float or a string is refused rather than converted.
+    a bool, float or string is refused rather than converted.
     """
 
     __slots__ = ()
+    _exact = frozenset({Fraction})
     _entry = staticmethod(_fraction)
 
     def __repr__(self):

@@ -16,9 +16,9 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 
 from ._record import Record
-from .abgroup import FGAbGroup, _integer, cokernel_group, element_order, group_from_cokernel
+from .abgroup import FGAbGroup, cokernel_group, element_order, group_from_cokernel
 from .errors import CapabilityError, SingularMatrixError, ValidationError
-from .intmat import IntMatrix, RatMatrix, rat_inverse
+from .intmat import IntMatrix, RatMatrix, _integer, rat_inverse
 
 FORMS_ISOMORPHIC_BOUND = 64
 

@@ -15,9 +15,9 @@ from fractions import Fraction
 from math import gcd
 
 from ._record import Record
-from .abgroup import FGAbGroup, _integer, cokernel_group
+from .abgroup import FGAbGroup, cokernel_group
 from .errors import CapabilityError, InvariantError, ValidationError
-from .intmat import IntMatrix
+from .intmat import IntMatrix, _integer
 from .lattice import IntersectionLattice
 
 

@@ -9,9 +9,9 @@ three instead has T = id with free cokernel.
 """
 
 from ._record import Record
-from .abgroup import FGAbGroup, _integer, cokernel_group
+from .abgroup import FGAbGroup, cokernel_group
 from .errors import InvariantError, ValidationError
-from .intmat import IntMatrix
+from .intmat import IntMatrix, _integer
 from .lattice import cartan_matrix
 from .links import SphereProduct
 

@@ -7,9 +7,14 @@ when h^{0,2} vanishes, the Brauer group is the torsion of H^3.
 """
 
 from ._record import Record
-from .abgroup import FGAbGroup, _integer, tensor, tor
+from .abgroup import FGAbGroup, tensor, tor
 from .errors import ValidationError
+from .intmat import _integer
 from .links import SpaceProfile, SphereProduct, lens_profile, link_profile
+
+
+# The parameters each built-in profile takes.
+_PROFILE_PARAMETERS = {"enriques": (), "curve": ("genus",), "lens": ("p", "q"), "odp_link": ()}
 
 
 def builtin_profile(name, genus=None, p=None, q=None):
@@ -21,11 +26,19 @@ def builtin_profile(name, genus=None, p=None, q=None):
     * "lens": L(p, q), q = 1 when omitted.
     * "odp_link": S^2 x S^3.
 
-    Any other name raises ValidationError.
+    Any other name, and a parameter the named profile does not take,
+    raise ValidationError.
 
     >>> print(builtin_profile("enriques").group(3))
     Z/2
     """
+    takes = _PROFILE_PARAMETERS.get(name) if isinstance(name, str) else None
+    if takes is None:
+        raise ValidationError(f"unknown builtin profile {name!r}")
+    for parameter, value in (("genus", genus), ("p", p), ("q", q)):
+        if value is not None and parameter not in takes:
+            raise ValidationError(f"the {name} profile takes no parameter {parameter},"
+                                  f" got {parameter}={value!r}")
     if name == "enriques":
         groups = {
             0: FGAbGroup.free(1),
@@ -42,9 +55,7 @@ def builtin_profile(name, genus=None, p=None, q=None):
         if p is None:
             raise ValidationError("lens profile needs p (and optionally q)")
         return lens_profile(p, 1 if q is None else q)
-    if name == "odp_link":
-        return link_profile(SphereProduct())
-    raise ValidationError(f"unknown builtin profile {name!r}")
+    return link_profile(SphereProduct())
 
 
 class ProductReport(Record):

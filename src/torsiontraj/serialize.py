@@ -12,9 +12,9 @@ import io
 import json
 from fractions import Fraction
 
-from .abgroup import FGAbGroup, _integer
+from .abgroup import FGAbGroup
 from .errors import ValidationError
-from .intmat import IntMatrix
+from .intmat import IntMatrix, _integer
 from .lattice import IntersectionLattice, geometric_rep
 from .trajectory import MarkerRow
 
@@ -67,8 +67,9 @@ def int_matrix_from_json(rows, what="matrix"):
 
     Rows must form a non-empty rectangular list of lists of JSON integers;
     floats, strings and booleans are rejected rather than truncated or
-    coerced by ``int``.  ``IntMatrix`` alone would take a boolean, so
-    every entry is checked here first.
+    coerced by ``int``.  ``IntMatrix`` refuses the same entries; each is
+    checked here first only so that a refusal names the input, as in
+    "gram entry must be an integer, got True".
     """
     if not isinstance(rows, list) or not rows or not all(
         isinstance(row, list) and row for row in rows

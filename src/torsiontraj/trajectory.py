@@ -16,10 +16,10 @@ table entry plus a factory classmethod.
 """
 
 from ._record import Record
-from .abgroup import FGAbGroup, FinAbHom, _integer, cokernel_group, hom_analyze, rationalize, tensor
+from .abgroup import FGAbGroup, FinAbHom, cokernel_group, hom_analyze, rationalize, tensor
 from .bockstein import shadow
 from .errors import InvariantError, ValidationError
-from .intmat import IntMatrix
+from .intmat import IntMatrix, _integer
 from .lattice import (
     DiscriminantPackage,
     cartan_matrix,
@@ -132,8 +132,9 @@ class SingularityModel(Record):
         rule, given = spec.parameters, self.parameters
         symbols = [name for name, _ in rule]
         if not isinstance(given, tuple) or len(given) != len(rule):
-            raise ValidationError(f"the {self.kind} model takes {len(rule)} integer parameters"
-                                  f" ({', '.join(symbols)}), got {given!r}")
+            count = f"{len(rule)} integer parameter{'s' if len(rule) > 1 else ''}"
+            takes = f"{count} ({', '.join(symbols)})" if rule else "no parameters"
+            raise ValidationError(f"the {self.kind} model takes {takes}, got {given!r}")
         given = tuple(_integer(value, f"{spec.name(*symbols)} parameter {name}", least)
                       for value, (name, least) in zip(given, rule))
         object.__setattr__(self, "parameters", given)
@@ -155,7 +156,10 @@ class SingularityModel(Record):
     @classmethod
     def brieskorn(cls, *exponents):
         exponents = tuple(_integer(e, "an exponent") for e in exponents)
-        return cls("brieskorn", () if exponents == BRIESKORN_EXPONENTS else exponents)
+        if exponents not in ((), BRIESKORN_EXPONENTS):
+            raise ValidationError("the brieskorn model takes no parameters or the exponents"
+                                  f" {' '.join(map(str, BRIESKORN_EXPONENTS))}, got {exponents!r}")
+        return cls("brieskorn")
 
     @classmethod
     def cyclic_quotient(cls, n, q=1):

@@ -207,6 +207,21 @@ def test_usage_errors(capsys):
         assert "usage error" in err
 
 
+# The counts read "takes 1 integer parameters (k)" and "takes 0 integer
+# parameters ()", and a1 with a parameter blamed the ak model.
+@pytest.mark.parametrize("params, message", [
+    (("a1", "3"), "a1 takes no parameters, got (3,)"),
+    (("brieskorn", "2", "3", "5"),
+     "the brieskorn model takes no parameters or the exponents 2 3 11, got (2, 3, 5)"),
+    (("brieskorn", "2", "3"),
+     "the brieskorn model takes no parameters or the exponents 2 3 11, got (2, 3)"),
+    (("d4", "5"), "the d4 model takes no parameters, got (5,)"),
+    (("ak", "3", "--k", "1"), "the ak model takes 1 integer parameter (k), got (1, 3)"),
+], ids=["a1-3", "brieskorn-2-3-5", "brieskorn-2-3", "d4-5", "ak-3"])
+def test_arity_refusal_names_what_the_kind_takes(capsys, params, message):
+    assert invoke(capsys, "singularity", *params) == (2, "", f"usage error: {message}\n")
+
+
 def test_singularity_quotient_q(capsys):
     code, out, _ = invoke(capsys, "singularity", "quotient", "7", "3")
     assert code == 0

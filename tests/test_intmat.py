@@ -262,18 +262,20 @@ def test_matrix_validation():
 
 
 def test_int_matrix_refuses_inexact_entries():
-    # int() truncated these: [[2.7, 1/2]] became [[2, 0]].
-    for bad in (2.7, Fraction(1, 2), Fraction(4, 2), "3"):
-        with pytest.raises(ValidationError, match=re.escape(repr(bad))):
+    # int() truncated these: [[2.7, 1/2]] became [[2, 0]], and True was 1.
+    for bad in (2.7, Fraction(1, 2), Fraction(4, 2), "3", True):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"IntMatrix entry must be an integer, got {bad!r}")):
             IntMatrix([[1, bad]])
-    assert IntMatrix([[True, 2**80]]).to_lists() == [[1, 2**80]]
+    assert IntMatrix([[2**80]]).to_lists() == [[2**80]]
 
 
 def test_rat_matrix_refuses_inexact_entries():
     # Fraction() took these: 2.7 became 3039929748475085/1125899906842624
     # (the binary value of the float) and "1/2" became 1/2.
     for bad in (2.7, "1/2", "3", None):
-        with pytest.raises(ValidationError, match=re.escape(repr(bad))):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"RatMatrix entry must be an integer, got {bad!r}")):
             RatMatrix([[1, bad]])
 
 
@@ -282,11 +284,57 @@ def test_rat_matrix_entries_are_plain_fractions():
         def __str__(self):
             return "one half"
 
-    m = RatMatrix([[Half(1, 2), 3, True, Fraction(4, 6)]])
+    m = RatMatrix([[Half(1, 2), 3, Fraction(4, 6)]])
     assert all(type(x) is Fraction for row in m.to_lists() for x in row)
-    assert str(m) == "[[1/2, 3, 1, 2/3]]"
+    assert str(m) == "[[1/2, 3, 2/3]]"
     third = Fraction(1, 3)
     assert RatMatrix([[third]]).entry(0, 0) is third
+    # True was taken as 1.
+    with pytest.raises(ValidationError, match="RatMatrix entry must be an integer, got True"):
+        RatMatrix([[Half(1, 2), True]])
+
+
+class IntSub(int):
+    pass
+
+
+class FractionSub(Fraction):
+    pass
+
+
+class Index:
+    """An integer that is no int: it has only ``__index__``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def _plain_entry(cls, x):
+    """The entry ``cls`` stores for ``x``, converted on its own."""
+    if cls is RatMatrix:
+        return Fraction(x if isinstance(x, Fraction) else intmat._integer(x, "entry"))
+    return intmat._integer(x, "entry")
+
+
+@pytest.mark.parametrize("cls, exact", [(IntMatrix, int), (RatMatrix, Fraction)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_constructor_converts_each_entry_by_the_integer_rule(cls, exact, data):
+    # Rows that mix the exact type with __index__-only values and
+    # subclasses take the entry-by-entry path; the others are kept.
+    ints = st.integers(-2**70, 2**70)
+    kinds = [ints, ints.map(Index), ints.map(IntSub)]
+    if cls is RatMatrix:
+        kinds += [st.fractions().map(Fraction), st.fractions().map(FractionSub)]
+    width = data.draw(st.integers(1, 4))
+    row = st.lists(st.one_of(*kinds), min_size=width, max_size=width)
+    rows = data.draw(st.lists(row, min_size=1, max_size=4))
+    m = cls(rows)
+    assert m.to_lists() == [[_plain_entry(cls, x) for x in r] for r in rows]
+    assert {type(x) for r in m.to_lists() for x in r} == {exact}
 
 
 def test_char_poly_integrality_check():

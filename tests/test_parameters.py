@@ -1,8 +1,8 @@
-"""One integer rule for every library parameter.
+"""One integer rule for every library parameter and matrix entry.
 
-Each site is one integer parameter of the library: the name its refusals
-print, its least value (None: any integer) and a call that passes it a
-value.  Every site refuses a bool, a float and the value just below its
+Each site is one integer parameter of the library, or an entry of an
+``IntMatrix`` or ``RatMatrix``: the name its refusals print, its least
+value (None: any integer) and a call that passes it a value.  Every site refuses a bool, a float and the value just below its
 least with a ValidationError; the message names the parameter and the
 value, and for a low value the bound too.
 """
@@ -15,7 +15,7 @@ from torsiontraj.abgroup import FGAbGroup, FinAbHom, n_torsion, scale_subgroup
 from torsiontraj.bockstein import bockstein_image, shadow
 from torsiontraj.cli import run
 from torsiontraj.errors import ValidationError
-from torsiontraj.intmat import IntMatrix
+from torsiontraj.intmat import IntMatrix, RatMatrix
 from torsiontraj.lattice import abstract_package, cartan_matrix, chain_matrix, hj_expansion, star_matrix
 from torsiontraj.links import (
     LensSpace,
@@ -65,6 +65,8 @@ SITES = {
     "quotient-q": ("cyclic quotient 1/n(1,q) parameter q", 1,
                    lambda v: SingularityModel.cyclic_quotient(4, v)),
     "stratum-genus": ("genus", 0, lambda v: stratum_cohomology(Z2, v)),
+    "int-matrix-entry": ("IntMatrix entry", None, lambda v: IntMatrix([[v]])),
+    "rat-matrix-entry": ("RatMatrix entry", None, lambda v: RatMatrix([[v]])),
 }
 
 # Values that once got through, or ended in a bare TypeError or a message

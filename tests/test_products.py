@@ -54,6 +54,21 @@ def test_builtin_lens_and_odp():
         builtin_profile("nope")
 
 
+# Each answered, with the parameter dropped.
+@pytest.mark.parametrize("name, parameters, refused", [
+    ("enriques", {"genus": 5}, "genus"),
+    ("curve", {"genus": 1, "p": 3, "q": 9}, "p"),
+    ("curve", {"genus": 1, "q": 9}, "q"),
+    ("odp_link", {"p": 7}, "p"),
+    ("lens", {"p": 4, "genus": 3}, "genus"),
+], ids=["enriques-genus", "curve-p-q", "curve-q", "odp-p", "lens-genus"])
+def test_builtin_profile_refuses_a_parameter_it_does_not_take(name, parameters, refused):
+    with pytest.raises(ValidationError) as caught:
+        builtin_profile(name, **parameters)
+    assert str(caught.value) == (
+        f"the {name} profile takes no parameter {refused}, got {refused}={parameters[refused]!r}")
+
+
 def test_product_degree4_torsion():
     for g in range(1, 6):
         report = product_cohomology(
