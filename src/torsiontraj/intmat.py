@@ -10,7 +10,9 @@ integer rule, so a bool, float or string is refused, never converted.
 Equality compares entries, so an integral RatMatrix equals the IntMatrix
 with the same entries, and a product with a RatMatrix on either side is
 a RatMatrix.  There is one product, over row lists, shared by ``@``,
-``apply`` and the integer ``char_poly``.
+``apply`` and the integer ``char_poly``.  The integer kernels (``snf``,
+``det``, ``rat_inverse``, ``char_poly``) divide with ``//``, so they
+take an IntMatrix only and refuse any other matrix up front.
 
 Sizes range from 8x8 intersection matrices to Coxeter elements of A_60
 and beyond, so the kernels follow two rules:
@@ -19,11 +21,13 @@ and beyond, so the kernels follow two rules:
   of both factors, and finds them with ``itertools.compress`` in C, so a
   zero costs no interpreted step and multiplying by a reflection (the
   identity but for one row) costs O(n^2) at most.  Elimination rewrites
-  only the rows with a nonzero in the pivot column; every other row is
-  scaled lazily, in one pass when it is next read.
-* Elimination stays fraction-free.  One Bareiss Gauss-Jordan pass with
-  exact divisions serves ``det`` and ``rat_inverse`` (on [M | I], forming
-  each Fraction once, at the end).
+  only the rows below the pivot with a nonzero in its column; every other
+  row is scaled lazily, in one pass when it is next read.  Back
+  substitution sums only over the nonzero entries of U.
+* Elimination stays fraction-free.  One forward Bareiss pass with exact
+  divisions serves ``det`` and ``rat_inverse``; the inverse runs it on
+  [M | I], then exact back substitution, and forms each Fraction once, at
+  the end.  For the tridiagonal A_k gram that is O(k^2) steps.
 
 The centrepiece is ``snf``, a Smith normal form M = U * D * V with
 unimodular U, V.  It reduces M alone and logs its elementary operations;
@@ -240,6 +244,13 @@ class RatMatrix(_Matrix):
         return f"RatMatrix({[[str(x) for x in row] for row in self._rows]!r})"
 
 
+def _require_int_matrix(matrix, what):
+    """Refuse anything but an IntMatrix: the integer kernels floor-divide,
+    which on Fractions gives wrong answers rather than an error."""
+    if not isinstance(matrix, IntMatrix):
+        raise ValidationError(f"{what} takes an IntMatrix, got {type(matrix).__name__}")
+
+
 # Kinds of the (kind, i, j, c) entries in the operation log of ``snf``:
 # swap rows (columns) i and j, negate row i, add c * row (column) j to i.
 _ROW_SWAP, _ROW_NEGATE, _ROW_ADD, _COL_SWAP, _COL_ADD = range(5)
@@ -333,6 +344,7 @@ def snf(matrix):
     >>> snf(IntMatrix([[2, 4], [6, 8]])).invariant_factors()
     (2, 4)
     """
+    _require_int_matrix(matrix, "snf")
     a = matrix.to_lists()
     nr, nc = matrix.rows, matrix.cols
     # Every operation on A is logged once; replaying the log keeps
@@ -415,29 +427,29 @@ def snf(matrix):
 
 
 def _bareiss(a, n):
-    """Fraction-free Gauss-Jordan (Bareiss) on the leading n x n block of
-    the n rows of ``a``, in place; ``det`` and ``rat_inverse`` share it.
-    Column c takes the first nonzero entry at or below the diagonal as
-    pivot p and replaces every other row by (row * p - f * pivot_row) //
-    prev, where f is the row's entry in column c and prev the previous
-    pivot; the division is exact because every entry stays a minor.
+    """Forward fraction-free (Bareiss) elimination on the leading n x n
+    block of the n rows of ``a``, in place; ``det`` and ``rat_inverse``
+    share it.  Column c takes the first nonzero entry at or below the
+    diagonal as pivot p and replaces each row r below it by
+    (row * p - f * pivot_row) // prev, where f is the row's entry in column
+    c and prev the previous pivot; the division is exact because every
+    entry stays a minor.  Rows above the pivot are not touched.
 
-    A row with f = 0 would only be scaled by p / prev, so it is left as it
-    is and scaled lazily.  ``pivots[s]`` is the divisor in force at stage s
-    (pivots[0] = 1), and ``stage[r]`` the stage row r was last brought up
-    to.  The scalings telescope, so a row from stage s is brought to stage
-    c in one pass as x * pivots[c] // pivots[s]; that division is exact
-    because the result is the eager row, whose entries are minors.  A row
-    is brought up to date only when it is read: as the pivot row, as a row
-    with f != 0 (f is read again after scaling), and at the end.  A swap
-    swaps stages too, and the pivot row, which its own column leaves as it
-    is, moves on to stage c + 1.  The rows with a nonzero in the pivot
-    column are found by ``compress`` in C, so a zero there costs no
-    interpreted step.
+    A row below with f = 0 would only be scaled by p / prev, so it is left
+    as it is and scaled lazily.  ``pivots[s]`` is the divisor in force at
+    stage s (pivots[0] = 1), and ``stage[r]`` the stage row r was last
+    brought up to.  The scalings telescope, so a row from stage s is brought
+    to stage c in one pass as x * pivots[c] // pivots[s]; that division is
+    exact because the result is the eager row, whose entries are minors.  A
+    row is brought up to date only when it is read: as the pivot row, or as
+    a row with f != 0 (f is read again after scaling).  A swap swaps stages
+    too.  The rows below the pivot with a nonzero in its column are found by
+    ``compress`` in C, so a zero there costs no interpreted step.
 
-    The block ends as p * I for the last pivot p, and the columns beyond
-    it as p times the block's inverse applied to them.  Returns det of the
-    block (the swap sign times p), or 0 when a column has no pivot.
+    Row r ends at stage r, as row r of an upper-triangular U (in the block)
+    with U_rr = pivots[r + 1]; the columns beyond the block carry the same
+    row operations.  Returns det of the block (the swap sign times the last
+    pivot), or 0 when a column has no pivot.
     """
     sign = 1
     pivots = [1]
@@ -461,25 +473,25 @@ def _bareiss(a, n):
             sign = -sign
         top = current(c, c)
         p, prev = top[c], pivots[c]
-        for r in compress(range(n), list(map(itemgetter(c), a))):
-            if r != c:
-                row = current(r, c)
-                f = row[c]
-                a[r] = [(x * p - f * y) // prev for x, y in zip(row, top)]
-                stage[r] = c + 1
-        stage[c] = c + 1
+        # a[c + 1:] is a snapshot of the row lists, which are replaced, never
+        # changed in place, so the lazy map reads each row's entry as found.
+        for r in compress(range(c + 1, n), map(itemgetter(c), a[c + 1:])):
+            row = current(r, c)
+            f = row[c]
+            a[r] = [(x * p - f * y) // prev for x, y in zip(row, top)]
+            stage[r] = c + 1
         pivots.append(p)
-    for r in range(n):
-        current(r, n)
     return sign * pivots[n]
 
 
 def det(matrix):
-    """Exact determinant of a square integer matrix: one Bareiss pass.
+    """Exact determinant of a square integer matrix: one forward Bareiss
+    pass.
 
     >>> det(IntMatrix([[-1, 1, 1, 1], [1, -2, 0, 0], [1, 0, -3, 0], [1, 0, 0, -11]]))
     5
     """
+    _require_int_matrix(matrix, "det")
     if not matrix.is_square():
         raise DimensionError("determinant requires a square matrix")
     return _bareiss(matrix.to_lists(), matrix.rows)
@@ -488,12 +500,15 @@ def det(matrix):
 def rat_inverse(matrix):
     """Exact inverse of a nonsingular integer matrix, as a RatMatrix.
 
-    One Bareiss pass on [M | I] leaves [p * I | p * M^-1] for the last
-    pivot p, so each entry is built once, as Fraction(x, p).  The pass
-    rewrites a row only at the steps where it has a nonzero in the pivot
-    column and scales it lazily, and exactly, across the others (see
-    ``_bareiss``); for the tridiagonal A_k gram that skips every row below
-    the pivot but one.
+    The forward Bareiss pass on [M | I] leaves [U | B] with U upper
+    triangular and U M^-1 = B (see ``_bareiss``).  With d = det M,
+    Y = d M^-1 (the adjugate) is integral, so exact fraction-free back
+    substitution gives it row by row, last row first:
+    Y_i = (d B_i - sum of U_ij Y_j over j > i) // U_ii, every division
+    exact.  The sum runs only over the nonzero U_ij, found by ``compress``
+    in C; for the tridiagonal A_k gram that is one term per row, so the
+    whole inverse costs O(k^2) steps.  Each entry is then built once, as
+    Fraction(y, d).
 
     >>> print(rat_inverse(IntMatrix([[2, 1], [1, 1]])))
     [[1, -1], [-1, 2]]
@@ -502,6 +517,7 @@ def rat_inverse(matrix):
 
     Raises SingularMatrixError when the matrix is singular.
     """
+    _require_int_matrix(matrix, "rat_inverse")
     if not matrix.is_square():
         raise DimensionError("inverse requires a square matrix")
     n = matrix.rows
@@ -509,10 +525,19 @@ def rat_inverse(matrix):
     for i, row in enumerate(a):
         row += [0] * n
         row[n + i] = 1
-    if _bareiss(a, n) == 0:
+    d = _bareiss(a, n)
+    if d == 0:
         raise SingularMatrixError("matrix is singular")
-    p = a[0][0]
-    return RatMatrix([[Fraction(x, p) for x in row[n:]] for row in a])
+    y = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        acc = [d * b for b in row[n:]]
+        for j in compress(range(i + 1, n), row[i + 1:n]):
+            u = row[j]
+            acc = [s - u * t for s, t in zip(acc, y[j])]
+        u = row[i]
+        y[i] = [s // u for s in acc]
+    return RatMatrix([[Fraction(x, d) for x in row] for row in y])
 
 
 def char_poly(matrix):
@@ -525,6 +550,7 @@ def char_poly(matrix):
     >>> char_poly(IntMatrix([[-1]]))
     (1, 1)
     """
+    _require_int_matrix(matrix, "char_poly")
     if not matrix.is_square():
         raise DimensionError("characteristic polynomial requires a square matrix")
     n = matrix.rows

@@ -3,6 +3,8 @@
 import random
 import re
 from fractions import Fraction
+from itertools import compress
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -401,9 +403,83 @@ def fraction_inverse(matrix):
     return RatMatrix([row[n:] for row in a])
 
 
+def gauss_jordan_bareiss(a, n):
+    """Fraction-free Gauss-Jordan (Bareiss) on the leading n x n block of
+    the n rows of ``a``, in place: the pass ``det`` and ``rat_inverse``
+    shared before the forward pass and back substitution replaced it.
+    Column c takes the first nonzero entry at or below the diagonal as
+    pivot p and replaces every other row by (row * p - f * pivot_row) //
+    prev, where f is the row's entry in column c and prev the previous
+    pivot; the division is exact because every entry stays a minor.
+
+    A row with f = 0 would only be scaled by p / prev, so it is left as it
+    is and scaled lazily.  ``pivots[s]`` is the divisor in force at stage s
+    (pivots[0] = 1), and ``stage[r]`` the stage row r was last brought up
+    to.  The scalings telescope, so a row from stage s is brought to stage
+    c in one pass as x * pivots[c] // pivots[s]; that division is exact
+    because the result is the eager row, whose entries are minors.  A row
+    is brought up to date only when it is read: as the pivot row, as a row
+    with f != 0 (f is read again after scaling), and at the end.  A swap
+    swaps stages too, and the pivot row, which its own column leaves as it
+    is, moves on to stage c + 1.  The rows with a nonzero in the pivot
+    column are found by ``compress`` in C, so a zero there costs no
+    interpreted step.
+
+    The block ends as p * I for the last pivot p, and the columns beyond
+    it as p times the block's inverse applied to them.  Returns det of the
+    block (the swap sign times p), or 0 when a column has no pivot.
+    """
+    sign = 1
+    pivots = [1]
+    stage = [0] * n
+
+    def current(r, c):
+        s = stage[r]
+        if s != c:
+            scale, divisor = pivots[c], pivots[s]
+            a[r] = [x * scale // divisor for x in a[r]]
+            stage[r] = c
+        return a[r]
+
+    for c in range(n):
+        pivot_row = next((r for r in range(c, n) if a[r][c]), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != c:
+            a[c], a[pivot_row] = a[pivot_row], a[c]
+            stage[c], stage[pivot_row] = stage[pivot_row], stage[c]
+            sign = -sign
+        top = current(c, c)
+        p, prev = top[c], pivots[c]
+        for r in compress(range(n), list(map(itemgetter(c), a))):
+            if r != c:
+                row = current(r, c)
+                f = row[c]
+                a[r] = [(x * p - f * y) // prev for x, y in zip(row, top)]
+                stage[r] = c + 1
+        stage[c] = c + 1
+        pivots.append(p)
+    for r in range(n):
+        current(r, n)
+    return sign * pivots[n]
+
+
+def gauss_jordan_inverse(matrix):
+    """M^-1 from the Gauss-Jordan pass on [M | I], which leaves
+    [p * I | p * M^-1] for the last pivot p: ``rat_inverse`` before it ran
+    back substitution."""
+    n = matrix.rows
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(matrix.to_lists())]
+    if gauss_jordan_bareiss(a, n) == 0:
+        raise SingularMatrixError("matrix is singular")
+    p = a[0][0]
+    return RatMatrix([[Fraction(x, p) for x in row[n:]] for row in a])
+
+
 def forward_bareiss_det(matrix):
-    """Forward-only Bareiss elimination, the determinant before it shared
-    one Gauss-Jordan pass with rat_inverse."""
+    """Forward-only Bareiss elimination that rewrites every entry below and
+    right of the pivot at every step: ``det`` without its lazy scaling and
+    its skipping of zeros."""
     n = matrix.rows
     a = matrix.to_lists()
     sign = 1
@@ -716,6 +792,55 @@ def test_lazy_bareiss_inverse_matches_fraction_reference_at_size(m):
     assert repr(rat_inverse(m)) == repr(expected)
 
 
+@settings(deadline=None)
+@given(st.one_of(structured_matrices(), square_matrices(), singular_matrices()))
+def test_rat_inverse_matches_gauss_jordan_reference(m):
+    # Back substitution after the forward pass gives the inverse the
+    # Gauss-Jordan pass gave, entry for entry, and both refuse a singular m.
+    try:
+        expected = gauss_jordan_inverse(m)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            rat_inverse(m)
+        return
+    assert repr(rat_inverse(m)) == repr(expected)
+
+
+@st.composite
+def permuted_banded_matrices(draw):
+    """Banded matrices with 25 to 60 rows, beyond ``structured_matrices``,
+    with their rows permuted: swapped rows reach back substitution with
+    nonzeros far right of the diagonal of U."""
+    n = draw(st.integers(25, 60))
+    width = draw(st.integers(1, 3))
+    entries = draw(st.sampled_from([SMALL, TINY]))
+    rows = [[draw(entries) if abs(i - j) <= width else 0 for j in range(n)]
+            for i in range(n)]
+    return IntMatrix(draw(st.permutations(rows)))
+
+
+@settings(deadline=None, max_examples=25)
+@given(permuted_banded_matrices())
+def test_forward_pass_and_back_substitution_at_size(m):
+    d = det(m)
+    assert type(d) is int and d == forward_bareiss_det(m)
+    if d == 0:
+        with pytest.raises(SingularMatrixError):
+            rat_inverse(m)
+    else:
+        assert rat_inverse(m) @ m == RatMatrix.identity(m.rows)
+
+
+@pytest.mark.parametrize("kernel", [det, rat_inverse, char_poly, snf], ids=lambda f: f.__name__)
+def test_integer_kernels_refuse_a_rat_matrix(kernel):
+    # Floor division on Fractions gave det 0 and "singular" here; the
+    # refusal comes before any elimination and names the kernel and class.
+    message = re.escape(f"{kernel.__name__} takes an IntMatrix, got RatMatrix")
+    for m in (RatMatrix([[Fraction(1, 2), 0], [0, Fraction(1, 2)]]), RatMatrix.identity(2)):
+        with pytest.raises(ValidationError, match=message):
+            kernel(m)
+
+
 def test_lazy_bareiss_on_cancelling_entries():
     # Entries in -2..2 often cancel to a zero in the pivot column, so a row
     # brought up to date at one step swaps with a row left stale since an
@@ -755,7 +880,7 @@ def test_sparse_products_match_dense_reference_at_size(r, k, c, data):
     assert product == expected and type(product) is type(expected)
 
 
-@pytest.mark.parametrize("k", [*range(1, 13), 20, 33, 47, 60, 79, 80])
+@pytest.mark.parametrize("k", [*range(1, 13), 20, 33, 47, 60, 79, 80, 200, 400])
 def test_ak_gram_inverse_closed_form(k):
     # (A_k gram)^-1 has entry -min(i, j) (k + 1 - max(i, j)) / (k + 1), 1-indexed.
     expected = [[Fraction(-min(i, j) * (k + 1 - max(i, j)), k + 1)
@@ -784,11 +909,12 @@ def test_cokernel_order_is_abs_det(m):
 
 
 def bareiss_v_inverse(v):
-    """V^-1 of a unimodular V from one Bareiss pass on [V | I]: the
-    elimination ``kernel_basis`` ran before V^-1 was replayed from the log."""
+    """V^-1 of a unimodular V from one Gauss-Jordan Bareiss pass on [V | I]:
+    the elimination ``kernel_basis`` ran before V^-1 was replayed from the
+    log."""
     n = v.rows
     a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(v.to_lists())]
-    intmat._bareiss(a, n)
+    gauss_jordan_bareiss(a, n)
     p = a[0][0]
     return IntMatrix([[p * x for x in row[n:]] for row in a])
 
