@@ -21,7 +21,7 @@ from math import gcd, lcm, prod
 
 from ._record import Record
 from .errors import DimensionError, InvariantError, ValidationError
-from .intmat import IntMatrix, _integer, kernel_basis, snf
+from .intmat import IntMatrix, _integer, _require_int_matrix, kernel_basis, snf
 
 
 def _invariant_factors(orders):
@@ -174,6 +174,7 @@ def cokernel_group(matrix):
     >>> print(cokernel_group(IntMatrix([[2, 0], [0, 0]])))
     Z + Z/2
     """
+    _require_int_matrix(matrix, "cokernel_group")
     return _cokernel(snf(matrix), matrix.rows)[0]
 
 
@@ -190,6 +191,7 @@ def group_from_cokernel(matrix):
     >>> print(g)
     Z/2
     """
+    _require_int_matrix(matrix, "group_from_cokernel")
     decomp = snf(matrix)
     group, diag = _cokernel(decomp, matrix.rows)
     u = decomp.u

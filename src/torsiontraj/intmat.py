@@ -4,15 +4,22 @@ Everything here runs on Python's arbitrary-precision integers and
 ``fractions.Fraction``; no floating point is used anywhere.  One base
 class holds shape, access, equality and the product; ``IntMatrix`` and
 ``RatMatrix`` differ only in their entry type (``int`` or ``Fraction``)
-and in a few type-specific operations.  An entry that is not a Fraction
-(in an IntMatrix, any entry) passes ``_integer``, the library's one
-integer rule, so a bool, float or string is refused, never converted.
+and in a few type-specific operations.  One rule decides which entries
+are checked: the constructor checks its input, and an int * int product
+is wrapped unchecked.  In the constructor an entry that is not a
+Fraction (in an IntMatrix, any entry) passes ``_integer``, the library's
+one integer rule, so a bool, float or string is refused, never
+converted.  An IntMatrix @ IntMatrix sums int * int products, which are
+ints by construction, so its rows are wrapped with no second scan
+(``_Matrix._wrap``); every other builder goes through the constructor.
 Equality compares entries, so an integral RatMatrix equals the IntMatrix
 with the same entries, and a product with a RatMatrix on either side is
 a RatMatrix.  There is one product, over row lists, shared by ``@``,
 ``apply`` and the integer ``char_poly``.  The integer kernels (``snf``,
 ``det``, ``rat_inverse``, ``char_poly``) divide with ``//``, so they
-take an IntMatrix only and refuse any other matrix up front.
+take an IntMatrix only and refuse any other matrix up front; so does
+each library function that hands a matrix on to them, under its own
+name (``_require_int_matrix``).
 
 Sizes range from 8x8 intersection matrices to Coxeter elements of A_60
 and beyond, so the kernels follow two rules:
@@ -89,10 +96,12 @@ class _Matrix:
     """Shape, access and products shared by IntMatrix and RatMatrix.
 
     A subclass names its exact entry type in ``_exact`` and its entry rule
-    in ``_entry``.  The constructor keeps a row of exact entries as it is
-    (a type scan in C) and passes any other row through ``_entry``.
-    Results keep the caller's entry type, and a product with a RatMatrix
-    on either side is a RatMatrix.
+    in ``_entry``.  The constructor checks its input: it keeps a row of
+    exact entries as it is (a type scan in C) and passes any other row
+    through ``_entry``.  An int * int product is wrapped unchecked by
+    ``_wrap``, since its entries are ints by construction.  Results keep
+    the caller's entry type, and a product with a RatMatrix on either side
+    is a RatMatrix, built through the constructor.
     """
 
     __slots__ = ("_rows",)
@@ -106,6 +115,15 @@ class _Matrix:
         if len(set(map(len, rows))) != 1:
             raise DimensionError("ragged rows in matrix literal")
         self._rows = rows
+
+    @classmethod
+    def _wrap(cls, rows):
+        """A matrix the library has built, with no entry or shape check.
+        Only for rows of one nonzero length whose entries are of the exact
+        type by construction, such as the int rows of an int * int product."""
+        matrix = object.__new__(cls)
+        matrix._rows = tuple(map(tuple, rows))
+        return matrix
 
     @classmethod
     def identity(cls, n):
@@ -163,8 +181,10 @@ class _Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         product = _row_product(self._rows, other._rows)
-        rational = isinstance(self, RatMatrix) or isinstance(other, RatMatrix)
-        return (RatMatrix if rational else IntMatrix)(product)
+        if isinstance(self, RatMatrix) or isinstance(other, RatMatrix):
+            return RatMatrix(product)
+        # Sums of int * int products are ints: nothing to check.
+        return IntMatrix._wrap(product)
 
     def __eq__(self, other):
         return isinstance(other, _Matrix) and self._rows == other._rows
@@ -578,6 +598,7 @@ def kernel_basis(matrix):
     V^-1 is replayed from the operation log of ``snf``, in integers and
     with no elimination of V.
     """
+    _require_int_matrix(matrix, "kernel_basis")
     decomp = snf(matrix)
     rank = decomp.rank()
     if rank == matrix.cols:

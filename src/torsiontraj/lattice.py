@@ -18,7 +18,7 @@ from math import gcd, lcm, prod
 from ._record import Record
 from .abgroup import FGAbGroup, cokernel_group, element_order, group_from_cokernel
 from .errors import CapabilityError, SingularMatrixError, ValidationError
-from .intmat import IntMatrix, RatMatrix, _integer, rat_inverse
+from .intmat import IntMatrix, RatMatrix, _integer, _require_int_matrix, rat_inverse
 
 FORMS_ISOMORPHIC_BOUND = 64
 
@@ -30,6 +30,7 @@ class IntersectionLattice(Record):
     gram: IntMatrix
 
     def __post_init__(self):
+        _require_int_matrix(self.gram, "IntersectionLattice")
         if not self.gram.is_symmetric():
             raise ValidationError("gram matrix must be symmetric")
 

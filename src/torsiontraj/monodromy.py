@@ -11,25 +11,21 @@ three instead has T = id with free cokernel.
 from ._record import Record
 from .abgroup import FGAbGroup, cokernel_group
 from .errors import InvariantError, ValidationError
-from .intmat import IntMatrix, _integer
+from .intmat import IntMatrix, _integer, _require_int_matrix
 from .lattice import cartan_matrix
 from .links import SphereProduct
 
-def simple_reflection(cartan, i):
-    """Matrix of s_i on the simple-root basis: alpha_j -> alpha_j - A_ij alpha_i."""
-    n = cartan.rows
-    rows = [[0] * n for _ in range(n)]
-    for j, row in enumerate(rows):
-        row[j] = 1
-    rows[i] = [int(i == j) - cartan.entry(i, j) for j in range(n)]
-    return IntMatrix(rows)
-
-
 def coxeter_element(family, parameter=None):
     """Product s_0 s_1 ... s_{n-1} of the simple reflections of the
-    positive Cartan matrix ``-cartan_matrix(family, parameter)``, in its
-    node order: 1..k along the A_k chain, and the central node first for
-    D_n (the rightmost factor acts first).
+    positive Cartan matrix A = ``-cartan_matrix(family, parameter).gram``,
+    in its node order: 1..k along the A_k chain, and the central node
+    first for D_n (the rightmost factor acts first).
+
+    s_i differs from the identity only in row i, which is e_i - A_i
+    (alpha_j -> alpha_j - A_ij alpha_i).  So each reflection is built from
+    the identity rows, made once and shared by the whole chain, and one
+    new row taken from its Cartan row; the product ``@`` then skips the
+    zeros of both factors.
 
     Any other order gives a conjugate element, so T - id and hence the
     variation cokernel are the same up to isomorphism; one order suffices.
@@ -37,11 +33,17 @@ def coxeter_element(family, parameter=None):
     >>> coxeter_element("A", 1).to_lists()
     [[-1]]
     """
-    cartan = -1 * cartan_matrix(family, parameter).gram
-    n = cartan.rows
+    gram = cartan_matrix(family, parameter).gram
+    n = gram.rows
     result = IntMatrix.identity(n)
-    for i in range(n):
-        result = result @ simple_reflection(cartan, i)
+    # Tuples, so that wrapping a reflection copies only its new row.
+    identity_rows = list(map(tuple, result.to_lists()))
+    for i, gram_row in enumerate(gram.to_lists()):
+        # e_i - A_i = e_i + (row i of the gram), since A = -gram.
+        gram_row[i] += 1
+        rows = identity_rows.copy()
+        rows[i] = gram_row
+        result = result @ IntMatrix._wrap(rows)
     return result
 
 
@@ -68,6 +70,7 @@ def variation_cokernel(t_matrix):
     >>> print(variation_cokernel(IntMatrix([[-1]])).cokernel)
     Z/2
     """
+    _require_int_matrix(t_matrix, "variation_cokernel")
     if not t_matrix.is_square():
         raise ValidationError("monodromy matrix must be square")
     variation = t_matrix - IntMatrix.identity(t_matrix.rows)

@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torsiontraj import abgroup, intmat
-from torsiontraj.abgroup import FGAbGroup, FinAbHom, group_from_cokernel, hom_analyze
+from torsiontraj.abgroup import (
+    FGAbGroup,
+    FinAbHom,
+    cokernel_group,
+    group_from_cokernel,
+    hom_analyze,
+)
 from torsiontraj.errors import (
     DimensionError,
     InvariantError,
@@ -28,7 +34,7 @@ from torsiontraj.intmat import (
     rat_inverse,
     snf,
 )
-from torsiontraj.lattice import cartan_matrix, discriminant_package
+from torsiontraj.lattice import IntersectionLattice, cartan_matrix, discriminant_package
 from torsiontraj.links import PlumbingBoundary, Seifert, link_profile
 from torsiontraj.monodromy import coxeter_element, variation_cokernel
 
@@ -639,6 +645,37 @@ def test_matmul_matches_dense_reference(pair):
     assert x @ y == dense_product(x, y)
 
 
+WIDE = st.integers(-(2**70), 2**70)
+
+
+@st.composite
+def wrapped_product_pairs(draw):
+    """Pairs of shapes r x k and k x c with 1 <= r, k, c <= 12 (1 x 1 and
+    non-square products among them), entries zero, small or up to 2^70 in
+    size and of either sign."""
+    r, k, c = (draw(st.integers(1, 12)) for _ in range(3))
+    entries = draw(st.sampled_from([SMALL, WIDE, st.just(0) | SMALL | WIDE]))
+    x, y = ([[draw(entries) for _ in range(cols)] for _ in range(rows)]
+            for rows, cols in ((r, k), (k, c)))
+    return IntMatrix(x), IntMatrix(y)
+
+
+@settings(deadline=None)
+@given(wrapped_product_pairs())
+def test_int_product_is_wrapped_unchecked_yet_equal_to_a_checked_one(pair):
+    # An IntMatrix @ IntMatrix skips the constructor's entry scan, so its
+    # rows must already be what the constructor would have stored.
+    x, y = pair
+    product = x @ y
+    checked = IntMatrix(product.to_lists())
+    assert type(product) is IntMatrix
+    assert product == dense_product(x, y)
+    assert all(type(row) is tuple for row in product._rows)
+    assert all(type(e) is int for row in product._rows for e in row)
+    assert product == checked and hash(product) == hash(checked)
+    assert repr(product) == repr(checked)
+
+
 def test_int_rat_equality_is_symmetric():
     ints, rats = IntMatrix.identity(2), RatMatrix.identity(2)
     assert ints == rats and rats == ints
@@ -831,10 +868,16 @@ def test_forward_pass_and_back_substitution_at_size(m):
         assert rat_inverse(m) @ m == RatMatrix.identity(m.rows)
 
 
-@pytest.mark.parametrize("kernel", [det, rat_inverse, char_poly, snf], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "kernel",
+    [det, rat_inverse, char_poly, snf, kernel_basis, cokernel_group, group_from_cokernel,
+     variation_cokernel, IntersectionLattice],
+    ids=lambda f: f.__name__,
+)
 def test_integer_kernels_refuse_a_rat_matrix(kernel):
     # Floor division on Fractions gave det 0 and "singular" here; the
-    # refusal comes before any elimination and names the kernel and class.
+    # refusal comes before any elimination and names the function called
+    # and the class, not an inner kernel ("snf takes ...").
     message = re.escape(f"{kernel.__name__} takes an IntMatrix, got RatMatrix")
     for m in (RatMatrix([[Fraction(1, 2), 0], [0, Fraction(1, 2)]]), RatMatrix.identity(2)):
         with pytest.raises(ValidationError, match=message):

@@ -232,6 +232,13 @@ def test_lattice_validation():
         IntersectionLattice(IntMatrix([[0, 1], [2, 0]]))
 
 
+def test_lattice_refuses_a_gram_that_is_not_a_matrix():
+    # A list raised AttributeError; a RatMatrix gram is refused with the
+    # integer kernels (tests/test_intmat.py).
+    with pytest.raises(ValidationError, match="IntersectionLattice takes an IntMatrix, got list"):
+        IntersectionLattice([[-2]])
+
+
 def test_package_a1():
     pkg = discriminant_package(chain_matrix([2]))
     assert pkg.group == FGAbGroup.cyclic(2)

@@ -14,7 +14,6 @@ from torsiontraj.monodromy import (
     coxeter_element,
     milnor_number,
     odp_package,
-    simple_reflection,
     variation_cokernel,
 )
 
@@ -116,12 +115,38 @@ def test_ak_variation_family():
         assert result.cokernel == FGAbGroup.cyclic(k + 1)
 
 
+def simple_reflection(cartan, i):
+    """Matrix of s_i on the simple-root basis: alpha_j -> alpha_j - A_ij alpha_i,
+    built whole, entry by entry, through the checking constructor."""
+    n = cartan.rows
+    rows = [[0] * n for _ in range(n)]
+    for j, row in enumerate(rows):
+        row[j] = 1
+    rows[i] = [int(i == j) - cartan.entry(i, j) for j in range(n)]
+    return IntMatrix(rows)
+
+
 def product_of_reflections(cartan, order):
     """The simple reflections of ``cartan`` multiplied in ``order``."""
     result = IntMatrix.identity(cartan.rows)
     for i in order:
         result = result @ simple_reflection(cartan, i)
     return result
+
+
+@pytest.mark.parametrize(
+    "family, parameter",
+    [("A", k) for k in range(1, 41)] + [("D", n) for n in range(4, 31)]
+    + [("D4", None), ("E8", None)],
+)
+def test_coxeter_element_matches_the_reference_product(family, parameter):
+    # coxeter_element builds each reflection from shared identity rows and
+    # one Cartan row; the reference builds every reflection whole.
+    cartan = positive_cartan(family, parameter)
+    expected = product_of_reflections(cartan, range(cartan.rows))
+    t = coxeter_element(family, parameter)
+    assert t == expected and repr(t) == repr(expected)
+    assert all(type(e) is int for row in t.to_lists() for e in row)
 
 
 def test_coxeter_preserves_cartan_form():
