@@ -163,11 +163,9 @@ class _Matrix:
         return self.rows == self.cols
 
     def is_symmetric(self):
-        return self.is_square() and all(
-            self._rows[i][j] == self._rows[j][i]
-            for i in range(self.rows)
-            for j in range(i)
-        )
+        # Rows against columns, compared as tuples in C; a non-square
+        # matrix has a different number of each, so it never matches.
+        return self._rows == tuple(zip(*self._rows))
 
     def apply(self, vector):
         """Matrix times column vector, returned as a tuple of entries."""
@@ -176,6 +174,8 @@ class _Matrix:
         return tuple(row[0] for row in _row_product(self._rows, [[x] for x in vector]))
 
     def __matmul__(self, other):
+        if not isinstance(other, _Matrix):
+            return NotImplemented
         if self.cols != other.rows:
             raise DimensionError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
@@ -232,6 +232,8 @@ class IntMatrix(_Matrix):
     __rmul__ = __mul__
 
     def __sub__(self, other):
+        if not isinstance(other, _Matrix):
+            return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch in subtraction")
         return IntMatrix(

@@ -104,11 +104,21 @@ def hj_expansion(n, q):
 
 
 def hj_recompose(weights):
-    """Evaluate b1 - 1/(b2 - 1/(...)) exactly."""
-    value = Fraction(weights[-1])
+    """Evaluate b1 - 1/(b2 - 1/(...)) exactly.
+
+    The fraction p/q is folded from the last weight inwards in integers,
+    p/q -> b - q/p = (b p - q)/p, so one Fraction is built, at the end; a
+    zero partial value is a ZeroDivisionError, as 1/0 would be.
+
+    >>> hj_recompose([3, 2, 2])
+    Fraction(7, 3)
+    """
+    p, q = weights[-1], 1
     for b in reversed(weights[:-1]):
-        value = b - 1 / value
-    return value
+        if p == 0:
+            raise ZeroDivisionError(f"a partial continued fraction of {weights} is 0")
+        p, q = b * p - q, p
+    return Fraction(p, q)
 
 
 def chain_matrix(weights):
@@ -214,9 +224,10 @@ def discriminant_package(lat, generators=None):
     With G the matrix of generator columns, the duals are gram^-1 G and
     the form is (gram^-1 G)^T G, both by the shared matrix product, with
     entries g_i^T gram^-1 g_j reduced into [0, 1).  The duals also give
-    each supplied class its order (the lcm of their denominators), and
-    supplied columns generate iff coker([G | gram]) is trivial.  A
-    unimodular gram returns the trivial package before any inverse is
+    each supplied class its order (the lcm of their denominators).  One
+    class of order |E| generates the cyclic group E, so the generation
+    check, coker([G | gram]) trivial, runs only for two or more classes.
+    A unimodular gram returns the trivial package before any inverse is
     built.  A singular gram has a free cokernel: it raises
     SingularMatrixError, a usage error that names the free rank.
 
@@ -254,7 +265,8 @@ def discriminant_package(lat, generators=None):
                 raise ValidationError(
                     f"generator has order {actual}, expected invariant factor {d_i}"
                 )
-        if not cokernel_group(gens.hstack(gram)).is_trivial():
+        # One class of order |E| generates a cyclic E.
+        if len(expected) > 1 and not cokernel_group(gens.hstack(gram)).is_trivial():
             raise ValidationError("supplied columns do not generate the cokernel")
     pairings = (duals.transpose() @ gens).to_lists()
     form = RatMatrix([[_mod1(x) for x in row] for row in pairings])

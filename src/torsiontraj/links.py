@@ -9,16 +9,23 @@ All groups are obtained through the universal coefficient theorem from
 homology, so torsion lands one degree up from where it is born.  Every
 3-manifold link enters it through the homology of a closed 3-manifold
 with its H_1.
+
+``plumbing_link`` maps a plumbing lattice to the lens space or Seifert
+space that bounds it, by plumbing calculus on its weighted graph: a chain
+gives L(p, q) and a star gives Seifert invariants, each from continued
+fractions of the weights, so that space's H_1 is computed without the
+gram's Smith form.
 """
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 
 from ._record import Record
 from .abgroup import FGAbGroup, cokernel_group
 from .errors import CapabilityError, InvariantError, ValidationError
 from .intmat import IntMatrix, _integer
-from .lattice import IntersectionLattice
+from .lattice import IntersectionLattice, hj_recompose
 
 
 class SpaceProfile(Record):
@@ -98,6 +105,79 @@ class SphereProduct(Record):
 
 class PlumbingBoundary(Record):
     lattice: IntersectionLattice
+
+
+# -- plumbing calculus --------------------------------------------------------
+
+_CHAINS_AND_STARS = "only a chain or a star maps to a link model"
+
+
+def plumbing_link(lattice):
+    """The lens space or Seifert space bounding a chain or star plumbing
+    (Neumann, Trans. AMS 268, 1981).
+
+    Vertex i has weight b_i = -gram[i][i], and each off-diagonal 1 is an
+    edge.  A chain with weights b_1, ..., b_s, read from its
+    lower-numbered end, bounds L(p, q) with p/q = b_1 - 1/(b_2 - ...).  A
+    star with centre weight c bounds the Seifert space
+    (-c; (alpha_1, beta_1), ...), where arm i, read from the centre
+    outwards, has alpha_i/beta_i = b_1 - 1/(b_2 - ...).  Chain and arm
+    weights must be >= 2.  Any other graph raises a ValidationError that
+    names its shape.
+
+    >>> from .lattice import cartan_matrix
+    >>> plumbing_link(cartan_matrix("A", 3))
+    LensSpace(p=4, q=3)
+    >>> plumbing_link(cartan_matrix("D4"))
+    Seifert(b=-2, arms=((2, 1), (2, 1), (2, 1)))
+    """
+    rows = lattice.gram.to_lists()
+    n = len(rows)
+    neighbours = []
+    for i, row in enumerate(rows):
+        adjacent = [j for j in compress(range(n), row) if j != i]
+        for j in adjacent:
+            if row[j] != 1:
+                raise ValidationError(
+                    f"a plumbing graph has 0 or 1 off the diagonal, got {row[j]} at ({i}, {j})")
+        neighbours.append(adjacent)
+
+    seen, todo = {0}, [0]
+    while todo:
+        for j in neighbours[todo.pop()]:
+            if j not in seen:
+                seen.add(j)
+                todo.append(j)
+    if len(seen) < n:
+        raise ValidationError(f"the plumbing graph is disconnected ({len(seen)} of {n} vertices"
+                              f" reachable from vertex 0); {_CHAINS_AND_STARS}")
+    if sum(map(len, neighbours)) // 2 >= n:
+        raise ValidationError(f"the plumbing graph has a cycle; {_CHAINS_AND_STARS}")
+    branches = [i for i, adjacent in enumerate(neighbours) if len(adjacent) > 2]
+    if len(branches) > 1:
+        raise ValidationError(f"the plumbing graph is a tree with {len(branches)} branch"
+                              f" vertices; {_CHAINS_AND_STARS}")
+
+    def fraction(previous, vertex):
+        """alpha/beta of the path that leaves ``previous`` through ``vertex``."""
+        weights = []
+        while True:
+            weights.append(-rows[vertex][vertex])
+            ahead = [j for j in neighbours[vertex] if j != previous]
+            if not ahead:
+                break
+            previous, vertex = vertex, ahead[0]
+        if min(weights) < 2:
+            raise ValidationError(f"a plumbing chain or arm needs weights >= 2, got {weights}")
+        return hj_recompose(weights)
+
+    if not branches:
+        end = next(i for i, adjacent in enumerate(neighbours) if len(adjacent) < 2)
+        p_q = fraction(None, end)
+        return LensSpace(p_q.numerator, p_q.denominator)
+    centre = branches[0]
+    arms = (fraction(centre, j) for j in neighbours[centre])
+    return Seifert(rows[centre][centre], tuple((f.numerator, f.denominator) for f in arms))
 
 
 # -- universal coefficient theorem --------------------------------------------

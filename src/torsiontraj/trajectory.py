@@ -7,6 +7,14 @@ status, and its rational death.  The built-in models are the ADE
 families, the Brieskorn (2,3,11) singularity, cyclic quotients 1/n(1,q),
 and the threefold ordinary double point.
 
+Each station has its own method.  The lattice station reads the group of
+the discriminant package, coker(gram).  The link station takes H^2 of the
+model's own link.  The pair-sequence station takes H^2 of the lens or
+Seifert space that plumbing calculus reads off the resolution graph's
+weights (``links.plumbing_link``).  The monodromy station takes
+coker(T - I) for a Coxeter element T.  So an A_k row runs two Smith
+forms: of the gram and of T - I.
+
 Each model kind's facts sit in one row of the private table ``_KINDS``:
 its parameter rule (named integer parameters with least values, and a
 joint check), display name, resolution lattice, link, preferred
@@ -16,7 +24,7 @@ table entry plus a factory classmethod.
 """
 
 from ._record import Record
-from .abgroup import FGAbGroup, FinAbHom, cokernel_group, hom_analyze, rationalize, tensor
+from .abgroup import FGAbGroup, FinAbHom, hom_analyze, rationalize, tensor
 from .bockstein import shadow
 from .errors import InvariantError, ValidationError
 from .intmat import IntMatrix, _integer
@@ -28,13 +36,7 @@ from .lattice import (
     hj_expansion,
     star_matrix,
 )
-from .links import (
-    LensSpace,
-    PlumbingBoundary,
-    Seifert,
-    SphereProduct,
-    link_profile,
-)
+from .links import LensSpace, Seifert, SphereProduct, link_profile, plumbing_link
 from .monodromy import coxeter_element, odp_package, variation_cokernel
 from .products import builtin_profile
 
@@ -205,14 +207,16 @@ class Crosscheck(Record):
     agree: bool
 
 
-def realization_crosscheck(model):
+def realization_crosscheck(model, package=None):
     """Recompute the local group through every applicable station.
 
-    Stations: "lattice" (cokernel of the gram matrix), "link" (H^2
-    torsion of the model's own link), "pair-sequence" (independent
-    recomputation through the plumbing-boundary pipeline), "monodromy"
-    (torsion cokernel of the variation map; recorded through the
-    link equality for the Brieskorn case, not applicable for cyclic
+    Stations: "lattice" (the group of the discriminant package, that is
+    coker(gram); ``package`` defaults to ``local_package(model)``), "link"
+    (H^2 torsion of the model's own link), "pair-sequence" (H^2 torsion of
+    the boundary that plumbing calculus reads off the resolution graph's
+    weights, ``plumbing_link``, with no Smith form of the gram),
+    "monodromy" (torsion cokernel of the variation map; recorded through
+    the link equality for the Brieskorn case, not applicable for cyclic
     quotients).  The ODP has no lattice, so its lattice and pair-sequence
     stations are notes, and its monodromy is the free cokernel of T = id.
     """
@@ -223,11 +227,12 @@ def realization_crosscheck(model):
         notes[STATION_LATTICE] = "no finite discriminant"
         notes[STATION_PAIR] = "free pair data"
     else:
-        coker = cokernel_group(lat.gram)
-        stations[STATION_LATTICE] = coker.torsion()
+        if package is None:
+            package = local_package(model)
+        stations[STATION_LATTICE] = package.group
     stations[STATION_LINK] = link_profile(model.link_model()).torsion(2)
     if lat is not None:
-        stations[STATION_PAIR] = link_profile(PlumbingBoundary(lat)).torsion(2)
+        stations[STATION_PAIR] = link_profile(plumbing_link(lat)).torsion(2)
 
     monodromy = _KINDS[model.kind].monodromy
     if monodromy not in _MONODROMY_NOTES:
@@ -270,7 +275,7 @@ def trajectory_row(model):
     Z/2
     """
     package = local_package(model)
-    checks = realization_crosscheck(model)
+    checks = realization_crosscheck(model, package)
     group = package.group if package is not None else FGAbGroup.trivial()
     coble = model.kind == "quotient" and model.parameters == (4, 1)
     if group.is_trivial():

@@ -676,6 +676,46 @@ def test_int_product_is_wrapped_unchecked_yet_equal_to_a_checked_one(pair):
     assert repr(product) == repr(checked)
 
 
+@st.composite
+def symmetry_cases(draw):
+    """Int or Fraction matrices: any shape, or symmetric with at most one
+    entry changed."""
+    rows = draw(st.integers(1, 5))
+    cols = draw(st.one_of(st.just(rows), st.integers(1, 5)))
+    rational = draw(st.booleans())
+    entries = st.fractions(-2, 2, max_denominator=3) if rational else st.integers(-2, 2)
+    grid = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    if rows == cols and draw(st.booleans()):
+        grid = [[grid[min(i, j)][max(i, j)] for j in range(rows)] for i in range(rows)]
+        if draw(st.booleans()):
+            i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+            grid[i][j] += 1
+    return (RatMatrix if rational else IntMatrix)(grid)
+
+
+@given(symmetry_cases())
+def test_is_symmetric_matches_the_pairwise_definition(matrix):
+    pairwise = matrix.rows == matrix.cols and all(
+        matrix.entry(i, j) == matrix.entry(j, i) for i in range(matrix.rows) for j in range(i))
+    assert matrix.is_symmetric() == pairwise
+
+
+@pytest.mark.parametrize(
+    "operation, operands",
+    [
+        (lambda: IntMatrix([[1]]) @ [[1]], "'IntMatrix' and 'list'"),
+        (lambda: IntMatrix([[1]]) - [[1]], "'IntMatrix' and 'list'"),
+        (lambda: RatMatrix([[1]]) @ 3, "'RatMatrix' and 'int'"),
+    ],
+    ids=["int-matmul-list", "int-sub-list", "rat-matmul-int"],
+)
+def test_matrix_operators_leave_a_non_matrix_operand_to_python(operation, operands):
+    # Each raised AttributeError: 'list' object has no attribute 'rows'.
+    with pytest.raises(TypeError, match=f"unsupported operand.*{operands}"):
+        operation()
+
+
 def test_int_rat_equality_is_symmetric():
     ints, rats = IntMatrix.identity(2), RatMatrix.identity(2)
     assert ints == rats and rats == ints

@@ -117,6 +117,26 @@ def test_hj_expansion_exact_for_all_coprime_pairs():
             assert hj_recompose(hj_expansion(n, q)) == Fraction(n, q)
 
 
+def fraction_fold(weights):
+    """b1 - 1/(b2 - 1/(...)), one Fraction operation per weight."""
+    value = Fraction(weights[-1])
+    for b in reversed(weights[:-1]):
+        value = b - 1 / value
+    return value
+
+
+@given(st.lists(st.integers(-3, 9), min_size=1, max_size=12))
+def test_hj_recompose_matches_the_fraction_fold(weights):
+    # Weights below 2 included, so partial values of 0 and sign changes occur.
+    try:
+        expected = fraction_fold(weights)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            hj_recompose(weights)
+    else:
+        assert hj_recompose(weights) == expected
+
+
 def test_hj_validation():
     with pytest.raises(ValidationError):
         hj_expansion(4, 2)

@@ -5,13 +5,21 @@ from math import gcd
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from torsiontraj.abgroup import FGAbGroup
+from torsiontraj.abgroup import FGAbGroup, cokernel_group
 from torsiontraj import links
 from torsiontraj.errors import CapabilityError, InvariantError, ValidationError
-from torsiontraj.lattice import cartan_matrix, chain_matrix, discriminant_package, hj_expansion, star_matrix
+from torsiontraj.intmat import IntMatrix
+from torsiontraj.lattice import (
+    IntersectionLattice,
+    cartan_matrix,
+    chain_matrix,
+    discriminant_package,
+    hj_expansion,
+    star_matrix,
+)
 from torsiontraj.links import (
     LensSpace,
     PlumbingBoundary,
@@ -20,6 +28,7 @@ from torsiontraj.links import (
     SphereProduct,
     lens_profile,
     link_profile,
+    plumbing_link,
     seifert_h1_order,
     seifert_homology,
     stalk_profile,
@@ -243,3 +252,69 @@ def test_uct_matches_reference_loops(homology):
     assert list(uct_cohomology_from_homology(homology).items()) == list(
         reference_uct(homology).items()
     )
+
+
+def plumbing_lattice(weights, edges, order):
+    """The plumbing gram of a weighted graph, vertex v placed at row order[v]."""
+    gram = [[0] * len(weights) for _ in weights]
+    for v, b in enumerate(weights):
+        gram[order[v]][order[v]] = -b
+    for u, v in edges:
+        gram[order[u]][order[v]] = gram[order[v]][order[u]] = 1
+    return IntersectionLattice(IntMatrix(gram))
+
+
+@st.composite
+def chains(draw):
+    weights = draw(st.lists(st.integers(2, 9), min_size=1, max_size=30))
+    edges = [(i, i + 1) for i in range(len(weights) - 1)]
+    return weights, edges, draw(st.permutations(range(len(weights))))
+
+
+@st.composite
+def stars(draw):
+    weights, edges = [draw(st.integers(1, 6))], []
+    for _ in range(draw(st.integers(3, 4))):
+        previous = 0
+        for b in draw(st.lists(st.integers(2, 6), min_size=1, max_size=5)):
+            edges.append((previous, len(weights)))
+            previous = len(weights)
+            weights.append(b)
+    return weights, edges, draw(st.permutations(range(len(weights))))
+
+
+@settings(deadline=None)
+@given(st.one_of(chains(), stars()))
+def test_plumbing_calculus_gives_the_cokernel_of_the_gram(graph):
+    # The lens or Seifert presentation of the boundary against coker(gram),
+    # with the vertices numbered in any order.
+    lattice = plumbing_lattice(*graph)
+    coker = cokernel_group(lattice.gram)
+    assume(coker.is_finite())
+    assert link_profile(plumbing_link(lattice)).torsion(2) == coker
+
+
+def test_plumbing_link_reads_chains_from_the_lower_numbered_end():
+    assert plumbing_link(chain_matrix([3, 2, 2])) == LensSpace(7, 3)
+    assert plumbing_link(plumbing_lattice([3, 2, 2], [(0, 1), (1, 2)], [2, 1, 0])) == LensSpace(7, 5)
+    assert plumbing_link(cartan_matrix("E8")) == Seifert(-2, ((2, 1), (3, 2), (5, 4)))
+
+
+@pytest.mark.parametrize(
+    "graph, message",
+    [
+        (([2, 2, 2], [(0, 1), (1, 2), (2, 0)], range(3)), "has a cycle"),
+        (([2] * 6, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)], range(6)), "tree with 2 branch vertices"),
+        (([2, 2, 2], [(0, 1)], range(3)), "disconnected"),
+        (([2, 1, 2], [(0, 1), (1, 2)], range(3)), "weights >= 2"),
+    ],
+    ids=["cycle", "two-branch-vertices", "disconnected", "chain-weight-1"],
+)
+def test_plumbing_link_names_a_graph_it_cannot_read(graph, message):
+    with pytest.raises(ValidationError, match=message):
+        plumbing_link(plumbing_lattice(*graph))
+
+
+def test_plumbing_link_refuses_an_edge_of_weight_two():
+    with pytest.raises(ValidationError, match=r"got 2 at \(0, 1\)"):
+        plumbing_link(IntersectionLattice(IntMatrix([[-2, 2], [2, -2]])))

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torsiontraj import abgroup, cli, intmat, serialize, trajectory
 from torsiontraj.abgroup import FGAbGroup, FinAbHom
 from torsiontraj.bockstein import bo_direction_span, bockstein_image, shadow
-from torsiontraj import serialize, trajectory
 from torsiontraj.errors import InvariantError, ValidationError
 from torsiontraj.intmat import IntMatrix
 from torsiontraj.lattice import cartan_matrix, discriminant_package, forms_isomorphic
-from torsiontraj.links import PlumbingBoundary, lens_profile
+from torsiontraj.links import PlumbingBoundary, Seifert, lens_profile, plumbing_link
 from torsiontraj.products import builtin_profile, product_cohomology
 from torsiontraj.trajectory import (
     BENOIST_OTTEM_ROW,
@@ -156,6 +156,66 @@ def test_every_built_in_kind_assembles(kind):
         assert model.resolution_lattice() is None and groups[0].is_trivial()
     else:
         assert package.group == checks.stations["lattice"] == groups[0]
+
+
+def test_crosscheck_reads_the_lattice_station_from_the_package():
+    model = SingularityModel.ak(5)
+    package = local_package(model)
+    assert realization_crosscheck(model, package).stations["lattice"] is package.group
+    assert realization_crosscheck(model) == realization_crosscheck(model, package)
+
+
+def _arms_as_multiset(link):
+    if isinstance(link, Seifert):
+        return Seifert(link.b, tuple(sorted(link.arms)))
+    return link
+
+
+@pytest.mark.parametrize(
+    "models",
+    [
+        [SingularityModel.ak(k) for k in range(1, 41)],
+        [SingularityModel.cyclic_quotient(n, q)
+         for n in range(2, 41) for q in range(1, n) if gcd(n, q) == 1],
+        [SingularityModel.d4(), SingularityModel.e8(), SingularityModel.brieskorn()],
+    ],
+    ids=["ak", "quotient", "d4-e8-brieskorn"],
+)
+def test_plumbing_link_of_each_kind_is_its_own_link(models):
+    # _KINDS gives each kind a lattice and a link as separate data;
+    # plumbing calculus on the lattice must land on the link.
+    for model in models:
+        link = plumbing_link(model.resolution_lattice())
+        assert _arms_as_multiset(link) == _arms_as_multiset(model.link_model()), model
+
+
+@pytest.fixture
+def snf_calls(monkeypatch):
+    """The matrices passed to ``snf``, under either module's name."""
+    calls = []
+    real_snf = intmat.snf
+
+    def counting_snf(matrix):
+        calls.append(matrix)
+        return real_snf(matrix)
+
+    monkeypatch.setattr(intmat, "snf", counting_snf)
+    monkeypatch.setattr(abgroup, "snf", counting_snf)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 3, 12])
+def test_an_ak_row_runs_two_smith_forms(snf_calls, k):
+    # coker(gram) in the package and coker(T - I) at the monodromy station
+    model = SingularityModel.ak(k)
+    trajectory_row(model)
+    assert len(snf_calls) == 2 and snf_calls[0] == model.resolution_lattice().gram
+
+
+def test_a_quotient_row_runs_one_smith_form(snf_calls, capsys):
+    assert cli.run(["singularity", "quotient", "7", "3"]) == 0
+    assert "Z/7" in capsys.readouterr().out
+    assert len(snf_calls) == 1
 
 
 @st.composite
