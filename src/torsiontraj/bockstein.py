@@ -11,7 +11,7 @@ from math import gcd
 
 from ._record import Record
 from .abgroup import FGAbGroup, n_torsion, scale_subgroup, tensor
-from .errors import ValidationError
+from .errors import InvariantError, ValidationError
 from .intmat import RatMatrix, _integer
 from .lattice import DiscriminantPackage, _mod1, trivial_package
 
@@ -74,7 +74,7 @@ def shadow(package, n):
         sub_pkg = DiscriminantPackage(sub_group, RatMatrix(entries), generators)
         isotropic = all(x == 0 for row in entries for x in row)
     if sub_group.torsion_order() * quotient.torsion_order() != package.group.torsion_order():
-        raise ValidationError("shadow order law violated")
+        raise InvariantError("shadow order law violated")
     return ShadowPackage(sub_pkg, quotient, isotropic)
 
 

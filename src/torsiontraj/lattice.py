@@ -107,16 +107,21 @@ def hj_recompose(weights):
     """Evaluate b1 - 1/(b2 - 1/(...)) exactly.
 
     The fraction p/q is folded from the last weight inwards in integers,
-    p/q -> b - q/p = (b p - q)/p, so one Fraction is built, at the end; a
-    zero partial value is a ZeroDivisionError, as 1/0 would be.
+    p/q -> b - q/p = (b p - q)/p, so one Fraction is built, at the end.
+    Each weight must be an integer (any sign).  No weights, or a zero
+    partial value, where 1/0 would be taken, is a ValidationError that
+    names the weights.
 
     >>> hj_recompose([3, 2, 2])
     Fraction(7, 3)
     """
+    weights = [_integer(b, f"a Hirzebruch-Jung weight of {weights!r}") for b in weights]
+    if not weights:
+        raise ValidationError("need at least one Hirzebruch-Jung weight, got []")
     p, q = weights[-1], 1
     for b in reversed(weights[:-1]):
         if p == 0:
-            raise ZeroDivisionError(f"a partial continued fraction of {weights} is 0")
+            raise ValidationError(f"a partial continued fraction of {weights} is 0")
         p, q = b * p - q, p
     return Fraction(p, q)
 
@@ -216,8 +221,9 @@ def discriminant_package(lat, generators=None):
     The group is coker(gram).  Default generator classes come from the
     unimodular factor U of the Smith normal form, paired with the
     nontrivial invariant factors.  ``generators`` may instead supply
-    integer coset representatives (an IntMatrix whose columns match the
-    nontrivial invariant factors in order); the induced form does not
+    integer coset representatives (an IntMatrix, used as given, whose
+    columns match the nontrivial invariant factors in order; anything
+    but an IntMatrix is a ValidationError); the induced form does not
     depend on the choice of representative within a coset.  The group is
     then read from D alone, so the Smith form builds no U.
 
@@ -240,9 +246,9 @@ def discriminant_package(lat, generators=None):
     gram = lat.gram
     if generators is None:
         group, snf_generators = group_from_cokernel(gram)
-        columns = [col for order, col in snf_generators]
     else:
-        group, columns = cokernel_group(gram), generators.columns()
+        _require_int_matrix(generators, "discriminant_package")
+        group = cokernel_group(gram)
     if not group.is_finite():
         raise SingularMatrixError(f"gram is singular: its cokernel has free rank {group.free_rank}")
     if group.is_trivial():
@@ -251,7 +257,9 @@ def discriminant_package(lat, generators=None):
     # The rational factor stays on the left of both products, so neither
     # dispatches to IntMatrix.__matmul__: perfbench traces only that
     # product, and its A_3 row test pins how many there are.
-    gens = IntMatrix.from_columns(columns)
+    gens = generators
+    if generators is None:
+        gens = IntMatrix.from_columns([col for order, col in snf_generators])
     duals = rat_inverse(gram) @ gens
     if generators is not None:
         expected = group.invariant_factors

@@ -12,8 +12,11 @@ the discriminant package, coker(gram).  The link station takes H^2 of the
 model's own link.  The pair-sequence station takes H^2 of the lens or
 Seifert space that plumbing calculus reads off the resolution graph's
 weights (``links.plumbing_link``).  The monodromy station takes
-coker(T - I) for a Coxeter element T.  So an A_k row runs two Smith
-forms: of the gram and of T - I.
+coker(T - I) for a Coxeter element T, built from its own Cartan matrix
+(``monodromy.coxeter_element``), not from the row's lattice.  So an A_k
+row runs two Smith forms, of the gram and of T - I, and builds its
+lattice twice.  ``trajectory_row`` assembles a row; ``local_package``
+and ``realization_crosscheck`` read theirs off it.
 
 Each model kind's facts sit in one row of the private table ``_KINDS``:
 its parameter rule (named integer parameters with least values, and a
@@ -184,19 +187,13 @@ class SingularityModel(Record):
 
 
 def local_package(model):
-    """The local discriminant package of a model; None for the ODP.
+    """The local discriminant package of a model, read off its trajectory
+    row; None for the ODP.
 
     >>> print(local_package(SingularityModel.cyclic_quotient(4)).form)
     [[3/4]]
     """
-    lat = model.resolution_lattice()
-    if lat is None:
-        return None
-    generators = _KINDS[model.kind].generators
-    if generators is not None:
-        generators = IntMatrix.from_columns(
-            [col + (0,) * (lat.rank - len(col)) for col in generators])
-    return discriminant_package(lat, generators)
+    return trajectory_row(model).package
 
 
 class Crosscheck(Record):
@@ -207,47 +204,10 @@ class Crosscheck(Record):
     agree: bool
 
 
-def realization_crosscheck(model, package=None):
-    """Recompute the local group through every applicable station.
-
-    Stations: "lattice" (the group of the discriminant package, that is
-    coker(gram); ``package`` defaults to ``local_package(model)``), "link"
-    (H^2 torsion of the model's own link), "pair-sequence" (H^2 torsion of
-    the boundary that plumbing calculus reads off the resolution graph's
-    weights, ``plumbing_link``, with no Smith form of the gram),
-    "monodromy" (torsion cokernel of the variation map; recorded through
-    the link equality for the Brieskorn case, not applicable for cyclic
-    quotients).  The ODP has no lattice, so its lattice and pair-sequence
-    stations are notes, and its monodromy is the free cokernel of T = id.
-    """
-    stations = {}
-    notes = {}
-    lat = model.resolution_lattice()
-    if lat is None:
-        notes[STATION_LATTICE] = "no finite discriminant"
-        notes[STATION_PAIR] = "free pair data"
-    else:
-        if package is None:
-            package = local_package(model)
-        stations[STATION_LATTICE] = package.group
-    stations[STATION_LINK] = link_profile(model.link_model()).torsion(2)
-    if lat is not None:
-        stations[STATION_PAIR] = link_profile(plumbing_link(lat)).torsion(2)
-
-    monodromy = _KINDS[model.kind].monodromy
-    if monodromy not in _MONODROMY_NOTES:
-        t = coxeter_element(monodromy, *model.parameters)
-        stations[STATION_MONODROMY] = variation_cokernel(t).torsion()
-    else:
-        notes[STATION_MONODROMY] = monodromy
-        if monodromy == "free-cokernel":
-            stations[STATION_MONODROMY] = odp_package()[0].torsion()
-        elif monodromy == "wang-sequence":
-            stations[STATION_MONODROMY] = stations[STATION_LINK]
-
-    groups = list(stations.values())
-    agree = all(g == groups[0] for g in groups)
-    return Crosscheck(stations, notes, agree)
+def realization_crosscheck(model):
+    """The stations of a model's local group, read off its trajectory row
+    (see ``trajectory_row`` for each station's method)."""
+    return trajectory_row(model).realizations
 
 
 class TrajectoryRow(Record):
@@ -270,12 +230,50 @@ class TrajectoryRow(Record):
 def trajectory_row(model):
     """Assemble the trajectory row of a built-in model.
 
+    The model's lattice is built once.  The package is its discriminant
+    package on the kind's preferred generators, zero-padded to the
+    lattice rank; the lattice and pair-sequence stations read that
+    package and lattice (see the module docstring for each station).
+    The ODP has no lattice, so its package is None, its lattice and
+    pair-sequence stations are notes, and its monodromy is the free
+    cokernel of T = id.  The Brieskorn monodromy is recorded through the
+    link equality (Wang sequence); a cyclic quotient has none.
+
     >>> row = trajectory_row(SingularityModel.ak(1))
     >>> print(row.group())
     Z/2
     """
-    package = local_package(model)
-    checks = realization_crosscheck(model, package)
+    spec = _KINDS[model.kind]
+    stations = {}
+    notes = {}
+    lat = model.resolution_lattice()
+    if lat is None:
+        package = None
+        notes[STATION_LATTICE] = "no finite discriminant"
+        notes[STATION_PAIR] = "free pair data"
+    else:
+        generators = spec.generators
+        if generators is not None:
+            generators = IntMatrix.from_columns(
+                [col + (0,) * (lat.rank - len(col)) for col in generators])
+        package = discriminant_package(lat, generators)
+        stations[STATION_LATTICE] = package.group
+    stations[STATION_LINK] = link_profile(model.link_model()).torsion(2)
+    if lat is not None:
+        stations[STATION_PAIR] = link_profile(plumbing_link(lat)).torsion(2)
+
+    if spec.monodromy not in _MONODROMY_NOTES:
+        t = coxeter_element(spec.monodromy, *model.parameters)
+        stations[STATION_MONODROMY] = variation_cokernel(t).torsion()
+    else:
+        notes[STATION_MONODROMY] = spec.monodromy
+        if spec.monodromy == "free-cokernel":
+            stations[STATION_MONODROMY] = odp_package()[0].torsion()
+        elif spec.monodromy == "wang-sequence":
+            stations[STATION_MONODROMY] = stations[STATION_LINK]
+    groups = list(stations.values())
+    checks = Crosscheck(stations, notes, all(g == groups[0] for g in groups))
+
     group = package.group if package is not None else FGAbGroup.trivial()
     coble = model.kind == "quotient" and model.parameters == (4, 1)
     if group.is_trivial():
@@ -293,7 +291,7 @@ def trajectory_row(model):
     elif model.kind == "ak" and model.parameters == (1,):
         global_image = "depends on global exceptional-curve relations"
     else:
-        global_image = _KINDS[model.kind].global_image
+        global_image = spec.global_image
 
     death = rationalize(group)
     if death != 0:

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from torsiontraj import bockstein
 from torsiontraj.abgroup import FGAbGroup
 from torsiontraj.bockstein import bo_direction_span, bockstein_image, shadow
-from torsiontraj.errors import ValidationError
+from torsiontraj.errors import InvariantError, ValidationError
 from torsiontraj.lattice import abstract_package, chain_matrix, discriminant_package
 
 from uct_references import reference_mod_n
@@ -113,6 +114,15 @@ def test_shadow_order_law_cyclic():
                 result.sub.group.torsion_order() * result.quotient.torsion_order()
                 == order
             )
+
+
+def test_shadow_order_law_check(monkeypatch):
+    # |nE| |E/nE| = |E| is an identity, so a failure is a library defect,
+    # not a usage error; the check is explicit, so it also fires under -O.
+    monkeypatch.setattr(bockstein, "scale_subgroup", lambda group, n: (Z2, Z4))
+    coble = abstract_package(Z4, [[Fraction(3, 4)]])
+    with pytest.raises(InvariantError, match="order law"):
+        shadow(coble, 2)
 
 
 def test_shadow_tower():

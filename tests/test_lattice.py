@@ -128,13 +128,25 @@ def fraction_fold(weights):
 @given(st.lists(st.integers(-3, 9), min_size=1, max_size=12))
 def test_hj_recompose_matches_the_fraction_fold(weights):
     # Weights below 2 included, so partial values of 0 and sign changes occur.
+    # Where the fold divides by zero, the weights are a usage error.
     try:
         expected = fraction_fold(weights)
     except ZeroDivisionError:
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(ValidationError, match="partial continued fraction"):
             hj_recompose(weights)
     else:
         assert hj_recompose(weights) == expected
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [([], "at least one"), ([True, 2], r"\[True, 2\] must be an integer, got True"),
+     ([2.5], r"\[2.5\] must be an integer, got 2.5"), ([2, 1, 1], r"\[2, 1, 1\] is 0")],
+    ids=["empty", "bool", "float", "zero-partial"],
+)
+def test_hj_recompose_refuses_bad_weights(weights, message):
+    with pytest.raises(ValidationError, match=message):
+        hj_recompose(weights)
 
 
 def test_hj_validation():
@@ -323,6 +335,12 @@ def test_package_generator_validation():
         discriminant_package(
             cartan_matrix("D", 4), IntMatrix.from_columns([(0, -1, 1, 0)] * 2)
         )
+    # Generators that are not an IntMatrix are refused under the package's name.
+    for generators, kind in (([[1], [0], [0]], "list"),
+                             (RatMatrix([[1], [0], [0]]), "RatMatrix")):
+        with pytest.raises(ValidationError,
+                           match=f"discriminant_package takes an IntMatrix, got {kind}"):
+            discriminant_package(lat, generators)
 
 
 def test_package_takes_no_determinant(monkeypatch):

@@ -1,5 +1,7 @@
 """Trajectory rows, cross-realization, transport kernels, strata."""
 
+import inspect
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -7,13 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torsiontraj import abgroup, cli, intmat, serialize, trajectory
+from torsiontraj import abgroup, cli, intmat, lattice, serialize, trajectory
 from torsiontraj.abgroup import FGAbGroup, FinAbHom
 from torsiontraj.bockstein import bo_direction_span, bockstein_image, shadow
 from torsiontraj.errors import InvariantError, ValidationError
 from torsiontraj.intmat import IntMatrix
 from torsiontraj.lattice import cartan_matrix, discriminant_package, forms_isomorphic
-from torsiontraj.links import PlumbingBoundary, Seifert, lens_profile, plumbing_link
+from torsiontraj.links import (
+    LensSpace,
+    PlumbingBoundary,
+    Seifert,
+    lens_profile,
+    link_profile,
+    plumbing_link,
+)
+from torsiontraj.monodromy import coxeter_element, odp_package, variation_cokernel
 from torsiontraj.products import builtin_profile, product_cohomology
 from torsiontraj.trajectory import (
     BENOIST_OTTEM_ROW,
@@ -159,10 +169,111 @@ def test_every_built_in_kind_assembles(kind):
 
 
 def test_crosscheck_reads_the_lattice_station_from_the_package():
-    model = SingularityModel.ak(5)
-    package = local_package(model)
-    assert realization_crosscheck(model, package).stations["lattice"] is package.group
-    assert realization_crosscheck(model) == realization_crosscheck(model, package)
+    row = trajectory_row(SingularityModel.ak(5))
+    assert row.realizations.stations["lattice"] is row.package.group
+
+
+def reference_local_package(model):
+    """The package assembled on its own: a fresh lattice and the kind's
+    generators padded with zeros to its rank."""
+    lat = model.resolution_lattice()
+    if lat is None:
+        return None
+    generators = trajectory._KINDS[model.kind].generators
+    if generators is not None:
+        generators = IntMatrix.from_columns(
+            [col + (0,) * (lat.rank - len(col)) for col in generators])
+    return discriminant_package(lat, generators)
+
+
+def reference_realization_crosscheck(model):
+    """The stations assembled on their own, each from a fresh lattice."""
+    stations = {}
+    notes = {}
+    lat = model.resolution_lattice()
+    if lat is None:
+        notes["lattice"] = "no finite discriminant"
+        notes["pair-sequence"] = "free pair data"
+    else:
+        stations["lattice"] = reference_local_package(model).group
+    stations["link"] = link_profile(model.link_model()).torsion(2)
+    if lat is not None:
+        stations["pair-sequence"] = link_profile(plumbing_link(lat)).torsion(2)
+
+    monodromy = trajectory._KINDS[model.kind].monodromy
+    if monodromy not in trajectory._MONODROMY_NOTES:
+        t = coxeter_element(monodromy, *model.parameters)
+        stations["monodromy"] = variation_cokernel(t).torsion()
+    else:
+        notes["monodromy"] = monodromy
+        if monodromy == "free-cokernel":
+            stations["monodromy"] = odp_package()[0].torsion()
+        elif monodromy == "wang-sequence":
+            stations["monodromy"] = stations["link"]
+
+    groups = list(stations.values())
+    agree = all(g == groups[0] for g in groups)
+    return trajectory.Crosscheck(stations, notes, agree)
+
+
+BUILT_IN_FAMILIES = {
+    "ak": [SingularityModel.ak(k) for k in range(1, 41)],
+    "quotient": [SingularityModel.cyclic_quotient(n, q)
+                 for n in range(2, 41) for q in range(1, n) if gcd(n, q) == 1],
+    "d4-e8-brieskorn-odp": [SingularityModel.d4(), SingularityModel.e8(),
+                            SingularityModel.brieskorn(), SingularityModel.odp()],
+}
+
+
+def test_package_and_crosscheck_take_the_model_alone():
+    for read in (local_package, realization_crosscheck):
+        assert list(inspect.signature(read).parameters) == ["model"]
+
+
+@pytest.mark.parametrize("family", sorted(BUILT_IN_FAMILIES))
+def test_package_and_crosscheck_read_off_the_row_match_their_references(family):
+    for model in BUILT_IN_FAMILIES[family]:
+        assert local_package(model) == reference_local_package(model), model
+        assert realization_crosscheck(model) == reference_realization_crosscheck(model), model
+
+
+@pytest.mark.parametrize(
+    "model, builds",
+    [(SingularityModel.ak(1), 2), (SingularityModel.ak(12), 2), (SingularityModel.d4(), 2),
+     (SingularityModel.e8(), 2), (SingularityModel.brieskorn(), 1),
+     (SingularityModel.cyclic_quotient(4), 1), (SingularityModel.cyclic_quotient(7, 3), 1),
+     (SingularityModel.odp(), 0)],
+    ids=["a1", "a12", "d4", "e8", "brieskorn", "quotient-4-1", "quotient-7-3", "odp"],
+)
+def test_a_row_builds_its_lattice_once(monkeypatch, model, builds):
+    # One build for the package and the lattice and pair-sequence
+    # stations; a Coxeter monodromy builds its own Cartan matrix.
+    calls = []
+    real_plumbing = lattice._plumbing
+
+    def counting_plumbing(weights, edges):
+        calls.append(weights)
+        return real_plumbing(weights, edges)
+
+    monkeypatch.setattr(lattice, "_plumbing", counting_plumbing)
+    trajectory_row(model)
+    assert len(calls) == builds
+
+
+def test_disagreeing_stations_show_in_every_format(monkeypatch, capsys):
+    # A pair-sequence boundary of the wrong order must surface, not be
+    # overwritten by the other stations.
+    monkeypatch.setattr(trajectory, "plumbing_link", lambda lat: LensSpace(5, 1))
+    assert cli.run(["singularity", "ak", "--k", "3"]) == 0
+    header, _, cells = ([c.strip() for c in line.split("|")]
+                        for line in capsys.readouterr().out.splitlines())
+    assert cells[header.index("Local")] == "stations disagree"
+    assert cli.run(["singularity", "ak", "--k", "3", "--format", "json"]) == 0
+    realizations = json.loads(capsys.readouterr().out)["realizations"]
+    assert realizations["agree"] is False
+    stations = realizations["stations"]
+    assert stations["pair-sequence"]["invariant_factors"] == [5]
+    assert stations["lattice"]["invariant_factors"] == [4]
 
 
 def _arms_as_multiset(link):
