@@ -17,6 +17,7 @@ only its diagonal (``cokernel_group``).  The kernel is the cokernel of
 the dual map on character groups.
 """
 
+from bisect import bisect_left
 from math import gcd, lcm, prod
 
 from ._record import Record
@@ -33,7 +34,10 @@ def _invariant_factors(orders):
     the run and stops.  Otherwise the run's top element becomes lcm(v, x)
     and the carry gcd(v, x) goes on down: that keeps the product and,
     prime by prime, sorts the exponents.  A carry of 1 stops, so 1s drop
-    out.
+    out.  An x that divides the top run divides a whole suffix of the
+    chain, since each run's value divides the next; a bisection skips
+    that suffix, so a descending divisor list costs O(log r) per order,
+    not O(r).
 
     >>> _invariant_factors([2, 3])
     (6,)
@@ -43,6 +47,8 @@ def _invariant_factors(orders):
     runs = []
     for x in orders:
         i = len(runs)  # x goes in below runs[i]
+        if i and runs[-1][0] % x == 0:
+            i = bisect_left(runs, True, key=lambda run: run[0] % x == 0)
         while i and x != 1:
             run = runs[i - 1]
             v = run[0]

@@ -26,8 +26,10 @@ and beyond, so the kernels follow two rules:
 
 * Zeros cost nothing.  The product sums only over the nonzero entries
   of both factors, and finds them with ``itertools.compress`` in C, so a
-  zero costs no interpreted step and multiplying by a reflection (the
-  identity but for one row) costs O(n^2) at most.  Elimination rewrites
+  zero costs no interpreted step.  A unit row e_k of the left factor
+  takes row k of the right one as it is, so multiplying by a reflection
+  (the identity but for one row) from the left costs one C scan per row
+  and one real row sum.  Elimination rewrites
   only the rows below the pivot with a nonzero in its column; every other
   row is scaled lazily, in one pass when it is next read.  Back
   substitution sums only over the nonzero entries of U.
@@ -73,19 +75,41 @@ def _integer(value, what, least=None):
 
 def _row_product(left, right):
     """Rows of left @ right.  Row i sums a * (row k of right) over the
-    nonzero a = left[i][k], and rows of right keep only their nonzero
-    (j, b) pairs.  Both filters are ``itertools.compress`` on the entries'
-    truth values, so a zero (int or Fraction) is skipped in C: the
-    interpreted work is one step per pair of nonzeros a = left[i][k],
-    b = right[k][j].  A reflection factor (the identity but for one row)
-    on the right thus costs O(n^2) at most, and O(n) when the left factor
-    has O(n) nonzeros, as the partial Coxeter products of A_k do."""
+    nonzero a = left[i][k], found by ``itertools.compress`` on the
+    entries' truth values, so a zero (int or Fraction) is skipped in C.
+    A right row keeps only its nonzero (j, b) pairs, built once, when the
+    first sum reads it.  So the interpreted work is one step per pair of
+    nonzeros a = left[i][k], b = right[k][j].
+
+    A left row that is a unit vector e_k (all zeros but one 1, found by
+    the C scans ``count``, ``in`` and ``index`` once a look at its two
+    ends has not ruled it out) is right's row k itself when that row is a
+    tuple: 1 * b = b is what the sum would give, and an immutable row is
+    safe to share.  A list row is summed into a new list, since
+    ``char_poly`` adds to its rows in place.  So a reflection factor (the
+    identity but for one row) on the left costs one C scan per row plus
+    one real row sum."""
     width = len(right[0])
-    sparse_rows = [[(j, row[j]) for j in compress(range(width), row)] for row in right]
+    columns, inner = range(width), range(len(right))
+    unit_zeros = len(right) - 1
+    sparse_rows = [None] * len(right)
     product = []
     for row in left:
+        # A unit row has a zero at an end unless it is 1 x 1: that test is
+        # O(1) and spares a dense row, of Fractions say, the C scans.
+        if ((not (row[0] and row[-1]) or not unit_zeros)
+                and row.count(0) == unit_zeros and 1 in row):
+            b_row = right[row.index(1)]
+            if type(b_row) is tuple:
+                product.append(b_row)
+                continue
         acc = [0] * width
-        for a, terms in compress(zip(row, sparse_rows), row):
+        for k in compress(inner, row):
+            terms = sparse_rows[k]
+            if terms is None:
+                b_row = right[k]
+                terms = sparse_rows[k] = [(j, b_row[j]) for j in compress(columns, b_row)]
+            a = row[k]
             for j, b in terms:
                 acc[j] += a * b
         product.append(acc)
@@ -101,7 +125,9 @@ class _Matrix:
     through ``_entry``.  An int * int product is wrapped unchecked by
     ``_wrap``, since its entries are ints by construction.  Results keep
     the caller's entry type, and a product with a RatMatrix on either side
-    is a RatMatrix, built through the constructor.
+    is a RatMatrix, built through the constructor.  Rows are tuples, never
+    changed once built, so matrices may share them: a row of ``P @ M``
+    where P has a unit row e_k is row k of M itself.
     """
 
     __slots__ = ("_rows",)
@@ -120,7 +146,9 @@ class _Matrix:
     def _wrap(cls, rows):
         """A matrix the library has built, with no entry or shape check.
         Only for rows of one nonzero length whose entries are of the exact
-        type by construction, such as the int rows of an int * int product."""
+        type by construction, such as the int rows of an int * int product.
+        A tuple row is kept as it is, with no copy, so a product's unit rows
+        stay the right factor's own rows."""
         matrix = object.__new__(cls)
         matrix._rows = tuple(map(tuple, rows))
         return matrix

@@ -24,8 +24,12 @@ def coxeter_element(family, parameter=None):
     s_i differs from the identity only in row i, which is e_i - A_i
     (alpha_j -> alpha_j - A_ij alpha_i).  So each reflection is built from
     the identity rows, made once and shared by the whole chain, and one
-    new row taken from its Cartan row; the product ``@`` then skips the
-    zeros of both factors.
+    new row taken from its Cartan row.  The product is formed from the
+    left, ``result = s_i @ result`` for i = n-1 down to 0, which is the
+    same matrix by associativity: each of the n - 1 unit rows of s_i
+    takes its row of ``result`` unchanged and shared, so a reflection
+    costs one real row sum, over the nonzeros of e_i - A_i.  That is n
+    ``@`` products per element, one per reflection.
 
     Any other order gives a conjugate element, so T - id and hence the
     variation cokernel are the same up to isomorphism; one order suffices.
@@ -38,12 +42,13 @@ def coxeter_element(family, parameter=None):
     result = IntMatrix.identity(n)
     # Tuples, so that wrapping a reflection copies only its new row.
     identity_rows = list(map(tuple, result.to_lists()))
-    for i, gram_row in enumerate(gram.to_lists()):
+    gram_rows = gram.to_lists()
+    for i in reversed(range(n)):
         # e_i - A_i = e_i + (row i of the gram), since A = -gram.
-        gram_row[i] += 1
+        gram_rows[i][i] += 1
         rows = identity_rows.copy()
-        rows[i] = gram_row
-        result = result @ IntMatrix._wrap(rows)
+        rows[i] = gram_rows[i]
+        result = IntMatrix._wrap(rows) @ result
     return result
 
 

@@ -15,8 +15,9 @@ weights (``links.plumbing_link``).  The monodromy station takes
 coker(T - I) for a Coxeter element T, built from its own Cartan matrix
 (``monodromy.coxeter_element``), not from the row's lattice.  So an A_k
 row runs two Smith forms, of the gram and of T - I, and builds its
-lattice twice.  ``trajectory_row`` assembles a row; ``local_package``
-and ``realization_crosscheck`` read theirs off it.
+lattice twice.  ``trajectory_row`` assembles a row, and
+``realization_crosscheck`` reads its stations off it; ``local_package``
+builds the row's package by the same step and runs no station.
 
 Each model kind's facts sit in one row of the private table ``_KINDS``:
 its parameter rule (named integer parameters with least values, and a
@@ -186,14 +187,30 @@ class SingularityModel(Record):
         return _KINDS[self.kind].link(*self.parameters)
 
 
+def _lattice_and_package(model):
+    """A model's resolution lattice and its discriminant package on the
+    kind's preferred generators, zero-padded to the lattice rank; (None,
+    None) for the ODP.  The one place a package is built, so a row and
+    ``local_package`` each build the lattice once."""
+    lat = model.resolution_lattice()
+    if lat is None:
+        return None, None
+    generators = _KINDS[model.kind].generators
+    if generators is not None:
+        generators = IntMatrix.from_columns(
+            [col + (0,) * (lat.rank - len(col)) for col in generators])
+    return lat, discriminant_package(lat, generators)
+
+
 def local_package(model):
-    """The local discriminant package of a model, read off its trajectory
-    row; None for the ODP.
+    """The local discriminant package of a model, None for the ODP: the
+    package of its trajectory row, built by the same step and with no
+    station of the row.
 
     >>> print(local_package(SingularityModel.cyclic_quotient(4)).form)
     [[3/4]]
     """
-    return trajectory_row(model).package
+    return _lattice_and_package(model)[1]
 
 
 class Crosscheck(Record):
@@ -246,17 +263,11 @@ def trajectory_row(model):
     spec = _KINDS[model.kind]
     stations = {}
     notes = {}
-    lat = model.resolution_lattice()
+    lat, package = _lattice_and_package(model)
     if lat is None:
-        package = None
         notes[STATION_LATTICE] = "no finite discriminant"
         notes[STATION_PAIR] = "free pair data"
     else:
-        generators = spec.generators
-        if generators is not None:
-            generators = IntMatrix.from_columns(
-                [col + (0,) * (lat.rank - len(col)) for col in generators])
-        package = discriminant_package(lat, generators)
         stations[STATION_LATTICE] = package.group
     stations[STATION_LINK] = link_profile(model.link_model()).torsion(2)
     if lat is not None:

@@ -1,6 +1,7 @@
 """Finitely generated abelian groups, with brute-force oracles."""
 
 import itertools
+import operator
 import random
 from math import gcd, lcm, prod
 
@@ -109,9 +110,14 @@ PRIME_POWERS = st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49])
 # Products of small prime powers (1 included), each repeated up to 8
 # times, in any order: lists of up to 96 orders with long runs of equal
 # values.
-ORDERS = st.lists(
+SHUFFLED = st.lists(
     st.tuples(st.lists(PRIME_POWERS, max_size=3).map(prod), st.integers(1, 8)), max_size=12
 ).flatmap(lambda runs: st.permutations([d for d, count in runs for _ in range(count)]))
+# Divisor chains in descending order, steps of 1 included: each order
+# divides every run built so far, and a chain may follow shuffled orders.
+DESCENDING = st.lists(st.lists(PRIME_POWERS, max_size=2).map(prod), max_size=24).map(
+    lambda steps: list(itertools.accumulate(steps, operator.mul))[::-1])
+ORDERS = SHUFFLED | DESCENDING | st.tuples(SHUFFLED, DESCENDING).map(lambda pair: pair[0] + pair[1])
 
 
 @given(ORDERS)
@@ -119,6 +125,12 @@ def test_from_orders_matches_factoring_reference(orders):
     expected = factoring_invariant_factors(orders)
     assert abgroup._invariant_factors(orders) == expected
     assert FGAbGroup.from_orders(orders, 2) == FGAbGroup(2, expected)
+
+
+def test_descending_powers_of_two():
+    # Each order divides the whole chain so far and goes in at its bottom.
+    orders = [2**e for e in range(1500, 0, -1)]
+    assert abgroup._invariant_factors(orders) == tuple(reversed(orders))
 
 
 def test_nonpositive_order_rejected():

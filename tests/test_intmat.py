@@ -963,6 +963,73 @@ def test_sparse_products_match_dense_reference_at_size(r, k, c, data):
     assert product == expected and type(product) is type(expected)
 
 
+@st.composite
+def unit_row_factors(draw, rows, cols):
+    """An IntMatrix or RatMatrix whose rows are unit rows e_k (often the
+    same k twice), zero rows or arbitrary rows.  A RatMatrix stores its
+    unit rows with Fraction(1)."""
+    if draw(st.booleans()):
+        kind, entries = IntMatrix, SMALL | HUGE
+    else:
+        kind, entries = RatMatrix, st.fractions(-9, 9, max_denominator=6)
+    units = draw(st.lists(st.integers(0, cols - 1), min_size=1, max_size=2))
+
+    def unit(k):
+        row = [0] * cols
+        row[k] = 1
+        return row
+
+    row = st.one_of(st.sampled_from(units).map(unit), st.just([0] * cols),
+                    st.lists(entries, min_size=cols, max_size=cols))
+    return kind(draw(st.lists(row, min_size=rows, max_size=rows)))
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.data())
+def test_products_with_unit_rows_match_dense_reference(r, k, c, data):
+    # A unit row of the left factor shares a tuple row of the right one;
+    # the sums, types and entries are those of the full dot products.
+    x, y = data.draw(unit_row_factors(r, k)), data.draw(unit_row_factors(k, c))
+    expected = dense_product(x, y)
+    product = x @ y
+    assert product == expected and type(product) is type(expected)
+    assert repr(product) == repr(expected)
+    assert [list(row) for row in intmat._row_product(x._rows, y._rows)] == expected.to_lists()
+    # List rows on the right, as ``apply`` and ``char_poly`` pass them,
+    # are never shared.
+    right = y.to_lists()
+    rows = intmat._row_product(x._rows, right)
+    assert rows == expected.to_lists()
+    assert not any(row is b_row for row in rows for b_row in right)
+    vector = data.draw(st.lists(SMALL, min_size=k, max_size=k))
+    assert x.apply(vector) == dense_apply(x, vector)
+    if r == k and type(x) is IntMatrix:
+        assert char_poly(x) == fraction_char_poly(x)
+
+
+def test_char_poly_of_repeated_unit_rows():
+    # Rows 0 and 1 are both e_1, so each product shares one row of the
+    # previous power twice; char_poly must not add to it in place.
+    m = IntMatrix([[0, 1, 0], [0, 1, 0], [1, 0, 1]])
+    assert char_poly(m) == fraction_char_poly(m) == (1, -2, 1, 0)
+
+
+@pytest.mark.parametrize("left_kind, right_kind",
+                         [(IntMatrix, IntMatrix), (IntMatrix, RatMatrix), (RatMatrix, RatMatrix)])
+def test_unit_rows_share_the_right_factors_row(left_kind, right_kind):
+    # Whenever row i of P is e_k, row i of P @ M is row k of M itself,
+    # once M's entries are of the product's type.
+    p = left_kind([[0, 0, 1], [1, 0, 0], [2, 0, 1], [0, 0, 1], [0, 0, 0]])
+    m = right_kind([[1, -2], [3, 4], [5, 6]])
+    product = p @ m
+    assert product == dense_product(p, m)
+    for i, k in ((0, 2), (1, 0), (3, 2)):
+        assert product._rows[i] is m._rows[k]
+    assert all(product._rows[i] is not row for i in (2, 4) for row in m._rows)
+    one, m = left_kind([[1]]), right_kind([[5, 0]])
+    assert (one @ m)._rows[0] is m._rows[0]
+
+
 @pytest.mark.parametrize("k", [*range(1, 13), 20, 33, 47, 60, 79, 80, 200, 400])
 def test_ak_gram_inverse_closed_form(k):
     # (A_k gram)^-1 has entry -min(i, j) (k + 1 - max(i, j)) / (k + 1), 1-indexed.

@@ -136,17 +136,38 @@ def product_of_reflections(cartan, order):
 
 @pytest.mark.parametrize(
     "family, parameter",
-    [("A", k) for k in range(1, 41)] + [("D", n) for n in range(4, 31)]
+    [("A", k) for k in range(1, 121)] + [("D", n) for n in range(4, 31)]
     + [("D4", None), ("E8", None)],
 )
 def test_coxeter_element_matches_the_reference_product(family, parameter):
     # coxeter_element builds each reflection from shared identity rows and
-    # one Cartan row; the reference builds every reflection whole.
+    # one Cartan row, and multiplies from the left, s_{n-1} first; the
+    # reference builds every reflection whole and multiplies from the
+    # right, s_0 first.
     cartan = positive_cartan(family, parameter)
     expected = product_of_reflections(cartan, range(cartan.rows))
     t = coxeter_element(family, parameter)
     assert t == expected and repr(t) == repr(expected)
     assert all(type(e) is int for row in t.to_lists() for e in row)
+
+
+@pytest.mark.parametrize(
+    "family, parameter",
+    [("A", 1), ("A", 3), ("A", 12), ("A", 60)] + [("D", n) for n in range(4, 13)]
+    + [("D4", None), ("E8", None)],
+)
+def test_coxeter_element_makes_one_product_per_reflection(monkeypatch, family, parameter):
+    # One IntMatrix @ per simple reflection, so an A_3 row makes three.
+    calls = []
+    real_matmul = IntMatrix.__matmul__
+
+    def counting_matmul(self, other):
+        calls.append(self.rows)
+        return real_matmul(self, other)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counting_matmul)
+    t = coxeter_element(family, parameter)
+    assert len(calls) == t.rows == milnor_number(family, parameter)
 
 
 def test_coxeter_preserves_cartan_form():

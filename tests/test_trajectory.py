@@ -237,6 +237,18 @@ def test_package_and_crosscheck_read_off_the_row_match_their_references(family):
         assert realization_crosscheck(model) == reference_realization_crosscheck(model), model
 
 
+@pytest.mark.parametrize("family", sorted(BUILT_IN_FAMILIES))
+def test_local_package_runs_no_station(monkeypatch, family):
+    # The package alone: no link, plumbing-calculus or monodromy work.
+    def station(*args):
+        raise AssertionError("local_package ran a station")
+
+    for name in ("coxeter_element", "link_profile", "plumbing_link", "variation_cokernel"):
+        monkeypatch.setattr(trajectory, name, station)
+    for model in BUILT_IN_FAMILIES[family]:
+        assert local_package(model) == reference_local_package(model), model
+
+
 @pytest.mark.parametrize(
     "model, builds",
     [(SingularityModel.ak(1), 2), (SingularityModel.ak(12), 2), (SingularityModel.d4(), 2),
