@@ -191,7 +191,9 @@ def group_from_cokernel(matrix):
     ``(order, column)`` pairs: the columns of the unimodular factor U of
     the Smith normal form whose classes generate the cokernel.  Order 0
     marks a free generator.  Trivial (order-1) columns are omitted.  Reads
-    D and U; a caller that needs only the group uses ``cokernel_group``.
+    D and U's generator columns, replayed alone (``u_columns``): one
+    column of k for the A_k gram.  A caller that needs only the group
+    uses ``cokernel_group``.
 
     >>> g, gens = group_from_cokernel(IntMatrix([[-2]]))
     >>> print(g)
@@ -200,8 +202,8 @@ def group_from_cokernel(matrix):
     _require_int_matrix(matrix, "group_from_cokernel")
     decomp = snf(matrix)
     group, diag = _cokernel(decomp, matrix.rows)
-    u = decomp.u
-    return group, [(d, u.column(i)) for i, d in enumerate(diag) if d != 1]
+    wanted = [i for i, d in enumerate(diag) if d != 1]
+    return group, [(diag[i], column) for i, column in zip(wanted, decomp.u_columns(wanted))]
 
 
 def tensor(g, h):

@@ -27,27 +27,30 @@ and beyond, so the kernels follow two rules:
 * Zeros cost nothing.  The product sums only over the nonzero entries
   of both factors, and finds them with ``itertools.compress`` in C, so a
   zero costs no interpreted step.  A unit row e_k of the left factor
-  takes row k of the right one as it is, so multiplying by a reflection
-  (the identity but for one row) from the left costs one C scan per row
-  and one real row sum.  Elimination rewrites
-  only the rows below the pivot with a nonzero in its column; every other
-  row is scaled lazily, in one pass when it is next read.  Back
-  substitution sums only over the nonzero entries of U.
+  takes row k of the right one as it is.  A reflection (the identity but
+  for one row) changes only that row of what it multiplies from the left,
+  so ``coxeter_element`` computes just that row, as a one-row product, and
+  shares every other row.  Elimination rewrites only the rows below the
+  pivot with a nonzero in its column; every other row is scaled lazily, in
+  one pass when it is next read.  Back substitution sums only over the
+  nonzero entries of U.
 * Elimination stays fraction-free.  One forward Bareiss pass with exact
   divisions serves ``det`` and ``rat_inverse``; the inverse runs it on
-  [M | I], then exact back substitution, and forms each Fraction once, at
-  the end.  For the tridiagonal A_k gram that is O(k^2) steps.
+  [M | I], then exact back substitution, and forms one Fraction per
+  distinct entry, at the end.  For the tridiagonal A_k gram that is O(k^2)
+  steps.
 
 The centrepiece is ``snf``, a Smith normal form M = U * D * V with
 unimodular U, V.  It reduces M alone and logs its elementary operations;
-the transforms are replayed from that log on demand: U for cokernel
-generator representatives, V^-1 for ``kernel_basis``.  Most callers read
-only the diagonal and build no transform.
+the transforms are replayed from that log on demand.  U's columns are
+replayed from the right, only those asked for: the generator columns
+give cokernel generator representatives.  V^-1 serves ``kernel_basis``.
+Most callers read only the diagonal and build no transform.
 """
 
 from fractions import Fraction
 from functools import partial
-from itertools import compress
+from itertools import chain, compress
 from operator import index, itemgetter
 
 from .errors import DimensionError, InvariantError, SingularMatrixError, ValidationError
@@ -313,10 +316,14 @@ class SnfDecomposition:
     zeros last; it is the invariant-factor sequence of M.
 
     ``snf`` reduces M alone and keeps the log of its elementary operations;
-    U, V and V^-1 are replayed from that log the first time each is read,
-    and then kept.  A caller that reads only D builds no transform.  The
-    one constructor takes D and that log; an empty log replays to U = I
-    and V = V^-1 = I.
+    the transforms are replayed from that log on demand.  The row
+    operations E_1, ..., E_m on A give U = E_1^-1 ... E_m^-1, so any set of
+    U's columns is replayed from the right, as row operations on just
+    those columns (``u_columns``); ``u`` is all of them.  V and V^-1 are
+    replayed from the column operations.  ``u``, ``v`` and V^-1 are built
+    the first time each is read, and then kept.  A caller that reads only
+    D builds no transform.  The one constructor takes D and that log; an
+    empty log replays to U = I and V = V^-1 = I.
     """
 
     __slots__ = ("d", "_log", "_u", "_v", "_v_inv")
@@ -326,20 +333,31 @@ class SnfDecomposition:
         self._log = log
         self._u = self._v = self._v_inv = None
 
+    def u_columns(self, indices):
+        """Columns ``indices`` of U, as int tuples, in that order.
+
+        U e_s = E_1^-1 (E_2^-1 (... (E_m^-1 e_s))), so the log runs in
+        reverse, each row operation on A undone as a row operation on the
+        block of the wanted unit columns: the work scales with the number
+        of columns asked for, not with all of U."""
+        indices = list(indices)
+        block = [[0] * len(indices) for _ in range(self.d.rows)]
+        for s, row in enumerate(indices):
+            block[row][s] = 1
+        for kind, i, j, c in reversed(self._log):
+            if kind == _ROW_ADD:
+                block[i] = [x - c * y for x, y in zip(block[i], block[j])]
+            elif kind == _ROW_SWAP:
+                block[i], block[j] = block[j], block[i]
+            elif kind == _ROW_NEGATE:
+                block[i] = [-x for x in block[i]]
+        return list(zip(*block))
+
     @property
     def u(self):
-        """U: each row operation on A, replayed as the inverse column
-        operation on the columns of U."""
+        """U: all of its columns, from ``u_columns``."""
         if self._u is None:
-            cols = IntMatrix.identity(self.d.rows).to_lists()
-            for kind, i, j, c in self._log:
-                if kind == _ROW_ADD:
-                    cols[j] = [x - c * y for x, y in zip(cols[j], cols[i])]
-                elif kind == _ROW_SWAP:
-                    cols[i], cols[j] = cols[j], cols[i]
-                elif kind == _ROW_NEGATE:
-                    cols[i] = [-x for x in cols[i]]
-            self._u = IntMatrix.from_columns(cols)
+            self._u = IntMatrix.from_columns(self.u_columns(range(self.d.rows)))
         return self._u
 
     @property
@@ -386,8 +404,8 @@ class SnfDecomposition:
 def snf(matrix):
     """Smith normal form of an integer matrix (rectangular allowed).
 
-    Only D is computed here; U, V and V^-1 are built from the operation
-    log when first read (see ``SnfDecomposition``).
+    Only D is computed here; U's columns, V and V^-1 are replayed from the
+    operation log when read (see ``SnfDecomposition``).
 
     >>> snf(IntMatrix([[-2]])).d.to_lists()
     [[2]]
@@ -557,8 +575,9 @@ def rat_inverse(matrix):
     Y_i = (d B_i - sum of U_ij Y_j over j > i) // U_ii, every division
     exact.  The sum runs only over the nonzero U_ij, found by ``compress``
     in C; for the tridiagonal A_k gram that is one term per row, so the
-    whole inverse costs O(k^2) steps.  Each entry is then built once, as
-    Fraction(y, d).
+    whole inverse costs O(k^2) steps.  Each distinct entry y of the
+    adjugate is then built once, as Fraction(y, d), and shared by every
+    place it appears: the A_60 inverse has 485 distinct entries in 3600.
 
     >>> print(rat_inverse(IntMatrix([[2, 1], [1, 1]])))
     [[1, -1], [-1, 2]]
@@ -587,7 +606,9 @@ def rat_inverse(matrix):
             acc = [s - u * t for s, t in zip(acc, y[j])]
         u = row[i]
         y[i] = [s // u for s in acc]
-    return RatMatrix([[Fraction(x, d) for x in row] for row in y])
+    # Fractions are immutable, so equal entries share one.
+    fractions = {x: Fraction(x, d) for x in set(chain.from_iterable(y))}
+    return RatMatrix([list(map(fractions.__getitem__, row)) for row in y])
 
 
 def char_poly(matrix):

@@ -22,14 +22,15 @@ def coxeter_element(family, parameter=None):
     first for D_n (the rightmost factor acts first).
 
     s_i differs from the identity only in row i, which is e_i - A_i
-    (alpha_j -> alpha_j - A_ij alpha_i).  So each reflection is built from
-    the identity rows, made once and shared by the whole chain, and one
-    new row taken from its Cartan row.  The product is formed from the
-    left, ``result = s_i @ result`` for i = n-1 down to 0, which is the
-    same matrix by associativity: each of the n - 1 unit rows of s_i
-    takes its row of ``result`` unchanged and shared, so a reflection
-    costs one real row sum, over the nonzeros of e_i - A_i.  That is n
-    ``@`` products per element, one per reflection.
+    (alpha_j -> alpha_j - A_ij alpha_i), so s_i @ R differs from R only
+    in row i, which is (e_i - A_i) @ R.  The product is formed from the
+    left, R = s_i @ R for i = n-1 down to 0, which is the same matrix by
+    associativity, and each step computes only that new row: one 1 x n
+    ``@`` product of e_i - A_i with R, over the nonzeros of e_i - A_i.
+    The new row is spliced into the row tuple of R, and every other row
+    stays shared.  That is n ``@``
+    products per element, one per reflection, each with a one-row left
+    factor.
 
     Any other order gives a conjugate element, so T - id and hence the
     variation cokernel are the same up to isomorphism; one order suffices.
@@ -37,19 +38,15 @@ def coxeter_element(family, parameter=None):
     >>> coxeter_element("A", 1).to_lists()
     [[-1]]
     """
-    gram = cartan_matrix(family, parameter).gram
-    n = gram.rows
-    result = IntMatrix.identity(n)
-    # Tuples, so that wrapping a reflection copies only its new row.
-    identity_rows = list(map(tuple, result.to_lists()))
-    gram_rows = gram.to_lists()
-    for i in reversed(range(n)):
+    gram_rows = cartan_matrix(family, parameter).gram.to_lists()
+    # The rows of R, as tuples, so that wrapping shares them.
+    rows = list(map(tuple, IntMatrix.identity(len(gram_rows)).to_lists()))
+    for i in reversed(range(len(rows))):
         # e_i - A_i = e_i + (row i of the gram), since A = -gram.
         gram_rows[i][i] += 1
-        rows = identity_rows.copy()
-        rows[i] = gram_rows[i]
-        result = IntMatrix._wrap(rows) @ result
-    return result
+        new_row = IntMatrix._wrap([gram_rows[i]]) @ IntMatrix._wrap(rows)
+        rows[i] = new_row._rows[0]
+    return IntMatrix._wrap(rows)
 
 
 class VariationResult(Record):

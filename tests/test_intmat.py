@@ -7,7 +7,7 @@ from itertools import compress
 from operator import itemgetter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from torsiontraj import abgroup, intmat
@@ -883,6 +883,43 @@ def test_rat_inverse_matches_gauss_jordan_reference(m):
     assert repr(rat_inverse(m)) == repr(expected)
 
 
+def entrywise_rat_inverse(matrix):
+    """The forward pass and back substitution of ``rat_inverse``, with one
+    Fraction(y, d) built for every entry y of the adjugate, as the inverse
+    was built before equal entries shared one Fraction."""
+    n = matrix.rows
+    a = matrix.to_lists()
+    for i, row in enumerate(a):
+        row += [0] * n
+        row[n + i] = 1
+    d = intmat._bareiss(a, n)
+    if d == 0:
+        raise SingularMatrixError("matrix is singular")
+    y = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        acc = [d * b for b in row[n:]]
+        for j in compress(range(i + 1, n), row[i + 1:n]):
+            u = row[j]
+            acc = [s - u * t for s, t in zip(acc, y[j])]
+        u = row[i]
+        y[i] = [s // u for s in acc]
+    return RatMatrix([[Fraction(x, d) for x in row] for row in y])
+
+
+@settings(deadline=None)
+@given(st.one_of(structured_matrices(), square_matrices(),
+                 st.builds(lambda k: cartan_matrix("A", k).gram, st.integers(1, 40))))
+def test_rat_inverse_matches_the_entrywise_reference(m):
+    # Sharing one Fraction among equal adjugate entries gives, entry for
+    # entry, the inverse that one Fraction per entry gave, symmetric or not.
+    assume(det(m) != 0)
+    inverse, expected = rat_inverse(m), entrywise_rat_inverse(m)
+    assert inverse == expected and repr(inverse) == repr(expected)
+    entries = [x for row in inverse.to_lists() for x in row]
+    assert len(set(map(id, entries))) == len(set(entries))
+
+
 @st.composite
 def permuted_banded_matrices(draw):
     """Banded matrices with 25 to 60 rows, beyond ``structured_matrices``,
@@ -1089,6 +1126,38 @@ def test_replayed_transforms_match_eager_reference(m, order):
     assert decomp.u is built["u"] and decomp.v is built["v"]
 
 
+def forward_replay_u(decomp):
+    """U replayed from the log forwards: each row operation on A as the
+    inverse column operation on the columns of U, as ``u`` was built
+    before U's columns were replayed from the right."""
+    cols = IntMatrix.identity(decomp.d.rows).to_lists()
+    for kind, i, j, c in decomp._log:
+        if kind == intmat._ROW_ADD:
+            cols[j] = [x - c * y for x, y in zip(cols[j], cols[i])]
+        elif kind == intmat._ROW_SWAP:
+            cols[i], cols[j] = cols[j], cols[i]
+        elif kind == intmat._ROW_NEGATE:
+            cols[i] = [-x for x in cols[i]]
+    return IntMatrix.from_columns(cols)
+
+
+@settings(deadline=None)
+@given(snf_inputs(), st.data())
+def test_u_columns_match_the_eager_reference(m, data):
+    # Any set of U's columns, in any order, replayed from the right, is
+    # those columns of the U the eager reference carried along.
+    decomp = snf(m)
+    u = reference_snf(m)[0]
+    n = m.rows
+    single = [data.draw(st.integers(0, n - 1))]
+    subset = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    for indices in ([], single, subset, list(range(n))):
+        columns = decomp.u_columns(indices)
+        assert columns == [u.column(s) for s in indices]
+        assert all(type(x) is int for column in columns for x in column)
+    assert decomp.u == u == forward_replay_u(decomp)
+
+
 def test_empty_log_replays_identity_transforms():
     d = IntMatrix([[1, 0, 0], [0, 2, 0]])
     decomp = SnfDecomposition(d, [])
@@ -1139,10 +1208,22 @@ def test_hom_analyze_builds_only_the_kernel_basis_inverse(recorded):
     assert transforms_built(recorded) == [set(), {"v_inv"}, set(), set()]
 
 
-def test_generators_build_u_and_kernels_build_v_inverse(recorded):
+def test_generators_build_u_and_kernels_build_v_inverse(recorded, monkeypatch):
+    # Generators replay only U's generator columns (the two of order 2 for
+    # D_4), kernels replay V^-1, and a D-only caller replays nothing.
+    asked = []
+    real_u_columns = SnfDecomposition.u_columns
+
+    def recording_u_columns(self, indices):
+        asked.append(list(indices))
+        return real_u_columns(self, asked[-1])
+
+    monkeypatch.setattr(SnfDecomposition, "u_columns", recording_u_columns)
     group_from_cokernel(NEG_D4)
     kernel_basis(IntMatrix([[1, 2, 3], [2, 4, 6]]))
-    assert transforms_built(recorded) == [{"u"}, {"v_inv"}]
+    cokernel_group(NEG_D4)
+    assert asked == [[2, 3]]
+    assert transforms_built(recorded) == [set(), {"v_inv"}, set()]
 
 
 def test_supplied_generators_build_no_u(recorded):

@@ -157,7 +157,8 @@ def test_coxeter_element_matches_the_reference_product(family, parameter):
     + [("D4", None), ("E8", None)],
 )
 def test_coxeter_element_makes_one_product_per_reflection(monkeypatch, family, parameter):
-    # One IntMatrix @ per simple reflection, so an A_3 row makes three.
+    # One IntMatrix @ per simple reflection, so an A_3 row makes three,
+    # and each left factor is the one new row e_i - A_i.
     calls = []
     real_matmul = IntMatrix.__matmul__
 
@@ -168,6 +169,7 @@ def test_coxeter_element_makes_one_product_per_reflection(monkeypatch, family, p
     monkeypatch.setattr(IntMatrix, "__matmul__", counting_matmul)
     t = coxeter_element(family, parameter)
     assert len(calls) == t.rows == milnor_number(family, parameter)
+    assert calls == [1] * t.rows
 
 
 def test_coxeter_preserves_cartan_form():

@@ -231,7 +231,7 @@ def test_package_and_crosscheck_take_the_model_alone():
 
 
 @pytest.mark.parametrize("family", sorted(BUILT_IN_FAMILIES))
-def test_package_and_crosscheck_read_off_the_row_match_their_references(family):
+def test_package_and_crosscheck_match_their_references(family):
     for model in BUILT_IN_FAMILIES[family]:
         assert local_package(model) == reference_local_package(model), model
         assert realization_crosscheck(model) == reference_realization_crosscheck(model), model
