@@ -26,10 +26,9 @@ and beyond, so the kernels follow two rules:
 
 * Zeros cost nothing.  The product sums only over the nonzero entries
   of both factors, and finds them with ``itertools.compress`` in C, so a
-  zero costs no interpreted step.  A unit row e_k of the left factor
-  takes row k of the right one as it is.  A reflection (the identity but
-  for one row) changes only that row of what it multiplies from the left,
-  so ``coxeter_element`` computes just that row, as a one-row product, and
+  zero costs no interpreted step.  A reflection (the identity but for one
+  row) changes only that row of what it multiplies from the left, so
+  ``coxeter_element`` computes just that row, as a one-row product, and
   shares every other row.  Elimination rewrites only the rows below the
   pivot with a nonzero in its column; every other row is scaled lazily, in
   one pass when it is next read.  Back substitution sums only over the
@@ -82,30 +81,12 @@ def _row_product(left, right):
     entries' truth values, so a zero (int or Fraction) is skipped in C.
     A right row keeps only its nonzero (j, b) pairs, built once, when the
     first sum reads it.  So the interpreted work is one step per pair of
-    nonzeros a = left[i][k], b = right[k][j].
-
-    A left row that is a unit vector e_k (all zeros but one 1, found by
-    the C scans ``count``, ``in`` and ``index`` once a look at its two
-    ends has not ruled it out) is right's row k itself when that row is a
-    tuple: 1 * b = b is what the sum would give, and an immutable row is
-    safe to share.  A list row is summed into a new list, since
-    ``char_poly`` adds to its rows in place.  So a reflection factor (the
-    identity but for one row) on the left costs one C scan per row plus
-    one real row sum."""
+    nonzeros a = left[i][k], b = right[k][j]."""
     width = len(right[0])
     columns, inner = range(width), range(len(right))
-    unit_zeros = len(right) - 1
     sparse_rows = [None] * len(right)
     product = []
     for row in left:
-        # A unit row has a zero at an end unless it is 1 x 1: that test is
-        # O(1) and spares a dense row, of Fractions say, the C scans.
-        if ((not (row[0] and row[-1]) or not unit_zeros)
-                and row.count(0) == unit_zeros and 1 in row):
-            b_row = right[row.index(1)]
-            if type(b_row) is tuple:
-                product.append(b_row)
-                continue
         acc = [0] * width
         for k in compress(inner, row):
             terms = sparse_rows[k]
@@ -129,8 +110,7 @@ class _Matrix:
     ``_wrap``, since its entries are ints by construction.  Results keep
     the caller's entry type, and a product with a RatMatrix on either side
     is a RatMatrix, built through the constructor.  Rows are tuples, never
-    changed once built, so matrices may share them: a row of ``P @ M``
-    where P has a unit row e_k is row k of M itself.
+    changed once built, so matrices may share them.
     """
 
     __slots__ = ("_rows",)
@@ -150,8 +130,8 @@ class _Matrix:
         """A matrix the library has built, with no entry or shape check.
         Only for rows of one nonzero length whose entries are of the exact
         type by construction, such as the int rows of an int * int product.
-        A tuple row is kept as it is, with no copy, so a product's unit rows
-        stay the right factor's own rows."""
+        A tuple row is kept as it is, with no copy, so ``coxeter_element``
+        shares the rows it does not change."""
         matrix = object.__new__(cls)
         matrix._rows = tuple(map(tuple, rows))
         return matrix
@@ -199,10 +179,12 @@ class _Matrix:
         return self._rows == tuple(zip(*self._rows))
 
     def apply(self, vector):
-        """Matrix times column vector, returned as a tuple of entries."""
+        """Matrix times column vector, returned as a tuple of entries.  An
+        entry that is not a Fraction must pass ``_integer``."""
         if len(vector) != self.cols:
             raise DimensionError("vector length does not match column count")
-        return tuple(row[0] for row in _row_product(self._rows, [[x] for x in vector]))
+        column = [[x if isinstance(x, Fraction) else _integer(x, "vector entry")] for x in vector]
+        return tuple(row[0] for row in _row_product(self._rows, column))
 
     def __matmul__(self, other):
         if not isinstance(other, _Matrix):
@@ -256,7 +238,7 @@ class IntMatrix(_Matrix):
         return IntMatrix([a + b for a, b in zip(self._rows, other._rows)])
 
     def __mul__(self, scalar):
-        if not isinstance(scalar, int):
+        if not isinstance(scalar, int) or isinstance(scalar, bool):
             return NotImplemented
         return IntMatrix([[scalar * x for x in row] for row in self._rows])
 

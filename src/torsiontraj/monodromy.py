@@ -15,6 +15,7 @@ from .intmat import IntMatrix, _integer, _require_int_matrix
 from .lattice import cartan_matrix
 from .links import SphereProduct
 
+
 def coxeter_element(family, parameter=None):
     """Product s_0 s_1 ... s_{n-1} of the simple reflections of the
     positive Cartan matrix A = ``-cartan_matrix(family, parameter).gram``,
@@ -28,9 +29,8 @@ def coxeter_element(family, parameter=None):
     associativity, and each step computes only that new row: one 1 x n
     ``@`` product of e_i - A_i with R, over the nonzeros of e_i - A_i.
     The new row is spliced into the row tuple of R, and every other row
-    stays shared.  That is n ``@``
-    products per element, one per reflection, each with a one-row left
-    factor.
+    stays shared.  That is n ``@`` products per element, one per
+    reflection, each with a one-row left factor.
 
     Any other order gives a conjugate element, so T - id and hence the
     variation cokernel are the same up to isomorphism; one order suffices.
@@ -40,7 +40,7 @@ def coxeter_element(family, parameter=None):
     """
     gram_rows = cartan_matrix(family, parameter).gram.to_lists()
     # The rows of R, as tuples, so that wrapping shares them.
-    rows = list(map(tuple, IntMatrix.identity(len(gram_rows)).to_lists()))
+    rows = list(IntMatrix.identity(len(gram_rows))._rows)
     for i in reversed(range(len(rows))):
         # e_i - A_i = e_i + (row i of the gram), since A = -gram.
         gram_rows[i][i] += 1

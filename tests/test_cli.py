@@ -1,11 +1,15 @@
 """Command-line behaviour: outputs, formats, exit codes."""
 
 import json
+import os
 import random
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from torsiontraj import serialize
 from torsiontraj.cli import run
@@ -453,3 +457,94 @@ def test_lattice_reads_entries_of_any_size(tmp_path, capsys):
     pkg = discriminant_package(IntersectionLattice(IntMatrix([[-int(digits)]])))
     assert parsed.generators == pkg.generators
     assert parsed.group.invariant_factors == (int(digits),)
+
+
+# Malformed documents for the CLI boundary: the entry kinds the readers
+# must refuse (bools, floats, strings, null) beside small integers, nested
+# at random.
+JSON_LEAVES = st.one_of(st.integers(-6, 6), st.booleans(), st.floats(), st.text(max_size=3),
+                        st.none())
+JSON_JUNK = st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
+                         | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
+
+
+@st.composite
+def json_matrices(draw):
+    """Often a symmetric integer matrix, else ragged rows, junk entries or junk."""
+    size = draw(st.integers(1, 4))
+    entries = st.one_of(st.integers(-6, 6), st.integers(-6, 6), JSON_LEAVES)
+    kind = draw(st.sampled_from(["symmetric", "rectangular", "ragged", "junk"]))
+    if kind == "symmetric":
+        upper = [[draw(st.integers(-6, 6)) for _ in range(size)] for _ in range(size)]
+        return [[upper[min(i, j)][max(i, j)] for j in range(size)] for i in range(size)]
+    if kind == "rectangular":
+        return draw(st.lists(st.lists(entries, min_size=size, max_size=size), max_size=4))
+    if kind == "ragged":
+        return draw(st.lists(st.lists(entries, max_size=4), max_size=4))
+    return draw(JSON_JUNK)
+
+
+GROUP_LITERALS = st.one_of(
+    st.fixed_dictionaries({"free_rank": st.integers(-1, 2),
+                           "invariant_factors": st.lists(st.integers(-1, 12), max_size=3)}),
+    st.dictionaries(st.sampled_from(["free_rank", "invariant_factors", "x"]), JSON_JUNK,
+                    max_size=3),
+    JSON_JUNK,
+)
+LATTICE_CASES = st.builds(
+    lambda command, document: ([*command, "--gram", "<gram>"], {"<gram>": document}),
+    st.sampled_from([("lattice",), ("link", "plumbing")]),
+    st.one_of(st.builds(lambda m: {"gram": m}, json_matrices()),
+              st.builds(lambda m: {"matrix": m}, json_matrices()), JSON_JUNK),
+)
+TRANSPORT_CASES = st.builds(
+    lambda packages, relations: (
+        ["transport", "--packages", "<packages>", "--relations", "<relations>"],
+        {"<packages>": packages, "<relations>": relations}),
+    st.one_of(st.lists(GROUP_LITERALS, max_size=3), JSON_JUNK),
+    st.one_of(st.fixed_dictionaries({"target": GROUP_LITERALS, "matrix": json_matrices()}),
+              st.dictionaries(st.sampled_from(["target", "matrix"]), JSON_JUNK, max_size=2),
+              JSON_JUNK),
+)
+ARMS = st.one_of(
+    st.lists(st.tuples(st.integers(-3, 12), st.integers(-3, 12)), max_size=4).map(
+        lambda arms: ";".join(f"{a},{b}" for a, b in arms)),
+    st.text(alphabet="0123456789,;- x", max_size=12),
+)
+SEIFERT_CASES = st.builds(
+    lambda b, arms: (["link", "seifert", "--b", str(b), "--arms", arms], {}),
+    st.integers(-4, 2), ARMS)
+LENS_TOKENS = st.one_of(st.integers(-5, 30).map(str), st.integers(-10**12, 10**12).map(str),
+                        st.text(alphabet="0123456789-x.", min_size=1, max_size=4))
+LENS_CASES = st.builds(lambda params: (["link", "lens", *params], {}),
+                       st.lists(LENS_TOKENS, max_size=3))
+SINGULARITY_CASES = st.builds(
+    lambda which, params, k: (
+        ["singularity", which, *map(str, params), *([] if k is None else ["--k", str(k)])], {}),
+    st.sampled_from(["a1", "ak", "d4", "e8", "brieskorn", "quotient", "odp"]),
+    st.lists(st.integers(-3, 40), max_size=3),
+    st.none() | st.integers(-3, 40),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.one_of(LATTICE_CASES, TRANSPORT_CASES, SEIFERT_CASES, LENS_CASES, SINGULARITY_CASES),
+       st.sampled_from(["md", "json", "csv"]))
+def test_malformed_input_ends_in_an_exit_code_never_an_exception(tmp_path, capsys, case, fmt):
+    # Each document is written to a new file in a new directory under
+    # tmp_path, and its placeholder in argv replaced by the file's path.
+    # Files are never rewritten: ext4 writes a truncated and rewritten file
+    # back to disk when it is closed (auto_da_alloc), which can take tens
+    # of ms a file.
+    argv, documents = case
+    directory, paths = tempfile.mkdtemp(dir=tmp_path), {}
+    for name, document in documents.items():
+        paths[name] = os.path.join(directory, f"{name.strip('<>')}.json")
+        with open(paths[name], "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+    code = run([str(paths.get(arg, arg)) for arg in argv] + ["--format", fmt])
+    out = capsys.readouterr().out
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""

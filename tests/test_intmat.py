@@ -262,6 +262,22 @@ def test_apply_refuses_a_vector_of_the_wrong_length():
         IntMatrix([[0, 0], [1, 2]]).apply([1])
 
 
+@pytest.mark.parametrize("kind", [IntMatrix, RatMatrix])
+@pytest.mark.parametrize("bad", [1.5, True, "2"], ids=["float", "bool", "string"])
+def test_apply_refuses_an_entry_that_is_not_an_integer_or_fraction(kind, bad):
+    # A float came back as floats ((5.5, 12.5) for [1.5, 2]), and a bool
+    # was summed as 0 or 1.
+    with pytest.raises(ValidationError, match=f"vector entry must be an integer, got {bad!r}"):
+        kind([[1, 2], [3, 4]]).apply([bad, 2])
+
+
+def test_apply_keeps_ints_and_fractions_exact():
+    ints = IntMatrix([[1, 2], [3, 4]]).apply([5, -1])
+    assert ints == (3, 11) and all(type(x) is int for x in ints)
+    assert RatMatrix([[1]]).apply([Fraction(1, 2)]) == (Fraction(1, 2),)
+    assert IntMatrix([[2]]).apply([Fraction(1, 3)]) == (Fraction(2, 3),)
+
+
 def test_matrix_validation():
     with pytest.raises(DimensionError):
         IntMatrix([[1, 2], [3]])
@@ -716,6 +732,15 @@ def test_matrix_operators_leave_a_non_matrix_operand_to_python(operation, operan
         operation()
 
 
+@pytest.mark.parametrize("operation", [lambda m: True * m, lambda m: m * False],
+                         ids=["bool-times-matrix", "matrix-times-bool"])
+def test_scalar_product_refuses_a_bool(operation):
+    # True * m was m: a bool passed as the integer 1.
+    with pytest.raises(TypeError, match="unsupported operand"):
+        operation(IntMatrix([[1, -2]]))
+    assert -1 * IntMatrix([[1, -2]]) == IntMatrix([[-1, 2]]) == IntMatrix([[1, -2]]) * -1
+
+
 def test_int_rat_equality_is_symmetric():
     ints, rats = IntMatrix.identity(2), RatMatrix.identity(2)
     assert ints == rats and rats == ints
@@ -1024,8 +1049,7 @@ def unit_row_factors(draw, rows, cols):
 @settings(deadline=None)
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.data())
 def test_products_with_unit_rows_match_dense_reference(r, k, c, data):
-    # A unit row of the left factor shares a tuple row of the right one;
-    # the sums, types and entries are those of the full dot products.
+    # The sums, types and entries are those of the full dot products.
     x, y = data.draw(unit_row_factors(r, k)), data.draw(unit_row_factors(k, c))
     expected = dense_product(x, y)
     product = x @ y
@@ -1054,17 +1078,17 @@ def test_char_poly_of_repeated_unit_rows():
 @pytest.mark.parametrize("left_kind, right_kind",
                          [(IntMatrix, IntMatrix), (IntMatrix, RatMatrix), (RatMatrix, RatMatrix)])
 def test_unit_rows_share_the_right_factors_row(left_kind, right_kind):
-    # Whenever row i of P is e_k, row i of P @ M is row k of M itself,
-    # once M's entries are of the product's type.
-    p = left_kind([[0, 0, 1], [1, 0, 0], [2, 0, 1], [0, 0, 1], [0, 0, 0]])
-    m = right_kind([[1, -2], [3, 4], [5, 6]])
-    product = p @ m
-    assert product == dense_product(p, m)
-    for i, k in ((0, 2), (1, 0), (3, 2)):
-        assert product._rows[i] is m._rows[k]
-    assert all(product._rows[i] is not row for i in (2, 4) for row in m._rows)
-    one, m = left_kind([[1]]), right_kind([[5, 0]])
-    assert (one @ m)._rows[0] is m._rows[0]
+    # A unit row e_k of P is summed like any other row: row i of P @ M
+    # equals row k of M in value and type, and is a new row, never one of
+    # M's own row objects.
+    cases = [(left_kind([[0, 0, 1], [1, 0, 0], [2, 0, 1], [0, 0, 1], [0, 0, 0]]),
+              right_kind([[1, -2], [3, 4], [5, 6]])),
+             (left_kind([[1]]), right_kind([[5, 0]]))]
+    for p, m in cases:
+        product, expected = p @ m, dense_product(p, m)
+        assert product == expected and type(product) is type(expected)
+        assert repr(product) == repr(expected)
+        assert not any(row is m_row for row in product._rows for m_row in m._rows)
 
 
 @pytest.mark.parametrize("k", [*range(1, 13), 20, 33, 47, 60, 79, 80, 200, 400])
