@@ -1,25 +1,28 @@
 """Exact integer and rational matrix algebra.
 
-Everything here runs on Python's arbitrary-precision integers and
-``fractions.Fraction``; no floating point is used anywhere.  One base
-class holds shape, access, equality and the product; ``IntMatrix`` and
-``RatMatrix`` differ only in their entry type (``int`` or ``Fraction``)
-and in a few type-specific operations.  One rule decides which entries
-are checked: the constructor checks its input, and an int * int product
-is wrapped unchecked.  In the constructor an entry that is not a
-Fraction (in an IntMatrix, any entry) passes ``_integer``, the library's
-one integer rule, so a bool, float or string is refused, never
-converted.  An IntMatrix @ IntMatrix sums int * int products, which are
-ints by construction, so its rows are wrapped with no second scan
-(``_Matrix._wrap``); every other builder goes through the constructor.
-Equality compares entries, so an integral RatMatrix equals the IntMatrix
-with the same entries, and a product with a RatMatrix on either side is
-a RatMatrix.  There is one product, over row lists, shared by ``@``,
-``apply`` and the integer ``char_poly``.  The integer kernels (``snf``,
-``det``, ``rat_inverse``, ``char_poly``) divide with ``//``, so they
-take an IntMatrix only and refuse any other matrix up front; so does
-each library function that hands a matrix on to them, under its own
-name (``_require_int_matrix``).
+Everything here runs on Python's arbitrary-precision integers; no
+floating point is used anywhere.  One base class holds shape, access,
+equality and the product.  Both classes store integer rows over one
+positive denominator, in lowest terms: 1 for an ``IntMatrix``, the lcm
+of the entries' denominators for a ``RatMatrix``.  So every product runs
+on ints, and a ``fractions.Fraction`` is built only when a caller reads
+a RatMatrix entry.  One rule decides which entries are checked: the
+constructor checks its input, and a product is wrapped unchecked.  In
+the constructor an entry that is not a Fraction (in an IntMatrix, any
+entry) passes ``_integer``, the library's one integer rule, so a bool,
+float or string is refused, never converted.  An IntMatrix @ IntMatrix
+sums int * int products, which are ints by construction, so its rows are
+wrapped with no second scan (``IntMatrix._wrap``); a product with a
+RatMatrix on either side is a RatMatrix over the product of the
+denominators, brought to lowest terms by one gcd (``RatMatrix._reduced``).
+Equality and hashing compare (rows, denominator), so an integral
+RatMatrix equals the IntMatrix with the same entries.  There is one
+product, over row lists, shared by ``@``, ``apply`` and the integer
+``char_poly``.  The integer kernels (``snf``, ``det``, ``rat_inverse``,
+``char_poly``) divide with ``//``, so they take an IntMatrix only and
+refuse any other matrix up front; so does each library function that
+hands a matrix on to them, under its own name (``_require_int_matrix``),
+and so do ``hstack`` and ``-``, which combine rows entry by entry.
 
 Sizes range from 8x8 intersection matrices to Coxeter elements of A_60
 and beyond, so the kernels follow two rules:
@@ -35,9 +38,11 @@ and beyond, so the kernels follow two rules:
   nonzero entries of U.
 * Elimination stays fraction-free.  One forward Bareiss pass with exact
   divisions serves ``det`` and ``rat_inverse``; the inverse runs it on
-  [M | I], then exact back substitution, and forms one Fraction per
-  distinct entry, at the end.  For the tridiagonal A_k gram that is O(k^2)
-  steps.
+  [M | I], then exact back substitution, and keeps the adjugate over the
+  determinant: one denominator, no Fraction until an entry is read.  For
+  the tridiagonal A_k gram that is O(k^2) steps.  The Smith form's row
+  operations touch only the source row's nonzeros from the pivot column
+  on.
 
 The centrepiece is ``snf``, a Smith normal form M = U * D * V with
 unimodular U, V.  It reduces M alone and logs its elementary operations;
@@ -48,8 +53,8 @@ Most callers read only the diagonal and build no transform.
 """
 
 from fractions import Fraction
-from functools import partial
 from itertools import chain, compress
+from math import gcd, lcm
 from operator import index, itemgetter
 
 from .errors import DimensionError, InvariantError, SingularMatrixError, ValidationError
@@ -78,7 +83,7 @@ def _integer(value, what, least=None):
 def _row_product(left, right):
     """Rows of left @ right.  Row i sums a * (row k of right) over the
     nonzero a = left[i][k], found by ``itertools.compress`` on the
-    entries' truth values, so a zero (int or Fraction) is skipped in C.
+    entries' truth values, so a zero is skipped in C.
     A right row keeps only its nonzero (j, b) pairs, built once, when the
     first sum reads it.  So the interpreted work is one step per pair of
     nonzeros a = left[i][k], b = right[k][j]."""
@@ -100,41 +105,33 @@ def _row_product(left, right):
     return product
 
 
+_INT = frozenset({int})
+
+
+def _shaped(rows):
+    """``rows`` as a tuple, or a DimensionError when it is empty or ragged."""
+    rows = tuple(rows)
+    if not rows or not rows[0]:
+        raise DimensionError("matrix must have at least one row and column")
+    if len(set(map(len, rows))) != 1:
+        raise DimensionError("ragged rows in matrix literal")
+    return rows
+
+
 class _Matrix:
     """Shape, access and products shared by IntMatrix and RatMatrix.
 
-    A subclass names its exact entry type in ``_exact`` and its entry rule
-    in ``_entry``.  The constructor checks its input: it keeps a row of
-    exact entries as it is (a type scan in C) and passes any other row
-    through ``_entry``.  An int * int product is wrapped unchecked by
-    ``_wrap``, since its entries are ints by construction.  Results keep
-    the caller's entry type, and a product with a RatMatrix on either side
-    is a RatMatrix, built through the constructor.  Rows are tuples, never
-    changed once built, so matrices may share them.
+    Both store integer rows over one positive denominator ``_den``, which
+    is 1 for an IntMatrix, in lowest terms: gcd(den, every entry) = 1.  So
+    products, equality and hashing run on int rows, and equal matrices
+    have equal (rows, den) whatever their class.  A product with a
+    RatMatrix on either side is a RatMatrix.  Rows are tuples, never
+    changed once built, so matrices may share them.  The base methods
+    read entries as they are stored; RatMatrix overrides those that hand
+    an entry to the caller, which then gets a Fraction.
     """
 
     __slots__ = ("_rows",)
-
-    def __init__(self, rows):
-        exact, entry = self._exact, self._entry
-        rows = tuple([row if exact.issuperset(map(type, row)) else tuple(map(entry, row))
-                      for row in map(tuple, rows)])
-        if not rows or not rows[0]:
-            raise DimensionError("matrix must have at least one row and column")
-        if len(set(map(len, rows))) != 1:
-            raise DimensionError("ragged rows in matrix literal")
-        self._rows = rows
-
-    @classmethod
-    def _wrap(cls, rows):
-        """A matrix the library has built, with no entry or shape check.
-        Only for rows of one nonzero length whose entries are of the exact
-        type by construction, such as the int rows of an int * int product.
-        A tuple row is kept as it is, with no copy, so ``coxeter_element``
-        shares the rows it does not change."""
-        matrix = object.__new__(cls)
-        matrix._rows = tuple(map(tuple, rows))
-        return matrix
 
     @classmethod
     def identity(cls, n):
@@ -167,24 +164,25 @@ class _Matrix:
     def to_lists(self):
         return [list(r) for r in self._rows]
 
-    def transpose(self):
-        return type(self)(list(zip(*self._rows)))
-
     def is_square(self):
         return self.rows == self.cols
 
     def is_symmetric(self):
         # Rows against columns, compared as tuples in C; a non-square
         # matrix has a different number of each, so it never matches.
+        # One denominator scales every entry alike.
         return self._rows == tuple(zip(*self._rows))
 
     def apply(self, vector):
-        """Matrix times column vector, returned as a tuple of entries.  An
-        entry that is not a Fraction must pass ``_integer``."""
+        """Matrix times column vector, returned as a tuple of entries: ints
+        when an IntMatrix meets ints, Fractions otherwise.  An entry that is
+        not a Fraction must pass ``_integer``.  The vector is a one-column
+        matrix, so the product runs on ints as ``@`` does."""
         if len(vector) != self.cols:
             raise DimensionError("vector length does not match column count")
-        column = [[x if isinstance(x, Fraction) else _integer(x, "vector entry")] for x in vector]
-        return tuple(row[0] for row in _row_product(self._rows, column))
+        vector = [x if isinstance(x, Fraction) else _integer(x, "vector entry") for x in vector]
+        kind = RatMatrix if any(isinstance(x, Fraction) for x in vector) else IntMatrix
+        return (self @ kind([[x] for x in vector])).column(0)
 
     def __matmul__(self, other):
         if not isinstance(other, _Matrix):
@@ -195,24 +193,30 @@ class _Matrix:
             )
         product = _row_product(self._rows, other._rows)
         if isinstance(self, RatMatrix) or isinstance(other, RatMatrix):
-            return RatMatrix(product)
+            return RatMatrix._reduced(product, self._den * other._den)
         # Sums of int * int products are ints: nothing to check.
         return IntMatrix._wrap(product)
 
     def __eq__(self, other):
-        return isinstance(other, _Matrix) and self._rows == other._rows
+        return (isinstance(other, _Matrix) and self._den == other._den
+                and self._rows == other._rows)
 
     def __hash__(self):
-        return hash(self._rows)
+        return hash((self._rows, self._den))
 
     def __str__(self):
         return "[" + ", ".join(
-            "[" + ", ".join(str(x) for x in row) + "]" for row in self._rows
+            "[" + ", ".join(str(x) for x in row) + "]" for row in self.to_lists()
         ) + "]"
 
 
 class IntMatrix(_Matrix):
     """An immutable matrix with integer entries.
+
+    The constructor keeps a row of ints as it is (a type scan in C) and
+    passes any other row through ``_integer``; an int * int product is
+    wrapped unchecked by ``_wrap``, since its entries are ints by
+    construction.
 
     >>> m = IntMatrix([[-2]])
     >>> m.rows, m.cols
@@ -222,17 +226,35 @@ class IntMatrix(_Matrix):
     """
 
     __slots__ = ()
-    _exact = frozenset({int})
-    _entry = staticmethod(partial(_integer, what="IntMatrix entry"))
+    _den = 1
+
+    def __init__(self, rows):
+        self._rows = _shaped([row if _INT.issuperset(map(type, row))
+                              else tuple([_integer(x, "IntMatrix entry") for x in row])
+                              for row in map(tuple, rows)])
+
+    @classmethod
+    def _wrap(cls, rows):
+        """A matrix the library has built, with no entry or shape check.
+        Only for int rows of one nonzero length, such as the rows of an
+        int * int product.  A tuple row is kept as it is, with no copy, so
+        ``coxeter_element`` shares the rows it does not change."""
+        matrix = object.__new__(cls)
+        matrix._rows = tuple(map(tuple, rows))
+        return matrix
 
     # Bound here as well, so the integer product is an attribute of
     # IntMatrix itself and can be wrapped without touching RatMatrix.
     __matmul__ = _Matrix.__matmul__
 
+    def transpose(self):
+        return IntMatrix._wrap(zip(*self._rows))
+
     def diagonal(self):
         return tuple(self._rows[i][i] for i in range(min(self.rows, self.cols)))
 
     def hstack(self, other):
+        _require_int_matrix(other, "hstack")
         if self.rows != other.rows:
             raise DimensionError("row counts differ in hstack")
         return IntMatrix([a + b for a, b in zip(self._rows, other._rows)])
@@ -245,7 +267,9 @@ class IntMatrix(_Matrix):
     __rmul__ = __mul__
 
     def __sub__(self, other):
-        if not isinstance(other, _Matrix):
+        # Only an IntMatrix: a RatMatrix's rows are numerators over its
+        # denominator, not its entries.
+        if not isinstance(other, IntMatrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch in subtraction")
@@ -257,26 +281,67 @@ class IntMatrix(_Matrix):
         return f"IntMatrix({self.to_lists()!r})"
 
 
-def _fraction(x):
-    """A RatMatrix entry off the scan path: any Fraction becomes a plain
-    Fraction, and anything else must pass ``_integer``."""
-    return Fraction(x if isinstance(x, Fraction) else _integer(x, "RatMatrix entry"))
-
-
 class RatMatrix(_Matrix):
     """An immutable matrix with exact rational entries.
 
-    Entries are ``fractions.Fraction`` values, hence always in lowest
-    terms with positive denominator.  Fractions and integers are accepted;
-    a bool, float or string is refused rather than converted.
+    Stored as integer numerator rows over one positive common denominator,
+    in lowest terms (gcd(den, every numerator) = 1).  Products run on the
+    numerators and multiply the denominators, and a Fraction is built only
+    when a caller reads an entry (``entry``, ``column``, ``to_lists``,
+    ``str``, ``repr``), so it is a plain Fraction in lowest terms.  The
+    constructor takes Fractions and integers alike, entry by entry; a
+    bool, float or string is refused rather than converted.
     """
 
-    __slots__ = ()
-    _exact = frozenset({Fraction})
-    _entry = staticmethod(_fraction)
+    __slots__ = ("_den",)
+
+    def __init__(self, rows):
+        rows = _shaped([[x if isinstance(x, Fraction) else _integer(x, "RatMatrix entry")
+                         for x in row] for row in rows])
+        # Each entry is in lowest terms, so over the lcm of their
+        # denominators the whole matrix is too.
+        den = lcm(*(x.denominator for row in rows for x in row))
+        self._rows = tuple([tuple([x.numerator * (den // x.denominator) for x in row])
+                            for row in rows])
+        self._den = den
+
+    @classmethod
+    def _over(cls, rows, den):
+        """The matrix (rows) / den, with no check: rows of ints of one
+        nonzero length, already in lowest terms over den > 0."""
+        matrix = object.__new__(cls)
+        matrix._rows = tuple(map(tuple, rows))
+        matrix._den = den
+        return matrix
+
+    @classmethod
+    def _reduced(cls, rows, den):
+        """The matrix (rows) / den for int rows and any nonzero den,
+        brought to lowest terms over a positive denominator by one gcd."""
+        g = gcd(den, *chain.from_iterable(rows))
+        if den < 0:
+            g = -g
+        if g != 1:
+            rows = [[x // g for x in row] for row in rows]
+            den //= g
+        return cls._over(rows, den)
+
+    def entry(self, i, j):
+        return Fraction(self._rows[i][j], self._den)
+
+    def column(self, j):
+        den = self._den
+        return tuple(Fraction(r[j], den) for r in self._rows)
+
+    def to_lists(self):
+        den = self._den
+        return [[Fraction(x, den) for x in r] for r in self._rows]
+
+    def transpose(self):
+        return RatMatrix._over(zip(*self._rows), self._den)
 
     def __repr__(self):
-        return f"RatMatrix({[[str(x) for x in row] for row in self._rows]!r})"
+        return f"RatMatrix({[[str(x) for x in row] for row in self.to_lists()]!r})"
 
 
 def _require_int_matrix(matrix, what):
@@ -402,8 +467,12 @@ def snf(matrix):
     log = []
 
     def row_add(i, j, c):
-        # a[i] += c * a[j]
-        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        # a[i] += c * a[j], in place.  Both rows are at or below t, hence
+        # zero before column t, so only the source's nonzeros from column
+        # t on are touched, found by ``compress`` in C.
+        target, source = a[i], a[j]
+        for k in compress(range(t, nc), source[t:]):
+            target[k] += c * source[k]
         log.append((_ROW_ADD, i, j, c))
 
     t = 0
@@ -557,9 +626,9 @@ def rat_inverse(matrix):
     Y_i = (d B_i - sum of U_ij Y_j over j > i) // U_ii, every division
     exact.  The sum runs only over the nonzero U_ij, found by ``compress``
     in C; for the tridiagonal A_k gram that is one term per row, so the
-    whole inverse costs O(k^2) steps.  Each distinct entry y of the
-    adjugate is then built once, as Fraction(y, d), and shared by every
-    place it appears: the A_60 inverse has 485 distinct entries in 3600.
+    whole inverse costs O(k^2) steps.  The result is Y over d, brought to
+    lowest terms over a positive denominator by one gcd, with no Fraction
+    built: products with it run on Y's integers too.
 
     >>> print(rat_inverse(IntMatrix([[2, 1], [1, 1]])))
     [[1, -1], [-1, 2]]
@@ -588,9 +657,7 @@ def rat_inverse(matrix):
             acc = [s - u * t for s, t in zip(acc, y[j])]
         u = row[i]
         y[i] = [s // u for s in acc]
-    # Fractions are immutable, so equal entries share one.
-    fractions = {x: Fraction(x, d) for x in set(chain.from_iterable(y))}
-    return RatMatrix([list(map(fractions.__getitem__, row)) for row in y])
+    return RatMatrix._reduced(y, d)
 
 
 def char_poly(matrix):

@@ -1,9 +1,12 @@
 """Exact linear algebra: Smith normal form, determinants, inverses."""
 
+import fractions
 import random
 import re
+import sys
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
+from math import gcd
 from operator import itemgetter
 
 import pytest
@@ -312,7 +315,8 @@ def test_rat_matrix_entries_are_plain_fractions():
     assert all(type(x) is Fraction for row in m.to_lists() for x in row)
     assert str(m) == "[[1/2, 3, 2/3]]"
     third = Fraction(1, 3)
-    assert RatMatrix([[third]]).entry(0, 0) is third
+    entry = RatMatrix([[third]]).entry(0, 0)
+    assert entry == third and type(entry) is Fraction and repr(entry) == repr(third)
     # True was taken as 1.
     with pytest.raises(ValidationError, match="RatMatrix entry must be an integer, got True"):
         RatMatrix([[Half(1, 2), True]])
@@ -741,6 +745,23 @@ def test_scalar_product_refuses_a_bool(operation):
     assert -1 * IntMatrix([[1, -2]]) == IntMatrix([[-1, 2]]) == IntMatrix([[1, -2]]) * -1
 
 
+@pytest.mark.parametrize(
+    "operation, error, message",
+    [
+        (lambda: IntMatrix([[3]]) - RatMatrix([[1]]), TypeError,
+         "unsupported operand.*'IntMatrix' and 'RatMatrix'"),
+        (lambda: IntMatrix([[1]]).hstack(RatMatrix([[1]])), ValidationError,
+         "hstack takes an IntMatrix, got RatMatrix"),
+    ],
+    ids=["sub", "hstack"],
+)
+def test_int_operations_refuse_a_rat_matrix_operand(operation, error, message):
+    # A RatMatrix's rows are numerators over its denominator, so combining
+    # them with an IntMatrix's entries would be silently wrong.
+    with pytest.raises(error, match=message):
+        operation()
+
+
 def test_int_rat_equality_is_symmetric():
     ints, rats = IntMatrix.identity(2), RatMatrix.identity(2)
     assert ints == rats and rats == ints
@@ -761,6 +782,119 @@ def test_mixed_products_are_rational(pair, den):
     assert all(type(p) is RatMatrix for p in products.values())
     assert products["int@rat"] == reference
     assert products["rat@int"] == scaled and products["rat@rat"] == scaled
+
+
+def fraction_entries(rows):
+    """The entries a RatMatrix of ``rows`` holds, as plain Fractions, each
+    converted on its own: the Fraction-entry reference."""
+    return [[_plain_entry(RatMatrix, x) for x in row] for row in rows]
+
+
+def fraction_product(x, y):
+    """Full dot products of Fraction-entry rows."""
+    return [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*y)]
+            for row in x]
+
+
+def assert_matches_fraction_entries(m, f, vector):
+    """``m`` reads as the Fraction-entry rows ``f`` through every public
+    accessor, and keeps its rows in lowest terms over a positive
+    denominator."""
+    assert type(m) is RatMatrix
+    assert m.to_lists() == f and all(type(x) is Fraction for row in m.to_lists() for x in row)
+    assert all(m.entry(i, j) == x and type(m.entry(i, j)) is Fraction
+               for i, row in enumerate(f) for j, x in enumerate(row))
+    assert m.columns() == [tuple(col) for col in zip(*f)]
+    assert m.transpose().to_lists() == [list(col) for col in zip(*f)]
+    assert str(m) == "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in f) + "]"
+    assert repr(m) == f"RatMatrix({[[str(x) for x in row] for row in f]!r})"
+    applied = m.apply(vector)
+    assert applied == tuple(fraction_product(f, [[Fraction(x)] for x in vector])[i][0]
+                            for i in range(len(f)))
+    assert all(type(x) is Fraction for x in applied)
+    assert m._den > 0 and gcd(m._den, *chain.from_iterable(m._rows)) == 1
+    rebuilt = RatMatrix(f)
+    assert m == rebuilt and hash(m) == hash(rebuilt)
+    if all(x.denominator == 1 for row in f for x in row):
+        ints = IntMatrix([[x.numerator for x in row] for row in f])
+        assert m == ints and ints == m and hash(m) == hash(ints)
+    else:
+        floors = IntMatrix([[x.numerator // x.denominator for x in row] for row in f])
+        assert m != floors and floors != m
+
+
+@st.composite
+def rational_literals(draw, rows, cols):
+    """Rows that mix ints, int subclasses, ``__index__``-only values,
+    Fractions and Fraction subclasses, small or huge; all of them integral
+    a third of the time."""
+    ints = st.one_of(st.just(0), SMALL, HUGE)
+    kinds = [ints, ints.map(IntSub), ints.map(Index)]
+    if draw(st.integers(0, 2)):
+        rationals = st.fractions(max_denominator=12) | st.fractions(max_denominator=2**70)
+        kinds += [rationals, rationals.map(FractionSub)]
+    else:
+        kinds += [ints.map(Fraction), ints.map(FractionSub)]
+    entry = st.one_of(*kinds)
+    return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_rat_matrix_matches_the_fraction_entry_reference(data):
+    # Rows of numerators over one denominator read, multiply, compare and
+    # hash as the matrix of their Fractions does.
+    r, k, c, left = (data.draw(SIZES) for _ in range(4))
+    x_rows, y_rows = data.draw(rational_literals(r, k)), data.draw(rational_literals(k, c))
+    x, y = RatMatrix(x_rows), RatMatrix(y_rows)
+    fx, fy = fraction_entries(x_rows), fraction_entries(y_rows)
+    ints_right, ints_left = data.draw(int_matrices(k, c)), data.draw(int_matrices(left, r))
+    cases = [(x, fx, k), (y, fy, c), (x @ y, fraction_product(fx, fy), c),
+             (x @ ints_right, fraction_product(fx, fraction_entries(ints_right.to_lists())), c),
+             (ints_left @ x, fraction_product(fraction_entries(ints_left.to_lists()), fx), k)]
+    for m, f, width in cases:
+        vector = data.draw(st.lists(st.one_of(SMALL, st.fractions(max_denominator=6)),
+                                    min_size=width, max_size=width))
+        assert_matches_fraction_entries(m, f, vector)
+
+
+def count_fraction_calls(operation):
+    """``operation()`` and the names of the ``fractions`` module functions
+    it called, Fraction construction and arithmetic alike."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = operation()
+    finally:
+        sys.setprofile(previous)
+    return result, calls
+
+
+def test_inverse_and_products_build_no_fraction():
+    # The package's duals and form, rat_inverse(gram) @ G and
+    # duals^T @ G, run on integers alone; reading an entry builds one.
+    gram = cartan_matrix("A", 60).gram
+    gens = IntMatrix.from_columns([col for order, col in group_from_cokernel(gram)[1]])
+
+    def package_products():
+        duals = rat_inverse(gram) @ gens
+        return duals, duals.transpose() @ gens
+
+    (duals, form), calls = count_fraction_calls(package_products)
+    assert calls == []
+    entry, calls = count_fraction_calls(lambda: form.entry(0, 0))
+    assert entry == Fraction(-60, 61) and "__new__" in calls
+    assert duals.to_lists() == fraction_product(rat_inverse(gram).to_lists(),
+                                                fraction_entries(gens.to_lists()))
+    rat_by_rat, calls = count_fraction_calls(lambda: duals.transpose() @ duals)
+    assert calls == [] and type(rat_by_rat) is RatMatrix
 
 
 @settings(deadline=None)
@@ -801,6 +935,78 @@ def test_char_poly_32x32_constant_term():
     assert len(poly) == 33 and poly[0] == 1
     assert poly[-1] == det(-1 * m)
     assert poly[1] == -sum(m.diagonal())
+
+
+def rebuilding_snf(matrix):
+    """``snf`` as it was before its row operations ran in place: each
+    row_add rebuilds the whole target row.  Returns (D, log)."""
+    a = matrix.to_lists()
+    nr, nc = matrix.rows, matrix.cols
+    log = []
+
+    def row_add(i, j, c):
+        a[i] = [x + c * y for x, y in zip(a[i], a[j])]
+        log.append((intmat._ROW_ADD, i, j, c))
+
+    t = 0
+    bound = min(nr, nc)
+    while t < bound:
+        pivot = None
+        best = None
+        for i in range(t, nr):
+            row = a[i]
+            for j in range(t, nc):
+                x = row[j]
+                if x != 0 and (best is None or abs(x) < best):
+                    best = abs(x)
+                    pivot = (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != t:
+            a[t], a[pi] = a[pi], a[t]
+            log.append((intmat._ROW_SWAP, t, pi, 0))
+        if pj != t:
+            for r in a:
+                r[t], r[pj] = r[pj], r[t]
+            log.append((intmat._COL_SWAP, t, pj, 0))
+        if a[t][t] < 0:
+            a[t] = [-x for x in a[t]]
+            log.append((intmat._ROW_NEGATE, t, t, 0))
+        p = a[t][t]
+        dirty = False
+        for i in range(t + 1, nr):
+            if a[i][t] != 0:
+                q = a[i][t] // p
+                if q:
+                    row_add(i, t, -q)
+                if a[i][t] != 0:
+                    dirty = True
+        steps = [(j, q) for j in range(t + 1, nc) if (q := a[t][j] // p)]
+        if steps:
+            for r in a:
+                x = r[t]
+                if x:
+                    for j, q in steps:
+                        r[j] -= q * x
+            log.extend((intmat._COL_ADD, j, t, -q) for j, q in steps)
+        if dirty or any(a[t][t + 1:]):
+            continue
+        offender = None
+        if p > 1:
+            for i in range(t + 1, nr):
+                if any(a[i][j] % p for j in range(t + 1, nc)):
+                    offender = i
+                    break
+        if offender is not None:
+            row_add(t, offender, 1)
+            continue
+        t += 1
+    return IntMatrix(a), log
 
 
 def assert_snf_matches_reference(m):
@@ -875,6 +1081,18 @@ def structured_matrices(draw):
     return IntMatrix(rows)
 
 
+@settings(deadline=None)
+@given(st.one_of(snf_inputs(), structured_matrices(), singular_matrices(),
+                 wrapped_product_pairs().map(lambda pair: pair[0] @ pair[1])))
+def test_in_place_row_operations_keep_the_smith_log(m):
+    # Adding only the source row's nonzeros from column t on, in place,
+    # leaves D and every logged operation as rebuilding whole rows did, so
+    # U, V and every generator replayed from the log are unchanged too.
+    decomp = snf(m)
+    d, log = rebuilding_snf(m)
+    assert decomp.d == d and decomp._log == log
+
+
 @settings(deadline=None, max_examples=60)
 @given(structured_matrices())
 def test_lazy_bareiss_det_matches_forward_bareiss_at_size(m):
@@ -911,7 +1129,7 @@ def test_rat_inverse_matches_gauss_jordan_reference(m):
 def entrywise_rat_inverse(matrix):
     """The forward pass and back substitution of ``rat_inverse``, with one
     Fraction(y, d) built for every entry y of the adjugate, as the inverse
-    was built before equal entries shared one Fraction."""
+    was built before it was kept over one denominator."""
     n = matrix.rows
     a = matrix.to_lists()
     for i, row in enumerate(a):
@@ -936,13 +1154,15 @@ def entrywise_rat_inverse(matrix):
 @given(st.one_of(structured_matrices(), square_matrices(),
                  st.builds(lambda k: cartan_matrix("A", k).gram, st.integers(1, 40))))
 def test_rat_inverse_matches_the_entrywise_reference(m):
-    # Sharing one Fraction among equal adjugate entries gives, entry for
-    # entry, the inverse that one Fraction per entry gave, symmetric or not.
+    # The adjugate over det, in lowest terms, gives entry for entry the
+    # inverse that one Fraction per entry gave, symmetric or not.
     assume(det(m) != 0)
     inverse, expected = rat_inverse(m), entrywise_rat_inverse(m)
     assert inverse == expected and repr(inverse) == repr(expected)
-    entries = [x for row in inverse.to_lists() for x in row]
-    assert len(set(map(id, entries))) == len(set(entries))
+    assert type(inverse) is RatMatrix and hash(inverse) == hash(expected)
+    entries = inverse.to_lists()
+    assert entries == expected.to_lists()
+    assert all(type(x) is Fraction for row in entries for x in row)
 
 
 @st.composite
@@ -1055,12 +1275,16 @@ def test_products_with_unit_rows_match_dense_reference(r, k, c, data):
     product = x @ y
     assert product == expected and type(product) is type(expected)
     assert repr(product) == repr(expected)
-    assert [list(row) for row in intmat._row_product(x._rows, y._rows)] == expected.to_lists()
-    # List rows on the right, as ``apply`` and ``char_poly`` pass them,
-    # are never shared.
+    # The product runs on the stored rows, numerators over a denominator
+    # (1 for an IntMatrix), and divides by the product of the two.
+    den = x._den * y._den
+    assert [[Fraction(v, den) for v in row]
+            for row in intmat._row_product(x._rows, y._rows)] == expected.to_lists()
+    # List rows on the right, as ``char_poly`` passes them, are never
+    # shared.
     right = y.to_lists()
     rows = intmat._row_product(x._rows, right)
-    assert rows == expected.to_lists()
+    assert [[Fraction(v, x._den) for v in row] for row in rows] == expected.to_lists()
     assert not any(row is b_row for row in rows for b_row in right)
     vector = data.draw(st.lists(SMALL, min_size=k, max_size=k))
     assert x.apply(vector) == dense_apply(x, vector)
