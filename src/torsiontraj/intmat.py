@@ -85,8 +85,11 @@ def _row_product(left, right):
     nonzero a = left[i][k], found by ``itertools.compress`` on the
     entries' truth values, so a zero is skipped in C.
     A right row keeps only its nonzero (j, b) pairs, built once, when the
-    first sum reads it.  So the interpreted work is one step per pair of
-    nonzeros a = left[i][k], b = right[k][j]."""
+    first sum reads it.  So the interpreted work is one step per nonzero
+    a = left[i][k], plus one per pair of nonzeros a, b = right[k][j]: a
+    zero row k of the right factor still costs a step for each nonzero a
+    in column k of the left.  For example ``rat_inverse(gram) @ gens``
+    with a dense inverse and a k x 1 ``gens`` takes k^2 steps."""
     width = len(right[0])
     columns, inner = range(width), range(len(right))
     sparse_rows = [None] * len(right)

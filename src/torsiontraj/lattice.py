@@ -14,6 +14,7 @@ display.
 import itertools
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 
 from ._record import Record
 from .abgroup import FGAbGroup, cokernel_group, element_order, group_from_cokernel
@@ -184,14 +185,14 @@ class DiscriminantPackage(Record):
             raise ValidationError("form size must match the generator count")
         if not self.form.is_symmetric():
             raise ValidationError("form must be symmetric")
-        for i in range(k):
-            for j in range(k):
-                e = self.form.entry(i, j)
-                if not (0 <= e < 1):
-                    raise ValidationError("form entries must lie in [0, 1)")
-        for i, d in enumerate(self.group.invariant_factors):
-            for j in range(k):
-                if _mod1(d * self.form.entry(i, j)) != 0:
+        # On the numerators over the one denominator: 0 <= q_ij < 1 is
+        # 0 <= num_ij < den, and d_i q_ij in Z is den | d_i num_ij.
+        rows, den = self.form._rows, self.form._den
+        if not all(0 <= x < den for row in rows for x in row):
+            raise ValidationError("form entries must lie in [0, 1)")
+        for i, (d, row) in enumerate(zip(self.group.invariant_factors, rows)):
+            for j, x in enumerate(row):
+                if d * x % den:
                     raise ValidationError(
                         f"form is incompatible with generator order {d} at ({i},{j})"
                     )
@@ -293,33 +294,42 @@ def _linear_values(coefficients, orders, n):
     return [v % n for v in values]
 
 
-def _pairing_table(pkg, n):
-    """All pairing values n q(x, y) mod n as integers table[x][y], over
-    the elements indexed 0..|E|-1 in ``elements()`` order; n is the
-    exponent of E.
+def _form_numerators(pkg, n):
+    """The form as the integers n q_ij, read from its numerators over its
+    one denominator; n is the exponent of E.  Each d_i q_ij is an integer
+    and d_i divides n, so den divides n num_ij, and entries in [0, 1)
+    give integers in [0, n)."""
+    den = pkg.form._den
+    return [[n * x // den for x in row] for row in pkg.form._rows]
 
-    Each d_i q_ij is an integer and d_i divides n, so the form is held as
-    the integer numerators n q_ij.  Row x of the table is linear in y with
-    coefficients (n q(x, s_j))_j, and each of those is linear in x with
-    coefficients from row j of the (symmetric) form.
-    """
+
+def _linear_forms(pkg, n):
+    """c(x) = (n q(x, s_j) mod n)_j for every element x, in ``elements()``
+    order.  Each c_j is linear in x with coefficients from row j of the
+    (symmetric) form, so this is k passes over the elements."""
     orders = pkg.orders()
-    k = len(orders)
-    form = [[(n * pkg.form.entry(i, j)).numerator for j in range(k)] for i in range(k)]
-    rows = zip(*(_linear_values(column, orders, n) for column in form))
-    return [_linear_values(row, orders, n) for row in rows]
+    return list(zip(*(_linear_values(row, orders, n) for row in _form_numerators(pkg, n))))
 
 
 def forms_isomorphic(p1, p2):
-    """Whether two packages are isomorphic as groups with Q/Z pairings.
+    """Whether two packages are isomorphic as groups with Q/Z pairings:
+    the bool True or False.
 
     Brute force over integers: with n the exponent of the common group,
-    every pairing value is held as its numerator n q(x, y) mod n.  After
-    isomorphism-invariant screens (group type, the multiset of (order,
-    self-pairing) data, the multiset of all pairing values), enumerate
-    generator-image assignments consistent with element orders and
-    pairing values, pruning on the order of the span of each partial
-    assignment.  Only supported up to group order 64.
+    every pairing value is held as its numerator n q(x, y) mod n, and
+    each element x as its linear form c(x) = (n q(x, s_j) mod n)_j on the
+    generators s_j.  Two isomorphism-invariant screens run first: the
+    multiset of (order, q(x, x)) over the elements, with n q(x, x) =
+    sum_j c_j(x) x_j, and the multiset of g(x) = gcd(n, c(x)).  Row x of
+    the pairing table, y -> c(x) . y, maps E onto the multiples of g(x)
+    mod n and takes each equally often, so the second screen is at least
+    as strict as comparing all |E|^2 pairing values, and builds no table.
+    The search then enumerates generator-image assignments consistent
+    with element orders and pairing values, pruning on the order of the
+    span of each partial assignment.  It reads the pairing of a chosen
+    image x with a candidate from row x of the second package's table,
+    built the first time x is chosen and kept.  Only supported up to
+    group order 64.
     """
     for p in (p1, p2):
         order = p.group.torsion_order()
@@ -338,39 +348,40 @@ def forms_isomorphic(p1, p2):
     n = factors[-1]
     elements = list(p1.elements())
     orders = [element_order(x, factors) for x in elements]
-    table1 = _pairing_table(p1, n)
-    table2 = _pairing_table(p2, n)
+    forms1 = _linear_forms(p1, n)
+    forms2 = _linear_forms(p2, n)
+    self1 = [sum(map(mul, c, x)) % n for c, x in zip(forms1, elements)]
+    self2 = [sum(map(mul, c, x)) % n for c, x in zip(forms2, elements)]
 
-    profile1 = sorted(zip(orders, (row[x] for x, row in enumerate(table1))))
-    profile2 = sorted(zip(orders, (row[x] for x, row in enumerate(table2))))
-    if profile1 != profile2:
+    if sorted(zip(orders, self1)) != sorted(zip(orders, self2)):
         return False
-    if sorted(itertools.chain(*table1)) != sorted(itertools.chain(*table2)):
+    if sorted(gcd(n, *c) for c in forms1) != sorted(gcd(n, *c) for c in forms2):
         return False
 
     by_order = {}
     for x, order in enumerate(orders):
         by_order.setdefault(order, []).append(x)
-
-    # generator s_j is the element at index d_{j+1} * ... * d_k
-    unit = [prod(factors[j + 1:]) for j in range(k)]
-    wanted = [[table1[unit[i]][unit[j]] for j in range(k)] for i in range(k)]
+    # n q(s_i, s_j) for the generators of p1, which the images must match
+    wanted = _form_numerators(p1, n)
+    rows2 = {}
 
     def extend(i, chosen, span):
         if i == k:
             return True
         span_target = prod(factors[: i + 1])
+        chosen_rows = [rows2[x] for x in chosen]
         for cand in by_order.get(factors[i], ()):
-            row = table2[cand]
-            if row[cand] != wanted[i][i]:
+            if self2[cand] != wanted[i][i]:
                 continue
-            if any(row[chosen[j]] != wanted[j][i] for j in range(i)):
+            if any(row[cand] != wanted[j][i] for j, row in enumerate(chosen_rows)):
                 continue
             # an injective map sends the first i+1 generators onto a
             # subgroup of order d_1 * ... * d_{i+1}; prune otherwise
             new_span = _extend_span(span, elements[cand], factors)
             if len(new_span) != span_target:
                 continue
+            if cand not in rows2:
+                rows2[cand] = _linear_values(forms2[cand], factors, n)
             if extend(i + 1, chosen + [cand], new_span):
                 return True
         return False

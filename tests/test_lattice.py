@@ -29,6 +29,8 @@ from torsiontraj.lattice import (
 )
 from torsiontraj.serialize import package_to_json, to_json_text
 
+from test_intmat import count_fraction_calls
+
 HALF = Fraction(1, 2)
 
 
@@ -662,19 +664,45 @@ def automorphism_image(rng, orders, form):
 
 SMALL_GROUP_TYPES = [[2], [2, 2], [2, 2, 2], [2, 2, 2, 2], [2, 2, 2, 2, 2],
                      [2, 4], [3, 9], [4, 8], [2, 2, 4]]
+# The types the presentations benchmark draws, and others up to the bound.
+WORKLOAD_GROUP_TYPES = [[5], [61], [64], [3, 3, 3], [2, 32], [8, 8], [2, 2, 4, 4]]
 
 
-@settings(deadline=None, max_examples=120)
-@given(st.sampled_from(SMALL_GROUP_TYPES), st.booleans(), st.randoms(use_true_random=False))
-def test_forms_isomorphic_matches_fraction_reference(orders, as_image, rng):
+def assert_matches_fraction_reference(orders, as_image, rng):
     group = FGAbGroup.from_orders(orders)
     form = random_form(rng, orders)
     other = automorphism_image(rng, orders, form) if as_image else random_form(rng, orders)
     p1, p2 = abstract_package(group, form), abstract_package(group, other)
     answer = forms_isomorphic(p1, p2)
-    assert answer == fraction_forms_isomorphic(p1, p2)
+    # The same bool object, not only an equal value.
+    assert answer is fraction_forms_isomorphic(p1, p2)
     if as_image:
-        assert answer
+        assert answer is True
+
+
+@settings(deadline=None, max_examples=120)
+@given(st.sampled_from(SMALL_GROUP_TYPES), st.booleans(), st.randoms(use_true_random=False))
+def test_forms_isomorphic_matches_fraction_reference(orders, as_image, rng):
+    assert_matches_fraction_reference(orders, as_image, rng)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from(WORKLOAD_GROUP_TYPES), st.booleans(), st.randoms(use_true_random=False))
+def test_forms_isomorphic_matches_fraction_reference_on_workload_types(orders, as_image, rng):
+    assert_matches_fraction_reference(orders, as_image, rng)
+
+
+@pytest.mark.parametrize("orders", [[64], [2] * 5])
+def test_forms_isomorphic_builds_no_fraction(orders):
+    # The search reads the forms as integer numerators over their one
+    # denominator, so no pairing value is a Fraction.
+    rng = random.Random(29)
+    group = FGAbGroup.from_orders(orders)
+    form = random_form(rng, orders)
+    p1 = abstract_package(group, form)
+    image = abstract_package(group, automorphism_image(rng, orders, form))
+    answer, calls = count_fraction_calls(lambda: forms_isomorphic(p1, image))
+    assert answer is True and calls == []
 
 
 @pytest.mark.parametrize("orders", [[4, 4, 4], [2] * 6])
@@ -697,6 +725,54 @@ def test_package_validation():
     with pytest.raises(ValidationError):
         abstract_package(FGAbGroup.from_orders([2, 2]), [[0, 0], [HALF, 0]])
     assert trivial_package().group.is_trivial()
+
+
+def fraction_form_refusal(group, form):
+    """The package check of a form, entry by entry on Fractions: the
+    refusal message, or None when the form is accepted."""
+    k = len(group.invariant_factors)
+    if any(form[i][j] != form[j][i] for i in range(k) for j in range(k)):
+        return "form must be symmetric"
+    for i in range(k):
+        for j in range(k):
+            if not (0 <= form[i][j] < 1):
+                return "form entries must lie in [0, 1)"
+    for i, d in enumerate(group.invariant_factors):
+        for j in range(k):
+            if (d * form[i][j]) % 1 != 0:
+                return f"form is incompatible with generator order {d} at ({i},{j})"
+    return None
+
+
+@st.composite
+def package_forms(draw):
+    """A group and a k x k form: a valid one, or one with an entry pair
+    moved off [0, 1), off the generator orders, or off symmetry."""
+    orders = draw(st.sampled_from(SMALL_GROUP_TYPES + WORKLOAD_GROUP_TYPES))
+    form = random_form(draw(st.randoms(use_true_random=False)), orders)
+    k = len(orders)
+    i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+    change = draw(st.sampled_from(["none", "shift", "denominator", "one side"]))
+    if change == "shift":
+        form[i][j] = form[j][i] = form[i][j] + draw(st.sampled_from([-1, 1, 2]))
+    elif change == "denominator":
+        form[i][j] = form[j][i] = Fraction(draw(st.integers(0, 11)), draw(st.integers(1, 12)))
+    elif change == "one side":
+        form[i][j] = Fraction(draw(st.integers(0, 11)), draw(st.integers(1, 12)))
+    return FGAbGroup.from_orders(orders), form
+
+
+@settings(deadline=None, max_examples=200)
+@given(package_forms())
+def test_package_check_matches_fraction_reference(case):
+    group, form = case
+    try:
+        DiscriminantPackage(group, RatMatrix(form), None)
+    except ValidationError as error:
+        refusal = str(error)
+    else:
+        refusal = None
+    assert refusal == fraction_form_refusal(group, form)
 
 
 @pytest.mark.parametrize("entry", [0.5, 2.5, "1/2"], ids=["float", "float-above-one", "string"])
