@@ -273,6 +273,7 @@ class FinAbHom(Record):
     matrix: IntMatrix
 
     def __post_init__(self):
+        _require_int_matrix(self.matrix, "FinAbHom")
         if not self.source.is_finite() or not self.target.is_finite():
             raise ValidationError("homomorphism analysis supports torsion groups only")
         for side, group in (("source", self.source), ("target", self.target)):

@@ -12,7 +12,7 @@ from math import gcd
 from ._record import Record
 from .abgroup import FGAbGroup, n_torsion, scale_subgroup, tensor
 from .errors import InvariantError, ValidationError
-from .intmat import RatMatrix, _integer
+from .intmat import IntMatrix, _integer
 from .lattice import DiscriminantPackage, _mod1, trivial_package
 
 
@@ -47,9 +47,10 @@ class ShadowPackage(Record):
 def shadow(package, n):
     """Shadow subpackage nE of a discriminant package, with isotropy flag.
 
-    Generators of nE are n times the generators of E, so the restricted
-    pairing entries are n^2 q_ij mod 1.  The subgroup is isotropic when
-    every restricted entry is zero in [0, 1).
+    Generators of nE are the n s_i with n s_i != 0, so the inclusion
+    nE -> E is the integer matrix n S, where S has one column e_i for each.
+    The restricted form is the pullback n^2 S^T q S, reduced mod 1 on
+    numerators, and nE is isotropic when every restricted numerator is 0.
 
     >>> from .lattice import abstract_package
     >>> coble = abstract_package(FGAbGroup.cyclic(4), [[Fraction(3, 4)]])
@@ -64,15 +65,15 @@ def shadow(package, n):
         isotropic = True
     else:
         factors = package.group.invariant_factors
-        keep = [i for i, d in enumerate(factors) if d // gcd(n, d) > 1]
-        entries = [[_mod1(n * n * package.form.entry(i, j)) for j in keep] for i in keep]
+        inclusion = IntMatrix([[n if r == i else 0 for i, d in enumerate(factors)
+                                if d // gcd(n, d) > 1] for r in range(len(factors))])
+        # The rational factor stays on the left: no IntMatrix.__matmul__ call.
+        form = _mod1((package.form @ inclusion).transpose() @ inclusion)
         generators = None
         if package.generators is not None:
-            generators = RatMatrix.from_columns(
-                [tuple(n * x for x in package.generators.column(i)) for i in keep]
-            )
-        sub_pkg = DiscriminantPackage(sub_group, RatMatrix(entries), generators)
-        isotropic = all(x == 0 for row in entries for x in row)
+            generators = package.generators @ inclusion
+        sub_pkg = DiscriminantPackage(sub_group, form, generators)
+        isotropic = not any(map(any, form._rows))
     if sub_group.torsion_order() * quotient.torsion_order() != package.group.torsion_order():
         raise InvariantError("shadow order law violated")
     return ShadowPackage(sub_pkg, quotient, isotropic)

@@ -7,13 +7,13 @@ lattice is its gram alone: curve i is row and column i.  The
 discriminant package of a nonsingular lattice is the finite group
 coker(gram) together with the Q/Z-valued pairing induced by the inverse
 gram matrix; the canonical representative of a pairing value lives in
-[0, 1), with the geometric-sign representative in (-1, 0] available for
-display.
+[0, 1), reached on the numerators over the form's one denominator; the
+geometric-sign representative in (-1, 0] is available for display.
 """
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 from operator import mul
 
 from ._record import Record
@@ -150,13 +150,16 @@ def star_matrix(central_weight, arm_weights):
     return _plumbing([central] + arms, [(0, i) for i in range(1, len(arms) + 1)])
 
 
-def _mod1(x):
-    return Fraction(x) % 1
+def _mod1(form):
+    """Entries reduced into [0, 1): each numerator mod the one denominator."""
+    return RatMatrix._reduced([[x % form._den for x in row] for row in form._rows], form._den)
 
 
 def geometric_rep(value):
-    """The (-1, 0] representative of a Q/Z value stored in [0, 1)."""
-    value = _mod1(value)
+    """The (-1, 0] representative of a Q/Z value, a Fraction or an integer."""
+    if not isinstance(value, Fraction):
+        value = _integer(value, "a Q/Z value that is not a Fraction")
+    value = Fraction(value) % 1
     return value - 1 if value > 0 else value
 
 
@@ -211,9 +214,8 @@ def trivial_package():
 
 def abstract_package(group, form_entries):
     """Package from explicit data, e.g. (Z/8, [[1/8]]); no lattice behind it.
-    Entries are checked as RatMatrix entries before reduction mod 1."""
-    entries = [[_mod1(x) for x in row] for row in RatMatrix(form_entries).to_lists()]
-    return DiscriminantPackage(group, RatMatrix(entries), None)
+    Entries are checked as RatMatrix entries, then reduced on numerators."""
+    return DiscriminantPackage(group, _mod1(RatMatrix(form_entries)), None)
 
 
 def discriminant_package(lat, generators=None):
@@ -230,8 +232,8 @@ def discriminant_package(lat, generators=None):
 
     With G the matrix of generator columns, the duals are gram^-1 G and
     the form is (gram^-1 G)^T G, both by the shared matrix product, with
-    entries g_i^T gram^-1 g_j reduced into [0, 1).  The duals also give
-    each supplied class its order (the lcm of their denominators).  One
+    entries g_i^T gram^-1 g_j reduced into [0, 1) on numerators.  The duals
+    give each supplied class its order, den / gcd(den, numerators).  One
     class of order |E| generates the cyclic group E, so the generation
     check, coker([G | gram]) trivial, runs only for two or more classes.
     A unimodular gram returns the trivial package before any inverse is
@@ -268,8 +270,8 @@ def discriminant_package(lat, generators=None):
             raise ValidationError(
                 f"need {len(expected)} generator columns, got {gens.cols}"
             )
-        for dual, d_i in zip(duals.columns(), expected):
-            actual = lcm(*(f.denominator for f in dual))
+        for column, d_i in zip(zip(*duals._rows), expected):
+            actual = duals._den // gcd(duals._den, *column)
             if actual != d_i:
                 raise ValidationError(
                     f"generator has order {actual}, expected invariant factor {d_i}"
@@ -277,9 +279,7 @@ def discriminant_package(lat, generators=None):
         # One class of order |E| generates a cyclic E.
         if len(expected) > 1 and not cokernel_group(gens.hstack(gram)).is_trivial():
             raise ValidationError("supplied columns do not generate the cokernel")
-    pairings = (duals.transpose() @ gens).to_lists()
-    form = RatMatrix([[_mod1(x) for x in row] for row in pairings])
-    return DiscriminantPackage(group, form, duals)
+    return DiscriminantPackage(group, _mod1(duals.transpose() @ gens), duals)
 
 
 def _linear_values(coefficients, orders, n):

@@ -146,10 +146,7 @@ def form_display(form):
         return "none"
     if form.rows == 1:
         return fraction_display(form.entry(0, 0))
-    rows = []
-    for row in form.to_lists():
-        rows.append("[" + ", ".join(str(x) for x in row) + "]")
-    return "[" + ", ".join(rows) + "]"
+    return str(form)
 
 
 def _station_text(row):

@@ -23,7 +23,7 @@ from torsiontraj.abgroup import (
 )
 from torsiontraj import abgroup, intmat
 from torsiontraj.errors import DimensionError, InvariantError, ValidationError
-from torsiontraj.intmat import IntMatrix, SnfDecomposition
+from torsiontraj.intmat import IntMatrix, RatMatrix, SnfDecomposition
 from torsiontraj.links import lens_profile
 
 Z2 = FGAbGroup.cyclic(2)
@@ -379,6 +379,14 @@ def test_hom_validation():
         FinAbHom(Z2, Z2, IntMatrix([[1, 0]]))
     with pytest.raises(ValidationError):
         FinAbHom(FGAbGroup.free(1), Z2, IntMatrix([[0]]))
+
+
+@pytest.mark.parametrize("matrix", [[[1]], RatMatrix([[1]])], ids=["list", "rat-matrix"])
+def test_hom_refuses_anything_but_an_int_matrix(matrix):
+    # A list raised AttributeError; a RatMatrix was accepted, then failed
+    # inside hom_analyze with an AttributeError on hstack.
+    with pytest.raises(ValidationError, match="FinAbHom takes an IntMatrix"):
+        FinAbHom(Z2, Z2, matrix)
 
 
 def test_hom_refuses_a_trivial_side_by_name():

@@ -4,15 +4,31 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torsiontraj import bockstein
-from torsiontraj.abgroup import FGAbGroup
-from torsiontraj.bockstein import bo_direction_span, bockstein_image, shadow
+from torsiontraj.abgroup import FGAbGroup, group_from_cokernel, scale_subgroup
+from torsiontraj.bockstein import (
+    ShadowPackage,
+    bo_direction_span,
+    bockstein_image,
+    shadow,
+)
 from torsiontraj.errors import InvariantError, ValidationError
-from torsiontraj.lattice import abstract_package, chain_matrix, discriminant_package
+from torsiontraj.intmat import IntMatrix, RatMatrix
+from torsiontraj.lattice import (
+    DiscriminantPackage,
+    IntersectionLattice,
+    abstract_package,
+    cartan_matrix,
+    chain_matrix,
+    discriminant_package,
+    trivial_package,
+)
 
+from test_intmat import count_fraction_calls
+from test_lattice import negative_definite_grams
 from uct_references import reference_mod_n
 
 Z2 = FGAbGroup.cyclic(2)
@@ -143,6 +159,73 @@ def test_shadow_multi_generator():
     result = shadow(pkg, 2)
     assert result.sub.group == Z2
     assert result.quotient == FGAbGroup.from_orders([2, 2])
+
+
+def fraction_shadow(package, n):
+    """The previous construction: each restricted entry n^2 q_ij read as a
+    Fraction and reduced mod 1, each generator column scaled entry by entry."""
+    sub_group, quotient = scale_subgroup(package.group, n)
+    if sub_group.is_trivial():
+        return ShadowPackage(trivial_package(), quotient, True)
+    factors = package.group.invariant_factors
+    keep = [i for i, d in enumerate(factors) if d // gcd(n, d) > 1]
+    entries = [[(n * n * package.form.entry(i, j)) % 1 for j in keep] for i in keep]
+    generators = None
+    if package.generators is not None:
+        generators = RatMatrix.from_columns(
+            [tuple(n * x for x in package.generators.column(i)) for i in keep]
+        )
+    isotropic = all(x == 0 for row in entries for x in row)
+    return ShadowPackage(DiscriminantPackage(sub_group, RatMatrix(entries), generators),
+                         quotient, isotropic)
+
+
+@st.composite
+def abstract_packages(draw):
+    """A valid package on one to three cyclic factors d_1 | d_2 | d_3, its
+    entries q_ij = a / d_min(i, j) drawn off [0, 1) as well."""
+    orders = [draw(st.integers(2, 12))]
+    for _ in range(draw(st.integers(0, 2))):
+        orders.append(orders[-1] * draw(st.integers(1, 4)))
+    k = len(orders)
+    form = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i, k):
+            d = orders[i]
+            form[i][j] = form[j][i] = Fraction(draw(st.integers(-2 * d, 2 * d)), d)
+    return abstract_package(FGAbGroup.from_orders(orders), form)
+
+
+@settings(deadline=None)
+@given(st.one_of(abstract_packages(), negative_definite_grams().map(discriminant_package)))
+def test_shadow_matches_fraction_reference(pkg):
+    # Abstract packages have no generators; lattice packages have duals.
+    for n in range(2, 7):
+        assert repr(shadow(pkg, n)) == repr(fraction_shadow(pkg, n))
+
+
+NON_ADE = IntersectionLattice(IntMatrix([[-3, 1, 0], [1, -5, 2], [0, 2, -7]]))
+A60 = cartan_matrix("A", 60)
+A60_GENERATORS = IntMatrix.from_columns([col for _, col in group_from_cokernel(A60.gram)[1]])
+COBLE = discriminant_package(chain_matrix([4]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: discriminant_package(A60, A60_GENERATORS),
+    lambda: discriminant_package(A60),
+    lambda: discriminant_package(NON_ADE),
+    lambda: discriminant_package(cartan_matrix("D4")),
+    lambda: abstract_package(Z4, [[3]]),
+    lambda: abstract_package(FGAbGroup.from_orders([2, 4]), [[1, 0], [0, -2]]),
+    lambda: shadow(COBLE, 2),
+], ids=["a60-supplied", "a60-smith", "non-ade", "d4", "z4-integer", "z2-z4-integer",
+        "coble-shadow"])
+def test_package_layer_builds_no_fraction(build):
+    # Forms are reduced mod 1 on their numerators, and shadow pulls the
+    # form back by the one product, so no Fraction is built until an
+    # entry is read.
+    _, calls = count_fraction_calls(build)
+    assert calls == []
 
 
 def test_bo_direction_span():

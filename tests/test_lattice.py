@@ -287,6 +287,20 @@ def test_package_coble():
     assert geometric_rep(Fraction(3, 4)) == Fraction(-1, 4)
 
 
+def test_geometric_rep_takes_a_fraction_or_an_integer():
+    assert geometric_rep(Fraction(-5, 4)) == Fraction(-1, 4)
+    assert geometric_rep(HALF) == -HALF
+    assert geometric_rep(3) == 0 and type(geometric_rep(3)) is Fraction
+
+
+@pytest.mark.parametrize("value", [0.1, True, "1/2", None])
+def test_geometric_rep_refuses_what_the_library_refuses(value):
+    # A float became a 2^55-denominator Fraction, True became 0 and a
+    # string was parsed.
+    with pytest.raises(ValidationError, match="not a Fraction must be an integer"):
+        geometric_rep(value)
+
+
 def dual_basis_ak_package(k):
     gens = IntMatrix.from_columns([tuple(int(i == 0) for i in range(k))])
     return discriminant_package(cartan_matrix("A", k), gens)
