@@ -35,21 +35,23 @@ and beyond, so the kernels follow two rules:
   shares every other row.  Elimination rewrites only the rows below the
   pivot with a nonzero in its column; every other row is scaled lazily, in
   one pass when it is next read.  Back substitution sums only over the
-  nonzero entries of U.
+  nonzero entries of U.  The Smith form finds each pivot row's nonzeros
+  from the pivot column on once, and every row operation and every
+  column quotient of that pivot reads them; its replays add only the
+  source row's (or column's) nonzeros, in place.
 * Elimination stays fraction-free.  One forward Bareiss pass with exact
   divisions serves ``det`` and ``rat_inverse``; the inverse runs it on
   [M | I], then exact back substitution, and keeps the adjugate over the
   determinant: one denominator, no Fraction until an entry is read.  For
-  the tridiagonal A_k gram that is O(k^2) steps.  The Smith form's row
-  operations touch only the source row's nonzeros from the pivot column
-  on.
+  the tridiagonal A_k gram that is O(k^2) steps.
 
 The centrepiece is ``snf``, a Smith normal form M = U * D * V with
 unimodular U, V.  It reduces M alone and logs its elementary operations;
 the transforms are replayed from that log on demand.  U's columns are
 replayed from the right, only those asked for: the generator columns
 give cokernel generator representatives.  V^-1 serves ``kernel_basis``.
-Most callers read only the diagonal and build no transform.
+Most callers read only the diagonal and build no transform.  D, U and V
+hold ints by construction, so they are wrapped unchecked.
 """
 
 from fractions import Fraction
@@ -370,9 +372,12 @@ class SnfDecomposition:
     operations E_1, ..., E_m on A give U = E_1^-1 ... E_m^-1, so any set of
     U's columns is replayed from the right, as row operations on just
     those columns (``u_columns``); ``u`` is all of them.  V and V^-1 are
-    replayed from the column operations.  ``u``, ``v`` and V^-1 are built
-    the first time each is read, and then kept.  A caller that reads only
-    D builds no transform.  The one constructor takes D and that log; an
+    replayed from the column operations.  Each replayed addition changes
+    its target in place, over the source's nonzeros only, found by
+    ``compress`` in C.  ``u``, ``v`` and V^-1 are built the first time
+    each is read, and then kept; their entries are ints by construction,
+    so ``u`` and ``v`` are wrapped unchecked.  A caller that reads only D
+    builds no transform.  The one constructor takes D and that log; an
     empty log replays to U = I and V = V^-1 = I.
     """
 
@@ -389,14 +394,18 @@ class SnfDecomposition:
         U e_s = E_1^-1 (E_2^-1 (... (E_m^-1 e_s))), so the log runs in
         reverse, each row operation on A undone as a row operation on the
         block of the wanted unit columns: the work scales with the number
-        of columns asked for, not with all of U."""
+        of columns asked for, not with all of U.  Each addition subtracts
+        c times the source row's nonzeros from the target row, in place."""
         indices = list(indices)
+        width = range(len(indices))
         block = [[0] * len(indices) for _ in range(self.d.rows)]
         for s, row in enumerate(indices):
             block[row][s] = 1
         for kind, i, j, c in reversed(self._log):
             if kind == _ROW_ADD:
-                block[i] = [x - c * y for x, y in zip(block[i], block[j])]
+                target, source = block[i], block[j]
+                for s in compress(width, source):
+                    target[s] -= c * source[s]
             elif kind == _ROW_SWAP:
                 block[i], block[j] = block[j], block[i]
             elif kind == _ROW_NEGATE:
@@ -405,33 +414,42 @@ class SnfDecomposition:
 
     @property
     def u(self):
-        """U: all of its columns, from ``u_columns``."""
+        """U: all of its columns, from ``u_columns``, wrapped unchecked."""
         if self._u is None:
-            self._u = IntMatrix.from_columns(self.u_columns(range(self.d.rows)))
+            self._u = IntMatrix._wrap(zip(*self.u_columns(range(self.d.rows))))
         return self._u
 
     @property
     def v(self):
         """V: each column operation on A, replayed as the inverse row
-        operation on the rows of V."""
+        operation on the rows of V, in place over the source row's
+        nonzeros.  Its entries are ints by construction, so V is wrapped
+        unchecked."""
         if self._v is None:
+            width = range(self.d.cols)
             rows = IntMatrix.identity(self.d.cols).to_lists()
             for kind, i, j, c in self._log:
                 if kind == _COL_ADD:
-                    rows[j] = [x - c * y for x, y in zip(rows[j], rows[i])]
+                    target, source = rows[j], rows[i]
+                    for s in compress(width, source):
+                        target[s] -= c * source[s]
                 elif kind == _COL_SWAP:
                     rows[i], rows[j] = rows[j], rows[i]
-            self._v = IntMatrix(rows)
+            self._v = IntMatrix._wrap(rows)
         return self._v
 
     def _v_inverse_columns(self):
         """Columns of V^-1: each column operation on A, replayed as the
-        same column operation on V^-1."""
+        same column operation on V^-1, in place over the source column's
+        nonzeros."""
         if self._v_inv is None:
+            width = range(self.d.cols)
             cols = IntMatrix.identity(self.d.cols).to_lists()
             for kind, i, j, c in self._log:
                 if kind == _COL_ADD:
-                    cols[i] = [x + c * y for x, y in zip(cols[i], cols[j])]
+                    target, source = cols[i], cols[j]
+                    for s in compress(width, source):
+                        target[s] += c * source[s]
                 elif kind == _COL_SWAP:
                     cols[i], cols[j] = cols[j], cols[i]
             self._v_inv = [tuple(col) for col in cols]
@@ -455,7 +473,11 @@ def snf(matrix):
     """Smith normal form of an integer matrix (rectangular allowed).
 
     Only D is computed here; U's columns, V and V^-1 are replayed from the
-    operation log when read (see ``SnfDecomposition``).
+    operation log when read (see ``SnfDecomposition``).  Each pivot p is
+    the least nonzero |entry| of the trailing block.  Its row's nonzero
+    (column, entry) pairs are found once; every row operation of the row
+    pass subtracts a multiple of just those pairs, in place, and the same
+    pairs give the column quotients.  D is wrapped unchecked.
 
     >>> snf(IntMatrix([[-2]])).d.to_lists()
     [[2]]
@@ -468,16 +490,6 @@ def snf(matrix):
     # Every operation on A is logged once; replaying the log keeps
     # matrix == U @ A @ V (see SnfDecomposition).
     log = []
-
-    def row_add(i, j, c):
-        # a[i] += c * a[j], in place.  Both rows are at or below t, hence
-        # zero before column t, so only the source's nonzeros from column
-        # t on are touched, found by ``compress`` in C.
-        target, source = a[i], a[j]
-        for k in compress(range(t, nc), source[t:]):
-            target[k] += c * source[k]
-        log.append((_ROW_ADD, i, j, c))
-
     t = 0
     bound = min(nr, nc)
     while t < bound:
@@ -506,23 +518,33 @@ def snf(matrix):
             for r in a:
                 r[t], r[pj] = r[pj], r[t]
             log.append((_COL_SWAP, t, pj, 0))
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
+        top = a[t]
+        if top[t] < 0:
+            top = a[t] = [-x for x in top]
             log.append((_ROW_NEGATE, t, t, 0))
 
-        p = a[t][t]
+        p = top[t]
+        # The pivot row's nonzero (k, b) pairs, found once by ``compress``
+        # in C.  Every row from t down is zero before column t, and the row
+        # pass leaves row t as it is, so these pairs serve every row
+        # operation and every column quotient of this pass.
+        terms = [(k, top[k]) for k in compress(range(t, nc), top[t:])]
         dirty = False
         for i in range(t + 1, nr):
-            if a[i][t] != 0:
-                q = a[i][t] // p
+            row = a[i]
+            if row[t] != 0:
+                q = row[t] // p
                 if q:
-                    row_add(i, t, -q)
-                if a[i][t] != 0:
+                    for k, b in terms:
+                        row[k] -= q * b
+                    log.append((_ROW_ADD, i, t, -q))
+                if row[t] != 0:
                     dirty = True
         # Column j -= q_j * column t for every j > t at once: column t does
         # not change, so each row is visited once and rows with a zero in
-        # column t are skipped.
-        steps = [(j, q) for j in range(t + 1, nc) if (q := a[t][j] // p)]
+        # column t are skipped.  p is the least nonzero |entry| of the
+        # block, so each nonzero b of row t has a nonzero quotient b // p.
+        steps = [(j, b // p) for j, b in terms[1:]]
         if steps:
             for r in a:
                 x = r[t]
@@ -530,7 +552,7 @@ def snf(matrix):
                     for j, q in steps:
                         r[j] -= q * x
             log.extend((_COL_ADD, j, t, -q) for j, q in steps)
-        if dirty or any(a[t][t + 1:]):
+        if dirty or any(top[t + 1:]):
             continue
 
         offender = None
@@ -540,12 +562,17 @@ def snf(matrix):
                     offender = i
                     break
         if offender is not None:
-            # Pull the non-divisible row up so the next pass shrinks the pivot.
-            row_add(t, offender, 1)
+            # Pull the non-divisible row up so the next pass shrinks the
+            # pivot: row t += row offender, over the offender's nonzeros.
+            source = a[offender]
+            for k in compress(range(t, nc), source[t:]):
+                top[k] += source[k]
+            log.append((_ROW_ADD, t, offender, 1))
             continue
         t += 1
 
-    return SnfDecomposition(IntMatrix(a), log)
+    # Every entry is an int, built from ints by - and *: nothing to check.
+    return SnfDecomposition(IntMatrix._wrap(a), log)
 
 
 def _bareiss(a, n):

@@ -21,14 +21,24 @@ from .trajectory import MarkerRow
 TABLE_HEADERS = ("Example", "E", "q", "Local", "Supp.", "Global image", "Br/res.", "Q")
 
 
+def _rational(value):
+    """``value`` as a Fraction: a Fraction as it is, anything else only if
+    it passes ``_integer``, so a float, bool or string is refused rather
+    than converted."""
+    if isinstance(value, Fraction):
+        return value
+    return Fraction(_integer(value, "a rational that is not a Fraction"))
+
+
 def fraction_str(value):
-    f = Fraction(value)
+    """The "num/den" string of a Fraction or an integer."""
+    f = _rational(value)
     return f"{f.numerator}/{f.denominator}"
 
 
 def fraction_display(value):
     """Markdown form: canonical value with the geometric-sign alias."""
-    f = Fraction(value)
+    f = _rational(value)
     geo = geometric_rep(f)
     canonical = str(f)
     if geo != f:

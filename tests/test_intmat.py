@@ -1081,9 +1081,51 @@ def structured_matrices(draw):
     return IntMatrix(rows)
 
 
+def lists_product(x, y):
+    """Product of two list-of-rows matrices, each entry a full dot product."""
+    cols = list(zip(*y))
+    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in x]
+
+
+@st.composite
+def unimodular_factors(draw, n):
+    """P L R: L unit lower and R unit upper triangular, their other entries
+    in [-2, 2], and P a row permutation, so the determinant is +-1."""
+    def triangular(below):
+        return [[int(i == j) if (i <= j if below else i >= j) else draw(TINY)
+                 for j in range(n)] for i in range(n)]
+    return draw(st.permutations(lists_product(triangular(True), triangular(False))))
+
+
+@st.composite
+def dense_presentations(draw):
+    """U diag(d) V with n = 6..15, shaped like the dense cokernel
+    presentations that the Smith form reduces most: d is a divisibility
+    chain whose last entry is 0 (a free column) half of the time, and U and
+    V are each a product of two P L R factors.  The entries of the
+    replayed U grow to hundreds of bits."""
+    n = draw(st.integers(6, 15))
+    free = int(draw(st.booleans()))
+    d, current = [], 1
+    for _ in range(n - free):
+        current *= draw(st.sampled_from([1, 1, 1, 2, 2, 3, 5]))
+        d.append(current)
+    d += [0] * free
+    diag = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    u, v = (lists_product(draw(unimodular_factors(n)), draw(unimodular_factors(n)))
+            for _ in range(2))
+    return IntMatrix(lists_product(lists_product(u, diag), v))
+
+
+def assert_int_entries(rows):
+    """Every entry is an int: the Smith form wraps D, U and V unchecked."""
+    assert all(type(x) is int for row in rows for x in row)
+
+
 @settings(deadline=None)
 @given(st.one_of(snf_inputs(), structured_matrices(), singular_matrices(),
-                 wrapped_product_pairs().map(lambda pair: pair[0] @ pair[1])))
+                 wrapped_product_pairs().map(lambda pair: pair[0] @ pair[1]),
+                 dense_presentations()))
 def test_in_place_row_operations_keep_the_smith_log(m):
     # Adding only the source row's nonzeros from column t on, in place,
     # leaves D and every logged operation as rebuilding whole rows did, so
@@ -1091,6 +1133,7 @@ def test_in_place_row_operations_keep_the_smith_log(m):
     decomp = snf(m)
     d, log = rebuilding_snf(m)
     assert decomp.d == d and decomp._log == log
+    assert_int_entries(decomp.d._rows)
 
 
 @settings(deadline=None, max_examples=60)
@@ -1355,7 +1398,7 @@ def bareiss_v_inverse(v):
 
 
 @settings(deadline=None)
-@given(snf_inputs(), st.permutations(["u", "v", "v_inv"]))
+@given(st.one_of(snf_inputs(), dense_presentations()), st.permutations(["u", "v", "v_inv"]))
 def test_replayed_transforms_match_eager_reference(m, order):
     # U, V and V^-1 are replayed from the log in any order of reading;
     # each equals the transform the eager reference carried along.
@@ -1372,6 +1415,8 @@ def test_replayed_transforms_match_eager_reference(m, order):
     assert built["v_inv"] @ v == IntMatrix.identity(m.cols)
     assert built["v_inv"] == bareiss_v_inverse(v)
     assert decomp.u is built["u"] and decomp.v is built["v"]
+    for rows in (decomp.d._rows, decomp.u._rows, decomp.v._rows, decomp._v_inverse_columns()):
+        assert_int_entries(rows)
 
 
 def forward_replay_u(decomp):
@@ -1390,10 +1435,11 @@ def forward_replay_u(decomp):
 
 
 @settings(deadline=None)
-@given(snf_inputs(), st.data())
+@given(st.one_of(snf_inputs(), dense_presentations()), st.data())
 def test_u_columns_match_the_eager_reference(m, data):
     # Any set of U's columns, in any order, replayed from the right, is
-    # those columns of the U the eager reference carried along.
+    # those columns of the U the eager reference carried along.  The replay
+    # runs in place on a block of its own, so a second call gives the same.
     decomp = snf(m)
     u = reference_snf(m)[0]
     n = m.rows
@@ -1402,8 +1448,10 @@ def test_u_columns_match_the_eager_reference(m, data):
     for indices in ([], single, subset, list(range(n))):
         columns = decomp.u_columns(indices)
         assert columns == [u.column(s) for s in indices]
-        assert all(type(x) is int for column in columns for x in column)
+        assert decomp.u_columns(indices) == columns
+        assert_int_entries(columns)
     assert decomp.u == u == forward_replay_u(decomp)
+    assert_int_entries(decomp.u._rows)
 
 
 def test_empty_log_replays_identity_transforms():

@@ -29,6 +29,16 @@ def test_fraction_strings():
     assert serialize.fraction_display(Fraction(0)) == "0"
 
 
+@pytest.mark.parametrize("render", [serialize.fraction_str, serialize.fraction_display],
+                         ids=["fraction_str", "fraction_display"])
+@pytest.mark.parametrize("value", [0.1, True, "1/2", None])
+def test_fraction_strings_refuse_what_the_library_refuses(render, value):
+    # A float became a 2^55-denominator fraction, True became "1/1" and a
+    # string was parsed.
+    with pytest.raises(ValidationError, match="not a Fraction must be an integer"):
+        render(value)
+
+
 def test_group_roundtrip():
     for group in (FGAbGroup.trivial(), FGAbGroup(2, (2, 4)), FGAbGroup.cyclic(5)):
         assert serialize.group_from_json(serialize.group_to_json(group)) == group
