@@ -712,7 +712,7 @@ def char_poly(matrix):
         m = _row_product(matrix._rows, m)
         trace = sum(m[i][i] for i in range(n))
         if trace % k:
-            shown = ", ".join(str(c) for c in coeffs + [-trace / k])
+            shown = ", ".join(str(c) for c in coeffs + [Fraction(-trace, k)])
             raise InvariantError(
                 f"characteristic polynomial has non-integer coefficients {shown}"
             )

@@ -16,7 +16,7 @@ from .abgroup import FGAbGroup
 from .errors import ValidationError
 from .intmat import IntMatrix, _integer
 from .lattice import IntersectionLattice, geometric_rep
-from .trajectory import MarkerRow
+from .trajectory import STATION_MONODROMY, MarkerRow
 
 TABLE_HEADERS = ("Example", "E", "q", "Local", "Supp.", "Global image", "Br/res.", "Q")
 
@@ -37,8 +37,8 @@ def fraction_str(value):
 
 
 def fraction_display(value):
-    """Markdown form: canonical value with the geometric-sign alias."""
-    f = _rational(value)
+    """Markdown form: the canonical [0, 1) value with the geometric-sign alias."""
+    f = _rational(value) % 1
     geo = geometric_rep(f)
     canonical = str(f)
     if geo != f:
@@ -166,7 +166,7 @@ def _station_text(row):
         return "torsion stations vanish; free vanishing cycle exists"
     if row.package.group.is_trivial():
         return "all vanish"
-    if checks.agree and "not-applicable" in checks.notes.values():
+    if checks.agree and STATION_MONODROMY not in checks.stations:
         return f"{present} agree; monodromy n/a"
     if checks.agree:
         return "six agree"

@@ -11,18 +11,20 @@ Each station has its own method.  The lattice station reads the group of
 the discriminant package, coker(gram).  The link station takes H^2 of the
 model's own link.  The pair-sequence station takes H^2 of the lens or
 Seifert space that plumbing calculus reads off the resolution graph's
-weights (``links.plumbing_link``).  The monodromy station takes
-coker(T - I) for a Coxeter element T, built from its own Cartan matrix
-(``monodromy.coxeter_element``), not from the row's lattice.  So an A_k
-row runs two Smith forms, of the gram and of T - I, and builds its
-lattice twice.  ``trajectory_row`` assembles a row, and
+weights (``links.plumbing_link``).  Each kind declares its monodromy
+station: coker(T - I) for the Coxeter element T of A_k, D_4 or E_8,
+built from its own Cartan matrix, so an A_k row runs two Smith forms (of
+the gram and of T - I); the link group itself on the Brieskorn row, by
+the Wang sequence (Milnor 1968, section 8), so no independent
+computation; the free cokernel of T = id on the ODP; none on a cyclic
+quotient.  ``trajectory_row`` assembles a row, and
 ``realization_crosscheck`` reads its stations off it; ``local_package``
 builds the row's package by the same step and runs no station.
 
 Each model kind's facts sit in one row of the private table ``_KINDS``:
 its parameter rule (named integer parameters with least values, and a
 joint check), display name, resolution lattice, link, preferred
-generators, monodromy and global-image note.  The model, the row
+generators, monodromy station and global-image note.  The model, the row
 assembly and the command line read that table, so a new model is one
 table entry plus a factory classmethod.
 """
@@ -58,10 +60,6 @@ NOTE_SHADOW = "shadow-selected"
 
 BRAUER_LOCAL_UNDEFINED = "local-undefined"
 BRAUER_GLOBAL_BENCHMARK = "global-benchmark"
-BRAUER_GATE_PASSED = "gate-passed"
-
-# Monodromy station notes of the kinds whose monodromy is no Coxeter element.
-_MONODROMY_NOTES = ("wang-sequence", "free-cokernel", "not-applicable")
 
 
 class _Kind(Record):
@@ -75,9 +73,9 @@ class _Kind(Record):
     with the symbols, as in "A_k surface parameter k must be >= 1, got 0".
     ``generators`` lists the leading entries of each preferred generator
     column; the rest of a column is zero up to the lattice rank.
-    ``monodromy`` is a Coxeter family for ``coxeter_element``, spelled as
-    the ``cartan_matrix`` family of ``lattice``, or one of the station
-    notes in ``_MONODROMY_NOTES``.
+    ``monodromy`` is the kind's monodromy station: a function of the link
+    station's group and the parameters that returns ``(group, note)``,
+    either one None when the station has none.
     """
 
     parameters: tuple
@@ -86,8 +84,14 @@ class _Kind(Record):
     lattice: object  # None: no resolution lattice (the ODP)
     link: object
     generators: tuple  # None: the Smith form's generators
-    monodromy: str
+    monodromy: object
     global_image: str
+
+
+def _coxeter(family):
+    # Both names are looked up at call time, so a tracer's rebinding sees each call.
+    return lambda link, *parameters: (
+        variation_cokernel(coxeter_element(family, *parameters)).torsion(), None)
 
 
 # Preferred generators are the customary geometric basis: a dual basis
@@ -99,29 +103,31 @@ class _Kind(Record):
 _KINDS = {
     "ak": _Kind(
         (("k", 1),), None, lambda k: f"A_{k} surface", lambda k: cartan_matrix("A", k),
-        lambda k: LensSpace(k + 1, k), ((1,),), "A",
+        lambda k: LensSpace(k + 1, k), ((1,),), _coxeter("A"),
         "depends on global exceptional-chain relations"),
     "d4": _Kind(
         (), None, lambda: "D_4 surface", lambda: cartan_matrix("D4"),
-        lambda: Seifert(-2, ((2, 1), (2, 1), (2, 1))), ((0, -1, 1, 0), (0, -1, 0, 1)), "D4",
-        "depends on global relations and form data"),
+        lambda: Seifert(-2, ((2, 1), (2, 1), (2, 1))), ((0, -1, 1, 0), (0, -1, 0, 1)),
+        _coxeter("D4"), "depends on global relations and form data"),
     "e8": _Kind(
         (), None, lambda: "E_8 surface", lambda: cartan_matrix("E8"),
-        lambda: Seifert(-2, ((2, 1), (3, 2), (5, 4))), None, "E8", "no birth: lattice unimodular"),
+        lambda: Seifert(-2, ((2, 1), (3, 2), (5, 4))), None, _coxeter("E8"),
+        "no birth: lattice unimodular"),
     "brieskorn": _Kind(
         (), None, lambda: "x^2+y^3+z^11 (Brieskorn)", lambda: star_matrix(1, [2, 3, 11]),
-        lambda: Seifert(*BRIESKORN_SEIFERT), ((0, 0, 0, 1),), "wang-sequence",
-        "depends on global plumbing/support relations"),
+        lambda: Seifert(*BRIESKORN_SEIFERT), ((0, 0, 0, 1),),
+        lambda link: (link, "wang-sequence"), "depends on global plumbing/support relations"),
     # hj_expansion refuses q >= n and gcd(n, q) != 1, so it is the joint check.
     "quotient": _Kind(
         (("n", 2), ("q", 1)), hj_expansion,
         lambda n, q: "Coble boundary 1/4(1,1)" if (n, q) == (4, 1) else f"cyclic quotient 1/{n}(1,{q})",
         lambda n, q: chain_matrix(hj_expansion(n, q)),
-        LensSpace, ((1,),), "not-applicable",
+        LensSpace, ((1,),), lambda link, n, q: (None, "not-applicable"),
         "depends on global exceptional-chain relations"),
     "odp": _Kind(
         (), None, lambda: "threefold ODP", None, SphereProduct, None,
-        "free-cokernel", "no finite torsion image; free relations may create defect"),
+        lambda link: (odp_package()[0].torsion(), "free-cokernel"),
+        "no finite torsion image; free relations may create defect"),
 }
 
 
@@ -251,37 +257,29 @@ def trajectory_row(model):
     package on the kind's preferred generators, zero-padded to the
     lattice rank; the lattice and pair-sequence stations read that
     package and lattice (see the module docstring for each station).
-    The ODP has no lattice, so its package is None, its lattice and
-    pair-sequence stations are notes, and its monodromy is the free
-    cokernel of T = id.  The Brieskorn monodromy is recorded through the
-    link equality (Wang sequence); a cyclic quotient has none.
+    The ODP has no lattice, so its package is None and its lattice and
+    pair-sequence stations are notes.  The kind's monodromy station is
+    called once, with the link station's group and the parameters.
 
     >>> row = trajectory_row(SingularityModel.ak(1))
     >>> print(row.group())
     Z/2
     """
     spec = _KINDS[model.kind]
-    stations = {}
-    notes = {}
     lat, package = _lattice_and_package(model)
+    link = link_profile(model.link_model()).torsion(2)
     if lat is None:
-        notes[STATION_LATTICE] = "no finite discriminant"
-        notes[STATION_PAIR] = "free pair data"
+        stations = {STATION_LINK: link}
+        notes = {STATION_LATTICE: "no finite discriminant", STATION_PAIR: "free pair data"}
     else:
-        stations[STATION_LATTICE] = package.group
-    stations[STATION_LINK] = link_profile(model.link_model()).torsion(2)
-    if lat is not None:
-        stations[STATION_PAIR] = link_profile(plumbing_link(lat)).torsion(2)
-
-    if spec.monodromy not in _MONODROMY_NOTES:
-        t = coxeter_element(spec.monodromy, *model.parameters)
-        stations[STATION_MONODROMY] = variation_cokernel(t).torsion()
-    else:
-        notes[STATION_MONODROMY] = spec.monodromy
-        if spec.monodromy == "free-cokernel":
-            stations[STATION_MONODROMY] = odp_package()[0].torsion()
-        elif spec.monodromy == "wang-sequence":
-            stations[STATION_MONODROMY] = stations[STATION_LINK]
+        stations = {STATION_LATTICE: package.group, STATION_LINK: link,
+                    STATION_PAIR: link_profile(plumbing_link(lat)).torsion(2)}
+        notes = {}
+    monodromy, monodromy_note = spec.monodromy(link, *model.parameters)
+    if monodromy is not None:
+        stations[STATION_MONODROMY] = monodromy
+    if monodromy_note is not None:
+        notes[STATION_MONODROMY] = monodromy_note
     groups = list(stations.values())
     checks = Crosscheck(stations, notes, all(g == groups[0] for g in groups))
 

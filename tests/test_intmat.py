@@ -375,6 +375,19 @@ def test_char_poly_integrality_check():
         char_poly(m)
 
 
+@pytest.mark.parametrize("product, shown", [
+    ([[10**400, 0], [0, 10**400 + 1]], f"1, {-(2 * 10**400 + 1)}, {-(2 * 10**400 + 1)}/2"),
+    ([[1, 0], [0, 2]], "1, -3, -3/2"),
+])
+def test_char_poly_refusal_shows_exact_coefficients(monkeypatch, product, shown):
+    # An odd trace at k = 2 is refused with its coefficient as a fraction:
+    # a float overflowed past 10^308 and printed -3/2 as -1.5.
+    monkeypatch.setattr(intmat, "_row_product", lambda rows, m: [row[:] for row in product])
+    with pytest.raises(InvariantError) as refusal:
+        char_poly(IntMatrix([[0, 0], [0, 0]]))
+    assert str(refusal.value).endswith(shown)
+
+
 # -- reference kernels --------------------------------------------------------
 #
 # The straightforward versions the library used before its kernels were

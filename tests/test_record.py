@@ -48,6 +48,12 @@ Z2 = FGAbGroup.cyclic(2)
 Z4 = FGAbGroup.cyclic(4)
 A2 = cartan_matrix("A", 2)
 
+
+def no_monodromy(link, *parameters):
+    """A monodromy station for the ``_Kind`` sample, picklable by name."""
+    return None, "not-applicable"
+
+
 SAMPLES = {
     FGAbGroup: lambda: FGAbGroup(1, (2,)),
     FinAbHom: lambda: FinAbHom(Z2, Z4, IntMatrix([[2]])),
@@ -64,7 +70,7 @@ SAMPLES = {
     ProductReport: lambda: product_cohomology(
         builtin_profile("enriques"), builtin_profile("curve", genus=2), 4),
     GateRefusal: lambda: GateRefusal("h^(0,2) = 1 is nonzero"),
-    _Kind: lambda: _Kind((), None, str, None, None, None, "A", "a note"),
+    _Kind: lambda: _Kind((), None, str, None, None, None, no_monodromy, "a note"),
     SingularityModel: lambda: SingularityModel.ak(3),
     Crosscheck: lambda: realization_crosscheck(SingularityModel.ak(1)),
     TrajectoryRow: lambda: trajectory_row(SingularityModel.ak(1)),

@@ -29,6 +29,13 @@ def test_fraction_strings():
     assert serialize.fraction_display(Fraction(0)) == "0"
 
 
+def test_fraction_display_reduces_its_canonical_value_mod_1():
+    # Both halves name one Q/Z value: [0, 1), then the (-1, 0] alias.
+    assert serialize.fraction_display(Fraction(5, 4)) == "1/4 (= -3/4)"
+    assert serialize.fraction_display(2) == "0"
+    assert serialize.fraction_display(Fraction(-1, 4)) == "3/4 (= -1/4)"
+
+
 @pytest.mark.parametrize("render", [serialize.fraction_str, serialize.fraction_display],
                          ids=["fraction_str", "fraction_display"])
 @pytest.mark.parametrize("value", [0.1, True, "1/2", None])

@@ -143,6 +143,13 @@ def test_crosscheck_all_surface_models_agree():
         assert checks.agree
 
 
+# Each kind's monodromy station, stated here and not read from ``_KINDS``: the
+# Coxeter family of its T, or the note of a station that takes no Coxeter element.
+COXETER_FAMILIES = {"ak": "A", "d4": "D4", "e8": "E8"}
+MONODROMY_NOTES = {"brieskorn": "wang-sequence", "quotient": "not-applicable",
+                   "odp": "free-cokernel"}
+
+
 @pytest.mark.parametrize("kind", sorted(trajectory._KINDS))
 def test_every_built_in_kind_assembles(kind):
     # A kind with parameters is sampled a little above their least values.
@@ -156,9 +163,11 @@ def test_every_built_in_kind_assembles(kind):
     # The link station reads the kind's own link, not the lattice's boundary.
     assert not isinstance(model.link_model(), PlumbingBoundary)
     # A Coxeter kind spells its lattice and its monodromy the same way.
-    monodromy = trajectory._KINDS[kind].monodromy
-    if monodromy not in trajectory._MONODROMY_NOTES:
-        assert model.resolution_lattice() == cartan_matrix(monodromy, *model.parameters)
+    if kind in COXETER_FAMILIES:
+        assert model.resolution_lattice() == cartan_matrix(COXETER_FAMILIES[kind], *model.parameters)
+        assert "monodromy" not in checks.notes
+    else:
+        assert checks.notes["monodromy"] == MONODROMY_NOTES[kind]
     groups = list(checks.stations.values())
     assert checks.agree and all(g == groups[0] for g in groups)
     package = local_package(model)
@@ -200,15 +209,14 @@ def reference_realization_crosscheck(model):
     if lat is not None:
         stations["pair-sequence"] = link_profile(plumbing_link(lat)).torsion(2)
 
-    monodromy = trajectory._KINDS[model.kind].monodromy
-    if monodromy not in trajectory._MONODROMY_NOTES:
-        t = coxeter_element(monodromy, *model.parameters)
+    if model.kind in COXETER_FAMILIES:
+        t = coxeter_element(COXETER_FAMILIES[model.kind], *model.parameters)
         stations["monodromy"] = variation_cokernel(t).torsion()
     else:
-        notes["monodromy"] = monodromy
-        if monodromy == "free-cokernel":
+        notes["monodromy"] = MONODROMY_NOTES[model.kind]
+        if model.kind == "odp":
             stations["monodromy"] = odp_package()[0].torsion()
-        elif monodromy == "wang-sequence":
+        elif model.kind == "brieskorn":
             stations["monodromy"] = stations["link"]
 
     groups = list(stations.values())
@@ -270,6 +278,25 @@ def test_a_row_builds_its_lattice_once(monkeypatch, model, builds):
     monkeypatch.setattr(lattice, "_plumbing", counting_plumbing)
     trajectory_row(model)
     assert len(calls) == builds
+
+
+@pytest.mark.parametrize(
+    "model, calls",
+    [(SingularityModel.ak(1), 1), (SingularityModel.ak(12), 1), (SingularityModel.d4(), 1),
+     (SingularityModel.e8(), 1), (SingularityModel.brieskorn(), 0),
+     (SingularityModel.cyclic_quotient(7, 3), 0), (SingularityModel.odp(), 0)],
+    ids=["a1", "a12", "d4", "e8", "brieskorn", "quotient-7-3", "odp"],
+)
+def test_monodromy_stations_call_through_the_module_names(monkeypatch, model, calls):
+    # A tracer rebinds trajectory.coxeter_element and variation_cokernel, so
+    # a Coxeter station must look both up at call time, once per row.
+    seen = []
+    for name in ("coxeter_element", "variation_cokernel"):
+        real = getattr(trajectory, name)
+        monkeypatch.setattr(trajectory, name,
+                            lambda *args, _name=name, _real=real: seen.append(_name) or _real(*args))
+    trajectory_row(model)
+    assert seen == ["coxeter_element", "variation_cokernel"] * calls
 
 
 def test_disagreeing_stations_show_in_every_format(monkeypatch, capsys):
