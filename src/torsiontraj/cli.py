@@ -13,9 +13,14 @@ render path, ``_render``, turns them into the chosen format.
 Exit codes: 0 on success, 1 on computation refusals (gate failures,
 capability limits), 2 on usage errors, which include a path that cannot
 be read or written and an input file that is not UTF-8.
+
+The process entry, ``main``, freezes the garbage collector before it
+exits, so the exit-time collections skip the objects the run built;
+``run``, which tests and in-process callers use, does not.
 """
 
 import argparse
+import gc
 import json
 import sys
 
@@ -260,7 +265,10 @@ def run(argv):
 
 
 def main():
-    raise SystemExit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    # Freeze what was built, so the exit-time collections skip it.
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

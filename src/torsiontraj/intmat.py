@@ -262,12 +262,13 @@ class IntMatrix(_Matrix):
         _require_int_matrix(other, "hstack")
         if self.rows != other.rows:
             raise DimensionError("row counts differ in hstack")
-        return IntMatrix([a + b for a, b in zip(self._rows, other._rows)])
+        return IntMatrix._wrap([a + b for a, b in zip(self._rows, other._rows)])
 
     def __mul__(self, scalar):
         if not isinstance(scalar, int) or isinstance(scalar, bool):
             return NotImplemented
-        return IntMatrix([[scalar * x for x in row] for row in self._rows])
+        scalar = index(scalar)
+        return IntMatrix._wrap([[scalar * x for x in row] for row in self._rows])
 
     __rmul__ = __mul__
 
@@ -278,7 +279,7 @@ class IntMatrix(_Matrix):
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch in subtraction")
-        return IntMatrix(
+        return IntMatrix._wrap(
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)]
         )
 
@@ -650,15 +651,15 @@ def rat_inverse(matrix):
     """Exact inverse of a nonsingular integer matrix, as a RatMatrix.
 
     The forward Bareiss pass on [M | I] leaves [U | B] with U upper
-    triangular and U M^-1 = B (see ``_bareiss``).  With d = det M,
-    Y = d M^-1 (the adjugate) is integral, so exact fraction-free back
-    substitution gives it row by row, last row first:
+    triangular and U M^-1 = B (see ``_bareiss``).  With d = |det M|,
+    Y = d M^-1 (the adjugate, up to sign) is integral, so exact
+    fraction-free back substitution gives it row by row, last row first:
     Y_i = (d B_i - sum of U_ij Y_j over j > i) // U_ii, every division
     exact.  The sum runs only over the nonzero U_ij, found by ``compress``
     in C; for the tridiagonal A_k gram that is one term per row, so the
-    whole inverse costs O(k^2) steps.  The result is Y over d, brought to
-    lowest terms over a positive denominator by one gcd, with no Fraction
-    built: products with it run on Y's integers too.
+    whole inverse costs O(k^2) steps.  The result is Y over the positive
+    d, brought to lowest terms by one gcd, so no sign pass follows, and
+    no Fraction is built: products with it run on Y's integers too.
 
     >>> print(rat_inverse(IntMatrix([[2, 1], [1, 1]])))
     [[1, -1], [-1, 2]]
@@ -675,7 +676,7 @@ def rat_inverse(matrix):
     for i, row in enumerate(a):
         row += [0] * n
         row[n + i] = 1
-    d = _bareiss(a, n)
+    d = abs(_bareiss(a, n))
     if d == 0:
         raise SingularMatrixError("matrix is singular")
     y = [None] * n

@@ -116,7 +116,12 @@ def hj_recompose(weights):
     >>> hj_recompose([3, 2, 2])
     Fraction(7, 3)
     """
-    weights = [_integer(b, f"a Hirzebruch-Jung weight of {weights!r}") for b in weights]
+    given, weights = weights, list(weights)
+    for i, b in enumerate(weights):
+        # A plain int passes as it is; any other weight goes through
+        # ``_integer``, so the label is built only off the int path.
+        if type(b) is not int:
+            weights[i] = _integer(b, f"a Hirzebruch-Jung weight of {given!r}")
     if not weights:
         raise ValidationError("need at least one Hirzebruch-Jung weight, got []")
     p, q = weights[-1], 1

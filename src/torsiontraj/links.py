@@ -182,6 +182,9 @@ def plumbing_link(lattice):
 
 # -- universal coefficient theorem --------------------------------------------
 
+_TRIVIAL = FGAbGroup.trivial()
+
+
 def uct_cohomology_from_homology(homology):
     """H^k = Hom(H_k, Z) + Ext^1(H_{k-1}, Z): free part plus torsion,
     degreewise, trivial degrees dropped.
@@ -192,9 +195,10 @@ def uct_cohomology_from_homology(homology):
     degrees = set(homology)
     out = {}
     for k in degrees | {d + 1 for d in degrees}:
-        h_k = homology.get(k, FGAbGroup.trivial())
-        h_prev = homology.get(k - 1, FGAbGroup.trivial())
-        group = FGAbGroup.free(h_k.free_rank).direct_sum(h_prev.torsion())
+        h_k = homology.get(k, _TRIVIAL)
+        h_prev = homology.get(k - 1, _TRIVIAL)
+        # Z^{rank H_k} + tors(H_{k-1}) is already in canonical form.
+        group = FGAbGroup(h_k.free_rank, h_prev.invariant_factors)
         if not group.is_trivial():
             out[k] = group
     return out

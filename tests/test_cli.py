@@ -1,8 +1,11 @@
 """Command-line behaviour: outputs, formats, exit codes."""
 
+import gc
 import json
 import os
+import pathlib
 import random
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -11,7 +14,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from torsiontraj import serialize
+import torsiontraj
+from torsiontraj import cli, serialize
 from torsiontraj.cli import run
 from torsiontraj.intmat import IntMatrix, RatMatrix
 from torsiontraj.lattice import DiscriminantPackage, IntersectionLattice, discriminant_package
@@ -250,6 +254,65 @@ def test_out_flag(tmp_path, capsys):
     assert out == ""
     data = json.loads(path.read_text())
     assert data["package"]["group"] == {"free_rank": 0, "invariant_factors": [2, 2]}
+
+
+SRC = str(pathlib.Path(torsiontraj.__file__).resolve().parents[1])
+
+
+def entry(*argv):
+    """``python -m torsiontraj.cli`` as a process on this source tree:
+    (exit code, stdout bytes, stderr text)."""
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONIOENCODING="utf-8")
+    done = subprocess.run([sys.executable, "-m", "torsiontraj.cli", *argv],
+                          capture_output=True, env=env, timeout=120)
+    return done.returncode, done.stdout, done.stderr.decode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [*(("singularity", "ak", "--k", "5", "--format", fmt) for fmt in ("md", "json", "csv")),
+     ("table", "trajectory", "--format", "json"),
+     ("singularity", "d4", "3"),
+     ("link", "seifert", "--b", "-1", "--arms", "2,1;2,1")],
+    ids=["ak-md", "ak-json", "ak-csv", "table-json", "usage-error", "refusal"],
+)
+def test_process_entry_prints_what_run_prints(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    process_code, process_out, process_err = entry(*argv)
+    assert (process_code, process_out) == (code, out.encode("utf-8"))
+    if code == 2:
+        assert out == ""
+    if code == 1:
+        assert out == "" and process_err == err
+        assert err.startswith("refused: Seifert space has infinite H_1")
+
+
+def test_process_entry_writes_to_out_what_it_prints(tmp_path):
+    gram = tmp_path / "gram.json"
+    gram.write_text(json.dumps({"gram": [[-2, 1, 1, 1], [1, -2, 0, 0], [1, 0, -2, 0], [1, 0, 0, -2]]}))
+    path = tmp_path / "package.json"
+    code, printed, _ = entry("lattice", "--gram", str(gram), "--format", "json")
+    assert code == 0 and printed
+    assert entry("lattice", "--gram", str(gram), "--format", "json", "--out", str(path)) == (0, b"", "")
+    assert path.read_bytes() == printed
+
+
+def test_run_leaves_the_collector_unfrozen(capsys):
+    # Freezing pins every object the caller holds, so only main freezes.
+    before = gc.get_freeze_count()
+    assert invoke(capsys, "singularity", "ak", "--k", "5")[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_main_freezes_the_collector_after_run_returns(monkeypatch):
+    events = []
+    monkeypatch.setattr(cli, "run", lambda argv: events.append(("run", argv)) or 1)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(sys, "argv", ["torsiontraj", "singularity", "a1"])
+    with pytest.raises(SystemExit) as exited:
+        cli.main()
+    assert exited.value.code == 1
+    assert events == [("run", ["singularity", "a1"]), "freeze"]
 
 
 def not_utf8_gram(tmp_path):

@@ -758,6 +758,30 @@ def test_scalar_product_refuses_a_bool(operation):
     assert -1 * IntMatrix([[1, -2]]) == IntMatrix([[-1, 2]]) == IntMatrix([[1, -2]]) * -1
 
 
+class FloatProductInt(int):
+    """An int whose products are floats."""
+
+    def __mul__(self, other):
+        return float(int(self) * other)
+
+    __rmul__ = __mul__
+
+
+@pytest.mark.parametrize(
+    "operation, expected",
+    [(lambda m: m - IntMatrix([[1, 1], [1, 1]]), [[0, -3], [2, -1]]),
+     (lambda m: m.hstack(IntMatrix([[5], [6]])), [[1, -2, 5], [3, 0, 6]]),
+     (lambda m: m * FloatProductInt(3), [[3, -6], [9, 0]])],
+    ids=["sub", "hstack", "times-int-subclass"],
+)
+def test_int_operations_return_plain_int_matrices(operation, expected):
+    # These results are wrapped unchecked, as products are: their entries
+    # are ints by construction, and a scalar is read through index() first.
+    result = operation(IntMatrix([[1, -2], [3, 0]]))
+    assert type(result) is IntMatrix and result == IntMatrix(expected)
+    assert all(type(x) is int for row in result.to_lists() for x in row)
+
+
 @pytest.mark.parametrize(
     "operation, error, message",
     [

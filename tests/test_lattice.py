@@ -151,6 +151,39 @@ def test_hj_recompose_refuses_bad_weights(weights, message):
         hj_recompose(weights)
 
 
+class ReprCountingList(list):
+    """A list that counts the calls of its ``repr``."""
+
+    reprs = 0
+
+    def __repr__(self):
+        self.reprs += 1
+        return super().__repr__()
+
+
+def test_hj_recompose_builds_no_label_for_a_valid_chain():
+    # The label repr(weights) was built once per weight: O(n^2) per chain.
+    chain = ReprCountingList([2] * 60)
+    assert hj_recompose(chain) == Fraction(61, 60)
+    assert chain.reprs == 0
+
+
+@pytest.mark.parametrize(
+    "weights, message",
+    [([2, 1.5], "a Hirzebruch-Jung weight of [2, 1.5] must be an integer, got 1.5"),
+     ([True, 2], "a Hirzebruch-Jung weight of [True, 2] must be an integer, got True"),
+     (["2"], "a Hirzebruch-Jung weight of ['2'] must be an integer, got '2'"),
+     ([3, "2", 2], "a Hirzebruch-Jung weight of [3, '2', 2] must be an integer, got '2'")],
+    ids=["float", "bool", "string", "string-inside"],
+)
+def test_hj_recompose_refusal_names_the_weights_as_given(weights, message):
+    weights = ReprCountingList(weights)
+    with pytest.raises(ValidationError) as refused:
+        hj_recompose(weights)
+    assert str(refused.value) == message
+    assert weights.reprs == 1
+
+
 def test_hj_validation():
     with pytest.raises(ValidationError):
         hj_expansion(4, 2)
