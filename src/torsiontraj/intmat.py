@@ -219,9 +219,9 @@ class IntMatrix(_Matrix):
     """An immutable matrix with integer entries.
 
     The constructor keeps a row of ints as it is (a type scan in C) and
-    passes any other row through ``_integer``; an int * int product is
-    wrapped unchecked by ``_wrap``, since its entries are ints by
-    construction.
+    passes any other row through ``_integer``; a product, difference,
+    ``hstack`` or scalar multiple of IntMatrices is wrapped unchecked by
+    ``_wrap``, since its entries are ints by construction.
 
     >>> m = IntMatrix([[-2]])
     >>> m.rows, m.cols

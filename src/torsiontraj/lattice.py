@@ -118,8 +118,7 @@ def hj_recompose(weights):
     """
     given, weights = weights, list(weights)
     for i, b in enumerate(weights):
-        # A plain int passes as it is; any other weight goes through
-        # ``_integer``, so the label is built only off the int path.
+        # The label is built only for a weight that is not a plain int.
         if type(b) is not int:
             weights[i] = _integer(b, f"a Hirzebruch-Jung weight of {given!r}")
     if not weights:
