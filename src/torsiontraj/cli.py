@@ -20,6 +20,7 @@ exits, so the exit-time collections skip the objects the run built;
 """
 
 import argparse
+import errno
 import gc
 import json
 import sys
@@ -53,6 +54,9 @@ def _emit(args, text):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
+    elif sys.stdout is None:
+        # A process started with file descriptor 1 closed has no sys.stdout.
+        raise OSError(errno.EBADF, "standard output is closed")
     else:
         sys.stdout.write(text)
 

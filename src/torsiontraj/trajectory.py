@@ -33,7 +33,7 @@ from ._record import Record
 from .abgroup import FGAbGroup, FinAbHom, hom_analyze, rationalize, tensor
 from .bockstein import shadow
 from .errors import InvariantError, ValidationError
-from .intmat import IntMatrix, _integer
+from .intmat import _LENGTH_MAX, IntMatrix, _integer
 from .lattice import (
     DiscriminantPackage,
     cartan_matrix,
@@ -65,9 +65,10 @@ BRAUER_GLOBAL_BENCHMARK = "global-benchmark"
 class _Kind(Record):
     """The facts of one built-in model kind.
 
-    ``parameters`` is the rule: ``(name, least)`` pairs in order.  A
-    model's parameters are one integer per pair, at least its least value,
-    that then pass ``check`` (None, or a joint check raising
+    ``parameters`` is the rule: ``(name, least)`` pairs in order, or
+    ``(name, least, greatest)`` where the parameter sizes a list.  A
+    model's parameters are one integer per pair, within its bounds, that
+    then pass ``check`` (None, or a joint check raising
     ``ValidationError``).  ``name``, ``lattice`` and ``link`` are functions
     of the parameters; a refusal names the parameter after ``name`` called
     with the symbols, as in "A_k surface parameter k must be >= 1, got 0".
@@ -102,7 +103,7 @@ def _coxeter(family):
 # The D_4 and E_8 links are the Seifert data (b; each arm's n/q) of their stars.
 _KINDS = {
     "ak": _Kind(
-        (("k", 1),), None, lambda k: f"A_{k} surface", lambda k: cartan_matrix("A", k),
+        (("k", 1, _LENGTH_MAX),), None, lambda k: f"A_{k} surface", lambda k: cartan_matrix("A", k),
         lambda k: LensSpace(k + 1, k), ((1,),), _coxeter("A"),
         "depends on global exceptional-chain relations"),
     "d4": _Kind(
@@ -142,13 +143,13 @@ class SingularityModel(Record):
         if spec is None:
             raise ValidationError(f"unknown singularity model {self.kind!r}")
         rule, given = spec.parameters, self.parameters
-        symbols = [name for name, _ in rule]
+        symbols = [name for name, *_ in rule]
         if not isinstance(given, tuple) or len(given) != len(rule):
             count = f"{len(rule)} integer parameter{'s' if len(rule) > 1 else ''}"
             takes = f"{count} ({', '.join(symbols)})" if rule else "no parameters"
             raise ValidationError(f"the {self.kind} model takes {takes}, got {given!r}")
-        given = tuple(_integer(value, f"{spec.name(*symbols)} parameter {name}", least)
-                      for value, (name, least) in zip(given, rule))
+        given = tuple(_integer(value, f"{spec.name(*symbols)} parameter {name}", *bounds)
+                      for value, (name, *bounds) in zip(given, rule))
         object.__setattr__(self, "parameters", given)
         if spec.check is not None:
             spec.check(*given)

@@ -315,6 +315,25 @@ def test_main_freezes_the_collector_after_run_returns(monkeypatch):
     assert events == [("run", ["singularity", "a1"]), "freeze"]
 
 
+CLOSED_STDOUT = "error: [Errno 9] standard output is closed\n"
+
+
+def test_closed_stdout_is_a_usage_error(monkeypatch, capsys):
+    # A process started with file descriptor 1 closed has sys.stdout None;
+    # writing to it was an AttributeError traceback and exit 1.
+    monkeypatch.setattr(sys, "stdout", None)
+    code = run(["singularity", "a1"])
+    assert (code, capsys.readouterr().err) == (2, CLOSED_STDOUT)
+
+
+def test_process_entry_with_stdout_closed_is_a_usage_error():
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONIOENCODING="utf-8")
+    done = subprocess.run([sys.executable, "-m", "torsiontraj.cli", "singularity", "a1"],
+                          stderr=subprocess.PIPE, env=env, timeout=120,
+                          preexec_fn=lambda: os.close(1))
+    assert (done.returncode, done.stderr.decode("utf-8")) == (2, CLOSED_STDOUT)
+
+
 def not_utf8_gram(tmp_path):
     path = tmp_path / "gram.json"
     path.write_bytes(b'{"gram": [[-4]]} \xff')

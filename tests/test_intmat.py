@@ -1270,6 +1270,66 @@ def test_forward_pass_and_back_substitution_at_size(m):
         assert rat_inverse(m) @ m == RatMatrix.identity(m.rows)
 
 
+# Right-hand entries of hundreds of bits, of either sign: the size of the
+# Smith generator columns of dense grams.
+WIDER = st.integers(2**200, 2**400) | st.integers(-(2**400), -(2**200))
+
+
+@st.composite
+def solve_systems(draw, matrices):
+    """A square M drawn from ``matrices``, its first row negated half of the
+    time, so det M takes both signs, and B of 1..n columns with zero, small,
+    huge or hundred-bit entries."""
+    m = draw(matrices).to_lists()
+    if draw(st.booleans()):
+        m[0] = [-x for x in m[0]]
+    n = len(m)
+    entries = draw(st.sampled_from([SMALL, SMALL | WIDER, st.just(0) | HUGE | WIDER]))
+    k = draw(st.integers(1, n))
+    return IntMatrix(m), IntMatrix([[draw(entries) for _ in range(k)] for _ in range(n)])
+
+
+@settings(deadline=None)
+@given(solve_systems(st.one_of(square_matrices(), structured_matrices(),
+                               dense_presentations())))
+def test_solve_matches_the_inverse_times_the_columns(system):
+    # One kernel on [M | B] gives what the inverse on [M | I] and a product
+    # give, in lowest terms over the same positive denominator.
+    m, b = system
+    assume(det(m) != 0)
+    solved, expected = intmat._solve(m, b), rat_inverse(m) @ b
+    assert type(solved) is RatMatrix and solved._den > 0
+    assert solved == expected and repr(solved) == repr(expected)
+    assert m @ solved == b
+
+
+@settings(deadline=None)
+@given(solve_systems(singular_matrices()))
+def test_solve_refuses_a_singular_matrix_as_the_inverse_does(system):
+    m, b = system
+    with pytest.raises(SingularMatrixError) as inverse_refusal:
+        rat_inverse(m)
+    with pytest.raises(SingularMatrixError) as solve_refusal:
+        intmat._solve(m, b)
+    assert str(solve_refusal.value) == str(inverse_refusal.value) == "matrix is singular"
+
+
+@pytest.mark.parametrize("m, b", [
+    (IntMatrix([[1, 2]]), IntMatrix([[1]])),
+    (IntMatrix.identity(2), IntMatrix([[1]])),
+], ids=["not-square", "rows-differ"])
+def test_solve_refuses_mismatched_shapes(m, b):
+    with pytest.raises(DimensionError, match="cannot solve"):
+        intmat._solve(m, b)
+
+
+def test_solve_refuses_a_rat_matrix_on_either_side():
+    for m, b in ((RatMatrix.identity(2), IntMatrix([[1], [0]])),
+                 (IntMatrix.identity(2), RatMatrix([[Fraction(1, 2)], [0]]))):
+        with pytest.raises(ValidationError, match="_solve takes an IntMatrix, got RatMatrix"):
+            intmat._solve(m, b)
+
+
 @pytest.mark.parametrize(
     "kernel",
     [det, rat_inverse, char_poly, snf, kernel_basis, cokernel_group, group_from_cokernel,

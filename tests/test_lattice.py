@@ -364,10 +364,11 @@ def test_package_singular_gram():
 def test_unimodular_package_builds_no_inverse(monkeypatch):
     import torsiontraj.lattice
 
-    def no_inverse(matrix):
-        raise AssertionError("a unimodular gram built its inverse")
+    def no_inverse(*matrices):
+        raise AssertionError("a unimodular gram built its inverse or solved for duals")
 
     monkeypatch.setattr(torsiontraj.lattice, "rat_inverse", no_inverse)
+    monkeypatch.setattr(torsiontraj.lattice, "_solve", no_inverse)
     assert discriminant_package(cartan_matrix("E8")) == trivial_package()
     assert discriminant_package(IntersectionLattice(IntMatrix([[-2, 1], [1, -1]]))) == trivial_package()
 
@@ -463,8 +464,22 @@ def negative_definite_grams(draw):
     return IntersectionLattice(-1 * (b.transpose() @ b))
 
 
+@st.composite
+def dense_grams(draw):
+    """Dense symmetric nonsingular grams of rank 1..10 and any signature,
+    with entries up to 9 or up to 10^6 in size: their Smith generator
+    columns, and so the solved duals, reach hundreds of bits."""
+    n = draw(st.integers(1, 10))
+    bound = draw(st.sampled_from([9, 10**6]))
+    entries = st.integers(-bound, bound)
+    upper = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    gram = IntMatrix([[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
+    assume(det(gram) != 0)
+    return IntersectionLattice(gram)
+
+
 @settings(deadline=None)
-@given(negative_definite_grams())
+@given(st.one_of(negative_definite_grams(), dense_grams()))
 def test_package_matches_dense_reference(lat):
     assert package_text(discriminant_package(lat)) == package_text(dense_discriminant_package(lat))
 

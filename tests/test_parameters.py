@@ -4,9 +4,11 @@ Each site is one integer parameter of the library, or an entry of an
 ``IntMatrix`` or ``RatMatrix``: the name its refusals print, its least
 value (None: any integer) and a call that passes it a value.  Every site refuses a bool, a float and the value just below its
 least with a ValidationError; the message names the parameter and the
-value, and for a low value the bound too.
+value, and for a low value the bound too.  A site that sizes a list also
+refuses the values above its greatest, in the same words.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -115,6 +117,28 @@ def test_least_value_is_accepted(site):
     call(0 if least is None else least)
 
 
+# Parameters that size a list, with their greatest values: above it the
+# list raised OverflowError, a traceback with exit 1 from the CLI.  Only
+# refused values are tried, so no test builds a huge list.
+GREATEST = {
+    "cartan-a": sys.maxsize,
+    "cartan-d": sys.maxsize,
+    "ak-model": sys.maxsize,
+    "curve-genus": sys.maxsize // 2,
+}
+
+
+@pytest.mark.parametrize("value_above", [1, 10**23], ids=["next", "huge"])
+@pytest.mark.parametrize("site", sorted(GREATEST))
+def test_parameter_above_greatest_names_parameter_bound_and_value(site, value_above):
+    what, _, call = SITES[site]
+    greatest = GREATEST[site]
+    value = greatest + value_above
+    with pytest.raises(ValidationError) as caught:
+        call(value)
+    assert str(caught.value) == f"{what} must be <= {greatest}, got {value}"
+
+
 class Index:
     """An integer that is no int: it has only ``__index__``."""
 
@@ -185,3 +209,16 @@ def test_cli_parameter_below_least_is_a_usage_error(capsys, argv):
     assert (code, captured.out) == (2, "")
     assert captured.err.startswith("usage error: ") and "must be >= " in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (("singularity", "ak", "--k", "99999999999999999999999"),
+     f"A_k surface parameter k must be <= {sys.maxsize}, got 99999999999999999999999"),
+    (("product", "enriques", "--genus", "99999999999999999999999"),
+     f"genus must be <= {sys.maxsize // 2}, got 99999999999999999999999"),
+], ids=["ak", "genus"])
+def test_cli_parameter_above_greatest_is_a_usage_error(capsys, argv, fragment):
+    # Each ended in an OverflowError traceback and exit 1.
+    code = run(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"usage error: {fragment}\n")

@@ -154,7 +154,7 @@ MONODROMY_NOTES = {"brieskorn": "wang-sequence", "quotient": "not-applicable",
 def test_every_built_in_kind_assembles(kind):
     # A kind with parameters is sampled a little above their least values.
     rule = trajectory._KINDS[kind].parameters
-    model = SingularityModel(kind, tuple(least + 3 for _, least in rule))
+    model = SingularityModel(kind, tuple(least + 3 for _, least, *_ in rule))
     row = trajectory_row(model)
     checks = realization_crosscheck(model)
     assert row.realizations == checks
