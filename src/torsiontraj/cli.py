@@ -11,18 +11,20 @@ Each command builds its JSON value and its table rows once, and one
 render path, ``_render``, turns them into the chosen format.
 
 Exit codes: 0 on success, 1 on computation refusals (gate failures,
-capability limits), 2 on usage errors, which include a path that cannot
-be read or written and an input file that is not UTF-8.
+capability limits, a computation that runs out of memory), 2 on usage
+errors, which include a path that cannot be read or written, an input
+file that is not UTF-8 or not JSON, and a failed write to stdout.
 
-The process entry, ``main``, freezes the garbage collector before it
-exits, so the exit-time collections skip the objects the run built;
-``run``, which tests and in-process callers use, does not.
+The process entry, ``main``, flushes the standard streams and ends the
+process with ``os._exit``, so no module teardown or exit-time collection
+runs after the last byte is written; ``run``, which tests and in-process
+callers use, returns its exit code.  ``json`` and ``csv`` are imported
+only by the commands that read or write them.
 """
 
 import argparse
 import errno
-import gc
-import json
+import os
 import sys
 
 from . import serialize
@@ -46,8 +48,13 @@ REFUSAL_EXIT = 1
 
 
 def _load_json(path):
+    import json
+
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(str(exc)) from None
 
 
 def _emit(args, text):
@@ -59,6 +66,8 @@ def _emit(args, text):
         raise OSError(errno.EBADF, "standard output is closed")
     else:
         sys.stdout.write(text)
+        # main ends the process with os._exit, so a write that fails must fail here.
+        sys.stdout.flush()
 
 
 def _render(args, data, headers, rows, title=""):
@@ -259,20 +268,30 @@ def run(argv):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    except (ValidationError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValidationError, UnicodeDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except TorsionTrajError as exc:
         print(f"refused: {exc}", file=sys.stderr)
+        return REFUSAL_EXIT
+    except MemoryError:
+        print("refused: the computation needs more memory than the process can allocate",
+              file=sys.stderr)
         return REFUSAL_EXIT
     return 0
 
 
 def main():
     code = run(sys.argv[1:])
-    # Freeze what was built, so the exit-time collections skip it.
-    gc.freeze()
-    raise SystemExit(code)
+    # Only argparse's help and usage text can still be buffered here; like
+    # argparse itself, a failure to write it is ignored.
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except OSError:
+                pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

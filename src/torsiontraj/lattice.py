@@ -78,8 +78,11 @@ def cartan_matrix(family, parameter=None):
         return chain_matrix([2] * _integer(parameter, "A_k parameter k", 1, _LENGTH_MAX))
     if family in ("D", "D4"):
         n = 4 if family == "D4" else _integer(parameter, "D_n parameter n", 4, _LENGTH_MAX)
+        # The weights first: a huge n raises MemoryError here at once, where
+        # the edge list would grow until the process is killed.
+        weights = [2] * n
         edges = [(0, 1), (0, 2), (0, 3)] + [(i, i + 1) for i in range(3, n - 1)]
-        return _plumbing([2] * n, edges)
+        return _plumbing(weights, edges)
     if family == "E8":
         # Bourbaki numbering C1..C8: chain 1-3-4-5-6-7-8 with node 2 attached to 4.
         edges = [(0, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (6, 7)]

@@ -4,17 +4,17 @@ JSON conventions: rationals are "num/den" strings with the canonical
 [0, 1) representative; groups are {"free_rank": n, "invariant_factors":
 [...]}; matrices are lists of rows.  Emission uses sorted keys and
 two-space indentation.  Only the inputs that a command takes are parsed:
-lattices, group lists and transport relations.
+lattices, group lists and transport relations.  ``json`` and ``csv``
+are imported by the functions that use them, so a Markdown command
+loads neither.
 """
 
-import csv
 import io
-import json
 from fractions import Fraction
 
 from .abgroup import FGAbGroup
 from .errors import ValidationError
-from .intmat import IntMatrix, _integer
+from .intmat import _INT, IntMatrix, _integer
 from .lattice import IntersectionLattice, geometric_rep
 from .trajectory import STATION_MONODROMY, MarkerRow
 
@@ -77,9 +77,10 @@ def int_matrix_from_json(rows, what="matrix"):
 
     Rows must form a non-empty rectangular list of lists of JSON integers;
     floats, strings and booleans are rejected rather than truncated or
-    coerced by ``int``.  ``IntMatrix`` refuses the same entries; each is
-    checked here first only so that a refusal names the input, as in
-    "gram entry must be an integer, got True".
+    coerced by ``int``.  Each row's entry types are scanned in C, as
+    ``IntMatrix`` does; only a row that holds a non-int goes through
+    ``_integer`` entry by entry, so the refusal names the input and its
+    first bad entry, as in "gram entry must be an integer, got True".
     """
     if not isinstance(rows, list) or not rows or not all(
         isinstance(row, list) and row for row in rows
@@ -87,10 +88,9 @@ def int_matrix_from_json(rows, what="matrix"):
         raise ValidationError(f"{what} must be a non-empty list of non-empty rows")
     if any(len(row) != len(rows[0]) for row in rows):
         raise ValidationError(f"{what} has ragged rows")
-    for row in rows:
-        for x in row:
-            _integer(x, f"{what} entry")
-    return IntMatrix(rows)
+    label = f"{what} entry"
+    return IntMatrix._wrap([row if _INT.issuperset(map(type, row))
+                            else [_integer(x, label) for x in row] for row in rows])
 
 
 def _fraction_rows(matrix):
@@ -248,6 +248,8 @@ def row_to_json(row):
 
 
 def to_json_text(data):
+    import json
+
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
@@ -260,6 +262,8 @@ def markdown_table(headers, rows):
 
 
 def csv_table(headers, rows):
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(headers)

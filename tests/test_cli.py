@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, formats, exit codes."""
 
+import errno
 import gc
 import json
 import os
@@ -304,15 +305,72 @@ def test_run_leaves_the_collector_unfrozen(capsys):
     assert gc.get_freeze_count() == before
 
 
-def test_main_freezes_the_collector_after_run_returns(monkeypatch):
+class Stream:
+    """A standard stream that records its flushes, or fails them."""
+
+    def __init__(self, name, events, error=None):
+        self.name, self.events, self.error = name, events, error
+
+    def flush(self):
+        self.events.append(("flush", self.name))
+        if self.error is not None:
+            raise self.error
+
+
+@pytest.mark.parametrize("error", [None, BrokenPipeError(errno.EPIPE, "Broken pipe")],
+                         ids=["flushed", "flush-fails"])
+def test_main_flushes_then_exits_with_runs_code(monkeypatch, error):
+    # main ends the process with os._exit, so it is patched to record its
+    # code.  A stream that cannot be flushed does not stop the exit.
     events = []
     monkeypatch.setattr(cli, "run", lambda argv: events.append(("run", argv)) or 1)
-    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(sys, "stdout", Stream("stdout", events, error))
+    monkeypatch.setattr(sys, "stderr", Stream("stderr", events, error))
+    monkeypatch.setattr(os, "_exit", lambda code: events.append(("_exit", code)))
     monkeypatch.setattr(sys, "argv", ["torsiontraj", "singularity", "a1"])
-    with pytest.raises(SystemExit) as exited:
-        cli.main()
-    assert exited.value.code == 1
-    assert events == [("run", ["singularity", "a1"]), "freeze"]
+    cli.main()
+    assert events == [("run", ["singularity", "a1"]), ("flush", "stdout"), ("flush", "stderr"),
+                      ("_exit", 1)]
+
+
+def test_main_skips_a_stream_that_is_none(monkeypatch):
+    events = []
+    monkeypatch.setattr(cli, "run", lambda argv: 2)
+    monkeypatch.setattr(sys, "stdout", None)
+    monkeypatch.setattr(sys, "stderr", Stream("stderr", events))
+    monkeypatch.setattr(os, "_exit", lambda code: events.append(("_exit", code)))
+    cli.main()
+    assert events == [("flush", "stderr"), ("_exit", 2)]
+
+
+# Each command loads the modules it needs: json to read an input file or
+# write --format json, csv to write --format csv, and a Markdown command
+# neither.  Under python -S no .pth file of the host pre-imports them.
+FOOTPRINT = """
+import os, sys
+from torsiontraj import cli
+assert cli.run([*sys.argv[1:], "--out", os.devnull]) == 0
+print(" ".join(m for m in ("json", "csv") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("fmt, loaded", [("md", ""), ("json", "json"), ("csv", "csv")])
+def test_a_command_imports_json_and_csv_only_for_its_format(fmt, loaded):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-S", "-c", FOOTPRINT,
+                           "singularity", "ak", "--k", "3", "--format", fmt],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, loaded + "\n", "")
+
+
+def test_malformed_json_file_is_a_usage_error_with_the_decoders_message(tmp_path, capsys):
+    # The decoder's error is raised again as a ValidationError, so the
+    # usage error line keeps json's own words.
+    gram = tmp_path / "gram.json"
+    gram.write_text('{"gram": [[-2]]')
+    with pytest.raises(json.JSONDecodeError) as caught:
+        json.loads(gram.read_text())
+    assert invoke(capsys, "lattice", "--gram", str(gram)) == (2, "", f"usage error: {caught.value}\n")
 
 
 CLOSED_STDOUT = "error: [Errno 9] standard output is closed\n"

@@ -15,9 +15,9 @@ import pytest
 
 from torsiontraj.abgroup import FGAbGroup, FinAbHom, n_torsion, scale_subgroup
 from torsiontraj.bockstein import bockstein_image, shadow
-from torsiontraj.cli import run
+from torsiontraj.cli import REFUSAL_EXIT, run
 from torsiontraj.errors import ValidationError
-from torsiontraj.intmat import IntMatrix, RatMatrix
+from torsiontraj.intmat import _LENGTH_MAX, IntMatrix, RatMatrix
 from torsiontraj.lattice import abstract_package, cartan_matrix, chain_matrix, hj_expansion, star_matrix
 from torsiontraj.links import (
     LensSpace,
@@ -222,3 +222,21 @@ def test_cli_parameter_above_greatest_is_a_usage_error(capsys, argv, fragment):
     code = run(list(argv))
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"usage error: {fragment}\n")
+
+
+# The greatest value itself passes the check.  Its first list, [2] * n,
+# raises MemoryError at once: list repetition refuses a size it cannot
+# hold before it allocates.  D_n built its edge list first, and grew
+# memory until the process was killed.
+def test_cartan_d_at_greatest_raises_memory_error_before_any_list():
+    with pytest.raises(MemoryError):
+        cartan_matrix("D", _LENGTH_MAX)
+
+
+def test_cli_memory_exhaustion_is_a_refusal(capsys):
+    # It ended in a MemoryError traceback, exit 1, at A_k's [2] * k.
+    code = run(["singularity", "ak", "--k", str(_LENGTH_MAX)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (REFUSAL_EXIT, "")
+    assert captured.err.startswith("refused: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

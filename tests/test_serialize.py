@@ -62,6 +62,17 @@ def read_package(data):
                                rows("generators"))
 
 
+@pytest.mark.parametrize("rows, bad", [
+    ([[1, 2], [3, True]], "True"),
+    ([[1, 2.5], ["4", 1]], "2.5"),
+    ([[1, 2], [None, "x"], [3.5, 4]], "None"),
+], ids=["bool", "float-before-string", "first-of-a-row"])
+def test_int_matrix_from_json_names_its_first_bad_entry(rows, bad):
+    with pytest.raises(ValidationError) as caught:
+        serialize.int_matrix_from_json(rows, "gram")
+    assert str(caught.value) == f"gram entry must be an integer, got {bad}"
+
+
 def test_lattice_and_package_roundtrip():
     lat = cartan_matrix("D", 4)
     assert serialize.lattice_from_json({"gram": lat.gram.to_lists()}) == lat
