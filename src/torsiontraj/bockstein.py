@@ -6,7 +6,6 @@ it selects the subgroup nE with the restricted pairing, the "shadow"
 that a mod-n cover class can see.
 """
 
-from fractions import Fraction
 from math import gcd
 
 from ._record import Record
@@ -52,6 +51,7 @@ def shadow(package, n):
     The restricted form is the pullback n^2 S^T q S, reduced mod 1 on
     numerators, and nE is isotropic when every restricted numerator is 0.
 
+    >>> from fractions import Fraction
     >>> from .lattice import abstract_package
     >>> coble = abstract_package(FGAbGroup.cyclic(4), [[Fraction(3, 4)]])
     >>> s = shadow(coble, 2)

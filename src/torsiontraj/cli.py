@@ -13,7 +13,8 @@ render path, ``_render``, turns them into the chosen format.
 Exit codes: 0 on success, 1 on computation refusals (gate failures,
 capability limits, a computation that runs out of memory), 2 on usage
 errors, which include a path that cannot be read or written, an input
-file that is not UTF-8 or not JSON, and a failed write to stdout.
+file that is not UTF-8 or not JSON, and a failed write to stdout, of
+command output and help text alike.
 
 The process entry, ``main``, flushes the standard streams and ends the
 process with ``os._exit``, so no module teardown or exit-time collection
@@ -57,17 +58,33 @@ def _load_json(path):
             raise ValidationError(str(exc)) from None
 
 
+def _write_stdout(text):
+    if sys.stdout is None:
+        # A process started with file descriptor 1 closed has no sys.stdout.
+        raise OSError(errno.EBADF, "standard output is closed")
+    sys.stdout.write(text)
+    # main ends the process with os._exit, so a write that fails must fail here.
+    sys.stdout.flush()
+
+
 def _emit(args, text):
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
-    elif sys.stdout is None:
-        # A process started with file descriptor 1 closed has no sys.stdout.
-        raise OSError(errno.EBADF, "standard output is closed")
     else:
-        sys.stdout.write(text)
-        # main ends the process with os._exit, so a write that fails must fail here.
-        sys.stdout.flush()
+        _write_stdout(text)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with its help written and flushed as command
+    output is: argparse ignores a failed write of its help, so help lost
+    to a full device or a closed pipe exited 0."""
+
+    def print_help(self, file=None):
+        if file is not None or sys.stdout is None:
+            # With no stdout at all, argparse writes the help to stderr.
+            return super().print_help(file)
+        _write_stdout(self.format_help())
 
 
 def _render(args, data, headers, rows, title=""):
@@ -201,7 +218,7 @@ def cmd_table(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torsiontraj",
         description="Exact torsion invariants of surface singularities",
     )
@@ -258,13 +275,12 @@ def run(argv):
     lift_digit_limit = getattr(sys, "set_int_max_str_digits", None)
     if lift_digit_limit is not None:
         lift_digit_limit(0)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_EXIT if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         _emit(args, args.func(args))
+    except SystemExit as exc:
+        # argparse exits 0 after its help and 2 after a usage error.
+        return USAGE_EXIT if exc.code not in (0, None) else 0
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
@@ -283,7 +299,8 @@ def run(argv):
 
 def main():
     code = run(sys.argv[1:])
-    # Only argparse's help and usage text can still be buffered here; like
+    # run has flushed stdout after each write, help included.  Only
+    # argparse's usage text on stderr can still be buffered here; like
     # argparse itself, a failure to write it is ignored.
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:

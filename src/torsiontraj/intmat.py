@@ -5,8 +5,9 @@ floating point is used anywhere.  One base class holds shape, access,
 equality and the product.  Both classes store integer rows over one
 positive denominator, in lowest terms: 1 for an ``IntMatrix``, the lcm
 of the entries' denominators for a ``RatMatrix``.  So every product runs
-on ints, and a ``fractions.Fraction`` is built only when a caller reads
-a RatMatrix entry.  One rule decides which entries are checked: the
+on ints, ``str`` formats the numerators (``_ratio_text``), and
+``fractions`` is imported only by the readers that take or return a
+Fraction.  One rule decides which entries are checked: the
 constructor checks its input, and a product is wrapped unchecked.  In
 the constructor an entry that is not a Fraction (in an IntMatrix, any
 entry) passes ``_integer``, the library's one integer rule, so a bool,
@@ -58,7 +59,6 @@ hold ints by construction, so they are wrapped unchecked.
 """
 
 import sys
-from fractions import Fraction
 from itertools import chain, compress
 from math import gcd, lcm
 from operator import index, itemgetter
@@ -92,6 +92,12 @@ def _integer(value, what, least=None, greatest=None):
                 raise ValidationError(f"{what} must be <= {greatest}, got {value}")
             raise ValidationError(f"{what} must be >= {least}, got {value}")
     raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def _ratio_text(num, den):
+    """num/den, for den >= 1, as ``str(Fraction(num, den))`` writes it."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}" if g != den else str(num // g)
 
 
 def _row_product(left, right):
@@ -195,6 +201,7 @@ class _Matrix:
         when an IntMatrix meets ints, Fractions otherwise.  An entry that is
         not a Fraction must pass ``_integer``.  The vector is a one-column
         matrix, so the product runs on ints as ``@`` does."""
+        from fractions import Fraction
         if len(vector) != self.cols:
             raise DimensionError("vector length does not match column count")
         vector = [x if isinstance(x, Fraction) else _integer(x, "vector entry") for x in vector]
@@ -223,7 +230,7 @@ class _Matrix:
 
     def __str__(self):
         return "[" + ", ".join(
-            "[" + ", ".join(str(x) for x in row) + "]" for row in self.to_lists()
+            "[" + ", ".join(_ratio_text(x, self._den) for x in row) + "]" for row in self._rows
         ) + "]"
 
 
@@ -304,9 +311,9 @@ class RatMatrix(_Matrix):
 
     Stored as integer numerator rows over one positive common denominator,
     in lowest terms (gcd(den, every numerator) = 1).  Products run on the
-    numerators and multiply the denominators, and a Fraction is built only
-    when a caller reads an entry (``entry``, ``column``, ``to_lists``,
-    ``str``, ``repr``), so it is a plain Fraction in lowest terms.  The
+    numerators and multiply the denominators, ``str`` and ``repr`` format
+    them, and a Fraction is built only when a caller reads an entry
+    (``entry``, ``column``, ``to_lists``), in lowest terms.  The
     constructor takes Fractions and integers alike, entry by entry; a
     bool, float or string is refused rather than converted.
     """
@@ -314,6 +321,7 @@ class RatMatrix(_Matrix):
     __slots__ = ("_den",)
 
     def __init__(self, rows):
+        from fractions import Fraction
         rows = _shaped([[x if isinstance(x, Fraction) else _integer(x, "RatMatrix entry")
                          for x in row] for row in rows])
         # Each entry is in lowest terms, so over the lcm of their
@@ -345,13 +353,16 @@ class RatMatrix(_Matrix):
         return cls._over(rows, den)
 
     def entry(self, i, j):
+        from fractions import Fraction
         return Fraction(self._rows[i][j], self._den)
 
     def column(self, j):
+        from fractions import Fraction
         den = self._den
         return tuple(Fraction(r[j], den) for r in self._rows)
 
     def to_lists(self):
+        from fractions import Fraction
         den = self._den
         return [[Fraction(x, den) for x in r] for r in self._rows]
 
@@ -359,7 +370,7 @@ class RatMatrix(_Matrix):
         return RatMatrix._over(zip(*self._rows), self._den)
 
     def __repr__(self):
-        return f"RatMatrix({[[str(x) for x in row] for row in self.to_lists()]!r})"
+        return f"RatMatrix({[[_ratio_text(x, self._den) for x in row] for row in self._rows]!r})"
 
 
 def _require_int_matrix(matrix, what):
@@ -758,7 +769,9 @@ def char_poly(matrix):
         m = _row_product(matrix._rows, m)
         trace = sum(m[i][i] for i in range(n))
         if trace % k:
-            shown = ", ".join(str(c) for c in coeffs + [Fraction(-trace, k)])
+            from fractions import Fraction  # bypassed IntMatrix rows may hold one
+            last = _ratio_text(*Fraction(-trace, k).as_integer_ratio())
+            shown = ", ".join([*map(str, coeffs), last])
             raise InvariantError(
                 f"characteristic polynomial has non-integer coefficients {shown}"
             )

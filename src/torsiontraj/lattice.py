@@ -8,11 +8,10 @@ discriminant package of a nonsingular lattice is the finite group
 coker(gram) together with the Q/Z-valued pairing induced by the inverse
 gram matrix; the canonical representative of a pairing value lives in
 [0, 1), reached on the numerators over the form's one denominator; the
-geometric-sign representative in (-1, 0] is available for display.
+geometric-sign representative in (-1, 0] is available to Fraction callers.
 """
 
 import itertools
-from fractions import Fraction
 from math import gcd, prod
 from operator import mul
 
@@ -116,16 +115,16 @@ def hj_expansion(n, q):
 
 
 def hj_recompose(weights):
-    """Evaluate b1 - 1/(b2 - 1/(...)) exactly.
+    """Evaluate b1 - 1/(b2 - 1/(...)) exactly, as (p, q) in lowest terms, q > 0.
 
     The fraction p/q is folded from the last weight inwards in integers,
-    p/q -> b - q/p = (b p - q)/p, so one Fraction is built, at the end.
-    Each weight must be an integer (any sign).  No weights, or a zero
-    partial value, where 1/0 would be taken, is a ValidationError that
-    names the weights.
+    p/q -> b - q/p = (b p - q)/p; gcd(b p - q, p) = gcd(q, p) = 1, so only
+    the sign needs normalizing.  Each weight must be an integer (any sign).
+    No weights, or a zero partial value, where 1/0 would be taken, is a
+    ValidationError that names the weights.
 
     >>> hj_recompose([3, 2, 2])
-    Fraction(7, 3)
+    (7, 3)
     """
     given, weights = weights, list(weights)
     for i, b in enumerate(weights):
@@ -139,7 +138,7 @@ def hj_recompose(weights):
         if p == 0:
             raise ValidationError(f"a partial continued fraction of {weights} is 0")
         p, q = b * p - q, p
-    return Fraction(p, q)
+    return (-p, -q) if q < 0 else (p, q)
 
 
 def chain_matrix(weights):
@@ -172,6 +171,7 @@ def _mod1(form):
 
 def geometric_rep(value):
     """The (-1, 0] representative of a Q/Z value, a Fraction or an integer."""
+    from fractions import Fraction
     if not isinstance(value, Fraction):
         value = _integer(value, "a Q/Z value that is not a Fraction")
     value = Fraction(value) % 1

@@ -14,10 +14,9 @@ with its H_1.
 space that bounds it, by plumbing calculus on its weighted graph: a chain
 gives L(p, q) and a star gives Seifert invariants, each from continued
 fractions of the weights, so that space's H_1 is computed without the
-gram's Smith form.
+gram's Smith form.  Continued fractions stay (p, q) pairs of ints.
 """
 
-from fractions import Fraction
 from itertools import compress
 from math import gcd
 
@@ -159,7 +158,7 @@ def plumbing_link(lattice):
                               f" vertices; {_CHAINS_AND_STARS}")
 
     def fraction(previous, vertex):
-        """alpha/beta of the path that leaves ``previous`` through ``vertex``."""
+        """(alpha, beta) of the path that leaves ``previous`` through ``vertex``."""
         weights = []
         while True:
             weights.append(-rows[vertex][vertex])
@@ -173,11 +172,9 @@ def plumbing_link(lattice):
 
     if not branches:
         end = next(i for i, adjacent in enumerate(neighbours) if len(adjacent) < 2)
-        p_q = fraction(None, end)
-        return LensSpace(p_q.numerator, p_q.denominator)
+        return LensSpace(*fraction(None, end))
     centre = branches[0]
-    arms = (fraction(centre, j) for j in neighbours[centre])
-    return Seifert(rows[centre][centre], tuple((f.numerator, f.denominator) for f in arms))
+    return Seifert(rows[centre][centre], tuple(fraction(centre, j) for j in neighbours[centre]))
 
 
 # -- universal coefficient theorem --------------------------------------------
@@ -220,8 +217,8 @@ def lens_profile(p, q):
 def seifert_h1_order(b, arms):
     """|H_1| of the Seifert space (b; (a_i, b_i)) when finite, else None.
 
-    The order is |a_1 ... a_n (b + sum b_i/a_i)|; a zero value means H_1
-    is infinite and is reported as None.
+    The order is |a_1 ... a_n (b + sum b_i/a_i)|, summed in integers over
+    the common denominator; a zero value means H_1 is infinite (None).
 
     >>> seifert_h1_order(-1, [(2, 1), (3, 1), (11, 1)])
     5
@@ -229,15 +226,10 @@ def seifert_h1_order(b, arms):
     True
     """
     data = Seifert(b, tuple(arms))
-    total = Fraction(data.b)
-    product = 1
+    value, product = data.b, 1
     for alpha, beta in data.arms:
-        total += Fraction(beta, alpha)
-        product *= alpha
-    value = product * total
-    if value.denominator != 1:
-        raise InvariantError(f"Seifert order a_1 ... a_n * e = {value} is not an integer")
-    return abs(int(value)) if value != 0 else None
+        value, product = value * alpha + beta * product, product * alpha
+    return abs(value) if value else None
 
 
 def seifert_homology(b, arms):

@@ -1,7 +1,8 @@
 """Rendering and parsing: JSON schemas, Markdown tables, CSV.
 
-JSON conventions: rationals are "num/den" strings with the canonical
-[0, 1) representative; groups are {"free_rank": n, "invariant_factors":
+JSON conventions: rationals are "num/den" strings in lowest terms, from a
+matrix's numerators over its one denominator, with the canonical [0, 1)
+representative in a form; groups are {"free_rank": n, "invariant_factors":
 [...]}; matrices are lists of rows.  Emission uses sorted keys and
 two-space indentation.  Only the inputs that a command takes are parsed:
 lattices, group lists and transport relations.  ``json`` and ``csv``
@@ -10,40 +11,15 @@ loads neither.
 """
 
 import io
-from fractions import Fraction
+from math import gcd
 
 from .abgroup import FGAbGroup
 from .errors import ValidationError
-from .intmat import _INT, IntMatrix, _integer
-from .lattice import IntersectionLattice, geometric_rep
+from .intmat import _INT, IntMatrix, _integer, _ratio_text
+from .lattice import IntersectionLattice
 from .trajectory import STATION_MONODROMY, MarkerRow
 
 TABLE_HEADERS = ("Example", "E", "q", "Local", "Supp.", "Global image", "Br/res.", "Q")
-
-
-def _rational(value):
-    """``value`` as a Fraction: a Fraction as it is, anything else only if
-    it passes ``_integer``, so a float, bool or string is refused rather
-    than converted."""
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(_integer(value, "a rational that is not a Fraction"))
-
-
-def fraction_str(value):
-    """The "num/den" string of a Fraction or an integer."""
-    f = _rational(value)
-    return f"{f.numerator}/{f.denominator}"
-
-
-def fraction_display(value):
-    """Markdown form: the canonical [0, 1) value with the geometric-sign alias."""
-    f = _rational(value) % 1
-    geo = geometric_rep(f)
-    canonical = str(f)
-    if geo != f:
-        return f"{canonical} (= {geo})"
-    return canonical
 
 
 def _json_object(data, what):
@@ -94,7 +70,8 @@ def int_matrix_from_json(rows, what="matrix"):
 
 
 def _fraction_rows(matrix):
-    return [[fraction_str(x) for x in row] for row in matrix.to_lists()]
+    den = matrix._den
+    return [[f"{x // g}/{den // g}" for x in row for g in [gcd(x, den)]] for row in matrix._rows]
 
 
 def lattice_from_json(data):
@@ -151,12 +128,16 @@ def report_to_json(report):
 
 
 def form_display(form):
-    """Markdown rendering of a pairing matrix; scalars drop the brackets."""
+    """Markdown rendering of a pairing matrix.  A scalar x/den in [0, 1)
+    drops the brackets and adds its (-1, 0] alias: "3/4 (= -1/4)"."""
     if form is None:
         return "none"
-    if form.rows == 1:
-        return fraction_display(form.entry(0, 0))
-    return str(form)
+    if form.rows != 1:
+        return str(form)
+    (x,), = form._rows
+    den = form._den
+    canonical = _ratio_text(x, den)
+    return f"{canonical} (= {_ratio_text(x - den, den)})" if x else canonical
 
 
 def _station_text(row):

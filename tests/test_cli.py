@@ -345,22 +345,63 @@ def test_main_skips_a_stream_that_is_none(monkeypatch):
 
 # Each command loads the modules it needs: json to read an input file or
 # write --format json, csv to write --format csv, and a Markdown command
-# neither.  Under python -S no .pth file of the host pre-imports them.
+# neither.  None loads fractions, nor the decimal and numbers modules that
+# fractions imports: a Q/Z value stays integer numerators over one
+# denominator from the kernels to the printed text.  Under python -S no
+# .pth file of the host pre-imports them.
+QZ_MODULES = ("fractions", "decimal", "numbers")
 FOOTPRINT = """
 import os, sys
 from torsiontraj import cli
 assert cli.run([*sys.argv[1:], "--out", os.devnull]) == 0
-print(" ".join(m for m in ("json", "csv") if m in sys.modules))
+print(" ".join(m for m in ("json", "csv", "fractions", "decimal", "numbers") if m in sys.modules))
 """
+
+
+def footprint(*argv):
+    """The modules of FOOTPRINT's list that a command loads, run under
+    python -S on this source tree."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-S", "-c", FOOTPRINT, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    return done.stdout.split()
 
 
 @pytest.mark.parametrize("fmt, loaded", [("md", ""), ("json", "json"), ("csv", "csv")])
 def test_a_command_imports_json_and_csv_only_for_its_format(fmt, loaded):
-    env = dict(os.environ, PYTHONPATH=SRC)
-    done = subprocess.run([sys.executable, "-S", "-c", FOOTPRINT,
-                           "singularity", "ak", "--k", "3", "--format", fmt],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert (done.returncode, done.stdout, done.stderr) == (0, loaded + "\n", "")
+    assert footprint("singularity", "ak", "--k", "3", "--format", fmt) == loaded.split()
+
+
+QZ_INPUTS = {
+    "nonade.json": {"gram": [[-3, 1, 0], [1, -5, 2], [0, 2, -7]]},
+    "d4.json": {"gram": [[-2, 1, 1, 1], [1, -2, 0, 0], [1, 0, -2, 0], [1, 0, 0, -2]]},
+    "packages.json": [{"free_rank": 0, "invariant_factors": [n]} for n in (2, 4, 6)],
+    "relations.json": {"target": {"free_rank": 0, "invariant_factors": [2, 12]},
+                       "matrix": [[1, 0, 1], [6, 6, 5]]},
+}
+QZ_COMMANDS = {
+    **{f"table-{fmt}": ["table", "trajectory", "--format", fmt] for fmt in ("md", "json", "csv")},
+    **{f"singularity-{which[0]}-{fmt}": ["singularity", *which, "--format", fmt]
+       for which in (["a1"], ["ak", "--k", "7"], ["d4"], ["e8"], ["brieskorn"],
+                     ["quotient", "7", "3"], ["odp"])
+       for fmt in ("md", "json")},
+    **{f"lattice-{fmt}": ["lattice", "--gram", "nonade.json", "--format", fmt]
+       for fmt in ("md", "json")},
+    "link-lens": ["link", "lens", "7", "3"],
+    "link-seifert": ["link", "seifert", "--b", "-1", "--arms", "2,1;3,1;11,1"],
+    "link-plumbing": ["link", "plumbing", "--gram", "d4.json"],
+    "product": ["product", "enriques", "--genus", "2"],
+    "transport": ["transport", "--packages", "packages.json", "--relations", "relations.json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(QZ_COMMANDS))
+def test_a_command_loads_no_fractions(tmp_path, name):
+    for file, data in QZ_INPUTS.items():
+        (tmp_path / file).write_text(json.dumps(data))
+    argv = [str(tmp_path / arg) if arg in QZ_INPUTS else arg for arg in QZ_COMMANDS[name]]
+    assert not set(footprint(*argv)) & set(QZ_MODULES)
 
 
 def test_malformed_json_file_is_a_usage_error_with_the_decoders_message(tmp_path, capsys):
@@ -390,6 +431,33 @@ def test_process_entry_with_stdout_closed_is_a_usage_error():
                           stderr=subprocess.PIPE, env=env, timeout=120,
                           preexec_fn=lambda: os.close(1))
     assert (done.returncode, done.stderr.decode("utf-8")) == (2, CLOSED_STDOUT)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["link", "--help"]], ids=["top", "subcommand"])
+def test_help_that_stdout_cannot_take_is_an_error(argv, unbuffered):
+    # argparse ignored the failed write, so lost help exited 0 with an
+    # empty stderr; an unbuffered stdout fails inside argparse's own write.
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONIOENCODING="utf-8", PYTHONUNBUFFERED=unbuffered)
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "torsiontraj.cli", *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (2, "error: [Errno 28] No space left on device\n")
+
+
+def test_help_with_stdout_closed_goes_to_stderr():
+    # With no sys.stdout, argparse writes its help to stderr, and so does the CLI.
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONIOENCODING="utf-8")
+    done = subprocess.run([sys.executable, "-m", "torsiontraj.cli", "--help"],
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+                          preexec_fn=lambda: os.close(1))
+    assert done.returncode == 0 and done.stderr.startswith("usage: torsiontraj")
+
+
+def test_help_is_written_and_exits_0(capsys):
+    code, out, err = invoke(capsys, "--help")
+    assert (code, err) == (0, "") and out.startswith("usage: torsiontraj")
 
 
 def not_utf8_gram(tmp_path):

@@ -31,6 +31,7 @@ from torsiontraj.intmat import (
     IntMatrix,
     RatMatrix,
     SnfDecomposition,
+    _ratio_text,
     char_poly,
     det,
     kernel_basis,
@@ -320,6 +321,28 @@ def test_rat_matrix_entries_are_plain_fractions():
     # True was taken as 1.
     with pytest.raises(ValidationError, match="RatMatrix entry must be an integer, got True"):
         RatMatrix([[Half(1, 2), True]])
+
+
+# Numerators with 0, negatives and values past 2^4000; denominators >= 1.
+RATIO_NUMERATORS = st.integers(-60, 60) | st.integers(-2**4100, 2**4100)
+RATIO_DENOMINATORS = st.integers(1, 60) | st.integers(1, 2**4100)
+
+
+@given(RATIO_NUMERATORS, RATIO_DENOMINATORS)
+def test_ratio_text_is_the_fraction_text(num, den):
+    assert _ratio_text(num, den) == str(Fraction(num, den))
+
+
+@given(st.integers(1, 3).flatmap(
+    lambda width: st.lists(st.lists(RATIO_NUMERATORS, min_size=width, max_size=width),
+                           min_size=1, max_size=3)), RATIO_DENOMINATORS)
+def test_rat_matrix_text_is_the_fraction_rendering(numerators, den):
+    # str and repr format the numerators over the one denominator; the
+    # reference renders each entry as a Fraction, as they did before.
+    f = [[Fraction(x, den) for x in row] for row in numerators]
+    m = RatMatrix(f)
+    assert str(m) == "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in f) + "]"
+    assert repr(m) == f"RatMatrix({[[str(x) for x in row] for row in f]!r})"
 
 
 class IntSub(int):

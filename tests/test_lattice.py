@@ -106,7 +106,7 @@ def test_hj_expansion_examples():
     assert hj_expansion(2, 1) == [2]
     weights = hj_expansion(7, 3)
     assert all(b >= 2 for b in weights)
-    assert hj_recompose(weights) == Fraction(7, 3)
+    assert hj_recompose(weights) == (7, 3)
 
 
 def test_hj_expansion_exact_for_all_coprime_pairs():
@@ -116,7 +116,7 @@ def test_hj_expansion_exact_for_all_coprime_pairs():
         for q in range(1, n):
             if gcd(n, q) != 1:
                 continue
-            assert hj_recompose(hj_expansion(n, q)) == Fraction(n, q)
+            assert hj_recompose(hj_expansion(n, q)) == (n, q)
 
 
 def fraction_fold(weights):
@@ -130,14 +130,18 @@ def fraction_fold(weights):
 @given(st.lists(st.integers(-3, 9), min_size=1, max_size=12))
 def test_hj_recompose_matches_the_fraction_fold(weights):
     # Weights below 2 included, so partial values of 0 and sign changes occur.
-    # Where the fold divides by zero, the weights are a usage error.
+    # Where the fold divides by zero, the weights are a usage error.  The
+    # pair is p/q in lowest terms with q > 0, so it equals the fold's
+    # numerator and denominator.
     try:
         expected = fraction_fold(weights)
     except ZeroDivisionError:
         with pytest.raises(ValidationError, match="partial continued fraction"):
             hj_recompose(weights)
     else:
-        assert hj_recompose(weights) == expected
+        p, q = hj_recompose(weights)
+        assert Fraction(p, q) == expected
+        assert q > 0 and gcd(p, q) == 1
 
 
 @pytest.mark.parametrize(
@@ -164,7 +168,7 @@ class ReprCountingList(list):
 def test_hj_recompose_builds_no_label_for_a_valid_chain():
     # The label repr(weights) was built once per weight: O(n^2) per chain.
     chain = ReprCountingList([2] * 60)
-    assert hj_recompose(chain) == Fraction(61, 60)
+    assert hj_recompose(chain) == (61, 60)
     assert chain.reprs == 0
 
 

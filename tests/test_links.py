@@ -1,8 +1,7 @@
 """Link profiles, universal-coefficient conversions, stalk tables."""
 
 from fractions import Fraction
-from math import gcd
-from types import SimpleNamespace
+from math import gcd, prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -201,13 +200,19 @@ def test_profile_helpers():
         profile.h0q(0)
 
 
-def test_seifert_order_integrality_check(monkeypatch):
-    # A non-integral base term makes a_1 ... a_n * e a proper fraction.
-    # Seifert refuses such a term, so a stand-in that skips the validation
-    # lets it reach the check.
-    monkeypatch.setattr(links, "Seifert", lambda b, arms: SimpleNamespace(b=b, arms=arms))
-    with pytest.raises(InvariantError, match="not an integer"):
-        seifert_h1_order(Fraction(1, 7), [(2, 1), (3, 1)])
+seifert_arms = st.tuples(st.integers(2, 40) | st.integers(2, 2**80),
+                         st.integers(-40, 40) | st.integers(-2**80, 2**80)
+                         ).filter(lambda arm: gcd(*arm) == 1)
+
+
+@given(st.integers(-6, 6), st.lists(seifert_arms, max_size=5))
+def test_seifert_order_matches_the_fraction_sum(b, arms):
+    # The reference sums e = b + sum beta_i/alpha_i as Fractions; the
+    # library folds the same value over the common denominator in ints.
+    e = Fraction(b) + sum(Fraction(beta, alpha) for alpha, beta in arms)
+    order = prod(alpha for alpha, _ in arms) * e
+    assert order.denominator == 1
+    assert seifert_h1_order(b, arms) == (abs(order.numerator) if e else None)
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from torsiontraj.intmat import IntMatrix, RatMatrix, det
 from torsiontraj.lattice import (
     DiscriminantPackage,
     IntersectionLattice,
+    abstract_package,
     cartan_matrix,
     discriminant_package,
 )
@@ -23,27 +24,40 @@ from torsiontraj.trajectory import SingularityModel, trajectory_row, trajectory_
 
 
 def test_fraction_strings():
-    assert serialize.fraction_str(Fraction(3, 4)) == "3/4"
-    assert serialize.fraction_str(0) == "0/1"
-    assert serialize.fraction_display(Fraction(3, 4)) == "3/4 (= -1/4)"
-    assert serialize.fraction_display(Fraction(0)) == "0"
+    # A 1x1 form shows its [0, 1) value and the (-1, 0] alias, and 0 bare;
+    # JSON writes every entry as "num/den", 0 as "0/1".
+    half = Fraction(1, 2)
+    z4 = abstract_package(FGAbGroup.cyclic(4), [[Fraction(3, 4)]])
+    z2 = abstract_package(FGAbGroup.cyclic(2), [[0]])
+    hyperbolic = abstract_package(FGAbGroup.from_orders([2, 2]), [[0, half], [half, 0]])
+    assert serialize.form_display(z4.form) == "3/4 (= -1/4)"
+    assert serialize.form_display(z2.form) == "0"
+    assert serialize.form_display(hyperbolic.form) == "[[0, 1/2], [1/2, 0]]"
+    assert serialize.package_to_json(z4)["form"] == [["3/4"]]
+    assert serialize.package_to_json(z2)["form"] == [["0/1"]]
+    assert serialize.package_to_json(hyperbolic)["form"] == [["0/1", "1/2"], ["1/2", "0/1"]]
 
 
 def test_fraction_display_reduces_its_canonical_value_mod_1():
-    # Both halves name one Q/Z value: [0, 1), then the (-1, 0] alias.
-    assert serialize.fraction_display(Fraction(5, 4)) == "1/4 (= -3/4)"
-    assert serialize.fraction_display(2) == "0"
-    assert serialize.fraction_display(Fraction(-1, 4)) == "3/4 (= -1/4)"
+    # Both halves name one Q/Z value: [0, 1), then the (-1, 0] alias.  The
+    # package reduces its form's numerators mod 1, so the display shows
+    # the reduced value.
+    def display(value):
+        return serialize.form_display(abstract_package(FGAbGroup.cyclic(4), [[value]]).form)
+
+    assert display(Fraction(5, 4)) == "1/4 (= -3/4)"
+    assert display(2) == "0"
+    assert display(Fraction(-1, 4)) == "3/4 (= -1/4)"
 
 
-@pytest.mark.parametrize("render", [serialize.fraction_str, serialize.fraction_display],
-                         ids=["fraction_str", "fraction_display"])
-@pytest.mark.parametrize("value", [0.1, True, "1/2", None])
-def test_fraction_strings_refuse_what_the_library_refuses(render, value):
-    # A float became a 2^55-denominator fraction, True became "1/1" and a
-    # string was parsed.
-    with pytest.raises(ValidationError, match="not a Fraction must be an integer"):
-        render(value)
+@given(st.integers(1, 3).flatmap(
+    lambda width: st.lists(st.lists(st.integers(-60, 60) | st.integers(-2**4100, 2**4100),
+                                    min_size=width, max_size=width), min_size=1, max_size=3)),
+    st.integers(1, 60) | st.integers(1, 2**4100))
+def test_fraction_rows_are_the_fractions_num_den(numerators, den):
+    f = [[Fraction(x, den) for x in row] for row in numerators]
+    assert serialize._fraction_rows(RatMatrix(f)) == [
+        [f"{F.numerator}/{F.denominator}" for F in row] for row in f]
 
 
 def test_group_roundtrip():
