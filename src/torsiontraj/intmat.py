@@ -45,17 +45,21 @@ and beyond, so the kernels follow two rules:
   [M | B] it runs that pass, then exact back substitution, and keeps
   M^-1 B as integers over |det M|: one denominator, no Fraction until an
   entry is read.  ``rat_inverse`` feeds it [M | I]; ``_solve`` feeds it
-  [M | B] for k columns B, so the discriminant package pays for the
-  columns it reads, not for all of M^-1.  For the tridiagonal A_k gram the
-  inverse is O(k^2) steps and the solve O(k * (k + columns)).
+  [M | B] for k columns B, so a caller pays for the columns it reads,
+  not for all of M^-1.  For the tridiagonal A_k gram the inverse is
+  O(k^2) steps and the solve O(k * (k + columns)).
 
 The centrepiece is ``snf``, a Smith normal form M = U * D * V with
 unimodular U, V.  It reduces M alone and logs its elementary operations;
-the transforms are replayed from that log on demand.  U's columns are
-replayed from the right, only those asked for: the generator columns
-give cokernel generator representatives.  V^-1 serves ``kernel_basis``.
-Most callers read only the diagonal and build no transform.  D, U and V
-hold ints by construction, so they are wrapped unchecked.
+the transforms are replayed from that log on demand.  The columns of U
+and of V^-1 are both replayed from the right, only those asked for.
+U's generator columns give cokernel generator representatives; V^-1's
+columns for the zero invariant factors span the kernel
+(``kernel_basis``), and for a nonsingular M, V^-1 e_s / d_s is
+M^-1 U e_s, the dual of U's column s, so the discriminant package needs
+no second elimination.  Most callers read only the diagonal and build
+no transform.  D, U and V hold ints by construction, so they are
+wrapped unchecked.
 """
 
 import sys
@@ -393,24 +397,27 @@ class SnfDecomposition:
 
     ``snf`` reduces M alone and keeps the log of its elementary operations;
     the transforms are replayed from that log on demand.  The row
-    operations E_1, ..., E_m on A give U = E_1^-1 ... E_m^-1, so any set of
-    U's columns is replayed from the right, as row operations on just
-    those columns (``u_columns``); ``u`` is all of them.  V and V^-1 are
+    operations E_1, ..., E_m on A give U = E_1^-1 ... E_m^-1, and the
+    column operations C_1, ..., C_p give V^-1 = C_1 ... C_p.  So the
+    columns of either are replayed from the right, only those asked for,
+    as row operations on a block of the wanted unit columns
+    (``u_columns``, ``v_inverse_columns``); ``u`` is all of U's.  V is
     replayed from the column operations.  Each replayed addition changes
     its target in place, over the source's nonzeros only, found by
-    ``compress`` in C.  ``u``, ``v`` and V^-1 are built the first time
-    each is read, and then kept; their entries are ints by construction,
-    so ``u`` and ``v`` are wrapped unchecked.  A caller that reads only D
-    builds no transform.  The one constructor takes D and that log; an
-    empty log replays to U = I and V = V^-1 = I.
+    ``compress`` in C.  ``u`` and ``v`` are built the first time each is
+    read, and then kept; their entries are ints by construction, so they
+    are wrapped unchecked.  V^-1's columns are replayed afresh on each
+    call.  A caller that reads only D builds no transform.  The one
+    constructor takes D and that log; an empty log replays to U = I and
+    V = V^-1 = I.
     """
 
-    __slots__ = ("d", "_log", "_u", "_v", "_v_inv")
+    __slots__ = ("d", "_log", "_u", "_v")
 
     def __init__(self, d, log):
         self.d = d
         self._log = log
-        self._u = self._v = self._v_inv = None
+        self._u = self._v = None
 
     def u_columns(self, indices):
         """Columns ``indices`` of U, as int tuples, in that order.
@@ -434,6 +441,30 @@ class SnfDecomposition:
                 block[i], block[j] = block[j], block[i]
             elif kind == _ROW_NEGATE:
                 block[i] = [-x for x in block[i]]
+        return list(zip(*block))
+
+    def v_inverse_columns(self, indices):
+        """Columns ``indices`` of V^-1, as int tuples, in that order.
+
+        V^-1 e_s = C_1 (C_2 (... (C_p e_s))), so the log runs in reverse,
+        each column operation on A applied from the left to the block of
+        the wanted unit columns.  Column i += c * column j is
+        C = I + c e_j e_i^T, which adds c times block row i to block row
+        j, in place over the source row's nonzeros; a column swap swaps
+        the two block rows.  The work scales with the number of columns
+        asked for, not with all of V^-1."""
+        indices = list(indices)
+        width = range(len(indices))
+        block = [[0] * len(indices) for _ in range(self.d.cols)]
+        for s, row in enumerate(indices):
+            block[row][s] = 1
+        for kind, i, j, c in reversed(self._log):
+            if kind == _COL_ADD:
+                target, source = block[j], block[i]
+                for s in compress(width, source):
+                    target[s] += c * source[s]
+            elif kind == _COL_SWAP:
+                block[i], block[j] = block[j], block[i]
         return list(zip(*block))
 
     @property
@@ -461,23 +492,6 @@ class SnfDecomposition:
                     rows[i], rows[j] = rows[j], rows[i]
             self._v = IntMatrix._wrap(rows)
         return self._v
-
-    def _v_inverse_columns(self):
-        """Columns of V^-1: each column operation on A, replayed as the
-        same column operation on V^-1, in place over the source column's
-        nonzeros."""
-        if self._v_inv is None:
-            width = range(self.d.cols)
-            cols = IntMatrix.identity(self.d.cols).to_lists()
-            for kind, i, j, c in self._log:
-                if kind == _COL_ADD:
-                    target, source = cols[i], cols[j]
-                    for s in compress(width, source):
-                        target[s] += c * source[s]
-                elif kind == _COL_SWAP:
-                    cols[i], cols[j] = cols[j], cols[i]
-            self._v_inv = [tuple(col) for col in cols]
-        return self._v_inv
 
     def reconstruct(self):
         return self.u @ self.d @ self.v
@@ -734,7 +748,11 @@ def _solve(matrix, columns):
     ``_eliminate`` on [M | B].  Only B's columns ride along, so with
     k of them the forward pass rewrites rows of n + k entries, not 2n, and
     back substitution costs k steps per nonzero of U, not n.  Equal to
-    ``rat_inverse(M) @ B``, since both are in lowest terms.
+    ``rat_inverse(M) @ B``, since both are in lowest terms.  It has no
+    library caller yet: the Smith-generator discriminant package reads
+    its duals off V^-1, and the supplied-generator package keeps
+    ``rat_inverse(gram) @ G`` while the benchmark pins that call on the
+    A_k rows; once the pin moves, this is that package's one line.
 
     Raises SingularMatrixError when M is singular.
     """
@@ -782,14 +800,15 @@ def char_poly(matrix):
 def kernel_basis(matrix):
     """Basis of the integer kernel {x : Mx = 0}, as a list of int tuples.
 
-    Derived from the Smith normal form: with M = U D V, the kernel is
-    spanned by the columns of V^-1 matching zero diagonal entries of D.
-    V^-1 is replayed from the operation log of ``snf``, in integers and
-    with no elimination of V.
+    Derived from the Smith normal form: with M = U D V, Mx = 0 exactly
+    when D V x = 0, so the kernel is spanned by the columns of V^-1
+    matching the zero diagonal entries of D, ``range(rank, cols)``.  Only
+    those columns are replayed from the operation log of ``snf``, in
+    integers and with no elimination of V.
     """
     _require_int_matrix(matrix, "kernel_basis")
     decomp = snf(matrix)
     rank = decomp.rank()
     if rank == matrix.cols:
         return []
-    return decomp._v_inverse_columns()[rank:]
+    return decomp.v_inverse_columns(range(rank, matrix.cols))

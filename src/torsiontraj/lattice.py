@@ -16,7 +16,7 @@ from math import gcd, prod
 from operator import mul
 
 from ._record import Record
-from .abgroup import FGAbGroup, cokernel_group, element_order, group_from_cokernel
+from .abgroup import FGAbGroup, _cokernel, cokernel_group, element_order
 from .errors import CapabilityError, SingularMatrixError, ValidationError
 from .intmat import (
     _LENGTH_MAX,
@@ -24,8 +24,8 @@ from .intmat import (
     RatMatrix,
     _integer,
     _require_int_matrix,
-    _solve,
     rat_inverse,
+    snf,
 )
 
 FORMS_ISOMORPHIC_BOUND = 64
@@ -247,17 +247,21 @@ def discriminant_package(lat, generators=None):
 
     With G the matrix of generator columns, the duals are gram^-1 G and
     the form is (gram^-1 G)^T G, with entries g_i^T gram^-1 g_j reduced
-    into [0, 1) on numerators.  For the Smith generators the duals are
-    solved for (``intmat._solve`` on [gram | G]), so no inverse of the
-    gram is built; supplied generators still take rat_inverse(gram) @ G,
-    which the benchmark pins on the A_k rows.  Both give the same duals,
-    in lowest terms, and the form is the shared matrix product.  The duals
-    give each supplied class its order, den / gcd(den, numerators).  One
-    class of order |E| generates the cyclic group E, so the generation
-    check, coker([G | gram]) trivial, runs only for two or more classes.
-    A unimodular gram returns the trivial package before any dual is
-    computed.  A singular gram has a free cokernel: it raises
-    SingularMatrixError, a usage error that names the free rank.
+    into [0, 1) on numerators.  The Smith generators are U's columns s
+    with d_s != 1, and gram = U D V gives gram^-1 U e_s = V^-1 e_s / d_s:
+    their duals are V^-1's same columns, replayed from the Smith form's
+    own log (``SnfDecomposition.v_inverse_columns``), over the exponent
+    d_k, so the gram is eliminated once.  Supplied generators take
+    rat_inverse(gram) @ G, which the benchmark pins on the A_k rows.  Both
+    give the duals in lowest terms, as a solve on [gram | G] would, and
+    the form is the shared matrix product.  The duals give each supplied
+    class its order, den / gcd(den, numerators).  One class of order |E|
+    generates the cyclic group E, so the generation check,
+    coker([G | gram]) trivial, runs only for two or more classes.  A
+    unimodular gram returns the trivial package before any dual or
+    generator column is replayed.  A singular gram has a free cokernel:
+    it raises SingularMatrixError, a usage error that names the free
+    rank.
 
     >>> pkg = discriminant_package(chain_matrix([4]))
     >>> print(pkg.group)
@@ -267,7 +271,8 @@ def discriminant_package(lat, generators=None):
     """
     gram = lat.gram
     if generators is None:
-        group, snf_generators = group_from_cokernel(gram)
+        decomp = snf(gram)
+        group, diag = _cokernel(decomp, gram.rows)
     else:
         _require_int_matrix(generators, "discriminant_package")
         group = cokernel_group(gram)
@@ -278,13 +283,19 @@ def discriminant_package(lat, generators=None):
 
     # Supplied generators take rat_inverse(gram) @ G only because the
     # benchmark pins a rat_inverse call on every A_k row (ROADMAP item 1a);
-    # once that pin moves, both paths are the one solve.  The rational
+    # once that pin moves, they take ``intmat._solve``.  The rational
     # factor stays on the left of every product, so none dispatches to
     # IntMatrix.__matmul__: perfbench traces only that product, and its
     # A_3 row test pins how many there are.
     if generators is None:
-        gens = IntMatrix.from_columns([col for order, col in snf_generators])
-        duals = _solve(gram, gens)
+        # Column s of the duals is V^-1 e_s / d_s = V^-1 e_s (e / d_s) / e
+        # over the exponent e, the last d.
+        wanted = [i for i, d in enumerate(diag) if d != 1]
+        gens = IntMatrix._wrap(zip(*decomp.u_columns(wanted)))
+        e = diag[-1]
+        scaled = [[x * (e // diag[s]) for x in column]
+                  for s, column in zip(wanted, decomp.v_inverse_columns(wanted))]
+        duals = RatMatrix._reduced(list(zip(*scaled)), e)
     else:
         gens = generators
         duals = rat_inverse(gram) @ gens

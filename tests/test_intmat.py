@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from torsiontraj import abgroup, intmat
+from torsiontraj import intmat
 from torsiontraj.abgroup import (
     FGAbGroup,
     FinAbHom,
@@ -1528,14 +1528,15 @@ def test_replayed_transforms_match_eager_reference(m, order):
     read = {
         "u": lambda: decomp.u,
         "v": lambda: decomp.v,
-        "v_inv": lambda: IntMatrix.from_columns(decomp._v_inverse_columns()),
+        "v_inv": lambda: IntMatrix.from_columns(decomp.v_inverse_columns(range(m.cols))),
     }
     built = {name: read[name]() for name in order}
     assert (built["u"], built["v"]) == (u, v)
     assert built["v_inv"] @ v == IntMatrix.identity(m.cols)
     assert built["v_inv"] == bareiss_v_inverse(v)
     assert decomp.u is built["u"] and decomp.v is built["v"]
-    for rows in (decomp.d._rows, decomp.u._rows, decomp.v._rows, decomp._v_inverse_columns()):
+    for rows in (decomp.d._rows, decomp.u._rows, decomp.v._rows,
+                 decomp.v_inverse_columns(range(m.cols))):
         assert_int_entries(rows)
 
 
@@ -1574,34 +1575,83 @@ def test_u_columns_match_the_eager_reference(m, data):
     assert_int_entries(decomp.u._rows)
 
 
+@settings(deadline=None)
+@given(st.one_of(snf_inputs(), dense_presentations()), st.data())
+def test_v_inverse_columns_match_the_eager_reference(m, data):
+    # Any set of V^-1's columns, in any order, replayed from the right, is
+    # those columns of the inverse of the V the eager reference carried
+    # along.  The replay runs on a block of its own, so a second call
+    # gives the same.
+    decomp = snf(m)
+    v_inv = bareiss_v_inverse(reference_snf(m)[2])
+    n = m.cols
+    single = [data.draw(st.integers(0, n - 1))]
+    subset = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+    for indices in ([], single, subset, list(range(n))):
+        columns = decomp.v_inverse_columns(indices)
+        assert columns == [v_inv.column(s) for s in indices]
+        assert decomp.v_inverse_columns(indices) == columns
+        assert_int_entries(columns)
+
+
 def test_empty_log_replays_identity_transforms():
     d = IntMatrix([[1, 0, 0], [0, 2, 0]])
     decomp = SnfDecomposition(d, [])
     assert decomp.u == IntMatrix.identity(2)
     assert decomp.v == IntMatrix.identity(3)
-    assert IntMatrix.from_columns(decomp._v_inverse_columns()) == IntMatrix.identity(3)
+    assert IntMatrix.from_columns(decomp.v_inverse_columns(range(3))) == IntMatrix.identity(3)
     assert decomp.reconstruct() == d
+
+
+class Recorded(list):
+    """Every decomposition ``snf`` returned, in call order; ``asked`` maps
+    each to the column replays it was asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = {}
 
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Every decomposition ``snf`` returns, under either module's name."""
-    decomps = []
+    """Every decomposition ``snf`` returns, under any module's name, and
+    the columns of U and V^-1 each is asked to replay."""
+    decomps = Recorded()
     real_snf = intmat.snf
+    real_replays = {"u": SnfDecomposition.u_columns, "v_inv": SnfDecomposition.v_inverse_columns}
 
     def recording_snf(matrix):
         decomps.append(real_snf(matrix))
         return decomps[-1]
 
-    monkeypatch.setattr(intmat, "snf", recording_snf)
-    monkeypatch.setattr(abgroup, "snf", recording_snf)
+    def recording(name):
+        def replay(self, indices):
+            indices = list(indices)
+            decomps.asked.setdefault(self, []).append((name, indices))
+            return real_replays[name](self, indices)
+        return replay
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "snf", None) is real_snf:
+            monkeypatch.setattr(module, "snf", recording_snf)
+    monkeypatch.setattr(SnfDecomposition, "u_columns", recording("u"))
+    monkeypatch.setattr(SnfDecomposition, "v_inverse_columns", recording("v_inv"))
     return decomps
 
 
 def transforms_built(decomps):
-    """For each decomposition, the transforms replayed from its log."""
-    return [{name for name in ("u", "v", "v_inv") if getattr(d, "_" + name) is not None}
+    """For each decomposition, what was replayed from its log, in order:
+    ("u", indices) per ``u_columns`` call (``u`` asks for all of them),
+    ("v_inv", indices) per ``v_inverse_columns`` call, and ("v", None)
+    last when V was built."""
+    return [decomps.asked.get(d, []) + ([("v", None)] if d._v is not None else [])
             for d in decomps]
+
+
+def kernel_replay(decomp):
+    """What ``kernel_basis`` asks of its decomposition: V^-1's columns
+    for the zero invariant factors."""
+    return [("v_inv", list(range(decomp.rank(), decomp.d.cols)))]
 
 
 def test_diagonal_only_stations_build_no_transform(recorded):
@@ -1614,32 +1664,31 @@ def test_diagonal_only_stations_build_no_transform(recorded):
     for station in stations:
         recorded.clear()
         station()
-        assert transforms_built(recorded) == [set()]
+        assert transforms_built(recorded) == [[]]
 
 
 def test_hom_analyze_builds_only_the_kernel_basis_inverse(recorded):
     # cokernel, solution kernel, preimage basis, cokernel of the dual map
     g = FGAbGroup.from_orders([2, 4])
     hom_analyze(FinAbHom(g, FGAbGroup.cyclic(4), IntMatrix([[2, 1]])))
-    assert transforms_built(recorded) == [set(), {"v_inv"}, set(), set()]
+    assert transforms_built(recorded) == [[], kernel_replay(recorded[1]), [], []]
 
 
-def test_generators_build_u_and_kernels_build_v_inverse(recorded, monkeypatch):
+def test_generators_build_u_and_kernels_build_v_inverse(recorded):
     # Generators replay only U's generator columns (the two of order 2 for
-    # D_4), kernels replay V^-1, and a D-only caller replays nothing.
-    asked = []
-    real_u_columns = SnfDecomposition.u_columns
-
-    def recording_u_columns(self, indices):
-        asked.append(list(indices))
-        return real_u_columns(self, asked[-1])
-
-    monkeypatch.setattr(SnfDecomposition, "u_columns", recording_u_columns)
+    # D_4), kernels replay only V^-1's columns for the zero invariant
+    # factors, a D-only caller replays nothing, and a Smith-generator
+    # package asks U and V^-1 for the same generator columns.
     group_from_cokernel(NEG_D4)
     kernel_basis(IntMatrix([[1, 2, 3], [2, 4, 6]]))
     cokernel_group(NEG_D4)
-    assert asked == [[2, 3]]
-    assert transforms_built(recorded) == [set(), {"v_inv"}, set()]
+    discriminant_package(IntersectionLattice(NEG_D4))
+    assert transforms_built(recorded) == [
+        [("u", [2, 3])],
+        [("v_inv", [1, 2])],
+        [],
+        [("u", [2, 3]), ("v_inv", [2, 3])],
+    ]
 
 
 def test_supplied_generators_build_no_u(recorded):
@@ -1649,4 +1698,4 @@ def test_supplied_generators_build_no_u(recorded):
     package = discriminant_package(cartan_matrix("D", 4), generators=generators)
     assert package.group == FGAbGroup.from_orders([2, 2])
     assert recorded
-    assert all("u" not in built for built in transforms_built(recorded))
+    assert transforms_built(recorded) == [[]] * len(recorded)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from torsiontraj.abgroup import FGAbGroup, cokernel_group, element_order, group_from_cokernel
 from torsiontraj.errors import CapabilityError, SingularMatrixError, ValidationError
-from torsiontraj.intmat import IntMatrix, RatMatrix, det, rat_inverse
+from torsiontraj import intmat
+from torsiontraj.intmat import IntMatrix, RatMatrix, SnfDecomposition, det, rat_inverse
 from torsiontraj.lattice import (
     DiscriminantPackage,
     IntersectionLattice,
@@ -368,11 +369,12 @@ def test_package_singular_gram():
 def test_unimodular_package_builds_no_inverse(monkeypatch):
     import torsiontraj.lattice
 
-    def no_inverse(*matrices):
-        raise AssertionError("a unimodular gram built its inverse or solved for duals")
+    def no_inverse(*args):
+        raise AssertionError("a unimodular gram built its inverse or replayed a transform")
 
     monkeypatch.setattr(torsiontraj.lattice, "rat_inverse", no_inverse)
-    monkeypatch.setattr(torsiontraj.lattice, "_solve", no_inverse)
+    monkeypatch.setattr(SnfDecomposition, "u_columns", no_inverse)
+    monkeypatch.setattr(SnfDecomposition, "v_inverse_columns", no_inverse)
     assert discriminant_package(cartan_matrix("E8")) == trivial_package()
     assert discriminant_package(IntersectionLattice(IntMatrix([[-2, 1], [1, -1]]))) == trivial_package()
 
@@ -486,6 +488,64 @@ def dense_grams(draw):
 @given(st.one_of(negative_definite_grams(), dense_grams()))
 def test_package_matches_dense_reference(lat):
     assert package_text(discriminant_package(lat)) == package_text(dense_discriminant_package(lat))
+
+
+@st.composite
+def tridiagonal_grams(draw):
+    """Symmetric nonsingular tridiagonal grams of rank 1..12, any sign."""
+    n = draw(st.integers(1, 12))
+    diagonal = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    off = draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+    rows = [[0] * n for _ in range(n)]
+    for i, b in enumerate(diagonal):
+        rows[i][i] = b
+    for i, c in enumerate(off):
+        rows[i][i + 1] = rows[i + 1][i] = c
+    gram = IntMatrix(rows)
+    assume(det(gram) != 0)
+    return IntersectionLattice(gram)
+
+
+@st.composite
+def divisor_chain_grams(draw):
+    """U diag(d) U^T for a unimodular U (the identity after random row
+    additions and swaps) and a divisor chain d, up to sign, with at least
+    two nontrivial factors: E has two or more Smith generators."""
+    n = draw(st.integers(2, 7))
+    factors = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    d = [prod(factors[: i + 1]) for i in range(n)]
+    assume(sum(x > 1 for x in d) >= 2)
+    sign = draw(st.sampled_from([-1, 1]))
+    u = IntMatrix.identity(n).to_lists()
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i == j:
+            continue
+        if draw(st.booleans()):
+            c = draw(st.integers(-3, 3))
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+        else:
+            u[i], u[j] = u[j], u[i]
+    u = IntMatrix(u)
+    diag = IntMatrix([[sign * d[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    return IntersectionLattice(u @ diag @ u.transpose())
+
+
+@settings(deadline=None)
+@given(st.one_of(dense_grams(), tridiagonal_grams(), divisor_chain_grams()))
+def test_smith_duals_read_off_v_inverse_match_the_solve(lat):
+    # The Smith-generator duals, V^-1's columns over d_s, are gram^-1 G as
+    # the solve and the inverse give it, and the whole package is the
+    # dense reference's.
+    package = discriminant_package(lat)
+    group, columns = _cokernel_generators(lat)
+    assert package.group == group
+    if group.is_trivial():
+        assert package == trivial_package()
+        return
+    gens = IntMatrix.from_columns(columns)
+    assert package.generators == intmat._solve(lat.gram, gens) == rat_inverse(lat.gram) @ gens
+    assert package_text(package) == package_text(dense_discriminant_package(lat))
 
 
 @st.composite
