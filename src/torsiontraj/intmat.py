@@ -51,8 +51,9 @@ and beyond, so the kernels follow two rules:
 
 The centrepiece is ``snf``, a Smith normal form M = U * D * V with
 unimodular U, V.  It reduces M alone and logs its elementary operations;
-the transforms are replayed from that log on demand.  The columns of U
-and of V^-1 are both replayed from the right, only those asked for.
+the transforms are replayed from that log on demand, only the columns
+asked for, and nothing is kept.  One undo of the log gives U's columns
+and V's rows (the columns of V^T); V^-1's columns have their own replay.
 U's generator columns give cokernel generator representatives; V^-1's
 columns for the zero invariant factors span the kernel
 (``kernel_basis``), and for a nonsingular M, V^-1 e_s / d_s is
@@ -396,52 +397,59 @@ class SnfDecomposition:
     zeros last; it is the invariant-factor sequence of M.
 
     ``snf`` reduces M alone and keeps the log of its elementary operations;
-    the transforms are replayed from that log on demand.  The row
-    operations E_1, ..., E_m on A give U = E_1^-1 ... E_m^-1, and the
-    column operations C_1, ..., C_p give V^-1 = C_1 ... C_p.  So the
-    columns of either are replayed from the right, only those asked for,
-    as row operations on a block of the wanted unit columns
-    (``u_columns``, ``v_inverse_columns``); ``u`` is all of U's.  V is
-    replayed from the column operations.  Each replayed addition changes
-    its target in place, over the source's nonzeros only, found by
-    ``compress`` in C.  ``u`` and ``v`` are built the first time each is
-    read, and then kept; their entries are ints by construction, so they
-    are wrapped unchecked.  V^-1's columns are replayed afresh on each
-    call.  A caller that reads only D builds no transform.  The one
-    constructor takes D and that log; an empty log replays to U = I and
-    V = V^-1 = I.
+    the transforms are replayed from that log each time they are read, only
+    the columns asked for, and nothing is cached.  One undo of the log
+    (``_undo``) gives U's columns (``u_columns``; ``u`` is all of them) and
+    V's rows (``v``); V^-1 = C_1 ... C_p over the column operations C_i,
+    so its columns have their own replay (``v_inverse_columns``).  Each
+    replayed addition changes its target in place, over the source's
+    nonzeros only, found by ``compress`` in C.  The entries are ints by
+    construction, so U and V are wrapped unchecked.  A caller that reads
+    only D builds no transform.  The one constructor takes D and that log;
+    an empty log replays to U = I and V = V^-1 = I.
     """
 
-    __slots__ = ("d", "_log", "_u", "_v")
+    __slots__ = ("d", "_log")
 
     def __init__(self, d, log):
         self.d = d
         self._log = log
-        self._u = self._v = None
 
-    def u_columns(self, indices):
-        """Columns ``indices`` of U, as int tuples, in that order.
+    def _undo(self, size, indices, kinds):
+        """Columns ``indices``, as int tuples, of the product of the
+        inverses of one family of logged operations, in log order.
+        ``kinds`` names the family's addition, swap and negation, and
+        ``size`` is the block's row count.
 
-        U e_s = E_1^-1 (E_2^-1 (... (E_m^-1 e_s))), so the log runs in
-        reverse, each row operation on A undone as a row operation on the
-        block of the wanted unit columns: the work scales with the number
-        of columns asked for, not with all of U.  Each addition subtracts
-        c times the source row's nonzeros from the target row, in place."""
+        The log runs in reverse on a block of the wanted unit columns, so
+        the work scales with the number of columns asked for.  A logged
+        "row i += c * row j" is undone by subtracting c times block row
+        j's nonzeros from block row i, in place.  The row operations on A
+        give U = E_1^-1 ... E_m^-1.  A logged column i += c * column j is
+        C = I + c e_j e_i^T, whose C^-T is that same row step, so the
+        column operations give V^T = C_1^-T ... C_p^-T: its columns are
+        V's rows."""
+        add, swap, negate = kinds
         indices = list(indices)
         width = range(len(indices))
-        block = [[0] * len(indices) for _ in range(self.d.rows)]
+        block = [[0] * len(indices) for _ in range(size)]
         for s, row in enumerate(indices):
             block[row][s] = 1
         for kind, i, j, c in reversed(self._log):
-            if kind == _ROW_ADD:
+            if kind == add:
                 target, source = block[i], block[j]
                 for s in compress(width, source):
                     target[s] -= c * source[s]
-            elif kind == _ROW_SWAP:
+            elif kind == swap:
                 block[i], block[j] = block[j], block[i]
-            elif kind == _ROW_NEGATE:
+            elif kind == negate:
                 block[i] = [-x for x in block[i]]
         return list(zip(*block))
+
+    def u_columns(self, indices):
+        """Columns ``indices`` of U, as int tuples, in that order:
+        U = E_1^-1 ... E_m^-1 over the row operations on A."""
+        return self._undo(self.d.rows, indices, (_ROW_ADD, _ROW_SWAP, _ROW_NEGATE))
 
     def v_inverse_columns(self, indices):
         """Columns ``indices`` of V^-1, as int tuples, in that order.
@@ -470,28 +478,14 @@ class SnfDecomposition:
     @property
     def u(self):
         """U: all of its columns, from ``u_columns``, wrapped unchecked."""
-        if self._u is None:
-            self._u = IntMatrix._wrap(zip(*self.u_columns(range(self.d.rows))))
-        return self._u
+        return IntMatrix._wrap(zip(*self.u_columns(range(self.d.rows))))
 
     @property
     def v(self):
-        """V: each column operation on A, replayed as the inverse row
-        operation on the rows of V, in place over the source row's
-        nonzeros.  Its entries are ints by construction, so V is wrapped
-        unchecked."""
-        if self._v is None:
-            width = range(self.d.cols)
-            rows = IntMatrix.identity(self.d.cols).to_lists()
-            for kind, i, j, c in self._log:
-                if kind == _COL_ADD:
-                    target, source = rows[j], rows[i]
-                    for s in compress(width, source):
-                        target[s] -= c * source[s]
-                elif kind == _COL_SWAP:
-                    rows[i], rows[j] = rows[j], rows[i]
-            self._v = IntMatrix._wrap(rows)
-        return self._v
+        """V: its rows are the columns of V^T, undone from the column
+        operations, wrapped unchecked."""
+        n = self.d.cols
+        return IntMatrix._wrap(self._undo(n, range(n), (_COL_ADD, _COL_SWAP, None)))
 
     def reconstruct(self):
         return self.u @ self.d @ self.v

@@ -12,7 +12,7 @@ geometric-sign representative in (-1, 0] is available to Fraction callers.
 """
 
 import itertools
-from math import gcd, prod
+from math import gcd
 from operator import mul
 
 from ._record import Record
@@ -183,8 +183,9 @@ class DiscriminantPackage(Record):
 
     ``form`` is the symmetric Gram matrix of the pairing on the chosen
     generators, entries reduced into [0, 1).  ``generators`` holds
-    dual-lattice coset representatives in lattice coordinates (columns);
-    it is None for packages built abstractly rather than from a lattice.
+    dual-lattice coset representatives in lattice coordinates, one column
+    per invariant factor; it is None for packages built abstractly rather
+    than from a lattice.  The trivial package has neither.
     """
 
     group: FGAbGroup
@@ -196,11 +197,17 @@ class DiscriminantPackage(Record):
             raise ValidationError("discriminant packages are torsion-only")
         k = len(self.group.invariant_factors)
         if k == 0:
+            if self.form is not None or self.generators is not None:
+                raise ValidationError("the trivial package takes no form and no generators")
             return
         if self.form is None:
             raise ValidationError("nontrivial package needs a form matrix")
         if (self.form.rows, self.form.cols) != (k, k):
             raise ValidationError("form size must match the generator count")
+        if self.generators is not None and self.generators.cols != k:
+            raise ValidationError(
+                f"need {k} generator columns, one per invariant factor, got {self.generators.cols}"
+            )
         if not self.form.is_symmetric():
             raise ValidationError("form must be symmetric")
         # On the numerators over the one denominator: 0 <= q_ij < 1 is
@@ -359,21 +366,21 @@ def forms_isomorphic(p1, p2):
     mod n and takes each equally often, so the second screen is at least
     as strict as comparing all |E|^2 pairing values, and builds no table.
     The search then enumerates generator-image assignments consistent
-    with element orders and pairing values, pruning on the order of the
-    span of each partial assignment.  It reads the pairing of a chosen
-    image x with a candidate from row x of the second package's table,
-    built the first time x is chosen and kept.  Only supported up to
-    group order 64.
+    with element orders and pairing values, and prunes a candidate whose
+    nonzero multiples meet the span of the images already chosen.  It
+    reads the pairing of a chosen image x with a candidate from row x of
+    the second package's table, built the first time x is chosen and
+    kept.  Packages on different groups are not isomorphic at any order;
+    equal groups are supported up to order 64.
     """
-    for p in (p1, p2):
-        order = p.group.torsion_order()
-        if order > FORMS_ISOMORPHIC_BOUND:
-            raise CapabilityError(
-                "forms_isomorphic is brute force; group order must be "
-                f"<= {FORMS_ISOMORPHIC_BOUND}, got {order}"
-            )
     if p1.group != p2.group:
         return False
+    order = p1.group.torsion_order()
+    if order > FORMS_ISOMORPHIC_BOUND:
+        raise CapabilityError(
+            "forms_isomorphic is brute force; group order must be "
+            f"<= {FORMS_ISOMORPHIC_BOUND}, got {order}"
+        )
     if p1.group.is_trivial():
         return True
 
@@ -402,36 +409,27 @@ def forms_isomorphic(p1, p2):
     def extend(i, chosen, span):
         if i == k:
             return True
-        span_target = prod(factors[: i + 1])
         chosen_rows = [rows2[x] for x in chosen]
         for cand in by_order.get(factors[i], ()):
             if self2[cand] != wanted[i][i]:
                 continue
             if any(row[cand] != wanted[j][i] for j, row in enumerate(chosen_rows)):
                 continue
-            # an injective map sends the first i+1 generators onto a
-            # subgroup of order d_1 * ... * d_{i+1}; prune otherwise
-            new_span = _extend_span(span, elements[cand], factors)
-            if len(new_span) != span_target:
+            # The map stays injective when <g> meets the span H only in 0,
+            # i.e. no t g with 0 < t < d_{i+1} lies in H; then H + <g> is
+            # the union of the cosets H + t g.
+            g = elements[cand]
+            multiples = [tuple(t * a % d for a, d in zip(g, factors))
+                         for t in range(1, factors[i])]
+            if any(m in span for m in multiples):
                 continue
             if cand not in rows2:
                 rows2[cand] = _linear_values(forms2[cand], factors, n)
+            new_span = {tuple((a + b) % d for a, b, d in zip(h, m, factors))
+                        for h in span for m in [zero] + multiples}
             if extend(i + 1, chosen + [cand], new_span):
                 return True
         return False
 
     zero = tuple([0] * k)
     return extend(0, [], {zero})
-
-
-def _extend_span(span, generator, factors):
-    """The subgroup generated by an existing span and one more element."""
-    seen = set(span)
-    frontier = list(span)
-    while frontier:
-        current = frontier.pop()
-        nxt = tuple((a + b) % d for a, b, d in zip(current, generator, factors))
-        if nxt not in seen:
-            seen.add(nxt)
-            frontier.append(nxt)
-    return seen

@@ -1534,7 +1534,9 @@ def test_replayed_transforms_match_eager_reference(m, order):
     assert (built["u"], built["v"]) == (u, v)
     assert built["v_inv"] @ v == IntMatrix.identity(m.cols)
     assert built["v_inv"] == bareiss_v_inverse(v)
-    assert decomp.u is built["u"] and decomp.v is built["v"]
+    # Nothing is kept: a second read replays the same transforms afresh.
+    assert (decomp.u, decomp.v) == (built["u"], built["v"])
+    assert decomp.v == forward_replay_v(decomp)
     for rows in (decomp.d._rows, decomp.u._rows, decomp.v._rows,
                  decomp.v_inverse_columns(range(m.cols))):
         assert_int_entries(rows)
@@ -1553,6 +1555,19 @@ def forward_replay_u(decomp):
         elif kind == intmat._ROW_NEGATE:
             cols[i] = [-x for x in cols[i]]
     return IntMatrix.from_columns(cols)
+
+
+def forward_replay_v(decomp):
+    """V replayed from the log forwards: each column operation on A as the
+    inverse row operation on the rows of V, as ``v`` was built before one
+    undo of the log gave both U's columns and V's rows."""
+    rows = IntMatrix.identity(decomp.d.cols).to_lists()
+    for kind, i, j, c in decomp._log:
+        if kind == intmat._COL_ADD:
+            rows[j] = [x - c * y for x, y in zip(rows[j], rows[i])]
+        elif kind == intmat._COL_SWAP:
+            rows[i], rows[j] = rows[j], rows[i]
+    return IntMatrix(rows)
 
 
 @settings(deadline=None)
@@ -1614,11 +1629,12 @@ class Recorded(list):
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Every decomposition ``snf`` returns, under any module's name, and
-    the columns of U and V^-1 each is asked to replay."""
+    """Every decomposition ``snf`` returns, under any module's name, the
+    columns of U and V^-1 each is asked to replay, and each read of V."""
     decomps = Recorded()
     real_snf = intmat.snf
     real_replays = {"u": SnfDecomposition.u_columns, "v_inv": SnfDecomposition.v_inverse_columns}
+    real_v = SnfDecomposition.v.fget
 
     def recording_snf(matrix):
         decomps.append(real_snf(matrix))
@@ -1631,11 +1647,16 @@ def recorded(monkeypatch):
             return real_replays[name](self, indices)
         return replay
 
+    def recording_v(self):
+        decomps.asked.setdefault(self, []).append(("v", None))
+        return real_v(self)
+
     for module in list(sys.modules.values()):
         if getattr(module, "snf", None) is real_snf:
             monkeypatch.setattr(module, "snf", recording_snf)
     monkeypatch.setattr(SnfDecomposition, "u_columns", recording("u"))
     monkeypatch.setattr(SnfDecomposition, "v_inverse_columns", recording("v_inv"))
+    monkeypatch.setattr(SnfDecomposition, "v", property(recording_v))
     return decomps
 
 
@@ -1643,9 +1664,8 @@ def transforms_built(decomps):
     """For each decomposition, what was replayed from its log, in order:
     ("u", indices) per ``u_columns`` call (``u`` asks for all of them),
     ("v_inv", indices) per ``v_inverse_columns`` call, and ("v", None)
-    last when V was built."""
-    return [decomps.asked.get(d, []) + ([("v", None)] if d._v is not None else [])
-            for d in decomps]
+    per read of V."""
+    return [decomps.asked.get(d, []) for d in decomps]
 
 
 def kernel_replay(decomp):
@@ -1699,3 +1719,10 @@ def test_supplied_generators_build_no_u(recorded):
     assert package.group == FGAbGroup.from_orders([2, 2])
     assert recorded
     assert transforms_built(recorded) == [[]] * len(recorded)
+
+
+def test_reconstruct_replays_u_and_v_once(recorded):
+    # reconstruct reads all of U's columns and V once each, and V^-1 never.
+    m = IntMatrix([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+    assert snf(m).reconstruct() == m
+    assert transforms_built(recorded) == [[("u", [0, 1, 2]), ("v", None)]]

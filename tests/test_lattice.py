@@ -16,7 +16,6 @@ from torsiontraj.intmat import IntMatrix, RatMatrix, SnfDecomposition, det, rat_
 from torsiontraj.lattice import (
     DiscriminantPackage,
     IntersectionLattice,
-    _extend_span,
     abstract_package,
     cartan_matrix,
     chain_matrix,
@@ -28,7 +27,9 @@ from torsiontraj.lattice import (
     star_matrix,
     trivial_package,
 )
+from torsiontraj.bockstein import shadow
 from torsiontraj.serialize import package_to_json, to_json_text
+from torsiontraj.trajectory import SingularityModel, local_package
 
 from test_intmat import count_fraction_calls
 
@@ -683,6 +684,17 @@ def test_forms_isomorphic_bound():
         forms_isomorphic(big, big)
 
 
+def test_forms_isomorphic_on_different_groups_is_false_at_any_order():
+    # The groups are compared before the order bound: Z/101 is not Z/2.
+    a100 = local_package(SingularityModel.ak(100))
+    a1 = local_package(SingularityModel.ak(1))
+    assert forms_isomorphic(a100, a1) is False
+    assert forms_isomorphic(a1, a100) is False
+    big = abstract_package(FGAbGroup.cyclic(128), [[Fraction(1, 128)]])
+    other = abstract_package(FGAbGroup.from_orders([2, 64]), [[HALF, 0], [0, Fraction(1, 64)]])
+    assert forms_isomorphic(big, other) is False
+
+
 def test_forms_isomorphic_at_the_bound():
     # order exactly 64 with six generators: the worst case for the search
     g6 = FGAbGroup.from_orders([2] * 6)
@@ -701,6 +713,19 @@ def test_forms_isomorphic_at_the_bound():
     assert not forms_isomorphic(zero, hyp)
 
 
+def test_forms_isomorphic_refuses_a_non_injective_assignment():
+    # On Z/2 + Z/8, s_1 -> 4 t_2 and s_2 -> t_2 match every pairing value
+    # of the first form, but 4 t_2 lies in the span of t_2: the map is not
+    # injective.  The forms are not isomorphic: the elements orthogonal to
+    # everything are {0, s_1, 4 s_2, s_1 + 4 s_2} = (Z/2)^2 for the first
+    # and the Z/4 generated by t_1 + 2 t_2 for the second.
+    group = FGAbGroup.from_orders([2, 8])
+    split = abstract_package(group, [[0, 0], [0, Fraction(1, 4)]])
+    linked = abstract_package(group, [[0, HALF], [HALF, Fraction(1, 4)]])
+    assert forms_isomorphic(split, linked) is False
+    assert fraction_forms_isomorphic(split, linked) is False
+
+
 def fraction_pairing_table(pkg):
     """All pairing values of a package, as {(x, y): Fraction} over elements."""
     elements = list(pkg.elements())
@@ -716,6 +741,20 @@ def fraction_pairing_table(pkg):
         for y in elements:
             table[x, y] = sum(c * v for c, v in zip(y, row)) % 1
     return elements, table
+
+
+def bfs_span(span, generator, factors):
+    """The subgroup generated by an existing span and one more element,
+    found by adding the element until nothing new appears."""
+    seen = set(span)
+    frontier = list(span)
+    while frontier:
+        current = frontier.pop()
+        nxt = tuple((a + b) % d for a, b, d in zip(current, generator, factors))
+        if nxt not in seen:
+            seen.add(nxt)
+            frontier.append(nxt)
+    return seen
 
 
 def fraction_forms_isomorphic(p1, p2):
@@ -749,7 +788,7 @@ def fraction_forms_isomorphic(p1, p2):
                 continue
             if any(table2[chosen[j], cand] != wanted[j][i] for j in range(i)):
                 continue
-            new_span = _extend_span(span, cand, factors)
+            new_span = bfs_span(span, cand, factors)
             if len(new_span) != prod(factors[: i + 1]):
                 continue
             if extend(i + 1, chosen + [cand], new_span):
@@ -780,7 +819,7 @@ def automorphism_image(rng, orders, form):
                   for d_i in orders]
         span = {tuple([0] * k)}
         for g in images:
-            span = _extend_span(span, g, orders)
+            span = bfs_span(span, g, orders)
         if len(span) == prod(orders):
             break
     return [[sum(a * b * form[s][t]
@@ -851,6 +890,26 @@ def test_package_validation():
     with pytest.raises(ValidationError):
         abstract_package(FGAbGroup.from_orders([2, 2]), [[0, 0], [HALF, 0]])
     assert trivial_package().group.is_trivial()
+    # The trivial group has no form and no generators.
+    with pytest.raises(ValidationError, match="takes no form and no generators"):
+        abstract_package(FGAbGroup.trivial(), [[HALF]])
+    with pytest.raises(ValidationError, match="takes no form and no generators"):
+        DiscriminantPackage(FGAbGroup.trivial(), None, RatMatrix([[HALF]]))
+    # One generator column per invariant factor, or shadow could not
+    # multiply the generators by its inclusion.
+    z4 = FGAbGroup.cyclic(4)
+    form = RatMatrix([[Fraction(3, 4)]])
+    with pytest.raises(ValidationError,
+                       match="need 1 generator columns, one per invariant factor, got 3"):
+        DiscriminantPackage(z4, form, RatMatrix([[1, 2, 3]]))
+    with pytest.raises(ValidationError,
+                       match="need 2 generator columns, one per invariant factor, got 1"):
+        DiscriminantPackage(FGAbGroup.from_orders([2, 2]), RatMatrix([[0, 0], [0, 0]]),
+                            RatMatrix([[HALF]]))
+    with pytest.raises(ValidationError, match=r"^need 2 generator columns, got 1$"):
+        discriminant_package(cartan_matrix("D", 4), generators=IntMatrix([[0], [-1], [1], [0]]))
+    package = DiscriminantPackage(z4, form, RatMatrix([[Fraction(1, 4)], [HALF]]))
+    assert shadow(package, 2).sub.generators == RatMatrix([[HALF], [1]])
 
 
 def fraction_form_refusal(group, form):
