@@ -41,13 +41,13 @@ and beyond, so the kernels follow two rules:
   column quotient of that pivot reads them; its replays add only the
   source row's (or column's) nonzeros, in place.
 * Elimination stays fraction-free.  One forward Bareiss pass with exact
-  divisions serves ``det`` and one solve kernel, ``_eliminate``: on
-  [M | B] it runs that pass, then exact back substitution, and keeps
-  M^-1 B as integers over |det M|: one denominator, no Fraction until an
-  entry is read.  ``rat_inverse`` feeds it [M | I]; ``_solve`` feeds it
-  [M | B] for k columns B, so a caller pays for the columns it reads,
-  not for all of M^-1.  For the tridiagonal A_k gram the inverse is
-  O(k^2) steps and the solve O(k * (k + columns)).
+  divisions serves ``det`` and the one solve, ``_solve``: on [M | B] it
+  runs that pass, then exact back substitution, and keeps M^-1 B as
+  integers over |det M|: one denominator, no Fraction until an entry is
+  read.  ``rat_inverse`` is the solve against the identity; a caller
+  that needs M^-1 B for k columns B solves for those alone, and pays for
+  the columns it reads, not for all of M^-1.  For the tridiagonal A_k
+  gram the inverse is O(k^2) steps and the solve O(k * (k + columns)).
 
 The centrepiece is ``snf``, a Smith normal form M = U * D * V with
 unimodular U, V.  It reduces M alone and logs its elementary operations;
@@ -390,6 +390,18 @@ def _require_int_matrix(matrix, what):
 _ROW_SWAP, _ROW_NEGATE, _ROW_ADD, _COL_SWAP, _COL_ADD = range(5)
 
 
+def _unit_block(size, indices, what):
+    """Columns ``indices`` of the size x size identity, as ``size`` row
+    lists, in that order: the block a Smith replay starts from.  Each
+    index passes ``_integer`` as ``what``, in range(size), so a negative
+    or bool index is refused, not read from the end or as 0 or 1."""
+    indices = [_integer(s, what, 0, size - 1) for s in indices]
+    block = [[0] * len(indices) for _ in range(size)]
+    for s, row in enumerate(indices):
+        block[row][s] = 1
+    return block
+
+
 class SnfDecomposition:
     """Smith normal form M = U * D * V with unimodular U and V.
 
@@ -415,13 +427,13 @@ class SnfDecomposition:
         self.d = d
         self._log = log
 
-    def _undo(self, size, indices, kinds):
-        """Columns ``indices``, as int tuples, of the product of the
-        inverses of one family of logged operations, in log order.
-        ``kinds`` names the family's addition, swap and negation, and
-        ``size`` is the block's row count.
+    def _undo(self, block, kinds):
+        """Undo one family of logged operations on ``block``, unit columns
+        from ``_unit_block``, changed in place: the result is those columns,
+        as int tuples, of the product of the operations' inverses, in log
+        order.  ``kinds`` names the family's addition, swap and negation.
 
-        The log runs in reverse on a block of the wanted unit columns, so
+        The log runs in reverse on the block of the wanted unit columns, so
         the work scales with the number of columns asked for.  A logged
         "row i += c * row j" is undone by subtracting c times block row
         j's nonzeros from block row i, in place.  The row operations on A
@@ -430,11 +442,7 @@ class SnfDecomposition:
         column operations give V^T = C_1^-T ... C_p^-T: its columns are
         V's rows."""
         add, swap, negate = kinds
-        indices = list(indices)
-        width = range(len(indices))
-        block = [[0] * len(indices) for _ in range(size)]
-        for s, row in enumerate(indices):
-            block[row][s] = 1
+        width = range(len(block[0]))
         for kind, i, j, c in reversed(self._log):
             if kind == add:
                 target, source = block[i], block[j]
@@ -449,7 +457,8 @@ class SnfDecomposition:
     def u_columns(self, indices):
         """Columns ``indices`` of U, as int tuples, in that order:
         U = E_1^-1 ... E_m^-1 over the row operations on A."""
-        return self._undo(self.d.rows, indices, (_ROW_ADD, _ROW_SWAP, _ROW_NEGATE))
+        block = _unit_block(self.d.rows, indices, "U column index")
+        return self._undo(block, (_ROW_ADD, _ROW_SWAP, _ROW_NEGATE))
 
     def v_inverse_columns(self, indices):
         """Columns ``indices`` of V^-1, as int tuples, in that order.
@@ -461,11 +470,8 @@ class SnfDecomposition:
         j, in place over the source row's nonzeros; a column swap swaps
         the two block rows.  The work scales with the number of columns
         asked for, not with all of V^-1."""
-        indices = list(indices)
-        width = range(len(indices))
-        block = [[0] * len(indices) for _ in range(self.d.cols)]
-        for s, row in enumerate(indices):
-            block[row][s] = 1
+        block = _unit_block(self.d.cols, indices, "V^-1 column index")
+        width = range(len(block[0]))
         for kind, i, j, c in reversed(self._log):
             if kind == _COL_ADD:
                 target, source = block[j], block[i]
@@ -485,7 +491,8 @@ class SnfDecomposition:
         """V: its rows are the columns of V^T, undone from the column
         operations, wrapped unchecked."""
         n = self.d.cols
-        return IntMatrix._wrap(self._undo(n, range(n), (_COL_ADD, _COL_SWAP, None)))
+        return IntMatrix._wrap(self._undo(_unit_block(n, range(n), "V row index"),
+                                          (_COL_ADD, _COL_SWAP, None)))
 
     def reconstruct(self):
         return self.u @ self.d @ self.v
@@ -609,7 +616,7 @@ def snf(matrix):
 
 def _bareiss(a, n):
     """Forward fraction-free (Bareiss) elimination on the leading n x n
-    block of the n rows of ``a``, in place; ``det`` and ``_eliminate``
+    block of the n rows of ``a``, in place; ``det`` and ``_solve``
     share it.  Column c takes the first nonzero entry at or below the
     diagonal as pivot p and replaces each row r below it by
     (row * p - f * pivot_row) // prev, where f is the row's entry in column
@@ -678,10 +685,37 @@ def det(matrix):
     return _bareiss(matrix.to_lists(), matrix.rows)
 
 
-def _eliminate(a, n):
-    """M^-1 B as a RatMatrix over |det M|, in lowest terms, from the n rows
-    [M | B] of ``a``: the one elimination kernel behind ``rat_inverse``
-    and ``_solve``.  ``a`` is changed in place.
+def rat_inverse(matrix):
+    """Exact inverse of a nonsingular integer matrix, as a RatMatrix.
+
+    The solve M^-1 I (``_solve``), its unit rows wrapped unchecked: the
+    adjugate, up to sign, over |det M|, one denominator, and products
+    with it run on its integers too.  For the tridiagonal A_k gram the
+    whole inverse costs O(k^2) steps.
+
+    >>> print(rat_inverse(IntMatrix([[2, 1], [1, 1]])))
+    [[1, -1], [-1, 2]]
+    >>> print(rat_inverse(IntMatrix([[-2, 1], [1, -2]])))
+    [[-2/3, -1/3], [-1/3, -2/3]]
+
+    Raises SingularMatrixError when the matrix is singular.
+    """
+    _require_int_matrix(matrix, "rat_inverse")
+    if not matrix.is_square():
+        raise DimensionError("inverse requires a square matrix")
+    n = matrix.rows
+    return _solve(matrix, IntMatrix._wrap((0,) * i + (1,) + (0,) * (n - 1 - i)
+                                          for i in range(n)))
+
+
+def _solve(matrix, columns):
+    """M^-1 B for a nonsingular square IntMatrix M and an IntMatrix B with
+    as many rows, as a RatMatrix over |det M| in lowest terms: the one
+    elimination behind ``rat_inverse`` (B = I).  Only B's columns ride
+    along, so with k of them the forward pass rewrites rows of n + k
+    entries, not 2n, and back substitution costs k steps per nonzero of
+    U, not n.  Equal to ``rat_inverse(M) @ B``, since both are in lowest
+    terms.
 
     The forward Bareiss pass leaves [U | C] with U upper triangular and
     U M^-1 B = C (see ``_bareiss``).  With d = |det M|, Y = d M^-1 B is
@@ -695,6 +729,13 @@ def _eliminate(a, n):
 
     Raises SingularMatrixError when M is singular.
     """
+    _require_int_matrix(matrix, "_solve")
+    _require_int_matrix(columns, "_solve")
+    if not matrix.is_square() or columns.rows != matrix.rows:
+        raise DimensionError(f"cannot solve a {matrix.rows}x{matrix.cols} system"
+                             f" for {columns.rows}x{columns.cols} columns")
+    n = matrix.rows
+    a = [[*m, *b] for m, b in zip(matrix._rows, columns._rows)]
     d = abs(_bareiss(a, n))
     if d == 0:
         raise SingularMatrixError("matrix is singular")
@@ -708,55 +749,6 @@ def _eliminate(a, n):
         u = row[i]
         y[i] = [s // u for s in acc]
     return RatMatrix._reduced(y, d)
-
-
-def rat_inverse(matrix):
-    """Exact inverse of a nonsingular integer matrix, as a RatMatrix.
-
-    The kernel ``_eliminate`` runs on [M | I], built in place, and
-    returns the adjugate, up to sign, over |det M|: one denominator, and
-    products with it run on its integers too.  For the tridiagonal A_k
-    gram the whole inverse costs O(k^2) steps.
-
-    >>> print(rat_inverse(IntMatrix([[2, 1], [1, 1]])))
-    [[1, -1], [-1, 2]]
-    >>> print(rat_inverse(IntMatrix([[-2, 1], [1, -2]])))
-    [[-2/3, -1/3], [-1/3, -2/3]]
-
-    Raises SingularMatrixError when the matrix is singular.
-    """
-    _require_int_matrix(matrix, "rat_inverse")
-    if not matrix.is_square():
-        raise DimensionError("inverse requires a square matrix")
-    n = matrix.rows
-    a = matrix.to_lists()
-    for i, row in enumerate(a):
-        row += [0] * n
-        row[n + i] = 1
-    return _eliminate(a, n)
-
-
-def _solve(matrix, columns):
-    """M^-1 B for a nonsingular square IntMatrix M and an IntMatrix B with
-    as many rows, as a RatMatrix in lowest terms: the kernel
-    ``_eliminate`` on [M | B].  Only B's columns ride along, so with
-    k of them the forward pass rewrites rows of n + k entries, not 2n, and
-    back substitution costs k steps per nonzero of U, not n.  Equal to
-    ``rat_inverse(M) @ B``, since both are in lowest terms.  It has no
-    library caller yet: the Smith-generator discriminant package reads
-    its duals off V^-1, and the supplied-generator package keeps
-    ``rat_inverse(gram) @ G`` while the benchmark pins that call on the
-    A_k rows; once the pin moves, this is that package's one line.
-
-    Raises SingularMatrixError when M is singular.
-    """
-    _require_int_matrix(matrix, "_solve")
-    _require_int_matrix(columns, "_solve")
-    if not matrix.is_square() or columns.rows != matrix.rows:
-        raise DimensionError(f"cannot solve a {matrix.rows}x{matrix.cols} system"
-                             f" for {columns.rows}x{columns.cols} columns")
-    rows = [list(m + b) for m, b in zip(matrix._rows, columns._rows)]
-    return _eliminate(rows, matrix.rows)
 
 
 def char_poly(matrix):

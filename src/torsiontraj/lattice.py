@@ -243,14 +243,16 @@ def abstract_package(group, form_entries):
 def discriminant_package(lat, generators=None):
     """Discriminant package (group, pairing) of a nonsingular lattice.
 
-    The group is coker(gram).  Default generator classes come from the
-    unimodular factor U of the Smith normal form, paired with the
-    nontrivial invariant factors.  ``generators`` may instead supply
-    integer coset representatives (an IntMatrix, used as given, whose
-    columns match the nontrivial invariant factors in order; anything
-    but an IntMatrix is a ValidationError); the induced form does not
-    depend on the choice of representative within a coset.  The group is
-    then read from D alone, so the Smith form builds no U.
+    The group is coker(gram), read from the one Smith normal form of the
+    gram, which runs before the generators are chosen.  Default generator
+    classes come from its unimodular factor U, paired with the nontrivial
+    invariant factors.  ``generators`` may instead supply integer coset
+    representatives (an IntMatrix, used as given, with one row per gram
+    row and one column per nontrivial invariant factor, in order; anything
+    else is a ValidationError, raised before any elimination it would
+    waste); the induced form does not depend on the choice of
+    representative within a coset.  They read only D, so the Smith form
+    replays no transform.
 
     With G the matrix of generator columns, the duals are gram^-1 G and
     the form is (gram^-1 G)^T G, with entries g_i^T gram^-1 g_j reduced
@@ -259,7 +261,8 @@ def discriminant_package(lat, generators=None):
     their duals are V^-1's same columns, replayed from the Smith form's
     own log (``SnfDecomposition.v_inverse_columns``), over the exponent
     d_k, so the gram is eliminated once.  Supplied generators take
-    rat_inverse(gram) @ G, which the benchmark pins on the A_k rows.  Both
+    rat_inverse(gram) @ G, the solve against the identity times G, which
+    the benchmark pins on the A_k rows.  Both
     give the duals in lowest terms, as a solve on [gram | G] would, and
     the form is the shared matrix product.  The duals give each supplied
     class its order, den / gcd(den, numerators).  One class of order |E|
@@ -277,23 +280,19 @@ def discriminant_package(lat, generators=None):
     [[3/4]]
     """
     gram = lat.gram
-    if generators is None:
-        decomp = snf(gram)
-        group, diag = _cokernel(decomp, gram.rows)
-    else:
+    if generators is not None:
         _require_int_matrix(generators, "discriminant_package")
-        group = cokernel_group(gram)
+        if generators.rows != gram.rows:
+            raise ValidationError(
+                f"generators have {generators.rows} rows, the gram has {gram.rows}"
+            )
+    decomp = snf(gram)
+    group, diag = _cokernel(decomp, gram.rows)
     if not group.is_finite():
         raise SingularMatrixError(f"gram is singular: its cokernel has free rank {group.free_rank}")
     if group.is_trivial():
         return trivial_package()
 
-    # Supplied generators take rat_inverse(gram) @ G only because the
-    # benchmark pins a rat_inverse call on every A_k row (ROADMAP item 1a);
-    # once that pin moves, they take ``intmat._solve``.  The rational
-    # factor stays on the left of every product, so none dispatches to
-    # IntMatrix.__matmul__: perfbench traces only that product, and its
-    # A_3 row test pins how many there are.
     if generators is None:
         # Column s of the duals is V^-1 e_s / d_s = V^-1 e_s (e / d_s) / e
         # over the exponent e, the last d.
@@ -304,13 +303,19 @@ def discriminant_package(lat, generators=None):
                   for s, column in zip(wanted, decomp.v_inverse_columns(wanted))]
         duals = RatMatrix._reduced(list(zip(*scaled)), e)
     else:
+        expected = group.invariant_factors
+        if generators.cols != len(expected):
+            raise ValidationError(
+                f"need {len(expected)} generator columns, got {generators.cols}"
+            )
+        # rat_inverse(gram) @ G, not ``intmat._solve(gram, G)``, only
+        # because the benchmark pins a rat_inverse call on every A_k row
+        # (ROADMAP item 1a); once that pin moves, this is that one call.
+        # The rational factor stays on the left of every product here, so
+        # none dispatches to IntMatrix.__matmul__: perfbench traces only
+        # that product, and its A_3 row test pins how many there are.
         gens = generators
         duals = rat_inverse(gram) @ gens
-        expected = group.invariant_factors
-        if gens.cols != len(expected):
-            raise ValidationError(
-                f"need {len(expected)} generator columns, got {gens.cols}"
-            )
         for column, d_i in zip(zip(*duals._rows), expected):
             actual = duals._den // gcd(duals._den, *column)
             if actual != d_i:

@@ -1327,6 +1327,17 @@ def test_solve_matches_the_inverse_times_the_columns(system):
 
 
 @settings(deadline=None)
+@given(solve_systems(st.one_of(square_matrices(), structured_matrices())))
+def test_solve_matches_the_fraction_inverse_times_the_columns(system):
+    # An oracle that does not run through the kernel: Gauss-Jordan in
+    # Fractions, then every entry of the product as a full dot product.
+    m, b = system
+    assume(det(m) != 0)
+    solved, expected = intmat._solve(m, b), dense_product(fraction_inverse(m), b)
+    assert solved == expected and repr(solved) == repr(expected)
+
+
+@settings(deadline=None)
 @given(solve_systems(singular_matrices()))
 def test_solve_refuses_a_singular_matrix_as_the_inverse_does(system):
     m, b = system
@@ -1616,6 +1627,24 @@ def test_empty_log_replays_identity_transforms():
     assert decomp.v == IntMatrix.identity(3)
     assert IntMatrix.from_columns(decomp.v_inverse_columns(range(3))) == IntMatrix.identity(3)
     assert decomp.reconstruct() == d
+
+
+@pytest.mark.parametrize("replay, size, what", [
+    ("u_columns", 2, "U column index"),
+    ("v_inverse_columns", 3, "V^-1 column index"),
+], ids=["u", "v_inv"])
+def test_smith_replays_refuse_an_index_out_of_range(replay, size, what):
+    # U has one column per row of M and V^-1 one per column; a negative
+    # index is not read from the end, and a bool is not read as 0 or 1.
+    decomp = snf(IntMatrix([[2, 0, 0], [0, 3, 0]]))
+    columns = getattr(decomp, replay)
+    for index, message in ((-1, "must be >= 0, got -1"),
+                           (size, f"must be <= {size - 1}, got {size}"),
+                           (True, "must be an integer, got True")):
+        with pytest.raises(ValidationError, match=f"^{re.escape(what)} {message}$"):
+            columns([0, index])
+    every = columns(range(size))
+    assert columns([size - 1, 0]) == [every[size - 1], every[0]]
 
 
 class Recorded(list):

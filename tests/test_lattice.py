@@ -400,6 +400,26 @@ def test_package_generator_validation():
             discriminant_package(lat, generators)
 
 
+def test_generators_of_the_wrong_shape_are_refused_before_the_inverse(monkeypatch):
+    # A row count other than the gram's is refused before the Smith form,
+    # and a column count other than the number of invariant factors right
+    # after it, so neither waits on an inverse of the gram.
+    import torsiontraj.lattice
+
+    def no_elimination(*args):
+        raise AssertionError("generators of the wrong shape reached an elimination")
+
+    monkeypatch.setattr(torsiontraj.lattice, "rat_inverse", no_elimination)
+    lat = cartan_matrix("A", 80)
+    with pytest.raises(ValidationError, match=r"^need 1 generator columns, got 2$"):
+        discriminant_package(lat, IntMatrix([[1, 0]] + [[0, 0]] * 79))
+    monkeypatch.setattr(torsiontraj.lattice, "snf", no_elimination)
+    for rows in (2, 81):
+        with pytest.raises(ValidationError,
+                           match=f"^generators have {rows} rows, the gram has 80$"):
+            discriminant_package(lat, IntMatrix([[1]] + [[0]] * (rows - 1)))
+
+
 def test_package_takes_no_determinant(monkeypatch):
     import torsiontraj.intmat
 

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torsiontraj import abgroup, cli, intmat, lattice, serialize, trajectory
+from torsiontraj import cli, intmat, lattice, serialize, trajectory
 from torsiontraj.abgroup import FGAbGroup, FinAbHom
 from torsiontraj.bockstein import bo_direction_span, bockstein_image, shadow
 from torsiontraj.errors import InvariantError, ValidationError
@@ -341,7 +342,8 @@ def test_plumbing_link_of_each_kind_is_its_own_link(models):
 
 @pytest.fixture
 def snf_calls(monkeypatch):
-    """The matrices passed to ``snf``, under either module's name."""
+    """The matrices passed to ``snf``, under the name of every
+    ``torsiontraj`` module that binds it."""
     calls = []
     real_snf = intmat.snf
 
@@ -349,8 +351,9 @@ def snf_calls(monkeypatch):
         calls.append(matrix)
         return real_snf(matrix)
 
-    monkeypatch.setattr(intmat, "snf", counting_snf)
-    monkeypatch.setattr(abgroup, "snf", counting_snf)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "torsiontraj" and getattr(module, "snf", None) is real_snf:
+            monkeypatch.setattr(module, "snf", counting_snf)
     return calls
 
 
