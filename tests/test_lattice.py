@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from torsiontraj.abgroup import FGAbGroup, cokernel_group, element_order, group_from_cokernel
 from torsiontraj.errors import CapabilityError, SingularMatrixError, ValidationError
-from torsiontraj import intmat
 from torsiontraj.intmat import IntMatrix, RatMatrix, SnfDecomposition, det, rat_inverse
 from torsiontraj.lattice import (
     DiscriminantPackage,
@@ -380,6 +379,31 @@ def test_unimodular_package_builds_no_inverse(monkeypatch):
     assert discriminant_package(IntersectionLattice(IntMatrix([[-2, 1], [1, -1]]))) == trivial_package()
 
 
+@pytest.mark.parametrize("model", [SingularityModel.ak(1), SingularityModel.ak(7),
+                                   SingularityModel.d4(), SingularityModel.brieskorn(),
+                                   SingularityModel.cyclic_quotient(4),
+                                   SingularityModel.cyclic_quotient(7, 3)],
+                         ids=["a1", "a7", "d4", "brieskorn", "quotient-4-1", "quotient-7-3"])
+def test_supplied_generators_are_solved_for_their_columns_only(monkeypatch, model):
+    # The duals of a kind's preferred generators are one solve against
+    # those k columns, never the whole inverse of the gram.
+    import torsiontraj.lattice
+
+    calls = []
+
+    def recording(matrix, columns=None):
+        calls.append(columns)
+        return rat_inverse(matrix, columns)
+
+    monkeypatch.setattr(torsiontraj.lattice, "rat_inverse", recording)
+    package = local_package(model)
+    lat = model.resolution_lattice()
+    (columns,) = calls
+    assert columns is not None
+    assert (columns.rows, columns.cols) == (lat.rank, len(package.group.invariant_factors))
+    assert package.generators == rat_inverse(lat.gram, columns)
+
+
 def test_package_generator_validation():
     lat = cartan_matrix("A", 3)
     with pytest.raises(ValidationError):
@@ -565,7 +589,7 @@ def test_smith_duals_read_off_v_inverse_match_the_solve(lat):
         assert package == trivial_package()
         return
     gens = IntMatrix.from_columns(columns)
-    assert package.generators == intmat._solve(lat.gram, gens) == rat_inverse(lat.gram) @ gens
+    assert package.generators == rat_inverse(lat.gram, gens) == rat_inverse(lat.gram) @ gens
     assert package_text(package) == package_text(dense_discriminant_package(lat))
 
 
@@ -928,6 +952,10 @@ def test_package_validation():
                             RatMatrix([[HALF]]))
     with pytest.raises(ValidationError, match=r"^need 2 generator columns, got 1$"):
         discriminant_package(cartan_matrix("D", 4), generators=IntMatrix([[0], [-1], [1], [0]]))
+    # A unimodular gram takes no generator columns: supplied ones are
+    # refused, not dropped.
+    with pytest.raises(ValidationError, match=r"^need 0 generator columns, got 3$"):
+        discriminant_package(cartan_matrix("E8"), generators=IntMatrix([[1, 0, 0]] * 8))
     package = DiscriminantPackage(z4, form, RatMatrix([[Fraction(1, 4)], [HALF]]))
     assert shadow(package, 2).sub.generators == RatMatrix([[HALF], [1]])
 
